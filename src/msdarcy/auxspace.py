@@ -235,8 +235,3 @@ def gap_split(lambdas, zero_rel=1e-10):
     ratios = lam[ks] / lam[ks - 1]
     kbest = int(ks[np.argmax(ratios)])
     return kbest, float(ratios.max())
-
-
-def project_pi(q, aux):
-    """Module-level alias for AuxSpace.project."""
-    return aux.project(q)

@@ -81,7 +81,7 @@ class BasisSet:
 
         The set then carries one exact linear dependency (the combination
         reproducing the constant pressure has zero velocity), which the
-        coarse solve removes with a deflation constraint.
+        coarse solve shifts out of the velocity block.
         """
         n_cells = self.coarse.fine.n_cells
         return all(fn.cells.size == n_cells for fn in self.functions)

@@ -158,6 +158,11 @@ def _resolve_source(cfg, grid):
     return f, {"kind": kind}
 
 
+def _calibration(raw):
+    l0, H0 = raw.split()
+    return int(l0), float(H0)
+
+
 def _resolve_method(cfg, H):
     flavor = _get(cfg, "method", "flavor", default="type2")
     if flavor not in ("type1", "type2", "global"):
@@ -171,11 +176,8 @@ def _resolve_method(cfg, H):
     if nbasis is None and threshold is None:
         nbasis = 3
     raw_layers = _get(cfg, "method", "layers", default="auto")
-    calib = _get(cfg, "method", "layer_calibration", default="3 0.125")
-    parts = calib.split()
-    if len(parts) != 2:
-        raise ConfigError(f"layer_calibration wants 'l0 H0', got {calib!r}")
-    l0, H0 = int(parts[0]), float(parts[1])
+    l0, H0 = _get(cfg, "method", "layer_calibration", default=(3, 0.125),
+                  cast=_calibration)
     if raw_layers == "auto":
         layers = auto_layers(H, l0, H0)
     else:
@@ -303,10 +305,8 @@ def cmd_convergence(args):
     f, src_res = _resolve_source(cfg, fine)
     solver = _resolve_solver(cfg, args)
     flavor = _get(cfg, "method", "flavor", default="type2")
-    calib = _get(cfg, "method", "layer_calibration", default="3 0.125").split()
-    if len(calib) != 2:
-        raise ConfigError("layer_calibration wants 'l0 H0'")
-    l0, H0 = int(calib[0]), float(calib[1])
+    l0, H0 = _get(cfg, "method", "layer_calibration", default=(3, 0.125),
+                  cast=_calibration)
 
     spec = _get(cfg, "study", "cases")
     cases = []
@@ -314,13 +314,13 @@ def cmd_convergence(args):
         item = item.strip()
         if not item:
             continue
-        parts = item.split()
-        if len(parts) != 3:
+        try:
+            nb, Nx, layers = item.split()
+            nb, Nx = int(nb), int(Nx)
+            cases.append((nb, Nx, auto_layers(1.0 / Nx, l0, H0)
+                          if layers == "auto" else int(layers)))
+        except (ValueError, ZeroDivisionError):
             raise ConfigError(f"case entry wants 'nbasis Nx layers', got {item!r}")
-        nb, Nx = int(parts[0]), int(parts[1])
-        layers = auto_layers(1.0 / Nx, l0, H0) if parts[2] == "auto" \
-            else int(parts[2])
-        cases.append((nb, Nx, layers))
     if not cases:
         raise ConfigError("[study] cases is empty")
 

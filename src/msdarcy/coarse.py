@@ -1,17 +1,19 @@
 """Coarse-scale Darcy solve in the multiscale velocity space.
 
 The fine operators are projected onto the basis columns (velocity) and
-the kept eigenvectors (pressure), a zero-mean row closes the square
-saddle system, and the dense symmetric factorization solves it. The
-solution is expanded back to fine-grid fluxes and pressures.
+the kept eigenvectors (pressure). One Cholesky factorization eliminates
+the velocity; the pressure Schur complement on zero-mean coefficients
+gives the inf-sup constant and the pressure. The solution is expanded
+back to fine-grid fluxes and pressures.
 """
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .errors import SolveError
+from .errors import ConfigError, SolveError
 from .fem import check_zero_mean, divergence_matrix, mass_matrix
 
 
@@ -54,13 +56,21 @@ class MassReport:
 
 
 def assemble_coarse_system(basis_set, perm, f):
-    """Project the fine problem onto the multiscale spaces."""
+    """Project the fine problem onto the multiscale spaces. Sizes whose
+    coarse stage would not fit in physical memory raise ConfigError."""
     aux = basis_set.aux
     grid = perm.grid
     f = np.asarray(f, dtype=np.float64)
     h2 = grid.h ** 2
     check_zero_mean(f, h2)
     Psi = basis_set.matrix
+    n = Psi.shape[1]
+    need = 7 * 8 * n * n  # the coarse stage peaks at ~6.5 dense n x n arrays
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ConfigError(
+            f"coarse system of {n} basis functions needs about {need / 2**30:.1f} GiB "
+            f"of dense arrays, more than the {have / 2**30:.1f} GiB of physical memory")
     A_c = (Psi.T @ (mass_matrix(grid, perm) @ Psi)).toarray()
     B_full = divergence_matrix(grid)
     R = aux.matrix
@@ -70,76 +80,72 @@ def assemble_coarse_system(basis_set, perm, f):
     return CoarseSystem(basis_set, aux, A_c, B_c, rhs_q, mean_w, f)
 
 
-def _deflation_direction(system):
-    """Coefficient vector whose basis combination has zero velocity when
-    every basis function is global: the weighted coefficients of the
-    constant pressure."""
-    return system.aux.coefficients(np.ones(system.aux.coarse.fine.n_cells))
-
-
-def schur_health(system):
-    """Smallest eigenvalue of the pressure Schur complement restricted to
-    zero-mean coefficient vectors; positive iff the coarse pair is stable."""
-    A_c, B_c, w = system.A_c, system.B_c, system.mean_w
-    A_sym = 0.5 * (A_c + A_c.T)
+def solve_multiscale(system, rtol=1e-10):
+    """Solve the coarse saddle system through the pressure Schur complement
+    S = B_c A_c^-1 B_c^T and expand to the fine grid."""
+    A_c, B_c, w, rhs_q = system.A_c, system.B_c, system.mean_w, system.rhs_q
+    A = 0.5 * (A_c + A_c.T)
     if system.basis.saturated:
-        # shift out the exact null direction; the Schur complement is
-        # unchanged because B_c annihilates it too
-        u0 = _deflation_direction(system)
-        scale = np.trace(A_sym) / max(A_sym.shape[0], 1)
-        A_sym = A_sym + scale * np.outer(u0, u0) / (u0 @ u0)
+        # global functions combined by the coefficients of the constant
+        # pressure have zero velocity; shifting out that null direction
+        # leaves the Schur complement unchanged, as B_c annihilates it too
+        u0 = system.aux.coefficients(np.ones(system.aux.coarse.fine.n_cells))
+        A += (np.trace(A) / A.shape[0] / (u0 @ u0)) * np.outer(u0, u0)
     try:
-        cho = scipy.linalg.cho_factor(A_sym)
+        # in place: A is symmetric, and A.T is the Fortran order LAPACK uses
+        cho = scipy.linalg.cho_factor(A.T, overwrite_a=True)
     except np.linalg.LinAlgError as exc:
         raise SolveError(f"projected velocity block is not positive definite: {exc}")
-    schur = B_c @ scipy.linalg.cho_solve(cho, B_c.T)
+    X = scipy.linalg.cho_solve(cho, B_c.T)
+    S = B_c @ X
     n = w.size
     if n == 1:
-        return np.inf
-    # Householder frame whose first column is w/|w|; the rest spans the
-    # zero-mean coefficient subspace
-    v = w / np.linalg.norm(w)
-    e = np.zeros(n)
-    e[0] = 1.0
-    u = v - e if v[0] > 0 else v + e
-    H = np.eye(n) - 2.0 * np.outer(u, u) / (u @ u)
-    Z = H[:, 1:]
-    evals = np.linalg.eigvalsh(Z.T @ (0.5 * (schur + schur.T)) @ Z)
-    return float(evals[0])
+        sigma = np.inf
+        solve_zero_mean = np.zeros_like  # the only zero-mean P is 0
+    else:
+        # Householder reflector H = I - beta u u^T maps e_0 to +-w/|w|, so
+        # its columns 1.. span the zero-mean coefficients; H S H is formed
+        # as the symmetric rank-2 update S - u t^T - t u^T
+        u = w / np.linalg.norm(w)
+        u[0] += 1.0 if u[0] <= 0 else -1.0
+        beta = 2.0 / (u @ u)
+        s = S @ u
+        t = beta * s - (0.5 * beta * beta * (u @ s)) * u
+        S -= np.outer(u, t)
+        S -= np.outer(t, u)
+        S = S[1:, 1:]
+        sigma = float(np.linalg.eigvalsh(S)[0])
+        if not sigma > 1e-10:
+            raise SolveError(
+                f"coarse system is singular: restricted Schur eigenvalue {sigma:.3e}")
+        try:
+            cho_s = scipy.linalg.cho_factor(S)
+        except np.linalg.LinAlgError as exc:
+            raise SolveError(f"coarse factorization failed: {exc}")
 
-
-def solve_multiscale(system, rtol=1e-10):
-    """Solve the coarse saddle system and expand to the fine grid."""
-    sigma = schur_health(system)
-    if not sigma > 1e-10:
-        raise SolveError(
-            f"coarse system is singular: restricted Schur eigenvalue {sigma:.3e}")
-    A_c, B_c, w = system.A_c, system.B_c, system.mean_w
-    n = A_c.shape[0]
-    deflate = system.basis.saturated
-    size = 2 * n + 1 + (1 if deflate else 0)
-    K = np.zeros((size, size))
-    K[:n, :n] = A_c
-    K[:n, n:2 * n] = -B_c.T
-    K[n:2 * n, :n] = -B_c
-    K[n:2 * n, 2 * n] = -w
-    K[2 * n, n:2 * n] = -w
-    if deflate:
-        u0 = _deflation_direction(system)
-        K[:n, -1] = u0
-        K[-1, :n] = u0
-    rhs = np.zeros(size)
-    rhs[n:2 * n] = -system.rhs_q
-    try:
-        x = scipy.linalg.solve(K, rhs, assume_a="sym")
-    except np.linalg.LinAlgError as exc:
-        raise SolveError(f"coarse factorization failed: {exc}")
-    res = np.linalg.norm(K @ x - rhs)
-    scale = np.linalg.norm(rhs)
+        def solve_zero_mean(r):
+            """Zero-mean P with S P = r up to a multiple of w."""
+            P = np.concatenate(([0.0], scipy.linalg.cho_solve(
+                cho_s, (r - beta * (u @ r) * u)[1:])))
+            return P - beta * (u @ P) * u
+    U, P = np.zeros(A_c.shape[0]), np.zeros(n)
+    # block elimination of the residual, twice: the second sweep refines,
+    # because the Schur solve is accurate in the norm of S only, and at high
+    # contrast the element mass balances are small components of its rows
+    for _ in range(2):
+        z = scipy.linalg.cho_solve(cho, B_c.T @ P - A_c @ U)
+        dP = solve_zero_mean(rhs_q - B_c @ (U + z))
+        P += dP
+        U += z + X @ dP
+    BU = B_c @ U
+    gamma = float(w @ (rhs_q - BU)) / (w @ w)
+    res = np.sqrt(np.linalg.norm(A_c @ U - B_c.T @ P) ** 2
+                  + np.linalg.norm(BU + gamma * w - rhs_q) ** 2
+                  + (w @ P) ** 2)
+    scale = np.linalg.norm(rhs_q)
     if res > rtol * max(scale, 1e-300):
         raise SolveError(f"coarse solve residual {res:.3e} above {rtol:.1e} * {scale:.3e}",
                          residual=res)
-    U, P, gamma = x[:n], x[n:2 * n], float(x[2 * n])
     basis = system.basis
     v = np.asarray(basis.matrix @ U)
     p = np.asarray(system.aux.matrix @ P)

@@ -188,9 +188,6 @@ class SaddleSystem:
             rhs.append(np.array([-mv]))
         return np.concatenate(rhs)
 
-    def matrix_and_rhs(self):
-        return self.matrix(), self.pack_rhs()
-
     def split(self, x):
         n = self.A.shape[0]
         m = self.B.shape[0]

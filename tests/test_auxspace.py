@@ -7,8 +7,7 @@ import scipy.linalg
 from msdarcy import (AuxSpace, ConfigError, PermField, bilinear_pou,
                      build_aux_space, build_grids, compute_weight,
                      solve_all_spectra, solve_local_spectral)
-from msdarcy.auxspace import (ElementSpectrum, gap_split, project_pi,
-                              write_eigen_report)
+from msdarcy.auxspace import ElementSpectrum, gap_split, write_eigen_report
 from msdarcy.fem import assemble_a, assemble_b, velocity_dofmap
 from msdarcy.mesh import element_region, oversample_region
 
@@ -183,7 +182,6 @@ def test_projection_idempotent_selfadjoint_preserves_constants():
         assert lhs == pytest.approx(rhs, rel=1e-10)
     ones = np.ones(fine.n_cells)
     assert np.allclose(aux.project(ones), ones, atol=1e-10)
-    assert np.allclose(project_pi(ones, aux), ones, atol=1e-10)
 
 
 def test_projection_reproduces_kept_eigenvectors_only():

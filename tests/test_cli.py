@@ -457,3 +457,43 @@ def test_config_error_paths(tmp_path, capsys):
         kind = mystery
     """)
     assert run("solve", "--config", unknown_kind) == 2
+
+
+UNPARSEABLE = """\
+    [grid]
+    nx = 16
+    coarse = 4
+
+    [medium]
+    kind = generate
+
+    [source]
+    kind = corners
+    grid = 4
+
+    [method]
+    layer_calibration = {calib}
+
+    [study]
+    cases = {cases}
+"""
+
+
+@pytest.mark.parametrize("command,calib,cases,expect", [
+    ("solve", "three 0.125", "1 2 1", "layer_calibration"),
+    ("convergence", "three 0.125", "1 2 1", "layer_calibration"),
+    ("solve", "3 small", "1 2 1", "layer_calibration"),
+    ("convergence", "3 0.125", "2 two auto", "case entry"),
+    ("convergence", "3 0.125", "1 2 1; 1 4 x", "case entry"),
+    ("convergence", "3 0.125", "1 0 auto", "case entry"),
+])
+def test_unparseable_numbers_give_json_config_error(tmp_path, capsys, command,
+                                                    calib, cases, expect):
+    cfg = write_cfg(tmp_path / "c.ini",
+                    UNPARSEABLE.format(calib=calib, cases=cases))
+    assert run(command, "--config", cfg, "--out", str(tmp_path / "out")) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["error"] == "ConfigError"
+    assert expect in record["message"]

@@ -1,15 +1,17 @@
 """Projected coarse solves: exactness, conservation, degeneracy handling."""
 
+import os
+
 import numpy as np
 import pytest
+import scipy.linalg
 
-from msdarcy import (PermField, SolveError, bilinear_pou, build_aux_space,
-                     build_basis_set, build_grids, build_snapshot,
-                     compute_weight, solve_all_spectra, solve_fine_reference,
-                     assemble_coarse_system, div_compat_residual,
-                     mass_residuals, solve_multiscale)
+from msdarcy import (ConfigError, PermField, SolveError, bilinear_pou,
+                     build_aux_space, build_basis_set, build_grids,
+                     build_snapshot, compute_weight, solve_all_spectra,
+                     solve_fine_reference, assemble_coarse_system,
+                     div_compat_residual, mass_residuals, solve_multiscale)
 from msdarcy.basis import BasisSet
-from msdarcy.coarse import schur_health
 from msdarcy.fem import mass_matrix
 
 
@@ -88,20 +90,44 @@ def test_global_galerkin_matches_snapshot():
     assert rel < 1e-9
 
 
-def test_schur_health_positive_and_degenerate_cases():
-    fine, coarse, perm, weight, aux, f = _setup(16, 4, nbasis=2, seed=36)
-    bset = build_basis_set(aux, perm, layers=2)
-    system = assemble_coarse_system(bset, perm, f)
-    assert schur_health(system) > 1e-6
-    # a duplicated column makes the velocity block indefinite
-    twice = BasisSet(coarse, aux, "type2", 2,
-                     [bset.functions[0], bset.functions[0]])
-    broken = assemble_coarse_system(twice, perm, f)
-    with pytest.raises(SolveError):
-        solve_multiscale(broken)
+def _dense_reference(system):
+    """Oracle: the restricted Schur eigenvalue from an explicit
+    Householder frame, and the coefficients from the dense bordered KKT
+    system, deflated by a multiplier row when the set is saturated."""
+    A_c, B_c, w = system.A_c, system.B_c, system.mean_w
+    n = A_c.shape[0]
+    deflate = system.basis.saturated
+    A_sym = 0.5 * (A_c + A_c.T)
+    if deflate:
+        u0 = system.aux.coefficients(np.ones(system.aux.coarse.fine.n_cells))
+        A_sym = A_sym + np.trace(A_sym) / n * np.outer(u0, u0) / (u0 @ u0)
+    schur = B_c @ scipy.linalg.cho_solve(scipy.linalg.cho_factor(A_sym), B_c.T)
+    if n == 1:
+        sigma = np.inf
+    else:
+        v = w / np.linalg.norm(w)
+        e = np.zeros(n)
+        e[0] = 1.0
+        u = v - e if v[0] > 0 else v + e
+        Z = (np.eye(n) - 2.0 * np.outer(u, u) / (u @ u))[:, 1:]
+        sigma = np.linalg.eigvalsh(Z.T @ (0.5 * (schur + schur.T)) @ Z)[0]
+    size = 2 * n + 1 + (1 if deflate else 0)
+    K = np.zeros((size, size))
+    K[:n, :n] = A_c
+    K[:n, n:2 * n] = -B_c.T
+    K[n:2 * n, :n] = -B_c
+    K[n:2 * n, 2 * n] = -w
+    K[2 * n, n:2 * n] = -w
+    if deflate:
+        K[:n, -1] = u0
+        K[-1, :n] = u0
+    rhs = np.zeros(size)
+    rhs[n:2 * n] = -system.rhs_q
+    x = scipy.linalg.solve(K, rhs, assume_a="sym")
+    return x[:n], x[n:2 * n], float(x[2 * n]), float(sigma)
 
 
-def test_single_pressure_column_reports_inf():
+def _single_column_system():
     fine, coarse = build_grids(8, 1)
     rng = np.random.default_rng(37)
     perm = PermField.from_raw(fine, np.exp(rng.uniform(0, 2, fine.n_cells)))
@@ -111,5 +137,75 @@ def test_single_pressure_column_reports_inf():
     bset = build_basis_set(aux, perm, flavor="global")
     f = rng.standard_normal(fine.n_cells)
     f -= f.mean()
+    return assemble_coarse_system(bset, perm, f)
+
+
+def _oracle_system(case):
+    if case == "single":
+        return _single_column_system()
+    fine, coarse, perm, weight, aux, f = _setup(16, 4, nbasis=2, seed=38)
+    if case == "global":
+        bset = build_basis_set(aux, perm, flavor="global")
+        assert bset.saturated
+    else:
+        bset = build_basis_set(aux, perm, layers=1, flavor=case)
+    return assemble_coarse_system(bset, perm, f)
+
+
+@pytest.mark.parametrize("case", ["type2", "type1", "global", "single"])
+def test_schur_solve_matches_dense_kkt(case):
+    system = _oracle_system(case)
+    ms = solve_multiscale(system)
+    U, P, gamma, sigma = _dense_reference(system)
+
+    def close(a, b, rtol=1e-10):
+        return np.linalg.norm(a - b) <= rtol * np.linalg.norm(b)
+
+    if case == "single":
+        assert ms.schur_sigma == sigma == np.inf
+    else:
+        assert close(ms.schur_sigma, sigma, rtol=1e-8)
+    assert close(ms.coeff_p, P)
+    assert close(ms.p, system.aux.matrix @ P)
+    d = ms.coeff_v - U
+    A_sym = 0.5 * (system.A_c + system.A_c.T)
+    assert np.sqrt(d @ A_sym @ d) <= 1e-10 * np.sqrt(U @ A_sym @ U)
+    assert close(ms.v, system.basis.matrix @ U)
+    # gamma is zero up to roundoff for a zero-mean source
+    scale = np.linalg.norm(system.rhs_q) / np.linalg.norm(system.mean_w)
+    assert abs(ms.gamma - gamma) <= 1e-10 * scale
+
+
+def test_schur_sigma_positive_and_degenerate_cases():
+    fine, coarse, perm, weight, aux, f = _setup(16, 4, nbasis=2, seed=36)
+    bset = build_basis_set(aux, perm, layers=2)
     system = assemble_coarse_system(bset, perm, f)
-    assert schur_health(system) == np.inf
+    assert solve_multiscale(system).schur_sigma > 1e-6
+    # a duplicated column makes the velocity block indefinite
+    twice = BasisSet(coarse, aux, "type2", 2,
+                     [bset.functions[0], bset.functions[0]])
+    broken = assemble_coarse_system(twice, perm, f)
+    with pytest.raises(SolveError):
+        solve_multiscale(broken)
+
+
+def test_single_pressure_column_reports_inf():
+    assert solve_multiscale(_single_column_system()).schur_sigma == np.inf
+
+
+def test_residual_check_raises_with_residual():
+    system = _oracle_system("type2")
+    with pytest.raises(SolveError) as info:
+        solve_multiscale(system, rtol=1e-30)
+    assert 0 < info.value.residual < 1e-10 * np.linalg.norm(system.rhs_q)
+
+
+def test_memory_guard_refuses_oversized_coarse_system(monkeypatch):
+    fine, coarse, perm, weight, aux, f = _setup(8, 2, nbasis=1, seed=39)
+    bset = build_basis_set(aux, perm, layers=1)
+    pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 1}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    with pytest.raises(ConfigError, match=f"{len(bset)} basis functions needs about"):
+        assemble_coarse_system(bset, perm, f)
+    pages["SC_PHYS_PAGES"] = 2 ** 40
+    assert assemble_coarse_system(bset, perm, f).A_c.shape == (len(bset),) * 2
