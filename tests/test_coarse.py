@@ -176,7 +176,7 @@ def test_schur_solve_matches_dense_kkt(case):
     assert abs(ms.gamma - gamma) <= 1e-10 * scale
 
 
-def test_schur_sigma_positive_and_degenerate_cases():
+def test_schur_health_positive_and_degenerate_cases():
     fine, coarse, perm, weight, aux, f = _setup(16, 4, nbasis=2, seed=36)
     bset = build_basis_set(aux, perm, layers=2)
     system = assemble_coarse_system(bset, perm, f)
