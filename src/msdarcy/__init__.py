@@ -24,8 +24,9 @@ from .fem import (FineSolution, SaddleSystem, solve_fine_reference,
                   solve_saddle, manufactured_cospi)
 from .auxspace import (AuxSpace, ElementSpectrum, build_aux_space,
                        solve_all_spectra, solve_local_spectral)
-from .basis import (BasisSet, SnapshotSolution, VelocityBasisFunction,
-                    build_basis_function, build_basis_set, build_snapshot)
+from .basis import (BasisSet, CondensedElements, SnapshotSolution,
+                    VelocityBasisFunction, build_basis_function,
+                    build_basis_set, build_snapshot)
 from .coarse import (CoarseSystem, MsSolution, assemble_coarse_system,
                      div_compat_residual, mass_residuals, solve_multiscale)
 from .metrics import (ConvergenceRow, DecayProfile, ErrorReport, NormReport,

@@ -22,7 +22,7 @@ from scipy.sparse.linalg import splu
 
 from .errors import ConfigError
 from .fem import assemble_a, assemble_b, velocity_dofmap
-from .mesh import element_region, full_domain
+from .mesh import element_region, full_domain, region_elements
 
 
 @dataclass(frozen=True)
@@ -133,16 +133,10 @@ class AuxSpace:
         Returns (column ids, R_loc) where R_loc maps column coefficients
         to values on the region's cells (sorted global order).
         """
-        coarse = self.coarse
-        r = coarse.r
-        I0, I1 = region.i0 // r, region.i1 // r
-        J0, J1 = region.j0 // r, region.j1 // r
-        elements = [coarse.element_id(I, J)
-                    for J in range(J0, J1) for I in range(I0, I1)]
         region_cells = region.cells()
         rows, cols, vals = [], [], []
         col_ids = []
-        for e in elements:
+        for e in region_elements(self.coarse, region):
             block = self.pressures[e]
             local_rows = np.searchsorted(region_cells, self.cells[e])
             for j in range(self.counts[e]):

@@ -145,7 +145,10 @@ def _resolve_source(cfg, grid):
             parts = item.split()
             if len(parts) != 3:
                 raise ConfigError(f"source cell entry needs 'I J value', got {item!r}")
-            I, J, val = int(parts[0]), int(parts[1]), float(parts[2])
+            try:
+                I, J, val = int(parts[0]), int(parts[1]), float(parts[2])
+            except ValueError:
+                raise ConfigError(f"source cell entry needs 'I J value', got {item!r}")
             if not (0 <= I < g and 0 <= J < g):
                 raise ConfigError(f"source cell ({I},{J}) outside {g}x{g} grid")
             f[J * b:(J + 1) * b, I * b:(I + 1) * b] += val
@@ -156,6 +159,14 @@ def _resolve_source(cfg, grid):
         raise ConfigError(f"unknown source kind {kind!r}")
     check_zero_mean(f, h2)
     return f, {"kind": kind}
+
+
+def _ints(raw, count=None):
+    """Whitespace-separated integers, `count` of them when given."""
+    values = [int(tok) for tok in raw.split()]
+    if count is not None and len(values) != count:
+        raise ValueError(f"want {count} integers")
+    return values
 
 
 def _calibration(raw):
@@ -351,16 +362,13 @@ def cmd_decay(args):
     nbasis = _get(cfg, "decay", "nbasis", default=3, cast=int)
     j = _get(cfg, "decay", "j", default=0, cast=int)
     if cfg.has_section("decay") and "element_ij" in cfg["decay"]:
-        parts = cfg["decay"]["element_ij"].split()
-        if len(parts) != 2:
-            raise ConfigError("element_ij wants 'I J'")
-        e = int(coarse.element_id(int(parts[0]), int(parts[1])))
+        I, J = _get(cfg, "decay", "element_ij", cast=lambda raw: _ints(raw, 2))
+        e = int(coarse.element_id(I, J))
     else:
         e = _get(cfg, "decay", "element", cast=int)
     if not 0 <= e < coarse.n_elements:
         raise ConfigError(f"element {e} outside coarse grid")
-    layer_spec = _get(cfg, "decay", "layers", default="1 2 3 4")
-    layer_list = [int(tok) for tok in layer_spec.split()]
+    layer_list = _get(cfg, "decay", "layers", default=[1, 2, 3, 4], cast=_ints)
 
     weight = compute_weight(perm, bilinear_pou(coarse))
     spectra = solve_all_spectra(coarse, perm, weight, workers=solver["workers"])

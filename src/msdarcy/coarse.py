@@ -114,10 +114,14 @@ def solve_multiscale(system, rtol=1e-10):
         S -= np.outer(u, t)
         S -= np.outer(t, u)
         S = S[1:, 1:]
-        sigma = float(np.linalg.eigvalsh(S)[0])
-        if not sigma > 1e-10:
+        evals = np.linalg.eigvalsh(S)
+        sigma = float(evals[0])
+        # numerical rank test: sigma scales like 1/contrast, so compare it
+        # with the roundoff level of the largest eigenvalue
+        if not sigma > S.shape[0] * np.finfo(float).eps * evals[-1]:
             raise SolveError(
-                f"coarse system is singular: restricted Schur eigenvalue {sigma:.3e}")
+                f"coarse system is singular: restricted Schur eigenvalue {sigma:.3e}, "
+                f"largest {evals[-1]:.3e}")
         try:
             cho_s = scipy.linalg.cho_factor(S)
         except np.linalg.LinAlgError as exc:

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
-import scipy.linalg
 
 from .errors import ConfigError, SolveError
 from .mesh import full_domain
@@ -62,7 +61,7 @@ def velocity_dofmap(region):
     return VelocityDofMap(region.interior_edges())
 
 
-def _mass_triplets(grid, cells, kappa):
+def mass_triplets(grid, cells, kappa):
     """COO triplets of the kappa^-1-weighted flux mass matrix over `cells`,
     in global edge numbering."""
     L, R, B, T = grid.cell_edge_ids(cells)
@@ -81,7 +80,7 @@ def mass_matrix(grid, perm, cells=None):
     Galerkin projection; boundary edges are included."""
     if cells is None:
         cells = np.arange(grid.n_cells)
-    rows, cols, vals = _mass_triplets(grid, cells, perm.values[cells])
+    rows, cols, vals = mass_triplets(grid, cells, perm.values[cells])
     n = grid.n_edges
     return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
 
@@ -106,7 +105,7 @@ def assemble_a(region, perm, dofmap=None):
         dofmap = velocity_dofmap(region)
     grid = region.fine
     cells = region.cells()
-    rows, cols, vals = _mass_triplets(grid, cells, perm.values[cells])
+    rows, cols, vals = mass_triplets(grid, cells, perm.values[cells])
     lr = dofmap.local_index(rows)
     lc = dofmap.local_index(cols)
     keep = (lr >= 0) & (lc >= 0)
@@ -298,20 +297,6 @@ def solve_fine_reference(perm, f, rtol=1e-10):
                           label="fine reference")
     sol = solve_saddle(system, rtol=rtol)
     return FineSolution(grid, dofmap.scatter(sol.u, grid.n_edges), sol.p)
-
-
-def infsup_smallest_sigma(grid, perm):
-    """Smallest eigenvalue of the pressure Schur complement on zero-mean
-    pressures. Dense diagnostic; intended for small grids."""
-    if grid.n_cells > 4096:
-        raise ConfigError("inf-sup diagnostic is dense, use a grid of <= 64x64 cells")
-    region = full_domain(grid)
-    dofmap = velocity_dofmap(region)
-    A = assemble_a(region, perm, dofmap).toarray()
-    B = assemble_b(region, dofmap).toarray()
-    schur = B @ np.linalg.solve(A, B.T)
-    evals = np.linalg.eigvalsh(schur)
-    return float(evals[1])
 
 
 def manufactured_cospi(grid):

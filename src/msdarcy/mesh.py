@@ -255,6 +255,14 @@ def oversample_region(coarse, e, layers):
                   center=int(e), layers=layers)
 
 
+def region_elements(coarse, region):
+    """Ids of the coarse elements covering a region, ascending."""
+    r = coarse.r
+    I = np.arange(region.i0 // r, region.i1 // r)
+    J = np.arange(region.j0 // r, region.j1 // r)
+    return coarse.element_id(I[None, :], J[:, None]).ravel()
+
+
 def interp_coarse_nodal(coarse, nodal):
     """Interpolate coarse nodal values bilinearly to all fine nodes.
 

@@ -12,7 +12,7 @@ from time import perf_counter
 import numpy as np
 
 from .auxspace import build_aux_space, solve_all_spectra
-from .basis import build_basis_function, build_basis_set
+from .basis import CondensedElements, build_basis_set
 from .coarse import assemble_coarse_system, mass_residuals, solve_multiscale
 from .errors import ConfigError
 from .medium import compute_weight
@@ -123,12 +123,15 @@ def decay_study(aux, perm, e, j, layers_list, rtol=1e-10, keep_fields=False,
 
     The fitted per-layer ratio `rho` uses only non-saturated layer counts
     (regions still smaller than the domain); saturated entries are kept in
-    the profile but flagged.
+    the profile but flagged. The elements are condensed once, for the
+    global function and every layer count.
     """
     coarse = aux.coarse
     grid = coarse.fine
     weight = aux.weight
-    glo = build_basis_function(aux, perm, e, j, flavor="global", rtol=rtol)
+    aux.column(e, j)
+    cond = CondensedElements(aux, perm, "type2")
+    glo = cond.batch(e, None, rtol)[j]
     glo_v = glo.v_global(grid.n_edges)
     norm_glo = velocity_norms(grid, perm, weight, glo_v).V
 
@@ -139,8 +142,7 @@ def decay_study(aux, perm, e, j, layers_list, rtol=1e-10, keep_fields=False,
     fields = []
     functions = [] if keep_functions else None
     for k, l in enumerate(layers_arr):
-        fn = build_basis_function(aux, perm, e, j, layers=int(l),
-                                  flavor="type2", rtol=rtol)
+        fn = cond.batch(e, int(l), rtol)[j]
         dv = glo_v - fn.v_global(grid.n_edges)
         rep = velocity_norms(grid, perm, weight, dv)
         diff_V[k] = rep.V

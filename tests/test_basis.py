@@ -1,15 +1,56 @@
 """Energy-minimizing basis functions: constraints, localization, snapshots."""
 
+import sys
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from msdarcy import (ConfigError, PermField, bilinear_pou, build_aux_space,
-                     build_basis_function, build_basis_set, build_grids,
-                     build_snapshot, compute_weight, solve_all_spectra,
-                     solve_fine_reference)
-from msdarcy.basis import build_element_batch
-from msdarcy.fem import assemble_a, assemble_b, mass_matrix, velocity_dofmap
-from msdarcy.mesh import oversample_region
+from msdarcy import (ConfigError, PermField, SolveError, bilinear_pou,
+                     build_aux_space, build_basis_function, build_basis_set,
+                     build_grids, build_snapshot, compute_weight,
+                     solve_all_spectra, solve_fine_reference)
+from msdarcy.basis import CondensedElements, build_element_batch
+from msdarcy.fem import (SaddleFactorization, SaddleSystem, assemble_a,
+                         assemble_b, mass_matrix, velocity_dofmap)
+from msdarcy.mesh import full_domain, oversample_region
+
+
+def _region_lu_reference(aux, perm, region, flavor, rtol=1e-10):
+    """Oracle: the region's constrained saddle system assembled whole and
+    factored by sparse LU, the path static condensation replaced. Returns
+    solve(e, j) -> (v, q, mu) for the basis function of eigenvector j of
+    element e (mu is None for type2)."""
+    dofmap = velocity_dofmap(region)
+    cols, R_loc = aux.restriction(region)
+    cells = region.cells()
+    s_region = aux.s_diag[cells]
+    system = SaddleSystem(
+        assemble_a(region, perm, dofmap), assemble_b(region, dofmap),
+        rhs_v=np.zeros(dofmap.n_dofs), rhs_p=np.zeros(cells.size),
+        C=(sp.diags(s_region) @ R_loc).tocsr(), identity_block=(flavor != "type1"),
+        rhs_c=np.zeros(cols.size))
+    fact = SaddleFactorization(system, rtol=rtol)
+
+    def solve(e, j):
+        p_loc = R_loc[:, int(np.searchsorted(cols, aux.column(e, j)))].toarray().ravel()
+        if flavor == "type1":
+            sol = fact.solve(rhs_c=R_loc.T @ (s_region * p_loc))
+            return sol.u, sol.p, -sol.y
+        sol = fact.solve(rhs_p=s_region * p_loc)
+        return sol.u, sol.p, None
+    return solve
+
+
+def _worst_deviation(functions, solve):
+    """Largest relative difference of v, q and mu from the oracle."""
+    worst = 0.0
+    for fn in functions:
+        v, q, mu = solve(fn.element, fn.j)
+        pairs = [(fn.v, v), (fn.q, q)] + ([(fn.mu, mu)] if mu is not None else [])
+        for got, want in pairs:
+            worst = max(worst, np.linalg.norm(got - want) / np.linalg.norm(want))
+    return worst
 
 
 @pytest.fixture(scope="module")
@@ -172,3 +213,69 @@ def test_snapshot_with_full_space_matches_fine_reference():
     assert np.allclose(snap.v, ref.v, atol=1e-9 * np.abs(ref.v).max())
     # snapshot pressure follows the +b sign convention, the reference -b
     assert np.allclose(snap.p, -ref.p, atol=1e-9 * np.abs(ref.p).max())
+
+
+@pytest.mark.parametrize("flavor", ["type1", "type2", "global"])
+def test_condensed_basis_matches_region_lu_reference(small_case, flavor):
+    fine, coarse, perm, weight, aux = small_case
+    if flavor == "global":
+        bset = build_basis_set(aux, perm, flavor="global")
+        solve = _region_lu_reference(aux, perm, full_domain(fine), "type2")
+        assert _worst_deviation(bset, solve) <= 1e-10
+        return
+    worst = 0.0
+    for e in range(coarse.n_elements):
+        solve = _region_lu_reference(aux, perm, oversample_region(coarse, e, 1), flavor)
+        worst = max(worst, _worst_deviation(
+            build_element_batch(aux, perm, e, layers=1, flavor=flavor), solve))
+    assert worst <= 1e-10
+
+
+@pytest.mark.parametrize("flavor", ["type1", "type2"])
+def test_condensed_threshold_space_at_corner_edge_and_interior(small_case, flavor):
+    """Elements keep unequal numbers of eigenvectors (one, for some);
+    centres at a domain corner, on a domain edge and inside."""
+    fine, coarse, perm, weight, _ = small_case
+    spectra = solve_all_spectra(coarse, perm, weight)
+    aux = build_aux_space(coarse, weight, spectra, threshold=1.0)
+    assert aux.counts.min() == 1 and aux.counts.max() >= 3
+    cond = CondensedElements(aux, perm, flavor)
+    centres = [int(coarse.element_id(0, 0)), int(coarse.element_id(2, 3)),
+               int(coarse.element_id(1, 2))]
+    assert aux.counts[centres[1]] == 1
+    for e in centres:
+        for layers in (1, 2):
+            batch = cond.batch(e, layers)
+            assert len(batch) == aux.counts[e]
+            solve = _region_lu_reference(aux, perm, oversample_region(coarse, e, layers),
+                                         flavor)
+            assert _worst_deviation(batch, solve) <= 1e-10
+    serial = build_basis_set(aux, perm, layers=2, flavor=flavor, workers=1)
+    # more workers than cores, switching threads often: the workers fill
+    # shared arrays, and the result must not depend on their interleaving
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threaded = build_basis_set(aux, perm, layers=2, flavor=flavor, workers=3)
+    finally:
+        sys.setswitchinterval(interval)
+    assert abs(serial.matrix - threaded.matrix).max() == 0.0
+
+
+def test_condensed_elements_serve_global_and_local_and_check_residuals(small_case):
+    fine, coarse, perm, weight, aux = small_case
+    cond = CondensedElements(aux, perm, "type2")
+    glo = cond.batch(5, None)[1]
+    assert (glo.flavor, glo.layers) == ("global", -1)
+    assert np.array_equal(glo.v, build_basis_function(aux, perm, 5, 1, flavor="global").v)
+    assert cond.batch(5, 1)[1].layers == 1
+    with pytest.raises(ConfigError):
+        CondensedElements(aux, perm, "type1").batch(5, None)
+    with pytest.raises(ConfigError):
+        CondensedElements(aux, perm, "global")
+    with pytest.raises(ConfigError):
+        cond.batch(5, 0)
+    # every function's full region residual is checked at rtol
+    with pytest.raises(SolveError) as info:
+        cond.batch(5, 1, rtol=1e-30)
+    assert info.value.residual > 0

@@ -468,29 +468,46 @@ UNPARSEABLE = """\
     kind = generate
 
     [source]
-    kind = corners
+    kind = {source}
     grid = 4
+    cells = {cells}
 
     [method]
     layer_calibration = {calib}
 
     [study]
     cases = {cases}
+
+    [decay]
+    element_ij = {element_ij}
+    layers = {layers}
 """
 
 
-@pytest.mark.parametrize("command,calib,cases,expect", [
-    ("solve", "three 0.125", "1 2 1", "layer_calibration"),
-    ("convergence", "three 0.125", "1 2 1", "layer_calibration"),
-    ("solve", "3 small", "1 2 1", "layer_calibration"),
-    ("convergence", "3 0.125", "2 two auto", "case entry"),
-    ("convergence", "3 0.125", "1 2 1; 1 4 x", "case entry"),
-    ("convergence", "3 0.125", "1 0 auto", "case entry"),
+def _unparseable(command, calib, cases, expect, **entries):
+    """One case; the id is pytest's default id of the first four values."""
+    config = {"source": "corners", "cells": "0 0 1; 3 3 -1",
+              "element_ij": "1 1", "layers": "1 2", **entries}
+    return pytest.param(command, calib, cases, expect, config,
+                        id="-".join([command, calib, cases, expect]))
+
+
+@pytest.mark.parametrize("command,calib,cases,expect,config", [
+    _unparseable("solve", "three 0.125", "1 2 1", "layer_calibration"),
+    _unparseable("convergence", "three 0.125", "1 2 1", "layer_calibration"),
+    _unparseable("solve", "3 small", "1 2 1", "layer_calibration"),
+    _unparseable("convergence", "3 0.125", "2 two auto", "case entry"),
+    _unparseable("convergence", "3 0.125", "1 2 1; 1 4 x", "case entry"),
+    _unparseable("convergence", "3 0.125", "1 0 auto", "case entry"),
+    _unparseable("solve", "3 0.125", "1 2 1", "source cell entry",
+                 source="cells", cells="0 0 one"),
+    _unparseable("decay", "3 0.125", "1 2 1", "[decay] layers", layers="1 two"),
+    _unparseable("decay", "3 0.125", "1 2 1", "[decay] element_ij", element_ij="1 x"),
 ])
 def test_unparseable_numbers_give_json_config_error(tmp_path, capsys, command,
-                                                    calib, cases, expect):
+                                                    calib, cases, expect, config):
     cfg = write_cfg(tmp_path / "c.ini",
-                    UNPARSEABLE.format(calib=calib, cases=cases))
+                    UNPARSEABLE.format(calib=calib, cases=cases, **config))
     assert run(command, "--config", cfg, "--out", str(tmp_path / "out")) == 2
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1

@@ -8,8 +8,9 @@ import scipy.linalg
 
 from msdarcy import (ConfigError, PermField, SolveError, bilinear_pou,
                      build_aux_space, build_basis_set, build_grids,
-                     build_snapshot, compute_weight, solve_all_spectra,
-                     solve_fine_reference, assemble_coarse_system,
+                     build_snapshot, compute_weight, generate_medium,
+                     relative_errors, sample_spec, solve_all_spectra,
+                     solve_case, solve_fine_reference, assemble_coarse_system,
                      div_compat_residual, mass_residuals, solve_multiscale)
 from msdarcy.basis import BasisSet
 from msdarcy.fem import mass_matrix
@@ -209,3 +210,30 @@ def test_memory_guard_refuses_oversized_coarse_system(monkeypatch):
         assemble_coarse_system(bset, perm, f)
     pages["SC_PHYS_PAGES"] = 2 ** 40
     assert assemble_coarse_system(bset, perm, f).A_c.shape == (len(bset),) * 2
+
+
+def test_contrast_sweep_conserves_mass_with_stable_errors():
+    """Contrasts 1e2..1e12 on one channel layout: the coarse solve accepts
+    every one (sigma falls like 1/contrast), conserves mass per element,
+    and the velocity error settles once the channels dominate."""
+    fine, coarse = build_grids(32, 4)
+    f = np.zeros((32, 32))
+    f[28:, :4] = 1.0
+    f[:4, 28:] = -1.0
+    f = f.ravel()
+    e_v, sigmas = {}, []
+    for k in range(2, 13):
+        spec = sample_spec(32, n_horizontal=1, n_vertical=1, n_inclusions=4,
+                           contrast_lo=10.0 ** k, contrast_hi=10.0 ** k, seed=0,
+                           coarse_n=4, max_channels_per_element=2)
+        perm = generate_medium(spec, fine)
+        ms, aux, bset, report = solve_case(perm, f, 4, nbasis=3, layers=2)
+        assert report.max_residual <= 1e-10
+        assert report.div_compat <= 1e-10
+        sigmas.append(ms.schur_sigma)
+        e_v[k] = relative_errors(solve_fine_reference(perm, f), ms, perm,
+                                 aux.weight).e_v
+    assert sigmas[-1] < 1e-9 * sigmas[0]
+    settled = [e_v[k] for k in range(4, 13)]
+    assert max(settled) <= 1.01 * min(settled)
+    assert e_v[12] == pytest.approx(e_v[6], rel=1e-4)

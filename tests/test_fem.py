@@ -7,9 +7,8 @@ import scipy.sparse as sp
 from msdarcy import (ConfigError, PermField, SolveError, build_grids,
                      manufactured_cospi, solve_fine_reference)
 from msdarcy.fem import (SaddleSystem, assemble_a, assemble_b, assemble_s,
-                         check_zero_mean, divergence_matrix,
-                         infsup_smallest_sigma, mass_matrix, solve_saddle,
-                         velocity_dofmap)
+                         check_zero_mean, divergence_matrix, mass_matrix,
+                         solve_saddle, velocity_dofmap)
 from msdarcy.mesh import FineGrid, element_region, full_domain
 
 
@@ -251,6 +250,20 @@ def test_manufactured_solution_converges():
         assert np.linalg.norm(sol.v - v_exact) < 1e-12 * np.linalg.norm(v_exact)
         errs.append(np.linalg.norm(sol.p - p_exact) / np.linalg.norm(p_exact))
     assert errs[1] < 0.3 * errs[0]
+
+
+def infsup_smallest_sigma(grid, perm):
+    """Oracle: smallest eigenvalue of the pressure Schur complement on
+    zero-mean pressures. Dense; intended for small grids."""
+    if grid.n_cells > 4096:
+        raise ConfigError("inf-sup diagnostic is dense, use a grid of <= 64x64 cells")
+    region = full_domain(grid)
+    dofmap = velocity_dofmap(region)
+    A = assemble_a(region, perm, dofmap).toarray()
+    B = assemble_b(region, dofmap).toarray()
+    schur = B @ np.linalg.solve(A, B.T)
+    evals = np.linalg.eigvalsh(schur)
+    return float(evals[1])
 
 
 def test_infsup_positive_and_scales_with_kappa():
