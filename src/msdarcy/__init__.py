@@ -14,8 +14,7 @@ __version__ = "0.1.0"
 
 from .errors import ConfigError, RasterFormatError, SolveError
 from .mesh import (CoarseGrid, FineGrid, Region, bilinear_pou, build_grids,
-                   cutoff_field, element_region, full_domain,
-                   oversample_region)
+                   element_region, full_domain, oversample_region)
 from .medium import (Block, MediumSpec, PermField, Strip, WeightField,
                      compute_weight, generate_medium, load_raster,
                      sample_spec, save_raster, spec_from_mapping,
@@ -24,9 +23,8 @@ from .fem import (FineSolution, SaddleSystem, solve_fine_reference,
                   solve_saddle, manufactured_cospi)
 from .auxspace import (AuxSpace, ElementSpectrum, build_aux_space,
                        solve_all_spectra, solve_local_spectral)
-from .basis import (BasisSet, CondensedElements, SnapshotSolution,
-                    VelocityBasisFunction, build_basis_function,
-                    build_basis_set, build_snapshot)
+from .basis import (BasisSet, CondensedElements, VelocityBasisFunction,
+                    build_basis_function, build_basis_set, build_snapshot)
 from .coarse import (CoarseSystem, MsSolution, assemble_coarse_system,
                      div_compat_residual, mass_residuals, solve_multiscale)
 from .metrics import (ConvergenceRow, DecayProfile, ErrorReport, NormReport,

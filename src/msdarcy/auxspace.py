@@ -11,7 +11,6 @@ S-orthonormal. The auxiliary space keeps the first J_i eigenvectors per
 element; the projection onto it is S-orthogonal and acts elementwise.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -20,9 +19,10 @@ import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
+from .basis import _run
 from .errors import ConfigError
-from .fem import assemble_a, assemble_b, velocity_dofmap
-from .mesh import element_region, full_domain, region_elements
+from .fem import diagonal_blocks, divergence_matrix, mass_matrix
+from .mesh import element_layout, full_domain, region_elements
 
 
 @dataclass(frozen=True)
@@ -33,8 +33,6 @@ class ElementSpectrum:
     cells: np.ndarray
     lambdas: np.ndarray
     pressures: np.ndarray
-    velocities: np.ndarray = None
-    dof_edges: np.ndarray = None
 
 
 def _fix_signs(P):
@@ -46,44 +44,37 @@ def _fix_signs(P):
     return P * signs[None, :]
 
 
-def solve_local_spectral(coarse, e, perm, weight, velocities=False):
+def _spectra(coarse, perm, weight, elements, workers):
+    """Spectra of the listed elements, in that order, on `workers`
+    threads. Each element's blocks are sliced from the whole-domain mass
+    and divergence matrices, on its interior edges and its cells."""
+    grid = coarse.fine
+    interior, cells, _ = element_layout(coarse)
+    interior, cells = interior[elements], cells[elements]
+    A = diagonal_blocks(mass_matrix(grid, perm), interior, interior)
+    B = diagonal_blocks(divergence_matrix(grid), cells, interior)
+    s_diag = weight.values[cells] * grid.h ** 2
+
+    def solve(i):
+        M = np.zeros((cells.shape[1], cells.shape[1]))
+        if A[i].shape[0] > 0:
+            X = splu(A[i].tocsc()).solve(B[i].T.toarray())
+            M = B[i] @ X
+            M = 0.5 * (M + M.T)
+        lam, P = scipy.linalg.eigh(M, np.diag(s_diag[i]))
+        return ElementSpectrum(int(elements[i]), cells[i], lam, _fix_signs(P))
+
+    return _run(workers, solve, range(len(elements)))
+
+
+def solve_local_spectral(coarse, e, perm, weight):
     """Solve one element's spectral problem. Returns every eigenpair."""
-    region = element_region(coarse, e)
-    dofmap = velocity_dofmap(region)
-    cells = region.cells()
-    nc = cells.size
-    h2 = coarse.fine.h ** 2
-    s_diag = weight.values[cells] * h2
-
-    X = None
-    if dofmap.n_dofs > 0:
-        A = assemble_a(region, perm, dofmap)
-        B = assemble_b(region, dofmap)
-        X = splu(A.tocsc()).solve(B.T.toarray())
-        M = B @ X
-        M = 0.5 * (M + M.T)
-    else:
-        M = np.zeros((nc, nc))
-
-    lam, P = scipy.linalg.eigh(M, np.diag(s_diag))
-    P = _fix_signs(P)
-    V = None
-    if velocities and X is not None:
-        V = X @ P
-    return ElementSpectrum(int(e), cells, lam, P, V,
-                           dofmap.edges if velocities else None)
+    return _spectra(coarse, perm, weight, [e], 1)[0]
 
 
-def solve_all_spectra(coarse, perm, weight, velocities=False, workers=1):
+def solve_all_spectra(coarse, perm, weight, workers=1):
     """Spectra for every element, in element order."""
-    def work(e):
-        return solve_local_spectral(coarse, e, perm, weight, velocities)
-
-    ids = range(coarse.n_elements)
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(work, ids))
-    return [work(e) for e in ids]
+    return _spectra(coarse, perm, weight, np.arange(coarse.n_elements), workers)
 
 
 @dataclass

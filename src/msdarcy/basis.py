@@ -39,10 +39,9 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .errors import ConfigError, SolveError
-from .fem import (SaddleFactorization, SaddleSystem, assemble_a, assemble_b,
-                  check_zero_mean, divergence_matrix, mass_matrix,
-                  mass_triplets, velocity_dofmap)
-from .mesh import element_region, full_domain, oversample_region, region_elements
+from .fem import (FineSolution, SaddleSystem, _solve_whole_domain, check_zero_mean,
+                  diagonal_blocks, divergence_matrix, mass_matrix, mass_triplets)
+from .mesh import element_layout, full_domain, oversample_region, region_elements
 
 
 @dataclass(frozen=True)
@@ -142,31 +141,19 @@ class CondensedElements:
         self.flavor = flavor
         coarse = aux.coarse
         grid = coarse.fine
-        r = coarse.r
-        # every element is element 0 shifted: cells and edges of each kind
-        # move by the element's offset in the fine grid
-        region = element_region(coarse, 0)
-        edges = region.all_edges()
-        on_interior = np.isin(edges, region.interior_edges(), assume_unique=True)
-        I, J = coarse.element_IJ(np.arange(coarse.n_elements))
-        shift_v = (J * r * (grid.nx + 1) + I * r)[:, None]
-        shift_h = (J * r * grid.nx + I * r)[:, None]
-        all_edges = edges + np.where(edges < grid.n_vedges, shift_v, shift_h)
-        self.cells = region.cells() + shift_h
-        self.boundary = all_edges[:, ~on_interior]
-        n_ie, n_c, n_b = np.count_nonzero(on_interior), r * r, 4 * r
-        self.n_interior_edges = n_ie
+        interior_edges, self.cells, self.boundary = element_layout(coarse)
+        n_c, n_b = self.cells.shape[1], self.boundary.shape[1]
+        self.n_interior_edges = interior_edges.shape[1]
         counts = aux.counts
         k_max = int(counts.max())
         pad = np.arange(k_max)[None, :]
         columns = np.where(pad < counts[:, None], aux.offsets[:-1, None] + pad, -1)
         self.keys = np.concatenate([
-            all_edges[:, on_interior], grid.n_edges + self.cells,
+            interior_edges, grid.n_edges + self.cells,
             np.where(columns >= 0, grid.n_edges + grid.n_cells + columns, -1)], axis=1)
         self.W = np.zeros((coarse.n_elements, self.keys.shape[1], n_b))
         self.S = np.empty((coarse.n_elements, n_b, n_b))
         self.Z = np.zeros((coarse.n_elements, self.keys.shape[1], k_max))
-        self.K_II = [None] * coarse.n_elements
         # the whole-domain saddle matrix over (all edges, cells, columns):
         # a region's rows and columns of it are that region's saddle matrix
         self.operator = SaddleSystem(
@@ -180,9 +167,10 @@ class CondensedElements:
         # row couples outside its block only to its element's boundary
         valid = self.keys >= 0
         start = np.concatenate([[0], np.cumsum(valid.sum(axis=1))])
+        groups = np.split(self.keys[valid], start[1:-1])
+        # symmetric: the CSC transpose of each block is the block itself
+        self.K_II = [K.T for K in diagonal_blocks(self.operator, groups, groups)]
         interior = self.operator[self.keys[valid]]
-        K_all = interior[:, self.keys[valid]]
-        K_all.sort_indices()
         owner = np.repeat(np.arange(coarse.n_elements), np.diff(start))
         # K_IG and the element's own K_GG (its cells' flux mass on its
         # boundary), dense; slot e * n_b + i is boundary edge i of element e
@@ -206,16 +194,11 @@ class CondensedElements:
                   va[hr & hc])
 
         def condense(e):
-            a, b = start[e], start[e + 1]
-            p, q = K_all.indptr[a], K_all.indptr[b]
-            # symmetric: its compressed rows are its compressed columns
-            K = self.K_II[e] = sp.csc_matrix(
-                (K_all.data[p:q], K_all.indices[p:q] - a, K_all.indptr[a:b + 1] - p),
-                shape=(b - a, b - a))
-            solve = _interior_solver(K, e)
-            W = self.W[e, :b - a] = solve(K_IG[e, :b - a])
-            self.Z[e, :b - a, :aux.counts[e]] = solve(self.interior_rhs(e))
-            S = K_GG[e] - K_IG[e, :b - a].T @ W
+            n = self.K_II[e].shape[0]
+            solve = _interior_solver(self.K_II[e], e)
+            W = self.W[e, :n] = solve(K_IG[e, :n])
+            self.Z[e, :n, :aux.counts[e]] = solve(self.interior_rhs(e))
+            S = K_GG[e] - K_IG[e, :n].T @ W
             self.S[e] = 0.5 * (S + S.T)
 
         _run(workers, condense, range(coarse.n_elements))
@@ -421,18 +404,14 @@ def _check_layers(layers):
         raise ConfigError("localized basis functions need at least one layer")
 
 
-def build_element_batch(aux, perm, e, layers, flavor="type2", rtol=1e-10):
-    """All basis functions of element e, factoring its region once."""
-    _check_layers(layers)
-    return CondensedElements(aux, perm, flavor).batch(e, layers, rtol)
-
-
 def build_basis_function(aux, perm, e, j, layers=None, flavor="type2", rtol=1e-10):
     """A single basis function; `flavor="global"` solves on the whole domain."""
     aux.column(e, j)
     if flavor == "global":
-        return CondensedElements(aux, perm, "type2").batch(e, None, rtol)[j]
-    return build_element_batch(aux, perm, e, layers, flavor, rtol)[j]
+        flavor, layers = "type2", None
+    else:
+        _check_layers(layers)
+    return CondensedElements(aux, perm, flavor).batch(e, layers, rtol)[j]
 
 
 def build_basis_set(aux, perm, layers=None, flavor="type2", rtol=1e-10, workers=1):
@@ -458,32 +437,13 @@ def build_basis_set(aux, perm, layers=None, flavor="type2", rtol=1e-10, workers=
     return BasisSet(coarse, aux, flavor, layers, functions)
 
 
-@dataclass(frozen=True)
-class SnapshotSolution:
-    """Whole-domain solve whose divergence matches the projected source;
-    the localization target's exact counterpart for the chosen space."""
-
-    grid: object
-    v: np.ndarray
-    p: np.ndarray
-
-
 def build_snapshot(aux, perm, f, rtol=1e-10):
     """Solve the whole-domain problem with source replaced by the
-    weighted projection of kappa_tilde^-1 f onto the auxiliary space."""
-    grid = perm.grid
+    weighted projection of kappa_tilde^-1 f onto the auxiliary space: the
+    localization target's exact counterpart for the chosen space."""
     f = np.asarray(f, dtype=np.float64)
-    h2 = grid.h ** 2
-    check_zero_mean(f, h2)
-    w = f / aux.weight.values
-    pw = aux.project(w)
-    region = full_domain(grid)
-    dofmap = velocity_dofmap(region)
-    A = assemble_a(region, perm, dofmap)
-    B = assemble_b(region, dofmap)
-    system = SaddleSystem(
-        A, B, rhs_v=np.zeros(dofmap.n_dofs), rhs_p=aux.s_diag * pw,
-        mean_weights=np.full(grid.n_cells, h2), label="snapshot")
-    sol = SaddleFactorization(system, rtol=rtol).solve()
+    check_zero_mean(f, perm.grid.h ** 2)
+    pw = aux.project(f / aux.weight.values)
+    sol = _solve_whole_domain(perm, aux.s_diag * pw, rtol, "snapshot")
     # the template solves with -b(v, p); this problem is posed with +b(v, p)
-    return SnapshotSolution(grid, dofmap.scatter(sol.u, grid.n_edges), -sol.p)
+    return FineSolution(sol.grid, sol.v, -sol.p)

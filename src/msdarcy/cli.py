@@ -34,15 +34,15 @@ import sys
 import numpy as np
 
 from . import __version__
-from .auxspace import (build_aux_space, gap_split, solve_all_spectra,
-                       write_eigen_report)
+from .auxspace import build_aux_space, gap_split, write_eigen_report
 from .errors import ConfigError, SolveError
 from .fem import check_zero_mean, manufactured_cospi
-from .medium import (compute_weight, generate_medium, load_raster,
-                     save_raster, spec_from_mapping, three_channel_spec)
-from .mesh import FineGrid, bilinear_pou, build_grids
+from .medium import (generate_medium, load_raster, save_raster,
+                     spec_from_mapping, three_channel_spec)
+from .mesh import FineGrid, build_grids
 from .metrics import (auto_layers, convergence_study, decay_study,
-                      pressure_norms, solve_case, velocity_norms)
+                      pressure_norms, solve_case, spectra_stage,
+                      velocity_norms)
 
 
 def _fmt(x):
@@ -121,22 +121,20 @@ def _resolve_medium(cfg, grid, seed_override=None):
 def _resolve_source(cfg, grid):
     kind = _get(cfg, "source", "kind", default="corners")
     h2 = grid.h ** 2
-    if kind == "corners":
+    if kind in ("corners", "cells"):
         g = _get(cfg, "source", "grid", default=8, cast=int)
-        amp = _get(cfg, "source", "amplitude", default=1.0, cast=float)
+        if g < 1:
+            raise ConfigError(f"source grid must be >= 1, got {g}")
         if grid.nx % g != 0:
             raise ConfigError(f"source grid {g} does not divide nx={grid.nx}")
         b = grid.nx // g
         f = np.zeros((grid.ny, grid.nx))
+    if kind == "corners":
+        amp = _get(cfg, "source", "amplitude", default=1.0, cast=float)
         f[(g - 1) * b:, :b] = amp
         f[:b, (g - 1) * b:] = -amp
         f = f.ravel()
     elif kind == "cells":
-        g = _get(cfg, "source", "grid", default=8, cast=int)
-        if grid.nx % g != 0:
-            raise ConfigError(f"source grid {g} does not divide nx={grid.nx}")
-        b = grid.nx // g
-        f = np.zeros((grid.ny, grid.nx))
         spec = _get(cfg, "source", "cells")
         for item in spec.split(";"):
             item = item.strip()
@@ -157,6 +155,8 @@ def _resolve_source(cfg, grid):
         f = manufactured_cospi(grid)[0]
     else:
         raise ConfigError(f"unknown source kind {kind!r}")
+    if not np.isfinite(f).all():
+        raise ConfigError("source values must be finite")
     check_zero_mean(f, h2)
     return f, {"kind": kind}
 
@@ -167,6 +167,26 @@ def _ints(raw, count=None):
     if count is not None and len(values) != count:
         raise ValueError(f"want {count} integers")
     return values
+
+
+def _cases(raw, l0, H0):
+    """[study] cases: `nbasis Nx layers` triples separated by ';', with
+    layers an integer or "auto"."""
+    cases = []
+    for item in raw.split(";"):
+        item = item.strip()
+        if not item:
+            continue
+        try:
+            nb, Nx, layers = item.split()
+            nb, Nx = int(nb), int(Nx)
+            cases.append((nb, Nx, auto_layers(1.0 / Nx, l0, H0)
+                          if layers == "auto" else int(layers)))
+        except (ValueError, ZeroDivisionError, OverflowError):
+            raise ConfigError(f"case entry wants 'nbasis Nx layers', got {item!r}")
+    if not cases:
+        raise ConfigError("[study] cases is empty")
+    return cases
 
 
 def _calibration(raw):
@@ -202,6 +222,8 @@ def _resolve_method(cfg, H):
 
 def _resolve_solver(cfg, args):
     rtol = _get(cfg, "solver", "rtol", default=1e-10, cast=float)
+    if not 0 < rtol < 1:
+        raise ConfigError(f"[solver] rtol must lie in (0, 1), got {rtol}")
     workers = _get(cfg, "solver", "workers", default=0, cast=int)
     if getattr(args, "workers", None) is not None:
         workers = args.workers
@@ -319,22 +341,7 @@ def cmd_convergence(args):
     l0, H0 = _get(cfg, "method", "layer_calibration", default=(3, 0.125),
                   cast=_calibration)
 
-    spec = _get(cfg, "study", "cases")
-    cases = []
-    for item in spec.split(";"):
-        item = item.strip()
-        if not item:
-            continue
-        try:
-            nb, Nx, layers = item.split()
-            nb, Nx = int(nb), int(Nx)
-            cases.append((nb, Nx, auto_layers(1.0 / Nx, l0, H0)
-                          if layers == "auto" else int(layers)))
-        except (ValueError, ZeroDivisionError):
-            raise ConfigError(f"case entry wants 'nbasis Nx layers', got {item!r}")
-    if not cases:
-        raise ConfigError("[study] cases is empty")
-
+    cases = _cases(_get(cfg, "study", "cases"), l0, H0)
     rows = convergence_study(perm, f, cases, flavor=flavor,
                              rtol=solver["rtol"], workers=solver["workers"])
     out = _out_dir(cfg, args)
@@ -370,8 +377,7 @@ def cmd_decay(args):
         raise ConfigError(f"element {e} outside coarse grid")
     layer_list = _get(cfg, "decay", "layers", default=[1, 2, 3, 4], cast=_ints)
 
-    weight = compute_weight(perm, bilinear_pou(coarse))
-    spectra = solve_all_spectra(coarse, perm, weight, workers=solver["workers"])
+    weight, spectra = spectra_stage(perm, coarse, solver["workers"])
     aux = build_aux_space(coarse, weight, spectra, nbasis=nbasis)
     profile = decay_study(aux, perm, e, j, layer_list, rtol=solver["rtol"],
                           keep_fields=True, keep_functions=True)
@@ -414,14 +420,15 @@ def cmd_eigs(args):
     perm, med_res = _resolve_medium(cfg, fine, args.seed)
     solver = _resolve_solver(cfg, args)
     count = _get(cfg, "eigs", "count", default=6, cast=int)
+    if count < 1:
+        raise ConfigError(f"[eigs] count must be >= 1, got {count}")
     max_count = (fine.nx // coarse.Nx) ** 2
     if count > max_count:
         print(f"warning: count={count} clamped to {max_count} "
               f"(eigenvalues per element)", file=sys.stderr)
         count = max_count
 
-    weight = compute_weight(perm, bilinear_pou(coarse))
-    spectra = solve_all_spectra(coarse, perm, weight, workers=solver["workers"])
+    _, spectra = spectra_stage(perm, coarse, solver["workers"])
     out = _out_dir(cfg, args)
     write_eigen_report(os.path.join(out, "eigenvalues.csv"), spectra, count)
     with open(os.path.join(out, "gap_report.csv"), "w") as fh:

@@ -5,19 +5,26 @@ pressures are constant per cell. On a region, velocity unknowns live on
 the region-interior edges only, which imposes the no-flux condition on
 the region (and domain) boundary.
 
+Every fine-scale block is a slice of the whole-domain operator. The flux
+mass matrix and the divergence matrix are assembled once, over all edges
+and cells in global numbering; a region's or an element's A and B are
+their rows and columns on its interior edges and cells
+(`diagonal_blocks` slices those of many elements at once).
+
 Every linear system in the package is an instance of one symmetric
 indefinite template over unknowns (u, p[, y][, gamma]):
 
     A u - B^T p                       = rhs_v
-    B u + D p + C y + w gamma        = rhs_p
-    C^T p - [y if identity_block]    = rhs_c
-    w^T p                            = mean_value
+    B u + C y + w gamma               = rhs_p
+    C^T p - [y if identity_block]     = rhs_c
+    w^T p                             = rhs_w
 
-where A is the weighted flux mass matrix, B the signed divergence, D an
-optional diagonal block, C an optional coupling block (used for the
-energy-minimization constraint), and w an optional zero-mean row. Rows
-are sign-flipped on assembly so the full matrix is symmetric, then
-factored by sparse LU with a residual check and iterative refinement.
+where A is the weighted flux mass matrix, B the signed divergence, C an
+optional coupling block (used for the energy-minimization constraint),
+and w an optional zero-mean row. Rows are sign-flipped on assembly so
+the full matrix is symmetric, then factored by sparse LU with a residual
+check and iterative refinement. `pack_rhs` takes rhs_c and rhs_w zero;
+`solve_packed` takes any right-hand side packed in the same order.
 """
 
 from dataclasses import dataclass
@@ -39,16 +46,6 @@ class VelocityDofMap:
     @property
     def n_dofs(self):
         return self.edges.size
-
-    def local_index(self, edge_ids):
-        """Map global edge ids to local dof indices, -1 where not a dof."""
-        edge_ids = np.asarray(edge_ids)
-        pos = np.searchsorted(self.edges, edge_ids)
-        pos_c = np.minimum(pos, max(self.edges.size - 1, 0))
-        if self.edges.size == 0:
-            return np.full(edge_ids.shape, -1, dtype=np.int64)
-        valid = self.edges[pos_c] == edge_ids
-        return np.where(valid, pos_c, -1)
 
     def scatter(self, u, n_edges):
         """Expand local dof values to a full per-edge vector (zeros elsewhere)."""
@@ -74,13 +71,11 @@ def mass_triplets(grid, cells, kappa):
     return rows, cols, vals
 
 
-def mass_matrix(grid, perm, cells=None):
-    """Flux mass matrix over all edges (global numbering), optionally
-    restricted to the cells of a subdomain. Used for energy norms and
-    Galerkin projection; boundary edges are included."""
-    if cells is None:
-        cells = np.arange(grid.n_cells)
-    rows, cols, vals = mass_triplets(grid, cells, perm.values[cells])
+def mass_matrix(grid, perm):
+    """Flux mass matrix over all edges (global numbering). Used for energy
+    norms, Galerkin projection and, sliced, every fine-scale system;
+    boundary edges are included."""
+    rows, cols, vals = mass_triplets(grid, np.arange(grid.n_cells), perm.values)
     n = grid.n_edges
     return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
 
@@ -99,44 +94,25 @@ def divergence_matrix(grid):
                          shape=(grid.n_cells, grid.n_edges)).tocsr()
 
 
-def assemble_a(region, perm, dofmap=None):
-    """Flux mass matrix on the region's interior-edge dofs."""
-    if dofmap is None:
-        dofmap = velocity_dofmap(region)
-    grid = region.fine
-    cells = region.cells()
-    rows, cols, vals = mass_triplets(grid, cells, perm.values[cells])
-    lr = dofmap.local_index(rows)
-    lc = dofmap.local_index(cols)
-    keep = (lr >= 0) & (lc >= 0)
-    n = dofmap.n_dofs
-    return sp.coo_matrix((vals[keep], (lr[keep], lc[keep])), shape=(n, n)).tocsr()
+def diagonal_blocks(K, row_groups, col_groups):
+    """The blocks K[rows][:, cols] of a CSR matrix, one per pair of index
+    arrays in `row_groups` and `col_groups`, sliced from K in one step.
 
-
-def assemble_b(region, dofmap=None):
-    """Divergence block on (region cells) x (region dofs)."""
-    if dofmap is None:
-        dofmap = velocity_dofmap(region)
-    grid = region.fine
-    cells = region.cells()
-    L, R, B, T = grid.cell_edge_ids(cells)
-    h = grid.h
-    ncr = cells.size
-    local_cells = np.arange(ncr)
-    rows = np.tile(local_cells, 4)
-    cols = dofmap.local_index(np.concatenate([R, L, T, B]))
-    vals = np.concatenate([np.full(ncr, h), np.full(ncr, -h),
-                           np.full(ncr, h), np.full(ncr, -h)])
-    keep = cols >= 0
-    return sp.coo_matrix((vals[keep], (rows[keep], cols[keep])),
-                         shape=(ncr, dofmap.n_dofs)).tocsr()
-
-
-def assemble_s(region, weight):
-    """Diagonal weighted pressure mass matrix on the region's cells."""
-    cells = region.cells()
-    h2 = region.fine.h ** 2
-    return sp.diags(weight.values[cells] * h2).tocsr()
+    K must hold no entry in one group's rows and another group's columns,
+    so that K on all the groups together is block diagonal. Each block is
+    CSR with sorted indices.
+    """
+    part = K[np.concatenate(row_groups)][:, np.concatenate(col_groups)]
+    part.sort_indices()
+    r0 = np.cumsum([0] + [len(g) for g in row_groups])
+    c0 = np.cumsum([0] + [len(g) for g in col_groups])
+    blocks = []
+    for a, b, c, d in zip(r0[:-1], r0[1:], c0[:-1], c0[1:]):
+        p, q = part.indptr[a], part.indptr[b]
+        blocks.append(sp.csr_matrix(
+            (part.data[p:q], part.indices[p:q] - c, part.indptr[a:b + 1] - p),
+            shape=(b - a, d - c)))
+    return blocks
 
 
 @dataclass
@@ -147,18 +123,14 @@ class SaddleSystem:
     B: sp.spmatrix
     rhs_v: np.ndarray
     rhs_p: np.ndarray
-    D: sp.spmatrix = None
     C: sp.spmatrix = None
     identity_block: bool = True
-    rhs_c: np.ndarray = None
     mean_weights: np.ndarray = None
-    mean_value: float = 0.0
     label: str = ""
 
     def matrix(self):
         m = self.B.shape[0]
-        rows = [[self.A, -self.B.T],
-                [-self.B, -self.D if self.D is not None else None]]
+        rows = [[self.A, -self.B.T], [-self.B, None]]
         if self.C is not None:
             k = self.C.shape[1]
             yy = sp.identity(k) if self.identity_block else sp.csr_matrix((k, k))
@@ -172,19 +144,14 @@ class SaddleSystem:
             rows.append([None, -w] + [None] * (len(rows) - 1))
         return sp.bmat(rows, format="csc")
 
-    def pack_rhs(self, rhs_v=None, rhs_p=None, rhs_c=None, mean_value=None):
-        """Full right-hand side with the sign flips matching matrix()."""
-        rv = self.rhs_v if rhs_v is None else rhs_v
-        rp = self.rhs_p if rhs_p is None else rhs_p
-        rhs = [rv, -rp]
+    def pack_rhs(self):
+        """Full right-hand side with the sign flips matching matrix(); the
+        rows of C^T and w get zero."""
+        rhs = [self.rhs_v, -self.rhs_p]
         if self.C is not None:
-            rc = rhs_c if rhs_c is not None else self.rhs_c
-            if rc is None:
-                rc = np.zeros(self.C.shape[1])
-            rhs.append(-rc)
+            rhs.append(np.zeros(self.C.shape[1]))
         if self.mean_weights is not None:
-            mv = self.mean_value if mean_value is None else mean_value
-            rhs.append(np.array([-mv]))
+            rhs.append(np.zeros(1))
         return np.concatenate(rhs)
 
     def split(self, x):
@@ -247,9 +214,6 @@ class SaddleFactorization:
         rel = res / scale if scale > 0 else res
         return SaddleSolution(u, p, y, gamma, rel)
 
-    def solve(self, **rhs_parts):
-        return self.solve_packed(self.system.pack_rhs(**rhs_parts))
-
 
 def solve_saddle(system, rtol=1e-10):
     """Factor and solve one saddle system, verifying the residual.
@@ -257,7 +221,7 @@ def solve_saddle(system, rtol=1e-10):
     Raises SolveError if the factorization fails or the relative residual
     stays above rtol after two refinement sweeps.
     """
-    return SaddleFactorization(system, rtol=rtol).solve()
+    return SaddleFactorization(system, rtol=rtol).solve_packed(system.pack_rhs())
 
 
 @dataclass(frozen=True)
@@ -277,6 +241,22 @@ def check_zero_mean(f, h2, what="source"):
         raise ConfigError(f"{what} must have zero mean, integral is {total:.3e}")
 
 
+def _solve_whole_domain(perm, rhs_p, rtol, label):
+    """The no-flux mixed problem on the whole fine grid with cell
+    right-hand side `rhs_p` and a zero-mean pressure, from the
+    whole-domain blocks on the interior edges."""
+    grid = perm.grid
+    dofmap = velocity_dofmap(full_domain(grid))
+    edges = dofmap.edges
+    A = mass_matrix(grid, perm)[edges][:, edges]
+    B = divergence_matrix(grid)[:, edges]
+    system = SaddleSystem(A, B, rhs_v=np.zeros(edges.size), rhs_p=rhs_p,
+                          mean_weights=np.full(grid.n_cells, grid.h ** 2),
+                          label=label)
+    sol = solve_saddle(system, rtol=rtol)
+    return FineSolution(grid, dofmap.scatter(sol.u, grid.n_edges), sol.p)
+
+
 def solve_fine_reference(perm, f, rtol=1e-10):
     """Solve the no-flux mixed problem on the whole fine grid.
 
@@ -288,15 +268,7 @@ def solve_fine_reference(perm, f, rtol=1e-10):
         raise ConfigError(f"source has {f.size} values, grid has {grid.n_cells} cells")
     h2 = grid.h ** 2
     check_zero_mean(f, h2)
-    region = full_domain(grid)
-    dofmap = velocity_dofmap(region)
-    A = assemble_a(region, perm, dofmap)
-    B = assemble_b(region, dofmap)
-    system = SaddleSystem(A, B, rhs_v=np.zeros(dofmap.n_dofs), rhs_p=h2 * f,
-                          mean_weights=np.full(grid.n_cells, h2),
-                          label="fine reference")
-    sol = solve_saddle(system, rtol=rtol)
-    return FineSolution(grid, dofmap.scatter(sol.u, grid.n_edges), sol.p)
+    return _solve_whole_domain(perm, h2 * f, rtol, "fine reference")
 
 
 def manufactured_cospi(grid):

@@ -1,8 +1,9 @@
 """Uniform rectangular grids on the unit square.
 
 Provides the fine grid (cells and edges with a fixed global numbering),
-the coarse grid of square elements, oversampled rectangular regions,
-the bilinear partition of unity on coarse nodes, and nodal cutoff fields.
+the coarse grid of square elements with the fine unknowns of each
+element, oversampled rectangular regions, and the bilinear partition of
+unity on coarse nodes.
 
 Numbering conventions, used everywhere downstream:
 
@@ -138,14 +139,6 @@ class CoarseGrid:
         e = np.asarray(e)
         return e % self.Nx, e // self.Nx
 
-    def element_cells(self, e):
-        """Global fine-cell ids of element e, sorted ascending."""
-        I, J = self.element_IJ(e)
-        r = self.r
-        ix = I * r + np.arange(r)
-        iy = J * r + np.arange(r)
-        return (iy[:, None] * self.fine.nx + ix[None, :]).ravel()
-
     def element_of_cell(self, cells):
         ix, iy = self.fine.cell_ix_iy(cells)
         return self.element_id(ix // self.r, iy // self.r)
@@ -219,17 +212,6 @@ class Region:
         he = g.hedge_id(ih[None, :], jh[:, None]).ravel()
         return np.sort(np.concatenate([ve, he]))
 
-    def all_edges(self):
-        """Every edge of every cell in the region (region boundary included)."""
-        g = self.fine
-        iv = np.arange(self.i0, self.i1 + 1)
-        jv = np.arange(self.j0, self.j1)
-        ve = g.vedge_id(iv[None, :], jv[:, None]).ravel()
-        ih = np.arange(self.i0, self.i1)
-        jh = np.arange(self.j0, self.j1 + 1)
-        he = g.hedge_id(ih[None, :], jh[:, None]).ravel()
-        return np.sort(np.concatenate([ve, he]))
-
 
 def full_domain(fine):
     """Region covering all of [0,1]^2."""
@@ -255,6 +237,28 @@ def oversample_region(coarse, e, layers):
                   center=int(e), layers=layers)
 
 
+def element_layout(coarse):
+    """Every element's interior edges, cells and 4r boundary edges.
+
+    Returns three arrays with one row per element, each row ascending:
+    row e of the first two equals `element_region(coarse, e)`'s
+    `interior_edges()` and `cells()`, and the third holds the edges on the
+    element's boundary.
+    """
+    grid = coarse.fine
+    r = coarse.r
+    # every element is element 0 shifted: cells and edges of each kind
+    # move by the element's offset in the fine grid
+    region = element_region(coarse, 0)
+    edges = np.unique(np.concatenate(grid.cell_edge_ids(region.cells())))
+    on_interior = np.isin(edges, region.interior_edges(), assume_unique=True)
+    I, J = coarse.element_IJ(np.arange(coarse.n_elements))
+    shift_v = (J * r * (grid.nx + 1) + I * r)[:, None]
+    shift_h = (J * r * grid.nx + I * r)[:, None]
+    all_edges = edges + np.where(edges < grid.n_vedges, shift_v, shift_h)
+    return all_edges[:, on_interior], region.cells() + shift_h, all_edges[:, ~on_interior]
+
+
 def region_elements(coarse, region):
     """Ids of the coarse elements covering a region, ascending."""
     r = coarse.r
@@ -263,36 +267,11 @@ def region_elements(coarse, region):
     return coarse.element_id(I[None, :], J[:, None]).ravel()
 
 
-def interp_coarse_nodal(coarse, nodal):
-    """Interpolate coarse nodal values bilinearly to all fine nodes.
-
-    `nodal` has shape (Ny+1, Nx+1); the result has shape (ny+1, nx+1).
-    """
-    fine = coarse.fine
-    r = coarse.r
-    p = np.arange(fine.nx + 1)
-    q = np.arange(fine.ny + 1)
-    I = np.minimum(p // r, coarse.Nx - 1)
-    J = np.minimum(q // r, coarse.Ny - 1)
-    xi = (p - I * r) / r
-    eta = (q - J * r) / r
-    c00 = nodal[np.ix_(J, I)]
-    c10 = nodal[np.ix_(J, I + 1)]
-    c01 = nodal[np.ix_(J + 1, I)]
-    c11 = nodal[np.ix_(J + 1, I + 1)]
-    wx0 = (1.0 - xi)[None, :]
-    wx1 = xi[None, :]
-    wy0 = (1.0 - eta)[:, None]
-    wy1 = eta[:, None]
-    return wy0 * (wx0 * c00 + wx1 * c10) + wy1 * (wx0 * c01 + wx1 * c11)
-
-
 class PartitionOfUnity:
-    """Bilinear hat functions on coarse nodes, sampled on the fine grid.
+    """Bilinear hat functions on coarse nodes, seen on the fine grid.
 
-    Exposes per-node hat samples and the per-fine-cell average of the
-    summed squared hat gradients, which weights the spectral inner
-    product downstream. The averages come from the closed-form integral
+    Exposes the per-fine-cell average of the summed squared hat
+    gradients, which weights the spectral inner product downstream. The averages come from the closed-form integral
     of the four bilinear hats supported on each element, evaluated per
     fine cell, so no quadrature error enters.
     """
@@ -319,78 +298,7 @@ class PartitionOfUnity:
         gy = seg_avg[iy]
         return (2.0 / (H * H)) * (gx[None, :] + gy[:, None]).ravel()
 
-    def gradsq_at(self, x, y):
-        """Pointwise sum of squared hat gradients at (x, y), cell interiors."""
-        coarse = self.coarse
-        H = coarse.H
-        I = min(int(x / H), coarse.Nx - 1)
-        J = min(int(y / H), coarse.Ny - 1)
-        xi = x / H - I
-        eta = y / H - J
-        return (2.0 / (H * H)) * ((1 - xi) ** 2 + xi ** 2 + (1 - eta) ** 2 + eta ** 2)
-
-    def hat_values(self, node):
-        """Samples of the hat of coarse node `node` at all fine nodes, flat."""
-        coarse = self.coarse
-        nodal = np.zeros((coarse.Ny + 1, coarse.Nx + 1))
-        nodal[node // (coarse.Nx + 1), node % (coarse.Nx + 1)] = 1.0
-        return interp_coarse_nodal(coarse, nodal).ravel()
-
-    def node_sum(self):
-        """Sum of all hats at every fine node (should be identically one)."""
-        coarse = self.coarse
-        ones = np.ones((coarse.Ny + 1, coarse.Nx + 1))
-        return interp_coarse_nodal(coarse, ones).ravel()
-
 
 def bilinear_pou(coarse):
     """Partition of unity from the bilinear hats of the coarse grid."""
     return PartitionOfUnity(coarse)
-
-
-@dataclass(frozen=True)
-class CutoffField:
-    """Piecewise-bilinear cutoff around one coarse element.
-
-    Equal to 1 on the m-ring neighborhood of the element, 0 outside the
-    M-ring neighborhood, interpolated linearly in the ring distance in
-    between, then expanded to fine nodes.
-    """
-
-    coarse: CoarseGrid
-    element: int
-    outer: int
-    inner: int
-    coarse_values: np.ndarray
-    fine_values: np.ndarray
-
-    def max_gradient(self):
-        """Largest gradient magnitude over the domain.
-
-        The field is bilinear per fine cell, so each gradient component is
-        linear in the transverse coordinate and the maximum magnitude over
-        a cell is attained at its corners.
-        """
-        fine = self.coarse.fine
-        V = self.fine_values.reshape(fine.ny + 1, fine.nx + 1)
-        h = fine.h
-        dx = np.diff(V, axis=1) / h
-        dy = np.diff(V, axis=0) / h
-        dx2 = np.maximum(dx[:-1, :] ** 2, dx[1:, :] ** 2)
-        dy2 = np.maximum(dy[:, :-1] ** 2, dy[:, 1:] ** 2)
-        return float(np.sqrt((dx2 + dy2).max()))
-
-
-def cutoff_field(coarse, e, outer, inner):
-    """Cutoff for element e: 1 within `inner` rings, 0 beyond `outer` rings."""
-    if not (outer > inner >= 0):
-        raise ConfigError(f"need outer > inner >= 0, got outer={outer} inner={inner}")
-    I, J = coarse.element_IJ(e)
-    a = np.arange(coarse.Nx + 1)
-    b = np.arange(coarse.Ny + 1)
-    dist_x = np.maximum.reduce([int(I) - a, a - (int(I) + 1), np.zeros_like(a)])
-    dist_y = np.maximum.reduce([int(J) - b, b - (int(J) + 1), np.zeros_like(b)])
-    t = np.maximum(dist_x[None, :], dist_y[:, None])
-    vals = np.clip((outer - t) / (outer - inner), 0.0, 1.0)
-    fine_vals = interp_coarse_nodal(coarse, vals).ravel()
-    return CutoffField(coarse, int(e), outer, inner, vals, fine_vals)

@@ -16,7 +16,7 @@ from .basis import CondensedElements, build_basis_set
 from .coarse import assemble_coarse_system, mass_residuals, solve_multiscale
 from .errors import ConfigError
 from .medium import compute_weight
-from .mesh import CoarseGrid, bilinear_pou, full_domain, oversample_region
+from .mesh import bilinear_pou, build_grids, full_domain, oversample_region
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,11 @@ def auto_layers(H, l0=3, H0=0.125):
     """Layer count growing logarithmically in 1/H, calibrated at (l0, H0)."""
     if not (0 < H < 1 and 0 < H0 < 1) or l0 < 1:
         raise ConfigError(f"bad layer calibration l0={l0}, H0={H0}, H={H}")
-    return max(1, int(np.ceil(l0 * np.log(1.0 / H) / np.log(1.0 / H0) - 1e-12)))
+    try:
+        with np.errstate(over="raise"):
+            return max(1, int(np.ceil(l0 * np.log(1.0 / H) / np.log(1.0 / H0) - 1e-12)))
+    except (OverflowError, FloatingPointError):
+        raise ConfigError(f"layer calibration l0={l0} is too large")
 
 
 @dataclass(frozen=True)
@@ -182,35 +186,49 @@ class ConvergenceRow:
     seconds: float
 
 
+def spectra_stage(perm, coarse, workers=1):
+    """The weight and every element's spectrum on `coarse`: the first stage
+    of each multiscale solve, of the decay study and of the eigenvalue
+    report."""
+    weight = compute_weight(perm, bilinear_pou(coarse))
+    return weight, solve_all_spectra(coarse, perm, weight, workers=workers)
+
+
+def _multiscale(perm, f, coarse, weight, spectra, nbasis, threshold, layers,
+                flavor, rtol, workers):
+    """The stages after the spectra: auxiliary space, basis functions,
+    coarse solve. Returns (solution, aux, basis)."""
+    aux = build_aux_space(coarse, weight, spectra, nbasis=nbasis,
+                          threshold=threshold)
+    basis_set = build_basis_set(aux, perm, layers=layers, flavor=flavor,
+                                rtol=rtol, workers=workers)
+    system = assemble_coarse_system(basis_set, perm, f)
+    return solve_multiscale(system, rtol=rtol), aux, basis_set
+
+
 def convergence_study(perm, f, cases, flavor="type2", rtol=1e-10, workers=1,
                       fine=None):
     """Errors of the multiscale solve against the fine reference.
 
     `cases` holds (nbasis, Nx, layers) triples, solved in order on the
-    shared fine grid/medium; rates compare consecutive rows.
+    shared fine grid/medium; rates compare consecutive rows. Every coarse
+    size is checked before the first solve, and the spectra of each are
+    computed once.
     """
     from .fem import solve_fine_reference
 
-    grid = perm.grid
+    coarse = {Nx: build_grids(perm.grid.nx, Nx)[1] for _, Nx, _ in cases}
     if fine is None:
         fine = solve_fine_reference(perm, f, rtol=rtol)
-    cache = {}
+    stages = {}
     rows = []
     for nbasis, Nx, layers in cases:
         t0 = perf_counter()
-        if Nx not in cache:
-            if grid.nx % Nx != 0:
-                raise ConfigError(f"coarse size {Nx} does not divide nx={grid.nx}")
-            coarse = CoarseGrid(grid, Nx, Nx)
-            weight = compute_weight(perm, bilinear_pou(coarse))
-            spectra = solve_all_spectra(coarse, perm, weight, workers=workers)
-            cache[Nx] = (coarse, weight, spectra)
-        coarse, weight, spectra = cache[Nx]
-        aux = build_aux_space(coarse, weight, spectra, nbasis=nbasis)
-        basis_set = build_basis_set(aux, perm, layers=layers, flavor=flavor,
-                                    rtol=rtol, workers=workers)
-        system = assemble_coarse_system(basis_set, perm, f)
-        ms = solve_multiscale(system, rtol=rtol)
+        if Nx not in stages:
+            stages[Nx] = spectra_stage(perm, coarse[Nx], workers)
+        weight, spectra = stages[Nx]
+        ms, _, _ = _multiscale(perm, f, coarse[Nx], weight, spectra, nbasis, None,
+                               layers, flavor, rtol, workers)
         err = relative_errors(fine, ms, perm, weight)
         seconds = perf_counter() - t0
         if rows:
@@ -230,17 +248,8 @@ def convergence_study(perm, f, cases, flavor="type2", rtol=1e-10, workers=1,
 def solve_case(perm, f, Nx, nbasis=None, threshold=None, layers=3,
                flavor="type2", rtol=1e-10, workers=1):
     """One multiscale solve, returning (solution, aux, basis, mass report)."""
-    grid = perm.grid
-    if grid.nx % Nx != 0:
-        raise ConfigError(f"coarse size {Nx} does not divide nx={grid.nx}")
-    coarse = CoarseGrid(grid, Nx, Nx)
-    weight = compute_weight(perm, bilinear_pou(coarse))
-    spectra = solve_all_spectra(coarse, perm, weight, workers=workers)
-    aux = build_aux_space(coarse, weight, spectra, nbasis=nbasis,
-                          threshold=threshold)
-    basis_set = build_basis_set(aux, perm, layers=layers, flavor=flavor,
-                                rtol=rtol, workers=workers)
-    system = assemble_coarse_system(basis_set, perm, f)
-    ms = solve_multiscale(system, rtol=rtol)
-    report = mass_residuals(ms, f, aux)
-    return ms, aux, basis_set, report
+    _, coarse = build_grids(perm.grid.nx, Nx)
+    weight, spectra = spectra_stage(perm, coarse, workers)
+    ms, aux, basis_set = _multiscale(perm, f, coarse, weight, spectra, nbasis,
+                                     threshold, layers, flavor, rtol, workers)
+    return ms, aux, basis_set, mass_residuals(ms, f, aux)

@@ -8,8 +8,9 @@ from msdarcy import (AuxSpace, ConfigError, PermField, bilinear_pou,
                      build_aux_space, build_grids, compute_weight,
                      solve_all_spectra, solve_local_spectral)
 from msdarcy.auxspace import ElementSpectrum, gap_split, write_eigen_report
-from msdarcy.fem import assemble_a, assemble_b, velocity_dofmap
+from msdarcy.fem import velocity_dofmap
 from msdarcy.mesh import element_region, oversample_region
+from test_fem import assemble_a, assemble_b
 
 
 def _case(nx=16, Nx=4, seed=42, span=np.log(1e3)):
@@ -56,17 +57,6 @@ def test_spectrum_first_pair_and_orthonormality():
     G = spec.pressures.T @ S @ spec.pressures
     assert np.allclose(G, np.eye(G.shape[0]), atol=1e-10)
     assert (np.diff(spec.lambdas) >= -1e-12 * spec.lambdas[-1]).all()
-
-
-def test_spectrum_velocities_satisfy_defining_equations():
-    fine, coarse, perm, weight = _case(nx=8, Nx=2)
-    spec = solve_local_spectral(coarse, 1, perm, weight, velocities=True)
-    region = element_region(coarse, 1)
-    dofmap = velocity_dofmap(region)
-    assert np.array_equal(spec.dof_edges, dofmap.edges)
-    A = assemble_a(region, perm, dofmap)
-    B = assemble_b(region, dofmap)
-    assert np.allclose(A @ spec.velocities, B.T @ spec.pressures, atol=1e-9)
 
 
 def test_spectrum_invariant_under_global_scaling():

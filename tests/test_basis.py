@@ -10,10 +10,10 @@ from msdarcy import (ConfigError, PermField, SolveError, bilinear_pou,
                      build_aux_space, build_basis_function, build_basis_set,
                      build_grids, build_snapshot, compute_weight,
                      solve_all_spectra, solve_fine_reference)
-from msdarcy.basis import CondensedElements, build_element_batch
-from msdarcy.fem import (SaddleFactorization, SaddleSystem, assemble_a,
-                         assemble_b, mass_matrix, velocity_dofmap)
+from msdarcy.basis import CondensedElements
+from msdarcy.fem import SaddleFactorization, SaddleSystem, mass_matrix, velocity_dofmap
 from msdarcy.mesh import full_domain, oversample_region
+from test_fem import assemble_a, assemble_b
 
 
 def _region_lu_reference(aux, perm, region, flavor, rtol=1e-10):
@@ -28,17 +28,19 @@ def _region_lu_reference(aux, perm, region, flavor, rtol=1e-10):
     system = SaddleSystem(
         assemble_a(region, perm, dofmap), assemble_b(region, dofmap),
         rhs_v=np.zeros(dofmap.n_dofs), rhs_p=np.zeros(cells.size),
-        C=(sp.diags(s_region) @ R_loc).tocsr(), identity_block=(flavor != "type1"),
-        rhs_c=np.zeros(cols.size))
+        C=(sp.diags(s_region) @ R_loc).tocsr(), identity_block=(flavor != "type1"))
     fact = SaddleFactorization(system, rtol=rtol)
 
     def solve(e, j):
         p_loc = R_loc[:, int(np.searchsorted(cols, aux.column(e, j)))].toarray().ravel()
+        # packed as pack_rhs packs (rhs_v, -rhs_p, -rhs_c)
+        rhs_p, rhs_c = np.zeros(cells.size), np.zeros(cols.size)
         if flavor == "type1":
-            sol = fact.solve(rhs_c=R_loc.T @ (s_region * p_loc))
-            return sol.u, sol.p, -sol.y
-        sol = fact.solve(rhs_p=s_region * p_loc)
-        return sol.u, sol.p, None
+            rhs_c = R_loc.T @ (s_region * p_loc)
+        else:
+            rhs_p = s_region * p_loc
+        sol = fact.solve_packed(np.concatenate([system.rhs_v, -rhs_p, -rhs_c]))
+        return sol.u, sol.p, (-sol.y if flavor == "type1" else None)
     return solve
 
 
@@ -68,7 +70,7 @@ def small_case():
 def test_batch_shapes_and_support(small_case):
     fine, coarse, perm, weight, aux = small_case
     e = int(coarse.element_id(1, 1))
-    batch = build_element_batch(aux, perm, e, layers=1)
+    batch = CondensedElements(aux, perm, "type2").batch(e, 1)
     assert len(batch) == aux.counts[e]
     region = oversample_region(coarse, e, 1)
     dof_edges = velocity_dofmap(region).edges
@@ -86,7 +88,7 @@ def test_divergence_stays_in_auxiliary_space(small_case):
     fine, coarse, perm, weight, aux = small_case
     e = int(coarse.element_id(2, 1))
     for flavor in ("type1", "type2"):
-        for fn in build_element_batch(aux, perm, e, layers=2, flavor=flavor):
+        for fn in CondensedElements(aux, perm, flavor).batch(e, 2):
             region = oversample_region(coarse, e, 2)
             B = assemble_b(region)
             g = np.zeros(fine.n_cells)
@@ -101,7 +103,7 @@ def test_type1_pins_pressure_moments(small_case):
     region = oversample_region(coarse, e, 2)
     cols, R_loc = aux.restriction(region)
     s_region = aux.s_diag[region.cells()]
-    batch = build_element_batch(aux, perm, e, layers=2, flavor="type1")
+    batch = CondensedElements(aux, perm, "type1").batch(e, 2)
     for j, fn in enumerate(batch):
         assert fn.mu is not None and fn.mu.size == cols.size
         assert np.array_equal(fn.mu_columns, cols)
@@ -179,9 +181,9 @@ def test_saturated_set_has_one_null_direction(small_case):
 def test_basis_validation_errors(small_case):
     fine, coarse, perm, weight, aux = small_case
     with pytest.raises(ConfigError):
-        build_element_batch(aux, perm, 0, layers=0)
+        CondensedElements(aux, perm, "type2").batch(0, 0)
     with pytest.raises(ConfigError):
-        build_element_batch(aux, perm, 0, layers=1, flavor="type3")
+        CondensedElements(aux, perm, "type3").batch(0, 1)
 
 
 def test_snapshot_divergence_and_walls(small_case):
@@ -227,7 +229,7 @@ def test_condensed_basis_matches_region_lu_reference(small_case, flavor):
     for e in range(coarse.n_elements):
         solve = _region_lu_reference(aux, perm, oversample_region(coarse, e, 1), flavor)
         worst = max(worst, _worst_deviation(
-            build_element_batch(aux, perm, e, layers=1, flavor=flavor), solve))
+            CondensedElements(aux, perm, flavor).batch(e, 1), solve))
     assert worst <= 1e-10
 
 

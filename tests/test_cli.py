@@ -1,13 +1,17 @@
 """End-to-end runs of every subcommand on small grids."""
 
+import argparse
+import configparser
 import json
 import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from msdarcy import load_raster
-from msdarcy.cli import main
+from msdarcy import ConfigError, FineGrid, load_raster
+from msdarcy.cli import (_cases, _resolve_method, _resolve_solver, _resolve_source,
+                         main)
 
 
 def write_cfg(path, text):
@@ -469,11 +473,14 @@ UNPARSEABLE = """\
 
     [source]
     kind = {source}
-    grid = 4
+    grid = {source_grid}
     cells = {cells}
 
     [method]
     layer_calibration = {calib}
+
+    [solver]
+    rtol = {rtol}
 
     [study]
     cases = {cases}
@@ -481,13 +488,17 @@ UNPARSEABLE = """\
     [decay]
     element_ij = {element_ij}
     layers = {layers}
+
+    [eigs]
+    count = {count}
 """
 
 
 def _unparseable(command, calib, cases, expect, **entries):
     """One case; the id is pytest's default id of the first four values."""
-    config = {"source": "corners", "cells": "0 0 1; 3 3 -1",
-              "element_ij": "1 1", "layers": "1 2", **entries}
+    config = {"source": "corners", "source_grid": "4", "cells": "0 0 1; 3 3 -1",
+              "rtol": "1e-10", "element_ij": "1 1", "layers": "1 2", "count": "6",
+              **entries}
     return pytest.param(command, calib, cases, expect, config,
                         id="-".join([command, calib, cases, expect]))
 
@@ -503,6 +514,22 @@ def _unparseable(command, calib, cases, expect, **entries):
                  source="cells", cells="0 0 one"),
     _unparseable("decay", "3 0.125", "1 2 1", "[decay] layers", layers="1 two"),
     _unparseable("decay", "3 0.125", "1 2 1", "[decay] element_ij", element_ij="1 x"),
+    _unparseable("convergence", "3 0.125", "2 0 1", "coarse grid size 0 out of range"),
+    _unparseable("convergence", "3 0.125", "2 -4 1", "coarse grid size -4 out of range"),
+    _unparseable("solve", "3 0.125", "1 2 1", "source grid must be >= 1, got 0",
+                 source_grid="0"),
+    _unparseable("solve", "3 0.125", "1 2 1", "source grid must be >= 1, got -8",
+                 source_grid="-8"),
+    _unparseable("solve", "3 0.125", "1 2 1", "rtol must lie in (0, 1), got nan",
+                 rtol="nan"),
+    _unparseable("solve", "3 0.125", "1 2 1", "rtol must lie in (0, 1), got inf",
+                 rtol="inf"),
+    _unparseable("solve", "3 0.125", "1 2 1", "rtol must lie in (0, 1), got 0.0",
+                 rtol="0"),
+    _unparseable("solve", "3 0.125", "1 2 1", "rtol must lie in (0, 1), got -1.0",
+                 rtol="-1"),
+    _unparseable("eigs", "3 0.125", "1 2 1", "[eigs] count must be >= 1, got -1",
+                 count="-1"),
 ])
 def test_unparseable_numbers_give_json_config_error(tmp_path, capsys, command,
                                                     calib, cases, expect, config):
@@ -514,3 +541,45 @@ def test_unparseable_numbers_give_json_config_error(tmp_path, capsys, command,
     record = json.loads(lines[0])
     assert record["error"] == "ConfigError"
     assert expect in record["message"]
+
+
+# numeric-looking strings: integers of any size, floats with their special
+# values, and short runs of the characters numbers are written with
+NUMBERS = st.one_of(
+    st.integers().map(str),
+    st.sampled_from([str(10 ** 400), str(-10 ** 400)]),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.text(alphabet="0123456789+-.eE_infa ", max_size=12))
+
+
+def _parser(section, values):
+    cfg = configparser.ConfigParser()
+    cfg.read_dict({section: values})
+    return cfg
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(["corners", "cells"]), grid=NUMBERS, amplitude=NUMBERS,
+       cell=st.tuples(NUMBERS, NUMBERS, NUMBERS),
+       solver=st.tuples(NUMBERS, NUMBERS, NUMBERS), calibration=st.tuples(NUMBERS, NUMBERS),
+       case=st.tuples(NUMBERS, NUMBERS, NUMBERS), auto=st.booleans())
+def test_numeric_config_values_return_or_raise_config_error(kind, grid, amplitude, cell,
+                                                            solver, calibration, case, auto):
+    source = _parser("source", {"kind": kind, "grid": grid, "amplitude": amplitude,
+                                "cells": " ".join(cell) + "; 0 0 1; 1 1 -1"})
+    rtol, workers, max_global = solver
+    solver_cfg = _parser("solver", {"rtol": rtol, "workers": workers,
+                                    "max_global_nx": max_global})
+    method = _parser("method", {"layer_calibration": " ".join(calibration)})
+    nb, Nx, layers = case
+    calls = [
+        lambda: _resolve_source(source, FineGrid(16, 16)),
+        lambda: _resolve_solver(solver_cfg, argparse.Namespace(workers=None)),
+        lambda: _resolve_method(method, 0.25),
+        lambda: _cases(f"{nb} {Nx} {'auto' if auto else layers}", 3, 0.125),
+    ]
+    for call in calls:
+        try:
+            call()
+        except ConfigError:
+            pass

@@ -2,14 +2,65 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
-from msdarcy import (ConfigError, PermField, SolveError, build_grids,
-                     manufactured_cospi, solve_fine_reference)
-from msdarcy.fem import (SaddleSystem, assemble_a, assemble_b, assemble_s,
-                         check_zero_mean, divergence_matrix, mass_matrix,
-                         solve_saddle, velocity_dofmap)
-from msdarcy.mesh import FineGrid, element_region, full_domain
+from msdarcy import (ConfigError, PermField, SolveError, bilinear_pou,
+                     build_grids, compute_weight, manufactured_cospi,
+                     solve_all_spectra, solve_fine_reference)
+from msdarcy.fem import (SaddleFactorization, SaddleSystem, check_zero_mean,
+                         diagonal_blocks, divergence_matrix, mass_matrix,
+                         mass_triplets, solve_saddle, velocity_dofmap)
+from msdarcy.mesh import FineGrid, element_layout, element_region, full_domain
+
+
+def local_index(dofmap, edge_ids):
+    """Reference: global edge ids to the region's dof indices, -1 where not
+    a dof."""
+    edge_ids = np.asarray(edge_ids)
+    pos = np.searchsorted(dofmap.edges, edge_ids)
+    pos_c = np.minimum(pos, max(dofmap.edges.size - 1, 0))
+    if dofmap.edges.size == 0:
+        return np.full(edge_ids.shape, -1, dtype=np.int64)
+    valid = dofmap.edges[pos_c] == edge_ids
+    return np.where(valid, pos_c, -1)
+
+
+def assemble_a(region, perm, dofmap=None):
+    """Reference: the flux mass matrix on the region's interior-edge dofs,
+    assembled in region-local numbering (the path that slices of the
+    whole-domain mass matrix replaced)."""
+    if dofmap is None:
+        dofmap = velocity_dofmap(region)
+    grid = region.fine
+    cells = region.cells()
+    rows, cols, vals = mass_triplets(grid, cells, perm.values[cells])
+    lr = local_index(dofmap, rows)
+    lc = local_index(dofmap, cols)
+    keep = (lr >= 0) & (lc >= 0)
+    n = dofmap.n_dofs
+    return sp.coo_matrix((vals[keep], (lr[keep], lc[keep])), shape=(n, n)).tocsr()
+
+
+def assemble_b(region, dofmap=None):
+    """Reference: the divergence block on (region cells) x (region dofs),
+    assembled in region-local numbering."""
+    if dofmap is None:
+        dofmap = velocity_dofmap(region)
+    grid = region.fine
+    cells = region.cells()
+    L, R, B, T = grid.cell_edge_ids(cells)
+    h = grid.h
+    ncr = cells.size
+    local_cells = np.arange(ncr)
+    rows = np.tile(local_cells, 4)
+    cols = local_index(dofmap, np.concatenate([R, L, T, B]))
+    vals = np.concatenate([np.full(ncr, h), np.full(ncr, -h),
+                           np.full(ncr, h), np.full(ncr, -h)])
+    keep = cols >= 0
+    return sp.coo_matrix((vals[keep], (rows[keep], cols[keep])),
+                         shape=(ncr, dofmap.n_dofs)).tocsr()
 
 
 def _random_perm(grid, seed=0, span=3.0):
@@ -49,9 +100,12 @@ def test_mass_matrix_cell_restriction_is_additive():
     half_a = np.arange(8)
     half_b = np.arange(8, 16)
     M = mass_matrix(grid, perm)
-    Ma = mass_matrix(grid, perm, cells=half_a)
-    Mb = mass_matrix(grid, perm, cells=half_b)
-    assert abs(M - Ma - Mb).max() < 1e-15
+
+    def restricted(cells):
+        rows, cols, vals = mass_triplets(grid, cells, perm.values[cells])
+        return sp.coo_matrix((vals, (rows, cols)), shape=M.shape).tocsr()
+
+    assert abs(M - restricted(half_a) - restricted(half_b)).max() < 1e-15
 
 
 def test_divergence_rows_sum_signed_edge_fluxes():
@@ -81,15 +135,47 @@ def test_region_assembly_matches_global_blocks():
     assert np.allclose(Br @ u_loc, (Bg @ u_full)[reg.cells()], atol=1e-14)
 
 
-def test_assemble_s_diagonal():
-    fine, coarse = build_grids(8, 4)
-    perm = _random_perm(fine, seed=7)
-    from msdarcy import bilinear_pou, compute_weight
+def test_sliced_blocks_and_solves_match_region_assembly():
+    """Every element block and the full-domain blocks, sliced from the
+    whole-domain operators, equal the region-local assembly; the spectra
+    and the fine reference agree with solves on the reference blocks."""
+    fine, coarse = build_grids(12, 3)
+    perm = _random_perm(fine, seed=14, span=6.0)
+    M, D = mass_matrix(fine, perm), divergence_matrix(fine)
+    interior, cells, _ = element_layout(coarse)
+    A_el = diagonal_blocks(M, interior, interior)
+    B_el = diagonal_blocks(D, cells, interior)
     weight = compute_weight(perm, bilinear_pou(coarse))
-    reg = element_region(coarse, 5)
-    S = assemble_s(reg, weight)
-    assert np.allclose(S.diagonal(), weight.values[reg.cells()] * fine.h**2)
-    assert S.nnz == reg.n_cells
+    spectra = solve_all_spectra(coarse, perm, weight)
+    for e in range(coarse.n_elements):
+        region = element_region(coarse, e)
+        A, B = assemble_a(region, perm), assemble_b(region)
+        assert np.array_equal(A_el[e].toarray(), A.toarray())
+        assert np.array_equal(B_el[e].toarray(), B.toarray())
+        S = weight.values[region.cells()] * fine.h ** 2
+        X = splu(A.tocsc()).solve(B.T.toarray())
+        lam, P = scipy.linalg.eigh(B @ X, np.diag(S))
+        spec = spectra[e]
+        assert np.array_equal(spec.cells, region.cells())
+        assert np.abs(spec.lambdas - lam).max() <= 1e-10 * lam[-1]
+        P *= np.sign(np.sum(spec.pressures * S[:, None] * P, axis=0))[None, :]
+        assert np.abs(spec.pressures - P).max() <= 1e-10 * np.abs(P).max()
+
+    dofmap = velocity_dofmap(full_domain(fine))
+    edges = dofmap.edges
+    A, B = assemble_a(full_domain(fine), perm), assemble_b(full_domain(fine))
+    assert np.array_equal(M[edges][:, edges].toarray(), A.toarray())
+    assert np.array_equal(D[:, edges].toarray(), B.toarray())
+    rng = np.random.default_rng(15)
+    f = rng.standard_normal(fine.n_cells)
+    f -= f.mean()
+    h2 = fine.h ** 2
+    ref = solve_saddle(SaddleSystem(A, B, rhs_v=np.zeros(edges.size), rhs_p=h2 * f,
+                                    mean_weights=np.full(fine.n_cells, h2)))
+    sol = solve_fine_reference(perm, f)
+    v_ref = dofmap.scatter(ref.u, fine.n_edges)
+    assert np.linalg.norm(sol.v - v_ref) <= 1e-10 * np.linalg.norm(v_ref)
+    assert np.linalg.norm(sol.p - ref.p) <= 1e-10 * np.linalg.norm(ref.p)
 
 
 def test_dofmap_indexing():
@@ -97,10 +183,10 @@ def test_dofmap_indexing():
     reg = full_domain(fine)
     dofmap = velocity_dofmap(reg)
     assert dofmap.n_dofs == fine.n_edges - fine.boundary_edge_mask().sum()
-    loc = dofmap.local_index(dofmap.edges)
+    loc = local_index(dofmap, dofmap.edges)
     assert np.array_equal(loc, np.arange(dofmap.n_dofs))
     boundary = np.flatnonzero(fine.boundary_edge_mask())
-    assert (dofmap.local_index(boundary) == -1).all()
+    assert (local_index(dofmap, boundary) == -1).all()
     full = dofmap.scatter(np.ones(dofmap.n_dofs), fine.n_edges)
     assert full.sum() == dofmap.n_dofs
     assert (full[boundary] == 0).all()
@@ -118,11 +204,12 @@ def test_saddle_template_solves_block_equations():
     rhs_p = rng.standard_normal(m)
     rhs_c = rng.standard_normal(k)
     system = SaddleSystem(A, B, rhs_v=rhs_v, rhs_p=rhs_p, C=C,
-                          identity_block=True, rhs_c=rhs_c,
-                          mean_weights=w, mean_value=0.25, label="toy")
+                          identity_block=True, mean_weights=w, label="toy")
     K = system.matrix()
     assert abs(K - K.T).max() < 1e-14
-    sol = solve_saddle(system, rtol=1e-12)
+    # packed with the sign flips of pack_rhs: rhs_v, -rhs_p, -rhs_c, -mean
+    packed = np.concatenate([rhs_v, -rhs_p, -rhs_c, [-0.25]])
+    sol = SaddleFactorization(system, rtol=1e-12).solve_packed(packed)
     u, p, y, gamma = sol.u, sol.p, sol.y, sol.gamma
     assert np.allclose(A @ u - B.T @ p, rhs_v, atol=1e-9)
     assert np.allclose(B @ u + C @ y + gamma * w, rhs_p, atol=1e-9)
@@ -139,11 +226,12 @@ def test_saddle_identity_block_toggle():
     C = sp.csr_matrix(rng.standard_normal((m, k)))
     system = SaddleSystem(A, B, rhs_v=rng.standard_normal(n),
                           rhs_p=rng.standard_normal(m), C=C,
-                          identity_block=False,
-                          rhs_c=rng.standard_normal(k))
-    sol = solve_saddle(system, rtol=1e-12)
+                          identity_block=False)
+    rhs_c = rng.standard_normal(k)
+    packed = np.concatenate([system.rhs_v, -system.rhs_p, -rhs_c])
+    sol = SaddleFactorization(system, rtol=1e-12).solve_packed(packed)
     # without the identity block the third row reads C^T p = rhs_c
-    assert np.allclose(C.T @ sol.p, system.rhs_c, atol=1e-9)
+    assert np.allclose(C.T @ sol.p, rhs_c, atol=1e-9)
     assert np.allclose(B @ sol.u + C @ sol.y, system.rhs_p, atol=1e-9)
 
 

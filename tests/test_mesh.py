@@ -1,12 +1,111 @@
 """Grid indexing, regions, partition of unity, cutoff fields."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from msdarcy import ConfigError, build_grids
-from msdarcy.mesh import (CoarseGrid, FineGrid, bilinear_pou, cutoff_field,
-                          element_region, full_domain, interp_coarse_nodal,
-                          oversample_region)
+from msdarcy.mesh import (CoarseGrid, FineGrid, bilinear_pou, element_layout,
+                          element_region, full_domain, oversample_region)
+
+
+def interp_coarse_nodal(coarse, nodal):
+    """Oracle: coarse nodal values interpolated bilinearly to all fine nodes.
+
+    `nodal` has shape (Ny+1, Nx+1); the result has shape (ny+1, nx+1).
+    """
+    fine = coarse.fine
+    r = coarse.r
+    p = np.arange(fine.nx + 1)
+    q = np.arange(fine.ny + 1)
+    I = np.minimum(p // r, coarse.Nx - 1)
+    J = np.minimum(q // r, coarse.Ny - 1)
+    xi = (p - I * r) / r
+    eta = (q - J * r) / r
+    c00 = nodal[np.ix_(J, I)]
+    c10 = nodal[np.ix_(J, I + 1)]
+    c01 = nodal[np.ix_(J + 1, I)]
+    c11 = nodal[np.ix_(J + 1, I + 1)]
+    wx0 = (1.0 - xi)[None, :]
+    wx1 = xi[None, :]
+    wy0 = (1.0 - eta)[:, None]
+    wy1 = eta[:, None]
+    return wy0 * (wx0 * c00 + wx1 * c10) + wy1 * (wx0 * c01 + wx1 * c11)
+
+
+def hat_values(coarse, node):
+    """Oracle: samples of the hat of coarse node `node` at all fine nodes, flat."""
+    nodal = np.zeros((coarse.Ny + 1, coarse.Nx + 1))
+    nodal[node // (coarse.Nx + 1), node % (coarse.Nx + 1)] = 1.0
+    return interp_coarse_nodal(coarse, nodal).ravel()
+
+
+def node_sum(coarse):
+    """Oracle: sum of all hats at every fine node (identically one)."""
+    ones = np.ones((coarse.Ny + 1, coarse.Nx + 1))
+    return interp_coarse_nodal(coarse, ones).ravel()
+
+
+def gradsq_at(coarse, x, y):
+    """Oracle: pointwise sum of squared hat gradients at (x, y), cell
+    interiors."""
+    H = coarse.H
+    I = min(int(x / H), coarse.Nx - 1)
+    J = min(int(y / H), coarse.Ny - 1)
+    xi = x / H - I
+    eta = y / H - J
+    return (2.0 / (H * H)) * ((1 - xi) ** 2 + xi ** 2 + (1 - eta) ** 2 + eta ** 2)
+
+
+@dataclass(frozen=True)
+class CutoffField:
+    """Oracle: piecewise-bilinear cutoff around one coarse element.
+
+    Equal to 1 on the m-ring neighborhood of the element, 0 outside the
+    M-ring neighborhood, interpolated linearly in the ring distance in
+    between, then expanded to fine nodes. Cutoffs are a device of the
+    method's proofs, not part of the algorithm.
+    """
+
+    coarse: CoarseGrid
+    element: int
+    outer: int
+    inner: int
+    coarse_values: np.ndarray
+    fine_values: np.ndarray
+
+    def max_gradient(self):
+        """Largest gradient magnitude over the domain.
+
+        The field is bilinear per fine cell, so each gradient component is
+        linear in the transverse coordinate and the maximum magnitude over
+        a cell is attained at its corners.
+        """
+        fine = self.coarse.fine
+        V = self.fine_values.reshape(fine.ny + 1, fine.nx + 1)
+        h = fine.h
+        dx = np.diff(V, axis=1) / h
+        dy = np.diff(V, axis=0) / h
+        dx2 = np.maximum(dx[:-1, :] ** 2, dx[1:, :] ** 2)
+        dy2 = np.maximum(dy[:, :-1] ** 2, dy[:, 1:] ** 2)
+        return float(np.sqrt((dx2 + dy2).max()))
+
+
+def cutoff_field(coarse, e, outer, inner):
+    """Oracle: cutoff for element e, 1 within `inner` rings, 0 beyond
+    `outer` rings."""
+    if not (outer > inner >= 0):
+        raise ConfigError(f"need outer > inner >= 0, got outer={outer} inner={inner}")
+    I, J = coarse.element_IJ(e)
+    a = np.arange(coarse.Nx + 1)
+    b = np.arange(coarse.Ny + 1)
+    dist_x = np.maximum.reduce([int(I) - a, a - (int(I) + 1), np.zeros_like(a)])
+    dist_y = np.maximum.reduce([int(J) - b, b - (int(J) + 1), np.zeros_like(b)])
+    t = np.maximum(dist_x[None, :], dist_y[:, None])
+    vals = np.clip((outer - t) / (outer - inner), 0.0, 1.0)
+    fine_vals = interp_coarse_nodal(coarse, vals).ravel()
+    return CutoffField(coarse, int(e), outer, inner, vals, fine_vals)
 
 
 def test_grid_counts():
@@ -80,12 +179,20 @@ def test_build_grids_validation():
 
 def test_element_cells_partition():
     fine, coarse = build_grids(12, 3)
-    seen = np.concatenate([coarse.element_cells(e)
-                           for e in range(coarse.n_elements)])
-    assert np.array_equal(np.sort(seen), np.arange(fine.n_cells))
-    # element_of_cell inverts element_cells
+    interior, cells, boundary = element_layout(coarse)
+    assert np.array_equal(np.sort(cells.ravel()), np.arange(fine.n_cells))
+    # element_of_cell inverts the layout's cells
     for e in (0, 4, 8):
-        assert (coarse.element_of_cell(coarse.element_cells(e)) == e).all()
+        assert (coarse.element_of_cell(cells[e]) == e).all()
+    # each row is the element's region: its interior edges, its cells, and
+    # the 4r edges on its boundary
+    for e in range(coarse.n_elements):
+        region = element_region(coarse, e)
+        assert np.array_equal(interior[e], region.interior_edges())
+        assert np.array_equal(cells[e], region.cells())
+        assert boundary[e].size == 4 * coarse.r
+        every = np.unique(np.concatenate(fine.cell_edge_ids(region.cells())))
+        assert np.array_equal(np.union1d(interior[e], boundary[e]), every)
 
 
 def test_element_ij_roundtrip():
@@ -120,7 +227,7 @@ def test_region_cells_sorted_and_interior_edges():
     # 2x2-cell region: 2 interior vertical + 2 interior horizontal edges
     inner = reg.interior_edges()
     assert inner.size == 4
-    every = reg.all_edges()
+    every = np.unique(np.concatenate(fine.cell_edge_ids(cells)))
     assert every.size == 12
     assert np.isin(inner, every).all()
     # interior edges never touch the region border
@@ -159,27 +266,24 @@ def _hat(coarse, node, x, y):
 
 def test_pou_hats_sum_to_one():
     _, coarse = build_grids(12, 3)
-    pou = bilinear_pou(coarse)
-    assert np.allclose(pou.node_sum(), 1.0, atol=1e-14)
+    assert np.allclose(node_sum(coarse), 1.0, atol=1e-14)
     total = np.zeros((coarse.fine.ny + 1) * (coarse.fine.nx + 1))
     for node in range(coarse.n_nodes):
-        total += pou.hat_values(node)
+        total += hat_values(coarse, node)
     assert np.allclose(total, 1.0, atol=1e-13)
 
 
 def test_pou_hat_values_match_tensor_form():
     fine, coarse = build_grids(8, 2)
-    pou = bilinear_pou(coarse)
     xs = np.linspace(0, 1, fine.nx + 1)
     for node in (0, 4, 8):
-        vals = pou.hat_values(node).reshape(fine.ny + 1, fine.nx + 1)
+        vals = hat_values(coarse, node).reshape(fine.ny + 1, fine.nx + 1)
         ref = np.array([[_hat(coarse, node, x, y) for x in xs] for y in xs])
         assert np.allclose(vals, ref, atol=1e-14)
 
 
 def test_pou_gradsq_pointwise_against_finite_differences():
     _, coarse = build_grids(16, 4)
-    pou = bilinear_pou(coarse)
     rng = np.random.default_rng(3)
     eps = 1e-7
     for _ in range(20):
@@ -189,7 +293,7 @@ def test_pou_gradsq_pointwise_against_finite_differences():
             gx = (_hat(coarse, node, x + eps, y) - _hat(coarse, node, x - eps, y)) / (2 * eps)
             gy = (_hat(coarse, node, x, y + eps) - _hat(coarse, node, x, y - eps)) / (2 * eps)
             total += gx * gx + gy * gy
-        assert pou.gradsq_at(x, y) == pytest.approx(total, rel=1e-5)
+        assert gradsq_at(coarse, x, y) == pytest.approx(total, rel=1e-5)
 
 
 def test_pou_gradsq_cell_average_against_quadrature():
@@ -201,7 +305,7 @@ def test_pou_gradsq_cell_average_against_quadrature():
         ix, iy = fine.cell_ix_iy(cell)
         xs = (ix + 0.5 + 0.5 * nodes) * h
         ys = (iy + 0.5 + 0.5 * nodes) * h
-        vals = np.array([[pou.gradsq_at(x, y) for x in xs] for y in ys])
+        vals = np.array([[gradsq_at(coarse, x, y) for x in xs] for y in ys])
         avg = float(wts @ vals @ wts) / 4.0
         assert pou.gradsq_cell_avg[cell] == pytest.approx(avg, rel=1e-13)
 

@@ -113,6 +113,9 @@ def test_auto_layers_schedule():
         auto_layers(2.0)
     with pytest.raises(ConfigError):
         auto_layers(1 / 8, l0=0)
+    for l0 in (10 ** 308, 10 ** 400):  # infinite layers, l0 past float range
+        with pytest.raises(ConfigError, match="too large"):
+            auto_layers(1 / 8, l0=l0, H0=0.5)
 
 
 def test_decay_study_profile(case32):
