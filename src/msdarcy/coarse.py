@@ -1,17 +1,22 @@
 """Coarse-scale Darcy solve in the multiscale velocity space.
 
 The fine operators are projected onto the basis columns (velocity) and
-the kept eigenvectors (pressure). One Cholesky factorization eliminates
-the velocity; the pressure Schur complement on zero-mean coefficients
-gives the inf-sup constant and the pressure. The solution is expanded
-back to fine-grid fluxes and pressures.
+the kept eigenvectors (pressure). The projected blocks are sparse: each
+basis function lives on its oversampled region, so two functions couple
+only when their regions overlap. A sparse LU of the velocity block in
+symmetric mode checks that it is positive definite; one sparse LU of the
+bordered saddle matrix gives the solution, and a Lanczos iteration on
+the same factor gives the inf-sup constant of the pressure Schur
+complement on zero-mean coefficients. The solution is expanded back to
+fine-grid fluxes and pressures.
 """
 
 import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+import scipy.sparse as sp
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
 from .errors import ConfigError, SolveError
 from .fem import check_zero_mean, divergence_matrix, mass_matrix
@@ -19,12 +24,12 @@ from .fem import check_zero_mean, divergence_matrix, mass_matrix
 
 @dataclass(frozen=True)
 class CoarseSystem:
-    """Dense projected blocks plus the data needed to expand solutions."""
+    """Sparse projected blocks plus the data needed to expand solutions."""
 
     basis: object
     aux: object
-    A_c: np.ndarray
-    B_c: np.ndarray
+    A_c: sp.spmatrix
+    B_c: sp.spmatrix
     rhs_q: np.ndarray
     mean_w: np.ndarray
     f: np.ndarray
@@ -56,91 +61,116 @@ class MassReport:
 
 
 def assemble_coarse_system(basis_set, perm, f):
-    """Project the fine problem onto the multiscale spaces. Sizes whose
-    coarse stage would not fit in physical memory raise ConfigError."""
+    """Project the fine problem onto the multiscale spaces.
+
+    Sizes whose coarse solve would not fit in physical memory raise
+    ConfigError. The estimate is 4 * nnz * sqrt(n) bytes for n basis
+    functions and nnz stored entries of A_c and B_c: the LU fill of the
+    bordered saddle matrix grows like nnz * sqrt(n), and the measured
+    peak of the coarse stage grows by about 3.5 bytes per unit of it.
+    """
     aux = basis_set.aux
     grid = perm.grid
     f = np.asarray(f, dtype=np.float64)
     h2 = grid.h ** 2
     check_zero_mean(f, h2)
     Psi = basis_set.matrix
+    R = aux.matrix
+    A_c = Psi.T @ (mass_matrix(grid, perm) @ Psi)
+    B_c = R.T @ (divergence_matrix(grid) @ Psi)
     n = Psi.shape[1]
-    need = 7 * 8 * n * n  # the coarse stage peaks at ~6.5 dense n x n arrays
+    need = 4 * (A_c.nnz + B_c.nnz) * np.sqrt(n)
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise ConfigError(
-            f"coarse system of {n} basis functions needs about {need / 2**30:.1f} GiB "
-            f"of dense arrays, more than the {have / 2**30:.1f} GiB of physical memory")
-    A_c = (Psi.T @ (mass_matrix(grid, perm) @ Psi)).toarray()
-    B_full = divergence_matrix(grid)
-    R = aux.matrix
-    B_c = (R.T @ (B_full @ Psi)).toarray()
+            f"coarse system of {n} basis functions needs about "
+            f"{need / 2**30:.1f} GiB for its sparse factors, more than the "
+            f"{have / 2**30:.1f} GiB of physical memory")
     rhs_q = h2 * (R.T @ f)
     mean_w = np.asarray(R.T @ np.full(grid.n_cells, h2))
     return CoarseSystem(basis_set, aux, A_c, B_c, rhs_q, mean_w, f)
 
 
+def _top_eigenvalue(apply, n, tol=0.0):
+    """Largest eigenvalue of the symmetric operator `apply` on R^n, by
+    Lanczos (ARPACK) to relative accuracy `tol` (0: machine precision)
+    from a fixed start vector, so runs repeat exactly."""
+    v0 = np.random.default_rng(0).standard_normal(n)
+    op = LinearOperator((n, n), matvec=apply, dtype=np.float64)
+    try:
+        return float(eigsh(op, k=1, which="LA", v0=v0, tol=tol,
+                           return_eigenvectors=False)[0])
+    except ArpackNoConvergence as exc:
+        raise SolveError(f"coarse Schur eigenvalue did not converge: {exc}")
+
+
 def solve_multiscale(system, rtol=1e-10):
-    """Solve the coarse saddle system through the pressure Schur complement
-    S = B_c A_c^-1 B_c^T and expand to the fine grid."""
+    """Solve the coarse saddle system by one sparse LU of its bordered
+    matrix and expand to the fine grid."""
     A_c, B_c, w, rhs_q = system.A_c, system.B_c, system.mean_w, system.rhs_q
+    m, n = A_c.shape[0], w.size
     A = 0.5 * (A_c + A_c.T)
     if system.basis.saturated:
         # global functions combined by the coefficients of the constant
         # pressure have zero velocity; shifting out that null direction
         # leaves the Schur complement unchanged, as B_c annihilates it too
-        u0 = system.aux.coefficients(np.ones(system.aux.coarse.fine.n_cells))
-        A += (np.trace(A) / A.shape[0] / (u0 @ u0)) * np.outer(u0, u0)
+        u0 = sp.csr_matrix(system.aux.coefficients(
+            np.ones(system.aux.coarse.fine.n_cells))[:, None])
+        A = A + (A.diagonal().sum() / m / (u0.T @ u0)[0, 0]) * (u0 @ u0.T)
     try:
-        # in place: A is symmetric, and A.T is the Fortran order LAPACK uses
-        cho = scipy.linalg.cho_factor(A.T, overwrite_a=True)
-    except np.linalg.LinAlgError as exc:
+        # symmetric mode, diagonal pivots (perm_r == perm_c): by Sylvester's
+        # law of inertia A is positive definite iff every pivot is positive
+        lu_a = splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+                    options={"SymmetricMode": True})
+    except RuntimeError as exc:
         raise SolveError(f"projected velocity block is not positive definite: {exc}")
-    X = scipy.linalg.cho_solve(cho, B_c.T)
-    S = B_c @ X
-    n = w.size
+    pivots = lu_a.U.diagonal()
+    if not (np.array_equal(lu_a.perm_r, lu_a.perm_c) and np.all(pivots > 0)):
+        raise SolveError("projected velocity block is not positive definite: "
+                         f"smallest pivot {pivots.min():.3e}")
+    # unknowns (U, -P, gamma): A U - B^T P = 0, B U + gamma w = rhs_q, w^T P = 0
+    w_col = sp.csr_matrix(w[:, None])
+    K = sp.bmat([[A, B_c.T, None], [B_c, None, w_col], [None, w_col.T, None]],
+                format="csc")
+    try:
+        lu = splu(K)
+    except RuntimeError as exc:
+        raise SolveError(f"coarse factorization failed: {exc}")
+
+    def residual(x):
+        """Right-hand side minus the unshifted equations at x."""
+        U, Q = x[:m], x[m:m + n]
+        return np.concatenate([-(A_c @ U + B_c.T @ Q),
+                               rhs_q - B_c @ U - x[-1] * w, [-(w @ Q)]])
+
+    # one solve and one refinement sweep: the LU solve is accurate in the
+    # norm of the dominant rows only, and at high contrast the element mass
+    # balances are small components of the divergence rows
+    x = np.zeros(m + n + 1)
+    for _ in range(2):
+        x += lu.solve(residual(x))
+    U, P = x[:m], -x[m:m + n]
     if n == 1:
         sigma = np.inf
-        solve_zero_mean = np.zeros_like  # the only zero-mean P is 0
     else:
-        # Householder reflector H = I - beta u u^T maps e_0 to +-w/|w|, so
-        # its columns 1.. span the zero-mean coefficients; H S H is formed
-        # as the symmetric rank-2 update S - u t^T - t u^T
-        u = w / np.linalg.norm(w)
-        u[0] += 1.0 if u[0] <= 0 else -1.0
-        beta = 2.0 / (u @ u)
-        s = S @ u
-        t = beta * s - (0.5 * beta * beta * (u @ s)) * u
-        S -= np.outer(u, t)
-        S -= np.outer(t, u)
-        S = S[1:, 1:]
-        evals = np.linalg.eigvalsh(S)
-        sigma = float(evals[0])
+        def zero_mean(q):
+            return q - (w @ q) / (w @ w) * w
+
+        # K^-1 [0; r; 0] has pressure part -(Pi S Pi)^+ r for the Schur
+        # complement S = B_c A^-1 B_c^T and the zero-mean projector Pi, so
+        # its top eigenvalue is 1 / sigma (shift-invert at zero)
+        pad = np.zeros(m)
+        sigma = 1.0 / _top_eigenvalue(
+            lambda q: -lu.solve(np.concatenate([pad, zero_mean(q), [0.0]]))[m:m + n], n)
         # numerical rank test: sigma scales like 1/contrast, so compare it
-        # with the roundoff level of the largest eigenvalue
-        if not sigma > S.shape[0] * np.finfo(float).eps * evals[-1]:
+        # with the roundoff level of the largest eigenvalue, which needs
+        # only a few digits
+        lam_max = _top_eigenvalue(
+            lambda q: zero_mean(B_c @ lu_a.solve(B_c.T @ zero_mean(q))), n, tol=1e-3)
+        if not sigma > (n - 1) * np.finfo(float).eps * lam_max:
             raise SolveError(
                 f"coarse system is singular: restricted Schur eigenvalue {sigma:.3e}, "
-                f"largest {evals[-1]:.3e}")
-        try:
-            cho_s = scipy.linalg.cho_factor(S)
-        except np.linalg.LinAlgError as exc:
-            raise SolveError(f"coarse factorization failed: {exc}")
-
-        def solve_zero_mean(r):
-            """Zero-mean P with S P = r up to a multiple of w."""
-            P = np.concatenate(([0.0], scipy.linalg.cho_solve(
-                cho_s, (r - beta * (u @ r) * u)[1:])))
-            return P - beta * (u @ P) * u
-    U, P = np.zeros(A_c.shape[0]), np.zeros(n)
-    # block elimination of the residual, twice: the second sweep refines,
-    # because the Schur solve is accurate in the norm of S only, and at high
-    # contrast the element mass balances are small components of its rows
-    for _ in range(2):
-        z = scipy.linalg.cho_solve(cho, B_c.T @ P - A_c @ U)
-        dP = solve_zero_mean(rhs_q - B_c @ (U + z))
-        P += dP
-        U += z + X @ dP
+                f"largest {lam_max:.3e}")
     BU = B_c @ U
     gamma = float(w @ (rhs_q - BU)) / (w @ w)
     res = np.sqrt(np.linalg.norm(A_c @ U - B_c.T @ P) ** 2

@@ -113,6 +113,8 @@ def test_solve_artifacts_and_determinism(tmp_path):
         assert (out1 / name).exists()
     assert (out1 / "velocity.csv").read_bytes() == (out2 / "velocity.csv").read_bytes()
     assert (out1 / "pressure.csv").read_bytes() == (out2 / "pressure.csv").read_bytes()
+    # carries schur_sigma, an iterative (Lanczos) eigenvalue
+    assert (out1 / "summary.csv").read_bytes() == (out2 / "summary.csv").read_bytes()
 
     vel = (out1 / "velocity.csv").read_text().splitlines()
     assert vel[0] == "# grid: nx=16 ny=16"

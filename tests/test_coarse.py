@@ -1,10 +1,12 @@
 """Projected coarse solves: exactness, conservation, degeneracy handling."""
 
+import dataclasses
 import os
 
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from msdarcy import (ConfigError, PermField, SolveError, bilinear_pou,
                      build_aux_space, build_basis_set, build_grids,
@@ -12,6 +14,7 @@ from msdarcy import (ConfigError, PermField, SolveError, bilinear_pou,
                      relative_errors, sample_spec, solve_all_spectra,
                      solve_case, solve_fine_reference, assemble_coarse_system,
                      div_compat_residual, mass_residuals, solve_multiscale)
+from msdarcy import coarse
 from msdarcy.basis import BasisSet
 from msdarcy.fem import mass_matrix
 
@@ -95,7 +98,7 @@ def _dense_reference(system):
     """Oracle: the restricted Schur eigenvalue from an explicit
     Householder frame, and the coefficients from the dense bordered KKT
     system, deflated by a multiplier row when the set is saturated."""
-    A_c, B_c, w = system.A_c, system.B_c, system.mean_w
+    A_c, B_c, w = system.A_c.toarray(), system.B_c.toarray(), system.mean_w
     n = A_c.shape[0]
     deflate = system.basis.saturated
     A_sym = 0.5 * (A_c + A_c.T)
@@ -128,13 +131,14 @@ def _dense_reference(system):
     return x[:n], x[n:2 * n], float(x[2 * n]), float(sigma)
 
 
-def _single_column_system():
+def _single_element_system(nbasis=1):
+    """One coarse element with `nbasis` pressure columns."""
     fine, coarse = build_grids(8, 1)
     rng = np.random.default_rng(37)
     perm = PermField.from_raw(fine, np.exp(rng.uniform(0, 2, fine.n_cells)))
     weight = compute_weight(perm, bilinear_pou(coarse))
     aux = build_aux_space(coarse, weight, solve_all_spectra(coarse, perm, weight),
-                          nbasis=1)
+                          nbasis=nbasis)
     bset = build_basis_set(aux, perm, flavor="global")
     f = rng.standard_normal(fine.n_cells)
     f -= f.mean()
@@ -143,7 +147,10 @@ def _single_column_system():
 
 def _oracle_system(case):
     if case == "single":
-        return _single_column_system()
+        return _single_element_system()
+    if case == "pair":
+        # two columns: the smallest restricted Schur complement (1 x 1)
+        return _single_element_system(nbasis=2)
     fine, coarse, perm, weight, aux, f = _setup(16, 4, nbasis=2, seed=38)
     if case == "global":
         bset = build_basis_set(aux, perm, flavor="global")
@@ -153,7 +160,7 @@ def _oracle_system(case):
     return assemble_coarse_system(bset, perm, f)
 
 
-@pytest.mark.parametrize("case", ["type2", "type1", "global", "single"])
+@pytest.mark.parametrize("case", ["type2", "type1", "global", "single", "pair"])
 def test_schur_solve_matches_dense_kkt(case):
     system = _oracle_system(case)
     ms = solve_multiscale(system)
@@ -169,7 +176,7 @@ def test_schur_solve_matches_dense_kkt(case):
     assert close(ms.coeff_p, P)
     assert close(ms.p, system.aux.matrix @ P)
     d = ms.coeff_v - U
-    A_sym = 0.5 * (system.A_c + system.A_c.T)
+    A_sym = 0.5 * (system.A_c + system.A_c.T).toarray()
     assert np.sqrt(d @ A_sym @ d) <= 1e-10 * np.sqrt(U @ A_sym @ U)
     assert close(ms.v, system.basis.matrix @ U)
     # gamma is zero up to roundoff for a zero-mean source
@@ -188,10 +195,14 @@ def test_schur_health_positive_and_degenerate_cases():
     broken = assemble_coarse_system(twice, perm, f)
     with pytest.raises(SolveError):
         solve_multiscale(broken)
+    # a negative definite block factors, but with negative pivots
+    negated = dataclasses.replace(system, A_c=-system.A_c)
+    with pytest.raises(SolveError, match="not positive definite"):
+        solve_multiscale(negated)
 
 
 def test_single_pressure_column_reports_inf():
-    assert solve_multiscale(_single_column_system()).schur_sigma == np.inf
+    assert solve_multiscale(_single_element_system()).schur_sigma == np.inf
 
 
 def test_residual_check_raises_with_residual():
@@ -199,6 +210,14 @@ def test_residual_check_raises_with_residual():
     with pytest.raises(SolveError) as info:
         solve_multiscale(system, rtol=1e-30)
     assert 0 < info.value.residual < 1e-10 * np.linalg.norm(system.rhs_q)
+
+
+def test_lanczos_failure_raises_solve_error(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
+    monkeypatch.setattr(coarse, "eigsh", no_convergence)
+    with pytest.raises(SolveError, match="did not converge"):
+        solve_multiscale(_oracle_system("type2"))
 
 
 def test_memory_guard_refuses_oversized_coarse_system(monkeypatch):
