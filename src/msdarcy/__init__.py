@@ -22,7 +22,7 @@ from .medium import (Block, MediumSpec, PermField, Strip, WeightField,
 from .fem import (FineSolution, SaddleSystem, solve_fine_reference,
                   solve_saddle, manufactured_cospi)
 from .auxspace import (AuxSpace, ElementSpectrum, build_aux_space,
-                       solve_all_spectra, solve_local_spectral)
+                       solve_all_spectra)
 from .basis import (BasisSet, CondensedElements, VelocityBasisFunction,
                     build_basis_function, build_basis_set, build_snapshot)
 from .coarse import (CoarseSystem, MsSolution, assemble_coarse_system,

@@ -17,20 +17,26 @@ with a zero block, which turns y into the negated constraint multiplier.
 The systems are solved by static condensation. C is element-local, so
 the unknowns strictly inside a coarse element (its interior edges, its
 cells and its multipliers y) couple to the rest of any region only
-through the element's 4r boundary edges. `CondensedElements` factors each
-element's interior block once and keeps its Schur complement on those
-edges, which is symmetric positive definite for both flavors. A region
-sums the complements of its elements on its skeleton (the element
-boundary edges strictly inside it; the no-flux condition drops the edges
-on the region boundary), factors that sparse matrix once, solves for all
-right-hand sides of the centre element and recovers every element's
-interior by back-substitution. The condensed elements serve every region,
-every layer count and the `global` flavor, which is the same solve on
-the whole-domain region. Each function's full region saddle residual is
-checked at `rtol`.
+through the element's 4r boundary edges. `CondensedElements` condenses
+every element at once, as stacks: the interior edges are eliminated line
+by line (`auxspace.ElementLines`), the remaining dense block on the
+cells and multipliers is inverted, and the element's Schur complement on
+its boundary edges, symmetric positive definite for both flavors, is
+kept with those stacked factors. A region sums the complements of its
+elements on its skeleton (the element boundary edges strictly inside
+it; the no-flux condition drops the edges on the region boundary),
+factors that sparse matrix once, solves for all right-hand sides of the
+centre element and recovers every element's interior by
+back-substitution. Regions of one shape share their index maps (a
+`_RegionTemplate`), and are solved together (`_Regions`): their ids,
+values, right-hand sides, back-substitutions and residuals are stacked,
+and only the skeleton factors and solves run region by region. The
+condensed elements serve every region, every layer count and the
+`global` flavor, which is the same solve on the whole-domain region.
+Each function's full region saddle residual is checked at `rtol`.
 """
 
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -38,9 +44,10 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
+from .auxspace import _run, _stacked, element_lines
 from .errors import ConfigError, SolveError
 from .fem import (FineSolution, SaddleSystem, _solve_whole_domain, check_zero_mean,
-                  diagonal_blocks, divergence_matrix, mass_matrix, mass_triplets)
+                  divergence_matrix, mass_matrix)
 from .mesh import element_layout, full_domain, oversample_region, region_elements
 
 
@@ -123,14 +130,22 @@ class CondensedElements:
 
     Element e's interior unknowns are its `n_interior_edges` inner edges,
     its cells and its columns, in that order (padded to the largest column
-    count). With K_II = `K_II[e]` their block, `W[e]` = K_II^-1 K_IG,
-    `S[e]` = K_GG - K_GI W[e] is the Schur complement on the element's 4r
-    `boundary[e]` edges, and `Z[e]` = K_II^-1 of `interior_rhs(e)`.
-    `keys[e]` numbers the interior unknowns as rows of `operator`, the
-    whole-domain saddle matrix (-1 on padding).
+    count). With K_II their block, `W[e]` = K_II^-1 K_IG, `S[e]` = K_GG -
+    K_GI W[e] is the Schur complement on the element's 4r `boundary[e]`
+    edges, and `Z[e]` = K_II^-1 `rhs[e]`, where `rhs[e]` holds the interior
+    right-hand sides of element e's basis functions, one column per kept
+    eigenvector. `keys[e]` numbers the interior unknowns as rows of
+    `operator`, the whole-domain saddle matrix (-1 on padding).
+
+    K_II is kept factored, as stacks over the elements: the inverse of
+    every line block of the interior edges (`auxspace.ElementLines`) and
+    the inverse of the dense block left on the cells and columns once the
+    edges are eliminated. That block is -B A^-1 B^T bordered by -C and
+    closed by the identity (`type2`) or zero (`type1`); padding columns
+    get an identity. `interior_solve` applies K_II^-1 through them.
 
     `flavor` is `type1` or `type2`; the `global` flavor uses `type2`.
-    `workers` threads condense the elements.
+    `workers` threads each condense a contiguous slice of the elements.
     """
 
     def __init__(self, aux, perm, flavor="type2", workers=1):
@@ -141,94 +156,147 @@ class CondensedElements:
         self.flavor = flavor
         coarse = aux.coarse
         grid = coarse.fine
+        n_el = coarse.n_elements
         interior_edges, self.cells, self.boundary = element_layout(coarse)
+        self.lines = element_lines(coarse)
         n_c, n_b = self.cells.shape[1], self.boundary.shape[1]
-        self.n_interior_edges = interior_edges.shape[1]
+        n_ie = self.n_interior_edges = interior_edges.shape[1]
         counts = aux.counts
         k_max = int(counts.max())
         pad = np.arange(k_max)[None, :]
-        columns = np.where(pad < counts[:, None], aux.offsets[:-1, None] + pad, -1)
+        kept = pad < counts[:, None]
+        columns = np.where(kept, aux.offsets[:-1, None] + pad, -1)
         self.keys = np.concatenate([
             interior_edges, grid.n_edges + self.cells,
-            np.where(columns >= 0, grid.n_edges + grid.n_cells + columns, -1)], axis=1)
-        self.W = np.zeros((coarse.n_elements, self.keys.shape[1], n_b))
-        self.S = np.empty((coarse.n_elements, n_b, n_b))
-        self.Z = np.zeros((coarse.n_elements, self.keys.shape[1], k_max))
+            np.where(kept, grid.n_edges + grid.n_cells + columns, -1)], axis=1)
+        # C on each element's cells and columns, zero on padding
+        P = np.zeros((n_el, n_c, k_max))
+        for e in range(n_el):
+            P[e, :, :counts[e]] = aux.pressures[e]
+        self.C = aux.s_diag[self.cells][:, :, None] * P
+        self.Y = np.where(kept & (flavor == "type1"), 0.0, 1.0)
+        # right-hand sides, with the template's sign flips: -rhs_p for
+        # type2, -rhs_c for type1
+        self.rhs = np.zeros((n_el, self.keys.shape[1], k_max))
+        if flavor == "type1":
+            self.rhs[:, n_ie + n_c:] = -(P.transpose(0, 2, 1) @ self.C)
+        else:
+            self.rhs[:, n_ie:n_ie + n_c] = -self.C
         # the whole-domain saddle matrix over (all edges, cells, columns):
-        # a region's rows and columns of it are that region's saddle matrix
+        # a region's rows and columns of it are that region's saddle matrix.
+        # C keeps an entry for every element cell and column, zero or not,
+        # so every region of one shape has the same pattern in it
+        on = np.broadcast_to(kept[:, None, :], P.shape)
+        C = sp.csr_matrix(
+            (self.C[on], (np.broadcast_to(self.cells[:, :, None], P.shape)[on],
+                          np.broadcast_to(columns[:, None, :], P.shape)[on])),
+            shape=(grid.n_cells, aux.n_columns))
         self.operator = SaddleSystem(
             mass_matrix(grid, perm), divergence_matrix(grid),
-            rhs_v=np.zeros(grid.n_edges), rhs_p=np.zeros(grid.n_cells),
-            C=sp.diags(aux.s_diag) @ aux.matrix,
+            rhs_v=np.zeros(grid.n_edges), rhs_p=np.zeros(grid.n_cells), C=C,
             identity_block=(flavor == "type2")).matrix().tocsr()
-        n_all = self.operator.shape[0]
-        # no two elements' interior unknowns couple, so the operator on all
-        # of them, element after element, is block diagonal; an interior
-        # row couples outside its block only to its element's boundary
-        valid = self.keys >= 0
-        start = np.concatenate([[0], np.cumsum(valid.sum(axis=1))])
-        groups = np.split(self.keys[valid], start[1:-1])
-        # symmetric: the CSC transpose of each block is the block itself
-        self.K_II = [K.T for K in diagonal_blocks(self.operator, groups, groups)]
-        interior = self.operator[self.keys[valid]]
-        owner = np.repeat(np.arange(coarse.n_elements), np.diff(start))
-        # K_IG and the element's own K_GG (its cells' flux mass on its
-        # boundary), dense; slot e * n_b + i is boundary edge i of element e
-        slots = (np.arange(coarse.n_elements)[:, None] * n_all + self.boundary).ravel()
+        self.operator.sort_indices()
+        r = coarse.r
+        self._A = np.empty((n_el, 2 * r, r - 1, r - 1))
+        self._A_inv = np.empty_like(self._A)
+        self._X = np.empty((n_el, 2 * r, r - 1, r))
+        self._K_inv = np.empty((n_el, n_c + k_max, n_c + k_max))
+        self.W = np.empty((n_el, self.keys.shape[1], n_b))
+        self.S = np.empty((n_el, n_b, n_b))
+        self.Z = np.empty((n_el, self.keys.shape[1], k_max))
+        self._templates = {}
+        self._lock = threading.Lock()
+        # the working set: the right-hand sides, the solution and two
+        # temporaries of their size
+        _stacked(workers, self._condense, n_el, 4 * 8 * self.W.shape[1] * (n_b + k_max))
 
-        def slot(e, edge):
-            at = np.minimum(np.searchsorted(slots, e * n_all + edge), slots.size - 1)
-            return at, slots[at] == e * n_all + edge
+    def _condense(self, part):
+        """Factor and condense the elements of one slice."""
+        lines = self.lines
+        n_ie, n_c = self.n_interior_edges, self.cells.shape[1]
+        mass = lines.mass(self.perm, np.arange(self.aux.coarse.n_elements)[part])
+        self._A[part], self._A_inv[part], self._X[part], M = lines.eliminate(mass)
+        C = self.C[part]
+        n, k = C.shape[0], C.shape[2]
+        K = np.zeros((n, n_c + k, n_c + k))
+        K[:, :n_c, :n_c] = -M
+        K[:, :n_c, n_c:] = -C
+        K[:, n_c:, :n_c] = -C.transpose(0, 2, 1)
+        K[:, np.arange(n_c, n_c + k), np.arange(n_c, n_c + k)] = self.Y[part]
+        self._K_inv[part] = np.linalg.inv(K)
+        # K_IG: the interior edges' and cells' couplings to the boundary,
+        # all within lines, next to the right-hand sides; K_GG: the
+        # element's own flux mass on the boundary
+        n_b = self.S.shape[1]
+        ends = [0, -1]
+        F = np.zeros((n, self.W.shape[1], n_b + k))
+        F[:, lines.interior[:, :, None], lines.boundary[:, None, :]] = \
+            mass[:, :, 1:-1][:, :, :, ends]
+        F[:, n_ie + lines.cells[:, :, None], lines.boundary[:, None, :]] = \
+            -lines.div[:, :, ends]
+        F[:, :, n_b:] = self.rhs[part]
+        K_GG = np.zeros((n, n_b, n_b))
+        K_GG[:, lines.boundary[:, :, None], lines.boundary[:, None, :]] = \
+            mass[:, :, ends][:, :, :, ends]
+        sol = self.interior_solve(part, F)
+        W = self.W[part] = sol[:, :, :n_b]
+        self.Z[part] = sol[:, :, n_b:]
+        S = K_GG - F[:, :, :n_b].transpose(0, 2, 1) @ W
+        self.S[part] = 0.5 * (S + S.transpose(0, 2, 1))
 
-        ig = interior.tocoo()
-        at, hit = slot(owner[ig.row], ig.col)
-        K_IG = np.zeros((coarse.n_elements, self.keys.shape[1], n_b))
-        K_IG[owner[ig.row][hit], (ig.row - start[owner[ig.row]])[hit],
-             at[hit] % n_b] = ig.data[hit]
-        cells = self.cells.ravel()
-        ra, ca, va = mass_triplets(grid, cells, perm.values[cells])
-        e_of = np.tile(np.repeat(np.arange(coarse.n_elements), n_c), 8)
-        (ar, hr), (ac, hc) = slot(e_of, ra), slot(e_of, ca)
-        K_GG = np.zeros((coarse.n_elements, n_b, n_b))
-        np.add.at(K_GG, (e_of[hr & hc], ar[hr & hc] % n_b, ac[hr & hc] % n_b),
-                  va[hr & hc])
+    def _inverse(self, ids, F):
+        """K_II^-1 F from the stacked factors of elements `ids`: the edges'
+        line solves, the dense block's inverse, the edges' back-substitution."""
+        lines = self.lines
+        n_ie = self.n_interior_edges
+        y = self._A_inv[ids] @ F[:, lines.interior]
+        g = F[:, n_ie:].copy()
+        g[:, :self.cells.shape[1]] += lines.to_cells(lines.div[:, :, 1:-1] @ y)
+        pc = self._K_inv[ids] @ g
+        out = np.empty_like(F)
+        out[:, lines.interior] = y + self._X[ids] @ pc[:, lines.cells]
+        out[:, n_ie:] = pc
+        return out
 
-        def condense(e):
-            n = self.K_II[e].shape[0]
-            solve = _interior_solver(self.K_II[e], e)
-            W = self.W[e, :n] = solve(K_IG[e, :n])
-            self.Z[e, :n, :aux.counts[e]] = solve(self.interior_rhs(e))
-            S = K_GG[e] - K_IG[e, :n].T @ W
-            self.S[e] = 0.5 * (S + S.T)
+    def _product(self, ids, z):
+        """K_II z for elements `ids`, from the line blocks, B and C."""
+        lines = self.lines
+        n_ie, n_c = self.n_interior_edges, self.cells.shape[1]
+        u, p, y = z[:, lines.interior], z[:, n_ie:n_ie + n_c], z[:, n_ie + n_c:]
+        div = lines.div[:, :, 1:-1]
+        C = self.C[ids]
+        out = np.empty_like(z)
+        out[:, lines.interior] = self._A[ids] @ u - div.transpose(0, 2, 1) @ p[:, lines.cells]
+        out[:, n_ie:n_ie + n_c] = -lines.to_cells(div @ u) - C @ y
+        out[:, n_ie + n_c:] = self.Y[ids][:, :, None] * y - C.transpose(0, 2, 1) @ p
+        return out
 
-        _run(workers, condense, range(coarse.n_elements))
+    def interior_solve(self, ids, F):
+        """K_II^-1 F for the elements `ids` (a slice or an index array), F
+        stacked as (elements, interior unknowns, columns), refined once: at
+        high contrast an element's divergence rows are small next to its
+        flux rows, and they carry the conservation identities. The factors
+        are kept, so the refinement path of a region reuses them."""
+        z = self._inverse(ids, F)
+        res = self._product(ids, z)
+        np.subtract(F, res, out=res)
+        z += self._inverse(ids, res)
+        return z
 
-    def interior_rhs(self, e):
-        """The interior right-hand sides of element e's basis functions, one
-        column per kept eigenvector, with the template's sign flips: -rhs_p
-        for type2, -rhs_c for type1."""
-        P = self.aux.pressures[e]
-        n_c, k = P.shape
-        weighted = self.aux.s_diag[self.cells[e]][:, None] * P
-        rhs = np.zeros((self.interior_size(e), k))
-        if self.flavor == "type1":
-            rhs[self.n_interior_edges + n_c:] = -(P.T @ weighted)
-        else:
-            rhs[self.n_interior_edges:self.n_interior_edges + n_c] = -weighted
-        return rhs
+    def regions(self, regions):
+        """The condensed systems of regions that share one `_RegionTemplate`
+        (one shape, the same column counts), solved together."""
+        return _Regions(self, regions)
 
-    def interior_size(self, e):
-        """Number of element e's interior unknowns, padding excluded."""
-        return self.n_interior_edges + self.cells.shape[1] + int(self.aux.counts[e])
-
-    def interior_solve(self, e, rhs):
-        """K_II^-1 rhs for element e (the refinement path: its factor is
-        not kept)."""
-        return _interior_solver(self.K_II[e], e)(rhs)
-
-    def region(self, region):
-        """The condensed system of one region, factored."""
-        return _RegionSystem(self, region)
+    def template(self, region):
+        """The index maps of the regions of `region`'s shape whose elements
+        keep the same column counts, built by the first such region."""
+        elements = region_elements(self.aux.coarse, region)
+        key = (region.shape, self.aux.counts[elements].tobytes())
+        with self._lock:
+            if key not in self._templates:
+                self._templates[key] = _RegionTemplate(self, region, elements)
+            return self._templates[key]
 
     def batch(self, e, layers, rtol=1e-10):
         """All basis functions of element e on its region of `layers`
@@ -237,165 +305,261 @@ class CondensedElements:
         if layers is None:
             if self.flavor != "type2":
                 raise ConfigError("the global flavor is built from type2 elements")
-            return self.region(full_domain(self.aux.coarse.fine)).functions(
-                e, -1, "global", rtol)
+            return self.regions([full_domain(self.aux.coarse.fine)]).functions(
+                [(0, e)], -1, "global", rtol)[0]
         _check_layers(layers)
         region = oversample_region(self.aux.coarse, e, layers)
-        return self.region(region).functions(e, layers, self.flavor, rtol)
+        return self.regions([region]).functions([(0, e)], layers, self.flavor, rtol)[0]
 
 
-def _interior_solver(K, e):
-    """Solver for an element's interior block K, refined once: the
-    element's divergence rows are small next to its flux rows at high
-    contrast, and they carry the conservation identities. The factor
-    lives in the solver, so it is made and freed by the calling thread
-    (scipy does not release a SuperLU object freed by another thread)."""
-    try:
-        lu = splu(K)
-    except RuntimeError as exc:
-        raise SolveError(f"factorization failed for the interior of element {e}: {exc}")
+class _RegionTemplate:
+    """Index maps shared by every region of one shape and column counts.
 
-    def solve(rhs):
-        z = lu.solve(rhs)
-        return z + lu.solve(rhs - K @ z)
-    return solve
-
-
-def _run(workers, fn, items):
-    """fn over items, on `workers` threads when more than one."""
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
-class _RegionSystem:
-    """A region's skeleton system: the element complements summed on the
-    element boundary edges strictly inside the region, factored once.
-
-    Unknowns are ordered as in `fem`: region-interior edges, region
-    cells, region columns, each ascending; index n is a discarded slot
-    for the padding of elements' interior unknowns.
+    Regions of one shape differ by a translation, which shifts each kind
+    of global id (vertical edges, horizontal edges and cells) by a
+    constant and keeps every sorted order. So the positions of the
+    elements' interior unknowns among the region's unknowns (`pos`), the
+    skeleton and its slots, the CSC pattern of the skeleton matrix with
+    the gather from the elements' stacked complements into it, and the
+    pattern of the region's saddle matrix inside the whole-domain operator
+    hold for all of them. Column ids are not translated: they follow the
+    column counts, and each region reads them from the offsets.
     """
 
-    def __init__(self, cond, region):
-        self.cond = cond
-        self.region = region
+    def __init__(self, cond, region, elements):
         grid = region.fine
-        self.elements = region_elements(cond.aux.coarse, region)
-        self.edges = region.interior_edges()
-        self.cells = region.cells()
-        keys = cond.keys[self.elements]
-        columns = keys[:, -int(cond.aux.counts.max()):]
-        self.columns = columns[columns >= 0] - grid.n_edges - grid.n_cells
-        # the region's unknowns as rows of the whole-domain operator
-        self.unknowns = np.concatenate([self.edges, grid.n_edges + self.cells,
-                                        grid.n_edges + grid.n_cells + self.columns])
-        self.n = self.unknowns.size
-        self.operator_rows = cond.operator[self.unknowns]
-        self.pos = np.where(keys >= 0, np.searchsorted(self.unknowns, keys), self.n)
-        boundary = cond.boundary[self.elements]
-        at = np.minimum(np.searchsorted(self.edges, boundary), self.edges.size - 1)
-        inside = self.edges[at] == boundary
+        self.i0, self.j0 = region.i0, region.j0
+        edges, cells = region.interior_edges(), region.cells()
+        self.vertical = edges < grid.n_vedges
+        counts = cond.aux.counts[elements]
+        self.column_owner = np.repeat(np.arange(elements.size), counts)
+        self.column_j = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts,
+                                                            counts)
+        columns = cond.aux.offsets[elements][self.column_owner] + self.column_j
+        unknowns = np.concatenate([edges, grid.n_edges + cells,
+                                   grid.n_edges + grid.n_cells + columns])
+        n = self.n = unknowns.size
+        keys = cond.keys[elements]
+        self.pos = np.where(keys >= 0, np.searchsorted(unknowns, keys), n).astype(np.int32)
+        boundary = cond.boundary[elements]
+        at = np.minimum(np.searchsorted(edges, boundary), edges.size - 1)
+        inside = edges[at] == boundary
         self.skeleton = np.unique(at[inside])
-        n_s = self.skeleton.size
-        self.slots = np.where(inside, np.searchsorted(self.skeleton, at), n_s)
+        n_s = self.n_s = self.skeleton.size
+        self.slots = np.where(inside, np.searchsorted(self.skeleton, at), n_s).astype(np.int32)
+        # the skeleton matrix: entry (slot a, slot b) of every element's
+        # complement, summed, in CSC order. The maps are narrow integers:
+        # that keeps the templates small, and int32 indices spare the
+        # sparse constructors a scan of them
+        self.S_mask = inside[:, :, None] & inside[:, None, :]
+        a = np.broadcast_to(self.slots[:, :, None], self.S_mask.shape)[self.S_mask]
+        b = np.broadcast_to(self.slots[:, None, :], self.S_mask.shape)[self.S_mask]
+        pattern, dst = np.unique(b.astype(np.int64) * n_s + a, return_inverse=True)
+        self.S_dst = dst.astype(np.min_scalar_type(pattern.size))
+        self.S_indices = (pattern % n_s).astype(np.int32)
+        self.S_indptr = np.searchsorted(pattern // n_s, np.arange(n_s + 1)).astype(np.int32)
+        # the region's saddle matrix: its rows of the operator restricted to
+        # its columns, as the number of entries per row and their positions
+        # within the operator's rows
+        rows = cond.operator[unknowns]
+        local = np.minimum(np.searchsorted(unknowns, rows.indices), n - 1)
+        hit = unknowns[local] == rows.indices
+        per_row = np.diff(rows.indptr)
+        offset = (np.arange(rows.nnz) - np.repeat(rows.indptr[:-1], per_row))[hit]
+        self.K_offset = offset.astype(np.min_scalar_type(per_row.max(initial=0)))
+        self.K_indices = local[hit].astype(np.min_scalar_type(n))
+        self.K_counts = np.bincount(np.repeat(np.arange(n), per_row)[hit],
+                                    minlength=n).astype(np.int32)
+        self.K_indptr = np.concatenate([[0], np.cumsum(self.K_counts)]).astype(np.int32)
+        self.edges, self.cells = edges.astype(np.int32), cells.astype(np.int32)
+        # about what a region takes while solved with others: its ids and
+        # values, its saddle matrix and five arrays of right-hand-side size
+        self.bytes = 8 * (4 * self.K_indptr[-1] + 2 * np.count_nonzero(self.S_mask)
+                          + 5 * (n + 1) * cond.Z.shape[2])
         # the region's elements row by row: consecutive ids, consecutive
-        # positions in self.elements, so W is read without copies
-        width = self.elements.size // (region.shape[1] // cond.aux.coarse.r)
-        self.element_rows = [(slice(i, i + width), slice(e, e + width))
-                     for i, e in zip(range(0, self.elements.size, width),
-                                     self.elements[::width])]
-        self.lu = None
-        if n_s:
-            both = inside[:, :, None] & inside[:, None, :]
-            rows = np.broadcast_to(self.slots[:, :, None], both.shape)[both]
-            cols = np.broadcast_to(self.slots[:, None, :], both.shape)[both]
-            S = sp.csc_matrix((cond.S[self.elements][both], (rows, cols)),
-                              shape=(n_s, n_s))
-            try:
-                # symmetric positive definite: a symmetric ordering, diagonal pivots
-                self.lu = splu(S, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
-                               options={"SymmetricMode": True})
-            except RuntimeError as exc:
-                raise SolveError(f"factorization failed for {self.label}: {exc}")
+        # positions in `elements`
+        self.width = region.shape[0] // cond.aux.coarse.r
+        self.row_starts = range(0, elements.size, self.width)
 
-    def _residual(self, x, rhs):
-        """The region's saddle equations evaluated at x, minus rhs."""
-        full = np.zeros((self.operator_rows.shape[1], x.shape[1]))
-        full[self.unknowns] = x
-        return self.operator_rows @ full - rhs
 
-    @property
-    def label(self):
-        return f"{self.cond.flavor} region around element {self.region.center}"
+# About how many bytes the regions or centres solved together may take;
+# more are solved in several parts.
+REGION_BYTES = 8 << 20
 
-    def _solve(self, rhs, interior):
-        """Solve the region's saddle equations for the columns of `rhs`.
-        `interior` maps the index in `elements` of each element with a
-        nonzero interior right-hand side to K_II^-1 of that right-hand side."""
-        cond = self.cond
-        n_s, k = self.skeleton.size, rhs.shape[1]
-        padded = np.vstack([rhs, np.zeros((1, k))])
-        g = np.zeros((n_s + 1, k))
-        g[:n_s] = rhs[self.skeleton]
-        for i in interior:
-            # an element's slots are distinct but for the discarded n_s
-            g[self.slots[i]] -= cond.W[self.elements[i]].T @ padded[self.pos[i]]
-        u = np.zeros((n_s + 1, k))
-        if n_s:
-            u[:n_s] = self.lu.solve(g[:n_s])
-        x = np.zeros((self.n + 1, k))
-        for inc, ids in self.element_rows:
-            x[self.pos[inc]] = -(cond.W[ids] @ u[self.slots[inc]])
-        x[self.skeleton] = u[:n_s]
-        for i, z in interior.items():
-            x[self.pos[i, :z.shape[0]]] += z
-        return x[:self.n]
 
-    def _refine(self, res):
-        """One sweep of the region solve against residual `res`."""
-        cond = self.cond
-        interior = {}
-        for i, e in enumerate(self.elements):
-            interior[i] = cond.interior_solve(e, res[self.pos[i, :cond.interior_size(e)]])
-        return self._solve(res, interior)
+class _Regions:
+    """Regions of one template, solved together: each region's skeleton
+    system is the element complements summed on the element boundary
+    edges strictly inside it.
 
-    def functions(self, e, layers, flavor, rtol):
-        """The basis functions of element e, which must lie in the region,
-        each with its region saddle residual checked at rtol."""
-        cond = self.cond
-        i = int(np.searchsorted(self.elements, e))
-        rhs_int = cond.interior_rhs(e)
-        n_i, k = rhs_int.shape
-        rhs = np.zeros((self.n, k))
-        rhs[self.pos[i, :n_i]] = rhs_int
-        scale = np.linalg.norm(rhs, axis=0)
-        tol = np.where(scale > 0, rtol * scale, rtol)
-        x = self._solve(rhs, {i: cond.Z[e, :n_i, :k]})
-        res = self._residual(x, rhs)
-        norms = np.linalg.norm(res, axis=0)
-        for _ in range(3):
-            if (norms <= tol).all():
-                break
-            x -= self._refine(res)
-            res = self._residual(x, rhs)
-            norms = np.linalg.norm(res, axis=0)
-        bad = np.flatnonzero(norms > tol)
-        if bad.size:
-            b = bad[0]
-            raise SolveError(f"residual {norms[b]:.3e} above tolerance {tol[b]:.3e} "
-                             f"for {self.label}", residual=float(norms[b]))
-        n_e, n_c = self.edges.size, self.cells.size
+    Arrays carry a leading region axis. A region's unknowns are ordered as
+    in `fem`: region-interior edges, region cells, region columns, each
+    ascending; index n is a discarded slot for the padding of elements'
+    interior unknowns. Each skeleton factor is made, used and freed by the
+    call that solves its region (scipy does not release a SuperLU object
+    that another thread frees); a call that solves a region's centres in
+    several parts keeps the factor between them.
+    """
+
+    def __init__(self, cond, regions):
+        self.cond = cond
+        self.regions = regions
+        coarse = cond.aux.coarse
+        grid = coarse.fine
+        tpl = self.template = cond.template(regions[0])
+        self.elements = np.array([region_elements(coarse, r) for r in regions])
+        di = np.array([[r.i0] for r in regions]) - tpl.i0
+        dj = np.array([[r.j0] for r in regions]) - tpl.j0
+        self.edges = tpl.edges + np.where(tpl.vertical, dj * (grid.nx + 1) + di,
+                                          dj * grid.nx + di)
+        self.cells = tpl.cells + dj * grid.nx + di
+        self.columns = cond.aux.offsets[self.elements[:, tpl.column_owner]] + tpl.column_j
+        unknowns = np.concatenate([self.edges, grid.n_edges + self.cells,
+                                   grid.n_edges + grid.n_cells + self.columns], axis=1)
+        # every region's saddle equations, from the whole-domain operator, as
+        # one block-diagonal matrix
+        op = cond.operator
+        g, n = unknowns.shape
+        at = np.repeat(op.indptr[unknowns], tpl.K_counts, axis=1) + tpl.K_offset
+        nnz = tpl.K_indptr[-1]
+        self.K = sp.csr_matrix(
+            (op.data[at].ravel(), (tpl.K_indices + np.arange(g)[:, None] * n).ravel(),
+             np.append((tpl.K_indptr[:-1] + np.arange(g)[:, None] * nnz).ravel(), g * nnz)),
+            shape=(g * n, g * n))
+        nnz = tpl.S_indices.size
+        self.S_values = np.bincount(
+            (tpl.S_dst + np.arange(g)[:, None] * nnz).ravel(),
+            cond.S[self.elements][:, tpl.S_mask].ravel(), minlength=g * nnz).reshape(g, nnz)
+
+    def _label(self, i):
+        return f"{self.cond.flavor} region around element {self.regions[i].center}"
+
+    def _skeleton(self, lus, sel, g):
+        """Skeleton values u (with the discarded slot) from right-hand sides
+        g of the regions `sel`. A region's factor is kept in `lus` when that
+        is a list; else each is freed once used, so that a part of many
+        regions holds one factor at a time."""
+        tpl = self.template
+        u = np.zeros((len(sel), tpl.n_s + 1, g.shape[2]))
+        # one matrix for the shared pattern: each region swaps in its values
+        # (a factor keeps none of its input)
+        S = sp.csc_matrix((self.S_values[0], tpl.S_indices, tpl.S_indptr),
+                          shape=(tpl.n_s, tpl.n_s))
+        for k, i in enumerate(sel if tpl.n_s else []):
+            lu = lus[i] if lus is not None else None
+            if lu is None:
+                S.data = self.S_values[i]
+                try:
+                    # symmetric positive definite: a symmetric ordering, diagonal pivots
+                    lu = splu(S, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
+                              options={"SymmetricMode": True})
+                except RuntimeError as exc:
+                    raise SolveError(f"factorization failed for {self._label(i)}: {exc}")
+                if lus is not None:
+                    lus[i] = lu
+            u[k, :tpl.n_s] = lu.solve(g[k, :tpl.n_s])
+        return u
+
+    def _back(self, sel, u):
+        """Every unknown of the regions `sel` from their skeleton values:
+        -W u on each element's interior, u on the skeleton."""
+        cond, tpl = self.cond, self.template
+        x = np.zeros((len(sel), tpl.n + 1, u.shape[2]))
+        for i in tpl.row_starts:
+            # one row of elements at a time bounds the gathered W
+            inc = slice(i, i + tpl.width)
+            x[:, tpl.pos[inc]] = -(cond.W[self.elements[sel, inc]] @ u[:, tpl.slots[inc]])
+        x[:, tpl.skeleton] = u[:, :tpl.n_s]
+        return x
+
+    def _refine(self, lus, sel, res):
+        """One sweep of the solve of the regions `sel` against residuals res."""
+        cond, tpl = self.cond, self.template
+        padded = np.zeros((len(sel), tpl.n + 1, res.shape[2]))
+        padded[:, :tpl.n] = res
+        F = padded[:, tpl.pos]
+        z = cond.interior_solve(self.elements[sel].ravel(),
+                                F.reshape((-1,) + F.shape[2:])).reshape(F.shape)
+        g = padded[:, tpl.skeleton]
+        g = np.concatenate([g, np.zeros((len(sel), 1, g.shape[2]))], axis=1)
+        W = cond.W[self.elements[sel]]
+        np.add.at(g, (np.arange(len(sel))[:, None, None], tpl.slots[None]),
+                  -(W.transpose(0, 1, 3, 2) @ F))
+        x = self._back(sel, self._skeleton(lus, sel, g))
+        x[:, tpl.pos] += z
+        return x[:, :tpl.n]
+
+    def functions(self, items, layers, flavor, rtol):
+        """The basis functions of the (region index, centre element) pairs in
+        `items`, one list per pair, each function with its region saddle
+        residual checked at rtol. A region's centres are solved side by
+        side, in parts of about REGION_BYTES."""
+        cond, tpl = self.cond, self.template
+        k = cond.Z.shape[2]
+        size = len(self.regions) * max(
+            1, REGION_BYTES // (5 * 8 * (tpl.n + 1) * k * len(self.regions)))
+        # the factors are kept only when several parts reuse them
+        lus = [None] * len(self.regions) if len(items) > size else None
         out = []
-        for j, xj in enumerate(np.ascontiguousarray(x.T)):
-            mu, mu_cols = None, None
-            if cond.flavor == "type1":
-                mu, mu_cols = -xj[n_e + n_c:], self.columns
-            out.append(VelocityBasisFunction(
-                element=int(e), j=j, layers=layers, flavor=flavor,
-                edges=self.edges, v=xj[:n_e], cells=self.cells,
-                q=xj[n_e:n_e + n_c], mu=mu, mu_columns=mu_cols))
+        for start in range(0, len(items), size):
+            out += self._solve(lus, items[start:start + size], layers, flavor, rtol)
+        return out
+
+    def _solve(self, lus, items, layers, flavor, rtol):
+        """The functions of one part of `items`, as `functions` returns them."""
+        cond, tpl = self.cond, self.template
+        n, n_s, k = tpl.n, tpl.n_s, cond.Z.shape[2]
+        sel = np.arange(len(self.regions))
+        region = np.array([i for i, _ in items])
+        centre = np.array([e for _, e in items])
+        # a region's items sit side by side, k columns each, in item order
+        by_region = np.argsort(region, kind="stable")
+        order = np.empty(len(items), dtype=int)
+        order[by_region] = np.arange(len(items)) - np.searchsorted(region[by_region],
+                                                                   region[by_region])
+        c = k * (order.max() + 1)
+        cols = (order[:, None] * k + np.arange(k))[:, None, :]
+        index = np.argmax(self.elements[region] == centre[:, None], axis=1)
+        at, slots = tpl.pos[index], tpl.slots[index]
+        rows = region[:, None, None]
+        # the right-hand sides live on each centre's interior unknowns
+        rhs = np.zeros((len(sel), n + 1, c))
+        rhs[rows, at[:, :, None], cols] = cond.rhs[centre]
+        g = np.zeros((len(sel), n_s + 1, c))
+        g[rows, slots[:, :, None], cols] = -(cond.W[centre].transpose(0, 2, 1) @ cond.rhs[centre])
+        x = self._back(sel, self._skeleton(lus, sel, g))
+        x[rows, at[:, :, None], cols] += cond.Z[centre]
+        x, rhs = x[:, :n], rhs[:, :n]
+        scale = np.linalg.norm(rhs, axis=1)
+        tol = np.where(scale > 0, rtol * scale, rtol)
+        res = (self.K @ x.reshape(-1, c)).reshape(x.shape) - rhs
+        norms = np.linalg.norm(res, axis=1)
+        for _ in range(3):
+            bad = np.flatnonzero((norms > tol).any(axis=1))
+            if not bad.size:
+                break
+            x[bad] -= self._refine(lus, bad, res[bad])
+            res = (self.K @ x.reshape(-1, c)).reshape(x.shape) - rhs
+            norms = np.linalg.norm(res, axis=1)
+        bad = np.argwhere(norms > tol)
+        if bad.size:
+            i, j = bad[0]
+            raise SolveError(f"residual {norms[i, j]:.3e} above tolerance {tol[i, j]:.3e} "
+                             f"for {self._label(i)}", residual=float(norms[i, j]))
+        n_e, n_c = self.edges.shape[1], self.cells.shape[1]
+        out = []
+        for i, e, col in zip(region, centre, cols[:, 0]):
+            fns = []
+            xs = np.ascontiguousarray(x[i][:, col[:cond.aux.counts[e]]].T)
+            for j, xj in enumerate(xs):
+                mu, mu_cols = None, None
+                if cond.flavor == "type1":
+                    mu, mu_cols = -xj[n_e + n_c:], self.columns[i]
+                fns.append(VelocityBasisFunction(
+                    element=int(e), j=j, layers=layers, flavor=flavor,
+                    edges=self.edges[i], v=xj[:n_e], cells=self.cells[i],
+                    q=xj[n_e:n_e + n_c], mu=mu, mu_columns=mu_cols))
+            out.append(fns)
         return out
 
 
@@ -428,11 +592,31 @@ def build_basis_set(aux, perm, layers=None, flavor="type2", rtol=1e-10, workers=
                              workers)
     ids = range(coarse.n_elements)
     if flavor == "global":
-        system = cond.region(full_domain(coarse.fine))
-        batches = [system.functions(e, -1, flavor, rtol) for e in ids]
+        batches = cond.regions([full_domain(coarse.fine)]).functions(
+            [(0, e) for e in ids], -1, flavor, rtol)
         layers = -1
     else:
-        batches = _run(workers, lambda e: cond.batch(e, layers, rtol), ids)
+        # regions of one template are solved together, in parts of about
+        # REGION_BYTES and at least one part per worker
+        groups = {}
+        for e in ids:
+            region = oversample_region(coarse, e, layers)
+            groups.setdefault(id(cond.template(region)), []).append((e, region))
+        parts = []
+        for group in groups.values():
+            size = cond.template(group[0][1]).bytes
+            count = min(len(group), max(workers or 1, -(-len(group) * size // REGION_BYTES)))
+            parts += [group[len(group) * i // count:len(group) * (i + 1) // count]
+                      for i in range(count)]
+
+        def solve(part):
+            return cond.regions([region for _, region in part]).functions(
+                [(i, e) for i, (e, _) in enumerate(part)], layers, flavor, rtol)
+
+        solved = {}
+        for part, batches in zip(parts, _run(workers, solve, parts)):
+            solved.update((e, fns) for (e, _), fns in zip(part, batches))
+        batches = [solved[e] for e in ids]
     functions = [fn for b in batches for fn in b]
     return BasisSet(coarse, aux, flavor, layers, functions)
 

@@ -110,13 +110,18 @@ def solve_multiscale(system, rtol=1e-10):
     A_c, B_c, w, rhs_q = system.A_c, system.B_c, system.mean_w, system.rhs_q
     m, n = A_c.shape[0], w.size
     A = 0.5 * (A_c + A_c.T)
+    border = sp.csr_matrix((m, 0))
     if system.basis.saturated:
         # global functions combined by the coefficients of the constant
         # pressure have zero velocity; shifting out that null direction
-        # leaves the Schur complement unchanged, as B_c annihilates it too
-        u0 = sp.csr_matrix(system.aux.coefficients(
+        # leaves the Schur complement unchanged, as B_c annihilates it too.
+        # The border u0^T U = 0 fixes the coefficients along it exactly,
+        # also when A_c and B_c are roundoff along it and nothing else
+        # (one global function)
+        border = sp.csr_matrix(system.aux.coefficients(
             np.ones(system.aux.coarse.fine.n_cells))[:, None])
-        A = A + (A.diagonal().sum() / m / (u0.T @ u0)[0, 0]) * (u0 @ u0.T)
+        A = A + (A.diagonal().sum() / m / (border.T @ border)[0, 0]) * (border @ border.T)
+    b = border.shape[1]
     try:
         # symmetric mode, diagonal pivots (perm_r == perm_c): by Sylvester's
         # law of inertia A is positive definite iff every pivot is positive
@@ -128,9 +133,11 @@ def solve_multiscale(system, rtol=1e-10):
     if not (np.array_equal(lu_a.perm_r, lu_a.perm_c) and np.all(pivots > 0)):
         raise SolveError("projected velocity block is not positive definite: "
                          f"smallest pivot {pivots.min():.3e}")
-    # unknowns (U, -P, gamma): A U - B^T P = 0, B U + gamma w = rhs_q, w^T P = 0
+    # unknowns (U, -P, gamma[, mu]): A U - B^T P [+ u0 mu] = 0,
+    # B U + gamma w = rhs_q, w^T P = 0[, u0^T U = 0]
     w_col = sp.csr_matrix(w[:, None])
-    K = sp.bmat([[A, B_c.T, None], [B_c, None, w_col], [None, w_col.T, None]],
+    K = sp.bmat([[A, B_c.T, None, border], [B_c, None, w_col, None],
+                 [None, w_col.T, None, None], [border.T, None, None, None]],
                 format="csc")
     try:
         lu = splu(K)
@@ -139,14 +146,15 @@ def solve_multiscale(system, rtol=1e-10):
 
     def residual(x):
         """Right-hand side minus the unshifted equations at x."""
-        U, Q = x[:m], x[m:m + n]
-        return np.concatenate([-(A_c @ U + B_c.T @ Q),
-                               rhs_q - B_c @ U - x[-1] * w, [-(w @ Q)]])
+        U, Q, mu = x[:m], x[m:m + n], x[m + n + 1:]
+        return np.concatenate([-(A_c @ U + B_c.T @ Q + border @ mu),
+                               rhs_q - B_c @ U - x[m + n] * w, [-(w @ Q)],
+                               -(border.T @ U)])
 
     # one solve and one refinement sweep: the LU solve is accurate in the
     # norm of the dominant rows only, and at high contrast the element mass
     # balances are small components of the divergence rows
-    x = np.zeros(m + n + 1)
+    x = np.zeros(m + n + 1 + b)
     for _ in range(2):
         x += lu.solve(residual(x))
     U, P = x[:m], -x[m:m + n]
@@ -161,7 +169,8 @@ def solve_multiscale(system, rtol=1e-10):
         # its top eigenvalue is 1 / sigma (shift-invert at zero)
         pad = np.zeros(m)
         sigma = 1.0 / _top_eigenvalue(
-            lambda q: -lu.solve(np.concatenate([pad, zero_mean(q), [0.0]]))[m:m + n], n)
+            lambda q: -lu.solve(np.concatenate([pad, zero_mean(q), np.zeros(1 + b)]))[m:m + n],
+            n)
         # numerical rank test: sigma scales like 1/contrast, so compare it
         # with the roundoff level of the largest eigenvalue, which needs
         # only a few digits

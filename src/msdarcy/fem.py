@@ -5,11 +5,11 @@ pressures are constant per cell. On a region, velocity unknowns live on
 the region-interior edges only, which imposes the no-flux condition on
 the region (and domain) boundary.
 
-Every fine-scale block is a slice of the whole-domain operator. The flux
-mass matrix and the divergence matrix are assembled once, over all edges
-and cells in global numbering; a region's or an element's A and B are
-their rows and columns on its interior edges and cells
-(`diagonal_blocks` slices those of many elements at once).
+Every fine-scale block comes from one assembly. The flux mass matrix and
+the divergence matrix are assembled once, over all edges and cells in
+global numbering; a region's A and B are their rows and columns on its
+interior edges and cells. The element kernels of `auxspace` read the
+same per-cell triplets (`mass_triplets`) line by line.
 
 Every linear system in the package is an instance of one symmetric
 indefinite template over unknowns (u, p[, y][, gamma]):
@@ -92,27 +92,6 @@ def divergence_matrix(grid):
                            np.full(cells.size, h), np.full(cells.size, -h)])
     return sp.coo_matrix((vals, (rows, cols)),
                          shape=(grid.n_cells, grid.n_edges)).tocsr()
-
-
-def diagonal_blocks(K, row_groups, col_groups):
-    """The blocks K[rows][:, cols] of a CSR matrix, one per pair of index
-    arrays in `row_groups` and `col_groups`, sliced from K in one step.
-
-    K must hold no entry in one group's rows and another group's columns,
-    so that K on all the groups together is block diagonal. Each block is
-    CSR with sorted indices.
-    """
-    part = K[np.concatenate(row_groups)][:, np.concatenate(col_groups)]
-    part.sort_indices()
-    r0 = np.cumsum([0] + [len(g) for g in row_groups])
-    c0 = np.cumsum([0] + [len(g) for g in col_groups])
-    blocks = []
-    for a, b, c, d in zip(r0[:-1], r0[1:], c0[:-1], c0[1:]):
-        p, q = part.indptr[a], part.indptr[b]
-        blocks.append(sp.csr_matrix(
-            (part.data[p:q], part.indices[p:q] - c, part.indptr[a:b + 1] - p),
-            shape=(b - a, d - c)))
-    return blocks
 
 
 @dataclass

@@ -1,15 +1,20 @@
 """Local spectral problems and the auxiliary projection."""
 
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.sparse.linalg import splu
 
 from msdarcy import (AuxSpace, ConfigError, PermField, bilinear_pou,
                      build_aux_space, build_grids, compute_weight,
-                     solve_all_spectra, solve_local_spectral)
-from msdarcy.auxspace import ElementSpectrum, gap_split, write_eigen_report
-from msdarcy.fem import velocity_dofmap
-from msdarcy.mesh import element_region, oversample_region
+                     generate_medium, solve_all_spectra, solve_case,
+                     three_channel_spec)
+from msdarcy.auxspace import ElementSpectrum, element_lines, gap_split, write_eigen_report
+from msdarcy.fem import (divergence_matrix, mass_matrix,
+                         mass_triplets, velocity_dofmap)
+from msdarcy.mesh import element_layout, element_region, oversample_region
 from test_fem import assemble_a, assemble_b
 
 
@@ -31,10 +36,75 @@ def _dense_pencil(coarse, e, perm, weight):
     return M, S
 
 
+def _spectra_oracle(coarse, perm, weight):
+    """Oracle: each element's blocks sliced from the whole-domain matrices,
+    its interior flux block factored by sparse LU and its pencil solved by
+    the generalized symmetric eigensolver, one element at a time (the path
+    the stacked line kernel replaced). Returns each element's eigenvalues."""
+    grid = coarse.fine
+    interior, cells, _ = element_layout(coarse)
+    mass, div = mass_matrix(grid, perm), divergence_matrix(grid)
+    lams = []
+    for i, c in zip(interior, cells):
+        A, B = mass[i][:, i], div[c][:, i]
+        M = np.zeros((c.size, c.size))
+        if A.shape[0] > 0:
+            M = B @ splu(A.tocsc()).solve(B.T.toarray())
+            M = 0.5 * (M + M.T)
+        lams.append(scipy.linalg.eigh(M, np.diag(weight.values[c] * grid.h ** 2),
+                                      eigvals_only=True))
+    return lams
+
+
+def _check_against_oracle(coarse, perm, weight):
+    spectra = solve_all_spectra(coarse, perm, weight)
+    lams = _spectra_oracle(coarse, perm, weight)
+    _, cells, _ = element_layout(coarse)
+    for e, spec in enumerate(spectra):
+        assert spec.element == e and np.array_equal(spec.cells, cells[e])
+        scale = max(lams[e][-1], np.finfo(float).tiny)
+        assert np.abs(spec.lambdas - lams[e]).max() <= 1e-10 * scale
+        # each returned pair satisfies its pencil
+        M, S = _dense_pencil(coarse, e, perm, weight)
+        res = M @ spec.pressures - S @ spec.pressures * spec.lambdas[None, :]
+        assert np.abs(res).max() <= 1e-9 * scale * np.abs(S).max() ** 0.5
+    return spectra
+
+
+@pytest.mark.parametrize("contrast", [1.0, 1e4, 1e8])
+def test_stacked_spectra_match_per_element_oracle(contrast):
+    fine, coarse = build_grids(32, 4)
+    perm = generate_medium(three_channel_spec(contrast=contrast), fine)
+    weight = compute_weight(perm, bilinear_pou(coarse))
+    _check_against_oracle(coarse, perm, weight)
+
+
+def test_line_blocks_hold_every_element_flux_coupling():
+    """The flux mass of an element's cells, summed over its line blocks, is
+    the element's whole flux mass: no coupling crosses two lines."""
+    fine, coarse, perm, weight = _case(nx=12, Nx=2)
+    r = coarse.r
+    lines = element_lines(coarse)
+    _, cells, _ = element_layout(coarse)
+    mass = lines.mass(perm, np.arange(coarse.n_elements))
+    for e in range(coarse.n_elements):
+        I, J = coarse.element_IJ(e)
+        edges = lines.edges + np.where(lines.edges < fine.n_vedges,
+                                       J * r * (fine.nx + 1) + I * r, J * r * fine.nx + I * r)
+        want = np.zeros((fine.n_edges, fine.n_edges))
+        rows, cols, vals = mass_triplets(fine, cells[e], perm.values[cells[e]])
+        np.add.at(want, (rows, cols), vals)
+        got = np.zeros_like(want)
+        for line, block in zip(edges, mass[e]):
+            got[np.ix_(line, line)] += block
+        assert np.allclose(got, want, rtol=1e-15, atol=0)
+
+
 def test_spectrum_against_qz_pencil():
     fine, coarse, perm, weight = _case()
+    spectra = solve_all_spectra(coarse, perm, weight)
     for e in (0, 5, 15):
-        spec = solve_local_spectral(coarse, e, perm, weight)
+        spec = spectra[e]
         M, S = _dense_pencil(coarse, e, perm, weight)
         # independent generalized solve without the symmetric reduction
         w = scipy.linalg.eig(M, S, right=False)
@@ -48,7 +118,7 @@ def test_spectrum_against_qz_pencil():
 
 def test_spectrum_first_pair_and_orthonormality():
     fine, coarse, perm, weight = _case()
-    spec = solve_local_spectral(coarse, 3, perm, weight)
+    spec = solve_all_spectra(coarse, perm, weight)[3]
     assert spec.lambdas[0] == pytest.approx(0.0, abs=1e-12 * spec.lambdas[-1])
     first = spec.pressures[:, 0]
     assert np.ptp(first) < 1e-10 * np.abs(first).max()
@@ -68,7 +138,7 @@ def test_spectrum_invariant_under_global_scaling():
     for c in (1.0, 7.5):
         perm = PermField(fine, c * vals)
         weight = compute_weight(perm, pou)
-        lam.append(solve_local_spectral(coarse, 6, perm, weight).lambdas)
+        lam.append(solve_all_spectra(coarse, perm, weight)[6].lambdas)
     assert np.allclose(lam[0], lam[1], rtol=1e-9)
 
 
@@ -84,7 +154,7 @@ def test_two_channel_eigenvalue_scales_inversely_with_contrast():
         vals[5:7, :] = contrast
         perm = PermField(fine, vals.ravel())
         weight = compute_weight(perm, pou)
-        lam[contrast] = solve_local_spectral(coarse, 0, perm, weight).lambdas
+        lam[contrast] = solve_all_spectra(coarse, perm, weight)[0].lambdas
     for c in (1e3, 1e5):
         assert lam[c][0] < 1e-10 * lam[c][-1]
         assert lam[c][1] < 50.0 / c      # contrast-small
@@ -94,9 +164,18 @@ def test_two_channel_eigenvalue_scales_inversely_with_contrast():
 
 
 def test_solve_all_spectra_workers_agree():
-    fine, coarse, perm, weight = _case(nx=8, Nx=2)
+    # 16 elements of 256 cells: the stacks split into slices
+    fine, coarse, perm, weight = _case(nx=64, Nx=4)
     serial = solve_all_spectra(coarse, perm, weight, workers=1)
-    parallel = solve_all_spectra(coarse, perm, weight, workers=3)
+    # more workers than cores, switching threads often: each thread fills
+    # its own slice of the stacks, and no element's result may depend on
+    # the slicing or the interleaving
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        parallel = solve_all_spectra(coarse, perm, weight, workers=3)
+    finally:
+        sys.setswitchinterval(interval)
     assert [s.element for s in serial] == list(range(coarse.n_elements))
     for a, b in zip(serial, parallel):
         assert np.array_equal(a.lambdas, b.lambdas)
@@ -228,3 +307,20 @@ def test_eigen_report_format(tmp_path):
     assert float(lam) == pytest.approx(spectra[0].lambdas[0], abs=1e-15)
     rows = [ln.split(",") for ln in lines[1:]]
     assert [r[0] for r in rows] == [str(e) for e in range(4) for _ in range(3)]
+
+
+def test_one_cell_elements():
+    """Every element is one cell: no interior edges, empty line chains and
+    a 1 x 1 spectrum; the multiscale solve still conserves mass."""
+    fine, coarse = build_grids(8, 8)
+    perm = generate_medium(three_channel_spec(contrast=1e4), fine)
+    weight = compute_weight(perm, bilinear_pou(coarse))
+    lines = element_lines(coarse)
+    assert lines.interior.shape == (2, 0) and lines.edges.shape == (2, 2)
+    spectra = _check_against_oracle(coarse, perm, weight)
+    for spec in spectra:
+        assert spec.lambdas.shape == (1,) and spec.lambdas[0] == 0.0
+    f = np.zeros(fine.n_cells)
+    f[0], f[-1] = 1.0, -1.0
+    _, _, _, report = solve_case(perm, f, 8, nbasis=1, layers=1)
+    assert report.max_residual <= 1e-10

@@ -1,0 +1,201 @@
+"""Stage times of the multiscale pipeline on the North-star cases.
+
+Usage (from the repository root):
+
+    python3 tools/stage_times.py --label NAME [--workers 1 2] [--repeats 3]
+
+Solves the five North-star cases (fine/coarse/layers 64/8/3, 64/32/2,
+128/8/3, 128/16/4, 128/32/5) on the preset three-channel medium at
+contrast 1e4 with the corner source and three eigenvectors per element,
+once per repeat and worker count. Each stage is timed on its own: weight,
+spectra, aux space, basis, coarse assembly, coarse solve and
+post-processing (mass residuals and errors against the fine reference).
+The fine reference is solved once per fine grid and repeat, and timed
+apart from the cases.
+
+Writes `BENCH_<label>.json` (into `--out`, default the repository root):
+the median over repeats of every stage's seconds and of its peak
+resident memory above the stage's start, per case and worker count, plus
+the worker counts, the core count, the BLAS thread count and the numpy
+and scipy versions. BLAS is pinned to one thread, so `workers` is the
+number of busy threads.
+"""
+
+import os
+
+# Must precede the first numpy import: OpenBLAS reads these at load time.
+BLAS_THREADS = 1
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = str(BLAS_THREADS)
+
+import argparse
+import json
+import platform
+import statistics
+import sys
+import threading
+from contextlib import contextmanager
+from pathlib import Path
+from time import perf_counter
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+import numpy as np
+import scipy
+
+from msdarcy import (assemble_coarse_system, bilinear_pou, build_aux_space,
+                     build_basis_set, build_grids, compute_weight,
+                     generate_medium, mass_residuals, relative_errors,
+                     solve_all_spectra, solve_fine_reference, solve_multiscale,
+                     three_channel_spec)
+
+CASES = ((64, 8, 3), (64, 32, 2), (128, 8, 3), (128, 16, 4), (128, 32, 5))
+CONTRAST = 1e4
+NBASIS = 3
+SOURCE_GRID = 8
+STAGES = ("weight", "spectra", "aux", "basis", "assembly", "coarse_solve", "post")
+
+
+def _rss_bytes():
+    with open("/proc/self/statm") as fh:
+        return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+
+class StageClock:
+    """Seconds and peak resident memory (above the start) per stage. A
+    thread samples the resident set every few milliseconds."""
+
+    def __init__(self, interval=0.005):
+        self.interval = interval
+        self.seconds, self.peak_mb = {}, {}
+        self._peak = 0
+        self._stop = threading.Event()
+        self._thread = threading.Thread(target=self._sample, daemon=True)
+        self._thread.start()
+
+    def _sample(self):
+        while not self._stop.wait(self.interval):
+            self._peak = max(self._peak, _rss_bytes())
+
+    @contextmanager
+    def stage(self, name):
+        start = _rss_bytes()
+        self._peak = start
+        t0 = perf_counter()
+        yield
+        self.seconds[name] = perf_counter() - t0
+        peak = max(self._peak, _rss_bytes())
+        self.peak_mb[name] = (peak - start) / 1024.0 ** 2
+
+    def close(self):
+        self._stop.set()
+        self._thread.join()
+
+
+def corner_source(fine):
+    """Unit source in the top-left block of a SOURCE_GRID partition, unit
+    sink in the bottom-right one (the CLI's `corners` source)."""
+    b = fine.nx // SOURCE_GRID
+    f = np.zeros((fine.nx, fine.nx))
+    f[(SOURCE_GRID - 1) * b:, :b] = 1.0
+    f[:b, (SOURCE_GRID - 1) * b:] = -1.0
+    return f.ravel()
+
+
+def run_case(perm, f, ref, Nx, layers, workers):
+    """One multiscale solve, stage by stage."""
+    _, coarse = build_grids(perm.grid.nx, Nx)
+    clock = StageClock()
+    try:
+        with clock.stage("weight"):
+            weight = compute_weight(perm, bilinear_pou(coarse))
+        with clock.stage("spectra"):
+            spectra = solve_all_spectra(coarse, perm, weight, workers=workers)
+        with clock.stage("aux"):
+            aux = build_aux_space(coarse, weight, spectra, nbasis=NBASIS)
+        with clock.stage("basis"):
+            basis = build_basis_set(aux, perm, layers=layers, workers=workers)
+        with clock.stage("assembly"):
+            system = assemble_coarse_system(basis, perm, f)
+        with clock.stage("coarse_solve"):
+            ms = solve_multiscale(system)
+        with clock.stage("post"):
+            report = mass_residuals(ms, f, aux)
+            err = relative_errors(ref, ms, perm, weight)
+    finally:
+        clock.close()
+    return clock, {"functions": len(basis), "e_v": err.e_v, "e_p": err.e_p,
+                   "max_mass_residual": float(report.max_residual)}
+
+
+def median(values):
+    return float(statistics.median(values))
+
+
+def measure(workers, repeats):
+    """Per case: median stage seconds and peaks over `repeats` solves."""
+    runs = {case: [] for case in CASES}
+    references = {}
+    for _ in range(repeats):
+        for nx in sorted({c[0] for c in CASES}):
+            fine, _ = build_grids(nx, 1)
+            perm = generate_medium(three_channel_spec(contrast=CONTRAST), fine)
+            f = corner_source(fine)
+            clock = StageClock()
+            try:
+                with clock.stage("reference"):
+                    ref = solve_fine_reference(perm, f)
+            finally:
+                clock.close()
+            references.setdefault(nx, []).append(clock)
+            for case in CASES:
+                if case[0] == nx:
+                    runs[case].append(run_case(perm, f, ref, case[1], case[2], workers))
+    cases = []
+    for (nx, Nx, layers), samples in runs.items():
+        clocks = [c for c, _ in samples]
+        cases.append({
+            "nx": nx, "Nx": Nx, "layers": layers, **samples[-1][1],
+            "total_s": median([sum(c.seconds.values()) for c in clocks]),
+            "seconds": {s: median([c.seconds[s] for c in clocks]) for s in STAGES},
+            "peak_mb": {s: median([c.peak_mb[s] for c in clocks]) for s in STAGES}})
+    reference = {str(nx): {"seconds": median([c.seconds["reference"] for c in cl]),
+                           "peak_mb": median([c.peak_mb["reference"] for c in cl])}
+                 for nx, cl in references.items()}
+    return {"workers": workers, "cases": cases, "reference": reference}
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--label", required=True, help="names the output BENCH_<label>.json")
+    p.add_argument("--workers", type=int, nargs="+", default=None,
+                   help="worker counts to run (default: 1 and the core count)")
+    p.add_argument("--repeats", type=int, default=3)
+    p.add_argument("--out", type=Path, default=ROOT)
+    args = p.parse_args(argv)
+    nproc = len(os.sched_getaffinity(0))
+    workers = args.workers or sorted({1, nproc})
+    if args.repeats < 1 or min(workers) < 1:
+        p.error("--repeats and --workers must be at least 1")
+    record = {
+        "label": args.label, "nproc": nproc, "blas_threads": BLAS_THREADS,
+        "numpy": np.__version__, "scipy": scipy.__version__,
+        "python": platform.python_version(), "repeats": args.repeats,
+        "medium": f"three_channel_spec(contrast={CONTRAST:g})",
+        "source": f"corners, grid {SOURCE_GRID}", "nbasis": NBASIS,
+        "statistic": "median over repeats; peak_mb is resident memory above "
+                     "the stage's start",
+        "runs": [measure(w, args.repeats) for w in workers]}
+    path = args.out / f"BENCH_{args.label}.json"
+    path.write_text(json.dumps(record, indent=1) + "\n")
+    for run in record["runs"]:
+        for case in run["cases"]:
+            stages = " ".join(f"{s}={case['seconds'][s]:.2f}" for s in STAGES)
+            print(f"workers={run['workers']} {case['nx']}/{case['Nx']}/L{case['layers']}: "
+                  f"{stages} total={case['total_s']:.2f}")
+    print(path)
+
+
+if __name__ == "__main__":
+    main()
