@@ -19,7 +19,7 @@ from .medium import (Block, MediumSpec, PermField, Strip, WeightField,
                      compute_weight, generate_medium, load_raster,
                      sample_spec, save_raster, spec_from_mapping,
                      three_channel_spec)
-from .fem import (FineSolution, SaddleSystem, solve_fine_reference,
+from .fem import (FineSolution, saddle_matrix, solve_fine_reference,
                   solve_saddle, manufactured_cospi)
 from .auxspace import (AuxSpace, ElementSpectrum, build_aux_space,
                        solve_all_spectra)

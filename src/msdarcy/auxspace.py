@@ -25,7 +25,7 @@ import scipy.sparse as sp
 
 from .errors import ConfigError
 from .fem import divergence_matrix, mass_triplets
-from .mesh import element_layout, full_domain, region_elements
+from .mesh import element_layout
 
 
 @dataclass(frozen=True)
@@ -235,36 +235,16 @@ class AuxSpace:
             if self.counts.size else np.empty(0, dtype=int)
         return elements, j
 
-    def restriction(self, region):
-        """Columns supported inside a region.
-
-        Returns (column ids, R_loc) where R_loc maps column coefficients
-        to values on the region's cells (sorted global order).
-        """
-        region_cells = region.cells()
-        rows, cols, vals = [], [], []
-        col_ids = []
-        for e in region_elements(self.coarse, region):
-            block = self.pressures[e]
-            local_rows = np.searchsorted(region_cells, self.cells[e])
-            for j in range(self.counts[e]):
-                c = len(col_ids)
-                col_ids.append(self.offsets[e] + j)
-                rows.append(local_rows)
-                cols.append(np.full(local_rows.size, c))
-                vals.append(block[:, j])
-        if not col_ids:
-            return np.empty(0, dtype=int), sp.csr_matrix((region_cells.size, 0))
-        R = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(region_cells.size, len(col_ids))).tocsr()
-        return np.asarray(col_ids), R
-
     @cached_property
     def matrix(self):
         """Global (n_cells x n_columns) eigenvector matrix."""
-        _, R = self.restriction(full_domain(self.coarse.fine))
-        return R
+        rows = [np.tile(c, k) for c, k in zip(self.cells, self.counts)]
+        cols = [np.repeat(np.arange(o, o + k), c.size)
+                for c, o, k in zip(self.cells, self.offsets, self.counts)]
+        vals = [block.T.ravel() for block in self.pressures]
+        return sp.coo_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(self.coarse.fine.n_cells, self.n_columns)).tocsr()
 
     def coefficients(self, q):
         """Expansion coefficients of the projection of q."""

@@ -46,8 +46,8 @@ from scipy.sparse.linalg import splu
 
 from .auxspace import _run, _stacked, element_lines
 from .errors import ConfigError, SolveError
-from .fem import (FineSolution, SaddleSystem, _solve_whole_domain, check_zero_mean,
-                  divergence_matrix, mass_matrix)
+from .fem import (FineSolution, _solve_whole_domain, check_zero_mean,
+                  divergence_matrix, mass_matrix, saddle_matrix)
 from .mesh import element_layout, full_domain, oversample_region, region_elements
 
 
@@ -191,10 +191,9 @@ class CondensedElements:
             (self.C[on], (np.broadcast_to(self.cells[:, :, None], P.shape)[on],
                           np.broadcast_to(columns[:, None, :], P.shape)[on])),
             shape=(grid.n_cells, aux.n_columns))
-        self.operator = SaddleSystem(
-            mass_matrix(grid, perm), divergence_matrix(grid),
-            rhs_v=np.zeros(grid.n_edges), rhs_p=np.zeros(grid.n_cells), C=C,
-            identity_block=(flavor == "type2")).matrix().tocsr()
+        self.operator = saddle_matrix(
+            mass_matrix(grid, perm), divergence_matrix(grid), C,
+            identity_block=(flavor == "type2")).tocsr()
         self.operator.sort_indices()
         r = coarse.r
         self._A = np.empty((n_el, 2 * r, r - 1, r - 1))

@@ -194,10 +194,20 @@ def _calibration(raw):
     return int(l0), float(H0)
 
 
-def _resolve_method(cfg, H):
+def _resolve_flavor(cfg, grid, solver):
+    """[method] flavor, checked before any solve: `global` functions span
+    the whole domain, so it is refused above [solver] max_global_nx."""
     flavor = _get(cfg, "method", "flavor", default="type2")
     if flavor not in ("type1", "type2", "global"):
         raise ConfigError(f"unknown flavor {flavor!r}")
+    if flavor == "global" and grid.nx > solver["max_global_nx"]:
+        raise ConfigError(
+            f"global flavor refused for nx={grid.nx} > "
+            f"max_global_nx={solver['max_global_nx']}")
+    return flavor
+
+
+def _resolve_method(cfg, H):
     has_n = cfg.has_section("method") and "nbasis" in cfg["method"]
     has_t = cfg.has_section("method") and "threshold" in cfg["method"]
     if has_n and has_t:
@@ -216,7 +226,7 @@ def _resolve_method(cfg, H):
             layers = int(raw_layers)
         except ValueError:
             raise ConfigError(f"[method] layers: cannot parse {raw_layers!r}")
-    return {"flavor": flavor, "nbasis": nbasis, "threshold": threshold,
+    return {"nbasis": nbasis, "threshold": threshold,
             "layers": layers, "layer_calibration": (l0, H0)}
 
 
@@ -284,10 +294,7 @@ def cmd_solve(args):
     f, src_res = _resolve_source(cfg, fine)
     method = _resolve_method(cfg, coarse.H)
     solver = _resolve_solver(cfg, args)
-    if method["flavor"] == "global" and fine.nx > solver["max_global_nx"]:
-        raise ConfigError(
-            f"global flavor refused for nx={fine.nx} > "
-            f"max_global_nx={solver['max_global_nx']}")
+    method["flavor"] = _resolve_flavor(cfg, fine, solver)
     out = _out_dir(cfg, args)
 
     ms, aux, basis_set, report = solve_case(
@@ -337,7 +344,7 @@ def cmd_convergence(args):
     perm, med_res = _resolve_medium(cfg, fine, args.seed)
     f, src_res = _resolve_source(cfg, fine)
     solver = _resolve_solver(cfg, args)
-    flavor = _get(cfg, "method", "flavor", default="type2")
+    flavor = _resolve_flavor(cfg, fine, solver)
     l0, H0 = _get(cfg, "method", "layer_calibration", default=(3, 0.125),
                   cast=_calibration)
 

@@ -11,20 +11,23 @@ global numbering; a region's A and B are their rows and columns on its
 interior edges and cells. The element kernels of `auxspace` read the
 same per-cell triplets (`mass_triplets`) line by line.
 
-Every linear system in the package is an instance of one symmetric
-indefinite template over unknowns (u, p[, y][, gamma]):
+Every fine-scale linear system in the package is an instance of one
+symmetric indefinite template over unknowns (u, p[, y]):
 
     A u - B^T p                       = rhs_v
-    B u + C y + w gamma               = rhs_p
+    B u + C y                         = rhs_p
     C^T p - [y if identity_block]     = rhs_c
-    w^T p                             = rhs_w
 
-where A is the weighted flux mass matrix, B the signed divergence, C an
-optional coupling block (used for the energy-minimization constraint),
-and w an optional zero-mean row. Rows are sign-flipped on assembly so
-the full matrix is symmetric, then factored by sparse LU with a residual
-check and iterative refinement. `pack_rhs` takes rhs_c and rhs_w zero;
-`solve_packed` takes any right-hand side packed in the same order.
+where A is the weighted flux mass matrix, B the signed divergence and C
+an optional coupling block (used for the energy-minimization
+constraint). Rows are sign-flipped on assembly (`saddle_matrix`) so the
+full matrix is symmetric. `solve_saddle` factors it by sparse LU and
+solves one right-hand side packed as (rhs_v, -rhs_p[, -rhs_c]), with
+iterative refinement and a residual check. The fine reference and the
+snapshot have no C block; their pressure is fixed only up to a constant,
+which the whole-domain solve pins in one cell and then shifts to zero
+mean. The basis functions' region systems are rows and columns of the
+whole-domain template matrix with C (`basis.CondensedElements`).
 """
 
 from dataclasses import dataclass
@@ -94,119 +97,57 @@ def divergence_matrix(grid):
                          shape=(grid.n_cells, grid.n_edges)).tocsr()
 
 
-@dataclass
-class SaddleSystem:
-    """One instance of the symmetric template described in the module docs."""
-
-    A: sp.spmatrix
-    B: sp.spmatrix
-    rhs_v: np.ndarray
-    rhs_p: np.ndarray
-    C: sp.spmatrix = None
-    identity_block: bool = True
-    mean_weights: np.ndarray = None
-    label: str = ""
-
-    def matrix(self):
-        m = self.B.shape[0]
-        rows = [[self.A, -self.B.T], [-self.B, None]]
-        if self.C is not None:
-            k = self.C.shape[1]
-            yy = sp.identity(k) if self.identity_block else sp.csr_matrix((k, k))
-            rows[0].append(None)
-            rows[1].append(-self.C)
-            rows.append([None, -self.C.T, yy])
-        if self.mean_weights is not None:
-            w = sp.csr_matrix(self.mean_weights.reshape(1, m))
-            for i, row in enumerate(rows):
-                row.append(-w.T if i == 1 else None)
-            rows.append([None, -w] + [None] * (len(rows) - 1))
-        return sp.bmat(rows, format="csc")
-
-    def pack_rhs(self):
-        """Full right-hand side with the sign flips matching matrix(); the
-        rows of C^T and w get zero."""
-        rhs = [self.rhs_v, -self.rhs_p]
-        if self.C is not None:
-            rhs.append(np.zeros(self.C.shape[1]))
-        if self.mean_weights is not None:
-            rhs.append(np.zeros(1))
-        return np.concatenate(rhs)
-
-    def split(self, x):
-        n = self.A.shape[0]
-        m = self.B.shape[0]
-        u, p = x[:n], x[n:n + m]
-        off = n + m
-        y = None
-        if self.C is not None:
-            k = self.C.shape[1]
-            y = x[off:off + k]
-            off += k
-        gamma = float(x[off]) if self.mean_weights is not None else 0.0
-        return u, p, y, gamma
+def saddle_matrix(A, B, C=None, identity_block=True):
+    """The symmetric template matrix of the module docs over (u, p[, y])."""
+    rows = [[A, -B.T], [-B, None]]
+    if C is not None:
+        k = C.shape[1]
+        yy = sp.identity(k) if identity_block else sp.csr_matrix((k, k))
+        rows[0].append(None)
+        rows[1].append(-C)
+        rows.append([None, -C.T, yy])
+    return sp.bmat(rows, format="csc")
 
 
-@dataclass(frozen=True)
-class SaddleSolution:
-    u: np.ndarray
-    p: np.ndarray
-    y: np.ndarray
-    gamma: float
-    residual: float
+def solve_saddle(K, rhs, rtol=1e-10, label="system"):
+    """Factor the template matrix `K` by sparse LU and solve `K x = rhs`,
+    verifying the residual.
 
-
-class SaddleFactorization:
-    """Sparse LU of one saddle system, reusable across right-hand sides."""
-
-    def __init__(self, system, rtol=1e-10):
-        self.system = system
-        self.rtol = rtol
-        self.K = system.matrix()
-        if self.K.shape[0] == 0:
-            raise ConfigError("saddle system has no unknowns")
-        try:
-            self.lu = splu(self.K)
-        except RuntimeError as exc:
-            raise SolveError(
-                f"factorization failed for {system.label or 'system'}: {exc}")
-
-    def solve_packed(self, rhs):
-        x = self.lu.solve(rhs)
-        # one unconditional refinement sweep: the plain LU solve is only
-        # accurate in the norm of the dominant rows, and at high contrast
-        # the small divergence rows carry the conservation identities
-        x = x - self.lu.solve(self.K @ x - rhs)
-        scale = np.linalg.norm(rhs)
-        tol = self.rtol * scale if scale > 0 else self.rtol
-        res = np.linalg.norm(self.K @ x - rhs)
-        for _ in range(2):
-            if res <= tol:
-                break
-            x = x - self.lu.solve(self.K @ x - rhs)
-            res = np.linalg.norm(self.K @ x - rhs)
-        if res > tol:
-            raise SolveError(
-                f"residual {res:.3e} above tolerance {tol:.3e} "
-                f"for {self.system.label or 'system'}", residual=res)
-        u, p, y, gamma = self.system.split(x)
-        rel = res / scale if scale > 0 else res
-        return SaddleSolution(u, p, y, gamma, rel)
-
-
-def solve_saddle(system, rtol=1e-10):
-    """Factor and solve one saddle system, verifying the residual.
-
-    Raises SolveError if the factorization fails or the relative residual
-    stays above rtol after two refinement sweeps.
+    `rhs` is packed in the order and with the sign flips of the template:
+    (rhs_v, -rhs_p[, -rhs_c]). Raises SolveError if the factorization
+    fails or the relative residual stays above rtol after the refinement
+    sweeps.
     """
-    return SaddleFactorization(system, rtol=rtol).solve_packed(system.pack_rhs())
+    if K.shape[0] == 0:
+        raise ConfigError(f"{label} has no unknowns")
+    try:
+        lu = splu(K)
+    except RuntimeError as exc:
+        raise SolveError(f"factorization failed for {label}: {exc}")
+    x = lu.solve(rhs)
+    # one unconditional refinement sweep: the plain LU solve is only
+    # accurate in the norm of the dominant rows, and at high contrast
+    # the small divergence rows carry the conservation identities
+    x = x - lu.solve(K @ x - rhs)
+    scale = np.linalg.norm(rhs)
+    tol = rtol * scale if scale > 0 else rtol
+    res = np.linalg.norm(K @ x - rhs)
+    for _ in range(2):
+        if res <= tol:
+            break
+        x = x - lu.solve(K @ x - rhs)
+        res = np.linalg.norm(K @ x - rhs)
+    if res > tol:
+        raise SolveError(
+            f"residual {res:.3e} above tolerance {tol:.3e} for {label}", residual=res)
+    return x
 
 
 @dataclass(frozen=True)
 class FineSolution:
-    """Reference solve on the fine grid: per-edge fluxes (boundary edges
-    zero) and zero-mean per-cell pressures."""
+    """Whole-domain solve on the fine grid (the fine reference or a
+    snapshot): per-edge fluxes, zero on the boundary edges, and per-cell
+    pressures with zero mean."""
 
     grid: object
     v: np.ndarray
@@ -223,17 +164,23 @@ def check_zero_mean(f, h2, what="source"):
 def _solve_whole_domain(perm, rhs_p, rtol, label):
     """The no-flux mixed problem on the whole fine grid with cell
     right-hand side `rhs_p` and a zero-mean pressure, from the
-    whole-domain blocks on the interior edges."""
+    whole-domain blocks on the interior edges.
+
+    The pressure is fixed only up to a constant and the rows of B sum to
+    zero, so once `rhs_p` has zero mean cell 0's row is the negated sum
+    of the others: it is dropped, which pins p[0] = 0, and the square
+    system is solved. The pressure is then shifted to zero mean.
+    """
     grid = perm.grid
     dofmap = velocity_dofmap(full_domain(grid))
     edges = dofmap.edges
     A = mass_matrix(grid, perm)[edges][:, edges]
-    B = divergence_matrix(grid)[:, edges]
-    system = SaddleSystem(A, B, rhs_v=np.zeros(edges.size), rhs_p=rhs_p,
-                          mean_weights=np.full(grid.n_cells, grid.h ** 2),
-                          label=label)
-    sol = solve_saddle(system, rtol=rtol)
-    return FineSolution(grid, dofmap.scatter(sol.u, grid.n_edges), sol.p)
+    B = divergence_matrix(grid)[1:, edges]
+    rhs_p = rhs_p - np.mean(rhs_p)
+    x = solve_saddle(saddle_matrix(A, B),
+                     np.concatenate([np.zeros(edges.size), -rhs_p[1:]]), rtol, label)
+    p = np.concatenate([[0.0], x[edges.size:]])
+    return FineSolution(grid, dofmap.scatter(x[:edges.size], grid.n_edges), p - np.mean(p))
 
 
 def solve_fine_reference(perm, f, rtol=1e-10):

@@ -15,6 +15,7 @@ from .auxspace import build_aux_space, solve_all_spectra
 from .basis import CondensedElements, build_basis_set
 from .coarse import assemble_coarse_system, mass_residuals, solve_multiscale
 from .errors import ConfigError
+from .fem import solve_fine_reference
 from .medium import compute_weight
 from .mesh import bilinear_pou, build_grids, full_domain, oversample_region
 
@@ -215,8 +216,6 @@ def convergence_study(perm, f, cases, flavor="type2", rtol=1e-10, workers=1,
     size is checked before the first solve, and the spectra of each are
     computed once.
     """
-    from .fem import solve_fine_reference
-
     coarse = {Nx: build_grids(perm.grid.nx, Nx)[1] for _, Nx, _ in cases}
     if fine is None:
         fine = solve_fine_reference(perm, f, rtol=rtol)

@@ -12,10 +12,10 @@ from msdarcy import (ConfigError, PermField, SolveError, bilinear_pou,
                      build_grids, build_snapshot, compute_weight, generate_medium,
                      solve_all_spectra, solve_fine_reference, three_channel_spec)
 from msdarcy.basis import CondensedElements
-from msdarcy.fem import (SaddleFactorization, SaddleSystem, mass_matrix, mass_triplets,
-                         velocity_dofmap)
+from msdarcy.fem import mass_matrix, mass_triplets, saddle_matrix, velocity_dofmap
 from msdarcy.mesh import full_domain, oversample_region
-from test_fem import assemble_a, assemble_b
+from test_auxspace import restriction
+from test_fem import assemble_a, assemble_b, refined_lu
 
 
 def _region_lu_reference(aux, perm, region, flavor, rtol=1e-10):
@@ -24,25 +24,25 @@ def _region_lu_reference(aux, perm, region, flavor, rtol=1e-10):
     solve(e, j) -> (v, q, mu) for the basis function of eigenvector j of
     element e (mu is None for type2)."""
     dofmap = velocity_dofmap(region)
-    cols, R_loc = aux.restriction(region)
+    cols, R_loc = restriction(aux, region)
     cells = region.cells()
     s_region = aux.s_diag[cells]
-    system = SaddleSystem(
-        assemble_a(region, perm, dofmap), assemble_b(region, dofmap),
-        rhs_v=np.zeros(dofmap.n_dofs), rhs_p=np.zeros(cells.size),
-        C=(sp.diags(s_region) @ R_loc).tocsr(), identity_block=(flavor != "type1"))
-    fact = SaddleFactorization(system, rtol=rtol)
+    n, m = dofmap.n_dofs, cells.size
+    K = saddle_matrix(assemble_a(region, perm, dofmap), assemble_b(region, dofmap),
+                      (sp.diags(s_region) @ R_loc).tocsr(),
+                      identity_block=(flavor != "type1"))
+    lu = refined_lu(K, rtol)
 
     def solve(e, j):
         p_loc = R_loc[:, int(np.searchsorted(cols, aux.column(e, j)))].toarray().ravel()
-        # packed as pack_rhs packs (rhs_v, -rhs_p, -rhs_c)
-        rhs_p, rhs_c = np.zeros(cells.size), np.zeros(cols.size)
+        # packed with the template's sign flips (rhs_v, -rhs_p, -rhs_c)
+        rhs_p, rhs_c = np.zeros(m), np.zeros(cols.size)
         if flavor == "type1":
             rhs_c = R_loc.T @ (s_region * p_loc)
         else:
             rhs_p = s_region * p_loc
-        sol = fact.solve_packed(np.concatenate([system.rhs_v, -rhs_p, -rhs_c]))
-        return sol.u, sol.p, (-sol.y if flavor == "type1" else None)
+        x = lu(np.concatenate([np.zeros(n), -rhs_p, -rhs_c]))
+        return x[:n], x[n:n + m], (-x[n + m:] if flavor == "type1" else None)
     return solve
 
 
@@ -103,7 +103,7 @@ def test_type1_pins_pressure_moments(small_case):
     fine, coarse, perm, weight, aux = small_case
     e = int(coarse.element_id(0, 2))
     region = oversample_region(coarse, e, 2)
-    cols, R_loc = aux.restriction(region)
+    cols, R_loc = restriction(aux, region)
     s_region = aux.s_diag[region.cells()]
     batch = CondensedElements(aux, perm, "type1").batch(e, 2)
     for j, fn in enumerate(batch):
@@ -393,7 +393,7 @@ def test_region_templates_reproduce_operator_slices(small_case, flavor):
             system = cond.regions([region])
             assert np.array_equal(system.edges[0], region.interior_edges())
             assert np.array_equal(system.cells[0], region.cells())
-            cols, _ = aux.restriction(region)
+            cols, _ = restriction(aux, region)
             assert np.array_equal(system.columns[0], cols)
             unknowns = np.concatenate([system.edges[0], grid.n_edges + system.cells[0],
                                        grid.n_edges + grid.n_cells + system.columns[0]])

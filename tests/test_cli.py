@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from msdarcy import ConfigError, FineGrid, load_raster
+from msdarcy import ConfigError, FineGrid, cli, load_raster
 from msdarcy.cli import (_cases, _resolve_method, _resolve_solver, _resolve_source,
                          main)
 
@@ -339,6 +339,45 @@ def test_convergence_csv(tmp_path):
         cases = 1 2
     """)
     assert run("convergence", "--config", malformed, "--out", str(tmp_path / "y")) == 2
+
+
+@pytest.mark.parametrize("flavor,expect", [
+    ("bogus", "unknown flavor 'bogus'"),
+    ("global", "global flavor refused for nx=16 > max_global_nx=8"),
+])
+def test_convergence_checks_flavor_before_solving(tmp_path, capsys, monkeypatch,
+                                                  flavor, expect):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("convergence study ran")
+    monkeypatch.setattr(cli, "convergence_study", no_solve)
+    cfg = write_cfg(tmp_path / "c.ini", f"""\
+        [grid]
+        nx = 16
+        coarse = 4
+
+        [medium]
+        kind = generate
+
+        [source]
+        kind = corners
+        grid = 4
+
+        [method]
+        flavor = {flavor}
+
+        [study]
+        cases = 1 2 1
+
+        [solver]
+        max_global_nx = 8
+        workers = 1
+    """)
+    assert run("convergence", "--config", cfg, "--out", str(tmp_path / "o")) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["error"] == "ConfigError"
+    assert expect in record["message"]
 
 
 def test_decay_artifacts(tmp_path, capsys):

@@ -7,11 +7,11 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from msdarcy import (ConfigError, PermField, SolveError, bilinear_pou,
-                     build_grids, compute_weight, manufactured_cospi,
-                     solve_all_spectra, solve_fine_reference)
-from msdarcy.fem import (SaddleFactorization, SaddleSystem, check_zero_mean,
-                         divergence_matrix, mass_matrix,
-                         mass_triplets, solve_saddle, velocity_dofmap)
+                     build_grids, compute_weight, generate_medium,
+                     manufactured_cospi, solve_all_spectra, solve_fine_reference,
+                     three_channel_spec)
+from msdarcy.fem import (check_zero_mean, divergence_matrix, mass_matrix,
+                         mass_triplets, saddle_matrix, solve_saddle, velocity_dofmap)
 from msdarcy.mesh import FineGrid, element_layout, element_region, full_domain
 
 
@@ -61,6 +61,41 @@ def assemble_b(region, dofmap=None):
     keep = cols >= 0
     return sp.coo_matrix((vals[keep], (rows[keep], cols[keep])),
                          shape=(ncr, dofmap.n_dofs)).tocsr()
+
+
+def refined_lu(K, rtol=1e-10):
+    """Reference: sparse LU of K with one refinement sweep and up to two
+    more, asserting the relative residual; returns solve(rhs) -> x."""
+    K = sp.csc_matrix(K)
+    lu = splu(K)
+
+    def solve(rhs):
+        x = lu.solve(rhs)
+        x = x - lu.solve(K @ x - rhs)
+        tol = rtol * (np.linalg.norm(rhs) or 1.0)
+        for _ in range(2):
+            if np.linalg.norm(K @ x - rhs) <= tol:
+                break
+            x = x - lu.solve(K @ x - rhs)
+        assert np.linalg.norm(K @ x - rhs) <= tol
+        return x
+    return solve
+
+
+def bordered_reference(perm, f):
+    """Reference: the fine reference with its zero-mean pressure fixed by
+    a bordering row (w = h^2 per cell, multiplier gamma), the path the
+    pinned pressure replaced. Returns (v per edge, p)."""
+    grid = perm.grid
+    region = full_domain(grid)
+    dofmap = velocity_dofmap(region)
+    A, B = assemble_a(region, perm, dofmap), assemble_b(region, dofmap)
+    h2 = grid.h ** 2
+    w = sp.csr_matrix(np.full((1, grid.n_cells), h2))
+    K = sp.bmat([[A, -B.T, None], [-B, None, -w.T], [None, -w, None]])
+    n = dofmap.n_dofs
+    x = refined_lu(K)(np.concatenate([np.zeros(n), -h2 * f, [0.0]]))
+    return dofmap.scatter(x[:n], grid.n_edges), x[n:n + grid.n_cells]
 
 
 def _random_perm(grid, seed=0, span=3.0):
@@ -161,21 +196,64 @@ def test_sliced_blocks_and_solves_match_region_assembly():
         P *= np.sign(np.sum(spec.pressures * S[:, None] * P, axis=0))[None, :]
         assert np.abs(spec.pressures - P).max() <= 1e-10 * np.abs(P).max()
 
-    dofmap = velocity_dofmap(full_domain(fine))
-    edges = dofmap.edges
+    edges = velocity_dofmap(full_domain(fine)).edges
     A, B = assemble_a(full_domain(fine), perm), assemble_b(full_domain(fine))
     assert np.array_equal(M[edges][:, edges].toarray(), A.toarray())
     assert np.array_equal(D[:, edges].toarray(), B.toarray())
     rng = np.random.default_rng(15)
     f = rng.standard_normal(fine.n_cells)
     f -= f.mean()
-    h2 = fine.h ** 2
-    ref = solve_saddle(SaddleSystem(A, B, rhs_v=np.zeros(edges.size), rhs_p=h2 * f,
-                                    mean_weights=np.full(fine.n_cells, h2)))
+    v_ref, p_ref = bordered_reference(perm, f)
     sol = solve_fine_reference(perm, f)
-    v_ref = dofmap.scatter(ref.u, fine.n_edges)
     assert np.linalg.norm(sol.v - v_ref) <= 1e-10 * np.linalg.norm(v_ref)
+    assert np.linalg.norm(sol.p - p_ref) <= 1e-10 * np.linalg.norm(p_ref)
+
+
+@pytest.mark.parametrize("contrast", [1.0, 1e4, 1e8, 1e12])
+def test_pinned_reference_matches_bordered_oracle(contrast):
+    """The pinned-pressure fine reference against the bordered solve on
+    the 64x64 three-channel medium with the corner source: the flux in
+    the energy norm (at high contrast its plain L2 difference is
+    roundoff that both solves share, as far off a solve refined with
+    long-double residuals as they are off each other) and the pressure
+    in L2, plus every cell's mass balance."""
+    grid = FineGrid(64, 64)
+    perm = generate_medium(three_channel_spec(contrast=contrast), grid)
+    f = np.zeros((64, 64))
+    f[56:, :8] = 1.0
+    f[:8, 56:] = -1.0
+    f = f.ravel()
+    sol = solve_fine_reference(perm, f)
+    v_ref, p_ref = bordered_reference(perm, f)
+    M = mass_matrix(grid, perm)
+    dv = sol.v - v_ref
+    assert np.sqrt(dv @ M @ dv) <= 1e-10 * np.sqrt(v_ref @ M @ v_ref)
+    assert np.linalg.norm(sol.p - p_ref) <= 1e-10 * np.linalg.norm(p_ref)
+    h2 = grid.h ** 2
+    defect = np.abs(divergence_matrix(grid) @ sol.v - h2 * f)
+    assert defect.max() <= 1e-10 * h2 * np.abs(f).sum()
+
+
+def test_small_source_mean_is_removed():
+    """A source whose mean check_zero_mean lets through gives the solution
+    of its mean-free part, and that part's mass balance in every cell,
+    the pinned cell 0 included."""
+    grid = FineGrid(16, 16)
+    perm = _random_perm(grid, seed=16, span=6.0)
+    rng = np.random.default_rng(17)
+    f0 = rng.standard_normal(grid.n_cells)
+    f0 -= f0.mean()
+    h2 = grid.h ** 2
+    # an integral of 0.9e-12 of the check's scale, spread evenly
+    f = f0 + 0.9e-12 * max(np.abs(f0).sum() * h2, 1.0) / (grid.n_cells * h2)
+    assert np.sum(f) * h2 != 0.0
+    check_zero_mean(f, h2)
+    sol = solve_fine_reference(perm, f)
+    ref = solve_fine_reference(perm, f0)
+    assert np.linalg.norm(sol.v - ref.v) <= 1e-10 * np.linalg.norm(ref.v)
     assert np.linalg.norm(sol.p - ref.p) <= 1e-10 * np.linalg.norm(ref.p)
+    defect = np.abs(divergence_matrix(grid) @ sol.v - h2 * f0)
+    assert defect.max() <= 1e-10 * h2 * np.abs(f).sum()
 
 
 def test_dofmap_indexing():
@@ -199,22 +277,17 @@ def test_saddle_template_solves_block_equations():
     A = sp.csr_matrix(A @ A.T + n * np.eye(n))
     B = sp.csr_matrix(rng.standard_normal((m, n)))
     C = sp.csr_matrix(rng.standard_normal((m, k)))
-    w = rng.uniform(1, 2, m)
     rhs_v = rng.standard_normal(n)
     rhs_p = rng.standard_normal(m)
     rhs_c = rng.standard_normal(k)
-    system = SaddleSystem(A, B, rhs_v=rhs_v, rhs_p=rhs_p, C=C,
-                          identity_block=True, mean_weights=w, label="toy")
-    K = system.matrix()
+    K = saddle_matrix(A, B, C, identity_block=True)
     assert abs(K - K.T).max() < 1e-14
-    # packed with the sign flips of pack_rhs: rhs_v, -rhs_p, -rhs_c, -mean
-    packed = np.concatenate([rhs_v, -rhs_p, -rhs_c, [-0.25]])
-    sol = SaddleFactorization(system, rtol=1e-12).solve_packed(packed)
-    u, p, y, gamma = sol.u, sol.p, sol.y, sol.gamma
+    # packed with the template's sign flips: rhs_v, -rhs_p, -rhs_c
+    x = solve_saddle(K, np.concatenate([rhs_v, -rhs_p, -rhs_c]), rtol=1e-12)
+    u, p, y = x[:n], x[n:n + m], x[n + m:]
     assert np.allclose(A @ u - B.T @ p, rhs_v, atol=1e-9)
-    assert np.allclose(B @ u + C @ y + gamma * w, rhs_p, atol=1e-9)
+    assert np.allclose(B @ u + C @ y, rhs_p, atol=1e-9)
     assert np.allclose(C.T @ p - y, rhs_c, atol=1e-9)
-    assert w @ p == pytest.approx(0.25, abs=1e-9)
 
 
 def test_saddle_identity_block_toggle():
@@ -224,28 +297,25 @@ def test_saddle_identity_block_toggle():
     A = sp.csr_matrix(A @ A.T + n * np.eye(n))
     B = sp.csr_matrix(rng.standard_normal((m, n)))
     C = sp.csr_matrix(rng.standard_normal((m, k)))
-    system = SaddleSystem(A, B, rhs_v=rng.standard_normal(n),
-                          rhs_p=rng.standard_normal(m), C=C,
-                          identity_block=False)
+    rhs_v = rng.standard_normal(n)
+    rhs_p = rng.standard_normal(m)
     rhs_c = rng.standard_normal(k)
-    packed = np.concatenate([system.rhs_v, -system.rhs_p, -rhs_c])
-    sol = SaddleFactorization(system, rtol=1e-12).solve_packed(packed)
+    x = solve_saddle(saddle_matrix(A, B, C, identity_block=False),
+                     np.concatenate([rhs_v, -rhs_p, -rhs_c]), rtol=1e-12)
+    p, y = x[n:n + m], x[n + m:]
     # without the identity block the third row reads C^T p = rhs_c
-    assert np.allclose(C.T @ sol.p, rhs_c, atol=1e-9)
-    assert np.allclose(B @ sol.u + C @ sol.y, system.rhs_p, atol=1e-9)
+    assert np.allclose(C.T @ p, rhs_c, atol=1e-9)
+    assert np.allclose(B @ x[:n] + C @ y, rhs_p, atol=1e-9)
 
 
 def test_saddle_errors():
     A = sp.csr_matrix(np.zeros((2, 2)))
     B = sp.csr_matrix(np.ones((1, 2)))
-    singular = SaddleSystem(A, B, rhs_v=np.ones(2), rhs_p=np.ones(1),
-                            label="degenerate")
     with pytest.raises(SolveError):
-        solve_saddle(singular)
-    empty = SaddleSystem(sp.csr_matrix((0, 0)), sp.csr_matrix((0, 0)),
-                         rhs_v=np.zeros(0), rhs_p=np.zeros(0))
+        solve_saddle(saddle_matrix(A, B), np.ones(3), label="degenerate")
+    empty = saddle_matrix(sp.csr_matrix((0, 0)), sp.csr_matrix((0, 0)))
     with pytest.raises(ConfigError):
-        solve_saddle(empty)
+        solve_saddle(empty, np.zeros(0))
 
 
 def test_check_zero_mean():
