@@ -3,12 +3,16 @@
 The fine operators are projected onto the basis columns (velocity) and
 the kept eigenvectors (pressure). The projected blocks are sparse: each
 basis function lives on its oversampled region, so two functions couple
-only when their regions overlap. A sparse LU of the velocity block in
-symmetric mode checks that it is positive definite; one sparse LU of the
-bordered saddle matrix gives the solution, and a Lanczos iteration on
-the same factor gives the inf-sup constant of the pressure Schur
-complement on zero-mean coefficients. The solution is expanded back to
-fine-grid fluxes and pressures.
+only when their regions overlap. There is one basis function per
+auxiliary column, so the divergence block is square, with corank 1. A
+sparse LU of the velocity block in symmetric mode checks that it is
+positive definite. One sparse LU of the divergence block bordered by the
+pressure-mean weights gives its null vector, a particular velocity and,
+by a transposed solve, the pressure; the velocity is the particular one
+plus the multiple of the null vector that minimizes the energy. A
+Lanczos iteration on the same factor gives the inf-sup constant of the
+pressure Schur complement on zero-mean coefficients. The solution is
+expanded back to fine-grid fluxes and pressures.
 """
 
 import os
@@ -64,10 +68,13 @@ def assemble_coarse_system(basis_set, perm, f):
     """Project the fine problem onto the multiscale spaces.
 
     Sizes whose coarse solve would not fit in physical memory raise
-    ConfigError. The estimate is 4 * nnz * sqrt(n) bytes for n basis
-    functions and nnz stored entries of A_c and B_c: the LU fill of the
-    bordered saddle matrix grows like nnz * sqrt(n), and the measured
-    peak of the coarse stage grows by about 3.5 bytes per unit of it.
+    ConfigError. The estimate is 2.5 * nnz * sqrt(n) bytes for n basis
+    functions and nnz stored entries of A_c and B_c: the LU fills of the
+    velocity block and of the bordered divergence block grow like
+    nnz * sqrt(n) (the latter 0.015-0.035 per unit on the preset
+    three-channel medium at 64/8/L3, 64/32/L2 and 128/32/L5), and the
+    measured peak of the coarse solve is 1.2-2.1 bytes per unit from
+    n = 768 to n = 12288 there.
     """
     aux = basis_set.aux
     grid = perm.grid
@@ -79,7 +86,7 @@ def assemble_coarse_system(basis_set, perm, f):
     A_c = Psi.T @ (mass_matrix(grid, perm) @ Psi)
     B_c = R.T @ (divergence_matrix(grid) @ Psi)
     n = Psi.shape[1]
-    need = 4 * (A_c.nnz + B_c.nnz) * np.sqrt(n)
+    need = 2.5 * (A_c.nnz + B_c.nnz) * np.sqrt(n)
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise ConfigError(
@@ -105,23 +112,25 @@ def _top_eigenvalue(apply, n, tol=0.0):
 
 
 def solve_multiscale(system, rtol=1e-10):
-    """Solve the coarse saddle system by one sparse LU of its bordered
-    matrix and expand to the fine grid."""
+    """Solve the coarse saddle system through one sparse LU of the square
+    divergence block bordered by the pressure mean, and expand to the
+    fine grid."""
     A_c, B_c, w, rhs_q = system.A_c, system.B_c, system.mean_w, system.rhs_q
-    m, n = A_c.shape[0], w.size
+    n = w.size
+    if A_c.shape != (n, n) or B_c.shape != (n, n):
+        raise SolveError(
+            f"coarse system needs one basis function per auxiliary column: "
+            f"velocity block {A_c.shape[0]}x{A_c.shape[1]}, divergence block "
+            f"{B_c.shape[0]}x{B_c.shape[1]}")
     A = 0.5 * (A_c + A_c.T)
-    border = sp.csr_matrix((m, 0))
     if system.basis.saturated:
-        # global functions combined by the coefficients of the constant
-        # pressure have zero velocity; shifting out that null direction
-        # leaves the Schur complement unchanged, as B_c annihilates it too.
-        # The border u0^T U = 0 fixes the coefficients along it exactly,
-        # also when A_c and B_c are roundoff along it and nothing else
-        # (one global function)
-        border = sp.csr_matrix(system.aux.coefficients(
+        # global functions combined by the coefficients u0 of the constant
+        # pressure have zero velocity and divergence, so u0 spans the null
+        # space of B_c; the shift makes A definite along it, and the energy
+        # minimization below then fixes the coefficients along it
+        u0 = sp.csr_matrix(system.aux.coefficients(
             np.ones(system.aux.coarse.fine.n_cells))[:, None])
-        A = A + (A.diagonal().sum() / m / (border.T @ border)[0, 0]) * (border @ border.T)
-    b = border.shape[1]
+        A = A + (A.diagonal().sum() / n / (u0.T @ u0)[0, 0]) * (u0 @ u0.T)
     try:
         # symmetric mode, diagonal pivots (perm_r == perm_c): by Sylvester's
         # law of inertia A is positive definite iff every pivot is positive
@@ -133,44 +142,54 @@ def solve_multiscale(system, rtol=1e-10):
     if not (np.array_equal(lu_a.perm_r, lu_a.perm_c) and np.all(pivots > 0)):
         raise SolveError("projected velocity block is not positive definite: "
                          f"smallest pivot {pivots.min():.3e}")
-    # unknowns (U, -P, gamma[, mu]): A U - B^T P [+ u0 mu] = 0,
-    # B U + gamma w = rhs_q, w^T P = 0[, u0^T U = 0]
+    # B_c has corank 1. Its left null vector is s = R^T S 1: every basis
+    # function has zero net flux, and its divergence lies in the weighted
+    # image S R of the auxiliary space, where R^T S R = I. Bordering B_c
+    # by w gives M = [[B_c, w], [w^T, 0]], nonsingular iff s^T w != 0 and
+    # w^T z != 0 for the right null vector z of B_c (both cosines are
+    # about 0.7 on the 16x16 test systems at contrast 1e3, 0.09 at 1e8).
+    # Then M [z; t] = [0; 1] has t = 0, so it gives z. The pattern of M is
+    # nearly symmetric; a minimum-degree ordering of M + M^T fills far
+    # less than COLAMD at two layers (7.2M against 51M at n = 12288)
     w_col = sp.csr_matrix(w[:, None])
-    K = sp.bmat([[A, B_c.T, None, border], [B_c, None, w_col, None],
-                 [None, w_col.T, None, None], [border.T, None, None, None]],
-                format="csc")
     try:
-        lu = splu(K)
+        lu = splu(sp.bmat([[B_c, w_col], [w_col.T, None]], format="csc"),
+                  permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:
-        raise SolveError(f"coarse factorization failed: {exc}")
+        raise SolveError(f"coarse system is singular: {exc}")
+    z = lu.solve(np.append(np.zeros(n), 1.0))[:n]
+    Az = A @ z
+    zAz = z @ Az
 
-    def residual(x):
-        """Right-hand side minus the unshifted equations at x."""
-        U, Q, mu = x[:m], x[m:m + n], x[m + n + 1:]
-        return np.concatenate([-(A_c @ U + B_c.T @ Q + border @ mu),
-                               rhs_q - B_c @ U - x[m + n] * w, [-(w @ Q)],
-                               -(border.T @ U)])
+    def solve(f_u, f_q, f_w):
+        """(U, P, gamma) with A U - B_c^T P = f_u, B_c U + gamma w = f_q,
+        w^T P = f_w: a particular U_p from M, the multiple of z that
+        makes A U - f_u orthogonal to z (the range of B_c^T), and P from
+        the transposed solve."""
+        y = lu.solve(np.append(f_q, 0.0))
+        U = y[:n] + ((z @ f_u - Az @ y[:n]) / zAz) * z
+        P = lu.solve(np.append(A @ U - f_u, f_w), trans="T")[:n]
+        return U, P, y[n]
 
-    # one solve and one refinement sweep: the LU solve is accurate in the
-    # norm of the dominant rows only, and at high contrast the element mass
-    # balances are small components of the divergence rows
-    x = np.zeros(m + n + 1 + b)
+    # one solve and one refinement sweep on the unshifted equations: the
+    # LU solve is accurate in the norm of the dominant rows only, and at
+    # high contrast the element mass balances are small components of the
+    # divergence rows
+    U, P, gamma = np.zeros(n), np.zeros(n), 0.0
     for _ in range(2):
-        x += lu.solve(residual(x))
-    U, P = x[:m], -x[m:m + n]
+        dU, dP, dgamma = solve(B_c.T @ P - A_c @ U, rhs_q - B_c @ U - gamma * w, -(w @ P))
+        U, P, gamma = U + dU, P + dP, gamma + dgamma
     if n == 1:
         sigma = np.inf
     else:
         def zero_mean(q):
             return q - (w @ q) / (w @ w) * w
 
-        # K^-1 [0; r; 0] has pressure part -(Pi S Pi)^+ r for the Schur
-        # complement S = B_c A^-1 B_c^T and the zero-mean projector Pi, so
-        # its top eigenvalue is 1 / sigma (shift-invert at zero)
-        pad = np.zeros(m)
+        # the pressure of the solve with data (0, Pi r, 0) is (Pi S Pi)^+ r
+        # for the Schur complement S = B_c A^-1 B_c^T and the zero-mean
+        # projector Pi, so the top eigenvalue of that map is 1 / sigma
         sigma = 1.0 / _top_eigenvalue(
-            lambda q: -lu.solve(np.concatenate([pad, zero_mean(q), np.zeros(1 + b)]))[m:m + n],
-            n)
+            lambda q: solve(np.zeros(n), zero_mean(q), 0.0)[1], n)
         # numerical rank test: sigma scales like 1/contrast, so compare it
         # with the roundoff level of the largest eigenvalue, which needs
         # only a few digits

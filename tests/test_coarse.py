@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from msdarcy import (ConfigError, PermField, SolveError, bilinear_pou,
@@ -151,16 +152,19 @@ def _oracle_system(case):
     if case == "pair":
         # two columns: the smallest restricted Schur complement (1 x 1)
         return _single_element_system(nbasis=2)
-    fine, coarse, perm, weight, aux, f = _setup(16, 4, nbasis=2, seed=38)
-    if case == "global":
+    flavor, _, contrast = case.partition("-")
+    fine, coarse, perm, weight, aux, f = _setup(16, 4, nbasis=2, seed=38,
+                                                span=np.log(float(contrast or 1e3)))
+    if flavor == "global":
         bset = build_basis_set(aux, perm, flavor="global")
         assert bset.saturated
     else:
-        bset = build_basis_set(aux, perm, layers=1, flavor=case)
+        bset = build_basis_set(aux, perm, layers=1, flavor=flavor)
     return assemble_coarse_system(bset, perm, f)
 
 
-@pytest.mark.parametrize("case", ["type2", "type1", "global", "single", "pair"])
+@pytest.mark.parametrize("case", ["type2", "type1", "global", "single", "pair",
+                                  "type2-1e8", "global-1e8"])
 def test_schur_solve_matches_dense_kkt(case):
     system = _oracle_system(case)
     ms = solve_multiscale(system)
@@ -189,16 +193,46 @@ def test_schur_health_positive_and_degenerate_cases():
     bset = build_basis_set(aux, perm, layers=2)
     system = assemble_coarse_system(bset, perm, f)
     assert solve_multiscale(system).schur_sigma > 1e-6
-    # a duplicated column makes the velocity block indefinite
-    twice = BasisSet(coarse, aux, "type2", 2,
-                     [bset.functions[0], bset.functions[0]])
+    # a duplicated function makes the velocity block singular
+    functions = list(bset.functions)
+    functions[1] = functions[0]
+    twice = BasisSet(coarse, aux, "type2", 2, functions)
     broken = assemble_coarse_system(twice, perm, f)
-    with pytest.raises(SolveError):
+    with pytest.raises(SolveError, match="not positive definite"):
         solve_multiscale(broken)
     # a negative definite block factors, but with negative pivots
     negated = dataclasses.replace(system, A_c=-system.A_c)
     with pytest.raises(SolveError, match="not positive definite"):
         solve_multiscale(negated)
+
+
+def test_non_square_divergence_block_is_refused():
+    fine, coarse, perm, weight, aux, f = _setup(16, 4, nbasis=2, seed=36)
+    bset = build_basis_set(aux, perm, layers=1)
+    two = BasisSet(coarse, aux, "type2", 1, list(bset.functions[:2]))
+    system = assemble_coarse_system(two, perm, f)
+    with pytest.raises(SolveError, match="velocity block 2x2, divergence block 32x2"):
+        solve_multiscale(system)
+
+
+def test_singular_bordered_divergence_block_raises_solve_error():
+    system = _oracle_system("type2")
+    zero = dataclasses.replace(system, B_c=sp.csr_matrix(system.B_c.shape))
+    with pytest.raises(SolveError, match="coarse system is singular: "):
+        solve_multiscale(zero)
+
+
+@pytest.mark.parametrize("case", ["type2", "type1", "global"])
+def test_left_null_vector_of_divergence_block(case):
+    """s = R^T S 1 annihilates B_c from the left: each basis function has
+    zero net flux and its divergence lies in the weighted image S R of the
+    auxiliary space, with R^T S R = I. The mean weights w do not."""
+    system = _oracle_system(case)
+    B = system.B_c.toarray()
+    s = system.aux.coefficients(np.ones(system.aux.coarse.fine.n_cells))
+    w = system.mean_w
+    assert np.abs(s @ B).max() <= 1e-14 * np.abs(B).max() * np.abs(s).max()
+    assert np.abs(w @ B).max() > 0.1 * np.abs(B).max() * np.abs(w).max()
 
 
 def test_single_pressure_column_reports_inf():
