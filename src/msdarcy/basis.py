@@ -34,6 +34,11 @@ and only the skeleton factors and solves run region by region. The
 condensed elements serve every region, every layer count and the
 `global` flavor, which is the same solve on the whole-domain region.
 Each function's full region saddle residual is checked at `rtol`.
+
+Each function also carries what the coarse blocks need, so that they
+are assembled with no fine-grid product: its divergence coefficients
+R^T B psi, its trace M psi - B^T q on the region-boundary edges and its
+energy psi^T M psi, each from the region's own rows of the operator.
 """
 
 import threading
@@ -57,7 +62,16 @@ class VelocityBasisFunction:
 
     `v` holds fluxes on `edges` (the region-interior edges), `q` the
     pressure companion on `cells`; both are zero outside the region.
-    `mu` carries the multiplier coefficients for the `type1` flavor.
+    What the coarse blocks need (`coarse.assemble_coarse_system`), from the
+    region solve: `div` holds the divergence coefficients R^T B psi on
+    `div_columns`, the region's auxiliary columns. The divergence lies in
+    the weighted image of the auxiliary space, B psi = S R div, so `div` is
+    the function's column of B_c = R^T B Psi. `trace` holds M psi - B^T q
+    on `trace_edges`, the region-boundary edges inside the domain: the
+    region's flux equations make it zero on the region-interior edges, and
+    psi vanishes on the domain boundary, so psi_k^T M psi = psi_k^T
+    (B^T q + trace) for every function psi_k. The `global` flavor has no
+    such edges. `energy` is psi^T M psi.
     """
 
     element: int
@@ -68,8 +82,11 @@ class VelocityBasisFunction:
     v: np.ndarray
     cells: np.ndarray
     q: np.ndarray
-    mu: np.ndarray = None
-    mu_columns: np.ndarray = None
+    div: np.ndarray
+    div_columns: np.ndarray
+    trace: np.ndarray
+    trace_edges: np.ndarray
+    energy: float
 
     def v_global(self, n_edges):
         full = np.zeros(n_edges)
@@ -80,6 +97,16 @@ class VelocityBasisFunction:
         full = np.zeros(n_cells)
         full[self.cells] = self.q
         return full
+
+
+def _columns(rows, values, n_rows):
+    """The CSC matrix whose column k holds values[k] on the ascending
+    row ids rows[k]."""
+    if not rows:
+        return sp.csc_matrix((n_rows, 0))
+    indptr = np.concatenate([[0], np.cumsum([r.size for r in rows])])
+    return sp.csc_matrix((np.concatenate(values), np.concatenate(rows), indptr),
+                         shape=(n_rows, len(rows)))
 
 
 class BasisSet:
@@ -111,18 +138,34 @@ class BasisSet:
 
     @cached_property
     def matrix(self):
-        """Sparse (n_edges x n_functions) flux matrix."""
-        n_edges = self.coarse.fine.n_edges
-        rows, cols, vals = [], [], []
-        for k, fn in enumerate(self.functions):
-            rows.append(fn.edges)
-            cols.append(np.full(fn.edges.size, k))
-            vals.append(fn.v)
-        if not rows:
-            return sp.csr_matrix((n_edges, 0))
-        return sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n_edges, len(self.functions))).tocsr()
+        """Sparse (n_edges x n_functions) flux matrix Psi."""
+        return _columns([fn.edges for fn in self.functions],
+                        [fn.v for fn in self.functions], self.coarse.fine.n_edges)
+
+    @cached_property
+    def divergence(self):
+        """The (n_columns x n_functions) divergence block B_c = R^T B Psi,
+        from the functions' divergence coefficients."""
+        return _columns([fn.div_columns for fn in self.functions],
+                        [fn.div for fn in self.functions], self.aux.n_columns)
+
+    @property
+    def traces(self):
+        """The (n_edges x n_functions) traces M psi - B^T q, built on each
+        access: only the coarse assembly reads them."""
+        return _columns([fn.trace_edges for fn in self.functions],
+                        [fn.trace for fn in self.functions], self.coarse.fine.n_edges)
+
+    @cached_property
+    def energies(self):
+        """Each function's energy psi^T M psi."""
+        return np.array([fn.energy for fn in self.functions])
+
+    @cached_property
+    def columns(self):
+        """The auxiliary column each function was built for."""
+        return np.array([self.aux.offsets[fn.element] + fn.j for fn in self.functions],
+                        dtype=np.int64)
 
 
 class CondensedElements:
@@ -311,6 +354,56 @@ class CondensedElements:
         return self.regions([region]).functions([(0, e)], layers, self.flavor, rtol)[0]
 
 
+class _Rows:
+    """The entries of some rows of the whole-domain operator (`rows`, sliced
+    from it) that lie in some of its columns (`columns`, distinct ids), as
+    the number of them per row, their positions within the operator's rows
+    and their columns' positions in `columns`. The same for every region of
+    one template (`_RegionTemplate`)."""
+
+    def __init__(self, rows, columns):
+        n = columns.size
+        lookup = np.full(rows.shape[1], -1, dtype=np.int32)
+        lookup[columns] = np.arange(n)
+        local = lookup[rows.indices]
+        hit = local >= 0
+        per_row = np.diff(rows.indptr)
+        offset = (np.arange(rows.nnz) - np.repeat(rows.indptr[:-1], per_row))[hit]
+        self.offset = offset.astype(np.min_scalar_type(per_row.max(initial=0)))
+        self.indices = local[hit].astype(np.min_scalar_type(n))
+        m = rows.shape[0]
+        self.counts = np.bincount(np.repeat(np.arange(m), per_row)[hit],
+                                  minlength=m).astype(np.int32)
+        self.indptr = np.concatenate([[0], np.cumsum(self.counts)]).astype(np.int32)
+        self.shape = (m, n)
+
+    def nonempty(self):
+        """Drop the rows without entries; returns the positions of the kept
+        rows among the old ones."""
+        kept = np.flatnonzero(self.counts).astype(np.int32)
+        self.counts = self.counts[kept]
+        self.indptr = np.concatenate([[0], np.cumsum(self.counts)]).astype(np.int32)
+        self.shape = (kept.size, self.shape[1])
+        return kept
+
+    def gather(self, operator, rows):
+        """One block-diagonal matrix of these entries for several regions,
+        region g's block at rows of the operator `rows[g]`."""
+        g = rows.shape[0]
+        m, n = self.shape
+        nnz = int(self.indptr[-1])
+        at = np.repeat(operator.indptr[rows], self.counts, axis=1)
+        at += self.offset
+        # ids of the index type the sparse constructor keeps: it then neither
+        # scans nor copies them
+        index = np.int32 if g * max(n, nnz) < 2 ** 31 else np.int64
+        base = np.arange(g, dtype=index)[:, None]
+        return sp.csr_matrix(
+            (operator.data[at].ravel(), (self.indices + base * index(n)).ravel(),
+             np.append((self.indptr[:-1] + base * index(nnz)).ravel(), index(g * nnz))),
+            shape=(g * m, g * n))
+
+
 class _RegionTemplate:
     """Index maps shared by every region of one shape and column counts.
 
@@ -320,16 +413,19 @@ class _RegionTemplate:
     elements' interior unknowns among the region's unknowns (`pos`), the
     skeleton and its slots, the CSC pattern of the skeleton matrix with
     the gather from the elements' stacked complements into it, and the
-    pattern of the region's saddle matrix inside the whole-domain operator
-    hold for all of them. Column ids are not translated: they follow the
-    column counts, and each region reads them from the offsets.
+    patterns of the region's saddle matrix (`K`) and of its coupling to
+    the region-boundary edges (`T`) inside the whole-domain operator hold
+    for all of them. Column ids are not translated: they follow the column
+    counts, and each region reads them from the offsets.
     """
 
     def __init__(self, cond, region, elements):
         grid = region.fine
         self.i0, self.j0 = region.i0, region.j0
         edges, cells = region.interior_edges(), region.cells()
+        boundary = region.boundary_edges()
         self.vertical = edges < grid.n_vedges
+        self.boundary_vertical = boundary < grid.n_vedges
         counts = cond.aux.counts[elements]
         self.column_owner = np.repeat(np.arange(elements.size), counts)
         self.column_j = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts,
@@ -340,9 +436,9 @@ class _RegionTemplate:
         n = self.n = unknowns.size
         keys = cond.keys[elements]
         self.pos = np.where(keys >= 0, np.searchsorted(unknowns, keys), n).astype(np.int32)
-        boundary = cond.boundary[elements]
-        at = np.minimum(np.searchsorted(edges, boundary), edges.size - 1)
-        inside = edges[at] == boundary
+        element_boundary = cond.boundary[elements]
+        at = np.minimum(np.searchsorted(edges, element_boundary), edges.size - 1)
+        inside = edges[at] == element_boundary
         self.skeleton = np.unique(at[inside])
         n_s = self.n_s = self.skeleton.size
         self.slots = np.where(inside, np.searchsorted(self.skeleton, at), n_s).astype(np.int32)
@@ -358,23 +454,24 @@ class _RegionTemplate:
         self.S_indices = (pattern % n_s).astype(np.int32)
         self.S_indptr = np.searchsorted(pattern // n_s, np.arange(n_s + 1)).astype(np.int32)
         # the region's saddle matrix: its rows of the operator restricted to
-        # its columns, as the number of entries per row and their positions
-        # within the operator's rows
+        # its columns. Its region-boundary rows restricted to its columns,
+        # which give the traces M psi - B^T q, are by symmetry its rows in
+        # the boundary edges' columns (`T`, for the rows `T_rows` that have
+        # any): a region-boundary row of the operator has fewer entries where
+        # the domain ends, a region row the same in every region. Its column
+        # rows on its cells (-C^T) give the divergence coefficients
         rows = cond.operator[unknowns]
-        local = np.minimum(np.searchsorted(unknowns, rows.indices), n - 1)
-        hit = unknowns[local] == rows.indices
-        per_row = np.diff(rows.indptr)
-        offset = (np.arange(rows.nnz) - np.repeat(rows.indptr[:-1], per_row))[hit]
-        self.K_offset = offset.astype(np.min_scalar_type(per_row.max(initial=0)))
-        self.K_indices = local[hit].astype(np.min_scalar_type(n))
-        self.K_counts = np.bincount(np.repeat(np.arange(n), per_row)[hit],
-                                    minlength=n).astype(np.int32)
-        self.K_indptr = np.concatenate([[0], np.cumsum(self.K_counts)]).astype(np.int32)
+        self.K = _Rows(rows, unknowns)
+        self.T = _Rows(rows, boundary)
+        self.T_rows = self.T.nonempty()
+        self.Ct = _Rows(rows[n - columns.size:], grid.n_edges + cells)
         self.edges, self.cells = edges.astype(np.int32), cells.astype(np.int32)
+        self.boundary = boundary.astype(np.int32)
         # about what a region takes while solved with others: its ids and
-        # values, its saddle matrix and five arrays of right-hand-side size
-        self.bytes = 8 * (4 * self.K_indptr[-1] + 2 * np.count_nonzero(self.S_mask)
-                          + 5 * (n + 1) * cond.Z.shape[2])
+        # values, its saddle and boundary matrices and five arrays of
+        # right-hand-side size
+        self.bytes = 8 * (4 * sum(int(m.indptr[-1]) for m in (self.K, self.T, self.Ct))
+                          + 2 * np.count_nonzero(self.S_mask) + 5 * (n + 1) * cond.Z.shape[2])
         # the region's elements row by row: consecutive ids, consecutive
         # positions in `elements`
         self.width = region.shape[0] // cond.aux.coarse.r
@@ -409,22 +506,27 @@ class _Regions:
         self.elements = np.array([region_elements(coarse, r) for r in regions])
         di = np.array([[r.i0] for r in regions]) - tpl.i0
         dj = np.array([[r.j0] for r in regions]) - tpl.j0
-        self.edges = tpl.edges + np.where(tpl.vertical, dj * (grid.nx + 1) + di,
-                                          dj * grid.nx + di)
+
+        def shifted(edges, vertical):
+            return edges + np.where(vertical, dj * (grid.nx + 1) + di, dj * grid.nx + di)
+
+        self.edges = shifted(tpl.edges, tpl.vertical)
+        self.boundary = shifted(tpl.boundary, tpl.boundary_vertical)
         self.cells = tpl.cells + dj * grid.nx + di
         self.columns = cond.aux.offsets[self.elements[:, tpl.column_owner]] + tpl.column_j
         unknowns = np.concatenate([self.edges, grid.n_edges + self.cells,
                                    grid.n_edges + grid.n_cells + self.columns], axis=1)
-        # every region's saddle equations, from the whole-domain operator, as
-        # one block-diagonal matrix
-        op = cond.operator
-        g, n = unknowns.shape
-        at = np.repeat(op.indptr[unknowns], tpl.K_counts, axis=1) + tpl.K_offset
-        nnz = tpl.K_indptr[-1]
-        self.K = sp.csr_matrix(
-            (op.data[at].ravel(), (tpl.K_indices + np.arange(g)[:, None] * n).ravel(),
-             np.append((tpl.K_indptr[:-1] + np.arange(g)[:, None] * nnz).ravel(), g * nnz)),
-            shape=(g * n, g * n))
+        # every region's saddle equations and the blocks of `_RegionTemplate`,
+        # from the whole-domain operator, as block-diagonal matrices
+        self.K = tpl.K.gather(cond.operator, unknowns)
+        # transposed: boundary edges by unknowns
+        self.T = tpl.T.gather(cond.operator, unknowns[:, tpl.T_rows]).T.tocsr()
+        self.Ct = tpl.Ct.gather(cond.operator, unknowns[:, tpl.n - self.columns.shape[1]:])
+        self.s = cond.aux.s_diag[self.cells]
+        # the region-boundary edges inside the domain: every function
+        # vanishes on the domain boundary
+        self.inner = ~grid.boundary_edge_mask()[self.boundary]
+        g = len(regions)
         nnz = tpl.S_indices.size
         self.S_values = np.bincount(
             (tpl.S_dst + np.arange(g)[:, None] * nnz).ravel(),
@@ -529,37 +631,61 @@ class _Regions:
         x = self._back(sel, self._skeleton(lus, sel, g))
         x[rows, at[:, :, None], cols] += cond.Z[centre]
         x, rhs = x[:, :n], rhs[:, :n]
-        scale = np.linalg.norm(rhs, axis=1)
+        scale = _norms(rhs)
         tol = np.where(scale > 0, rtol * scale, rtol)
         res = (self.K @ x.reshape(-1, c)).reshape(x.shape) - rhs
-        norms = np.linalg.norm(res, axis=1)
+        norms = _norms(res)
         for _ in range(3):
             bad = np.flatnonzero((norms > tol).any(axis=1))
             if not bad.size:
                 break
             x[bad] -= self._refine(lus, bad, res[bad])
             res = (self.K @ x.reshape(-1, c)).reshape(x.shape) - rhs
-            norms = np.linalg.norm(res, axis=1)
+            norms = _norms(res)
         bad = np.argwhere(norms > tol)
         if bad.size:
             i, j = bad[0]
             raise SolveError(f"residual {norms[i, j]:.3e} above tolerance {tol[i, j]:.3e} "
                              f"for {self._label(i)}", residual=float(norms[i, j]))
+        # what the coarse blocks need: the traces on the region-boundary
+        # edges, and from K's velocity columns, which give (A psi, -B psi, 0),
+        # the energies psi^T A psi and the divergence coefficients
+        # R^T B psi = C^T S^-1 B psi. B psi + C y equals C e (type2, e the
+        # own column) or zero (type1) only up to the solve's residual;
+        # coefficients read off psi keep the expanded velocity's element mass
+        # balances exact to roundoff
+        del rhs, res
         n_e, n_c = self.edges.shape[1], self.cells.shape[1]
+        stacked = (len(sel), -1, c)
+        trace = (self.T @ x[:, tpl.T_rows].reshape(-1, c)).reshape(stacked)
+        psi = np.zeros_like(x)
+        psi[:, :n_e] = x[:, :n_e]
+        Kpsi = (self.K @ psi.reshape(-1, c)).reshape(x.shape)
+        energy = np.einsum("gec,gec->gc", psi[:, :n_e], Kpsi[:, :n_e])
+        div = (Kpsi[:, n_e:n_e + n_c] / self.s[:, :, None]).reshape(-1, c)
+        div = (self.Ct @ div).reshape(stacked)
+        # every item's k columns, one row per function
+        pick = (region[:, None], cols[:, 0])
+        xs = x[:, :n_e + n_c].transpose(0, 2, 1)[pick]
+        ds = div.transpose(0, 2, 1)[pick]
+        ts = trace.transpose(0, 2, 1)[pick]
+        es = energy[pick]
         out = []
-        for i, e, col in zip(region, centre, cols[:, 0]):
-            fns = []
-            xs = np.ascontiguousarray(x[i][:, col[:cond.aux.counts[e]]].T)
-            for j, xj in enumerate(xs):
-                mu, mu_cols = None, None
-                if cond.flavor == "type1":
-                    mu, mu_cols = -xj[n_e + n_c:], self.columns[i]
-                fns.append(VelocityBasisFunction(
-                    element=int(e), j=j, layers=layers, flavor=flavor,
-                    edges=self.edges[i], v=xj[:n_e], cells=self.cells[i],
-                    q=xj[n_e:n_e + n_c], mu=mu, mu_columns=mu_cols))
-            out.append(fns)
+        for t, (i, e) in enumerate(zip(region, centre)):
+            keep = self.inner[i]
+            edges, trace_edges, tr = self.edges[i], self.boundary[i][keep], ts[t][:, keep]
+            out.append([VelocityBasisFunction(
+                element=int(e), j=j, layers=layers, flavor=flavor,
+                edges=edges, v=xs[t, j, :n_e], cells=self.cells[i],
+                q=xs[t, j, n_e:n_e + n_c], div=ds[t, j], div_columns=self.columns[i],
+                trace=tr[j], trace_edges=trace_edges, energy=float(es[t, j]))
+                for j in range(cond.aux.counts[e])])
         return out
+
+
+def _norms(a):
+    """The 2-norms of the columns of each stacked matrix in `a`."""
+    return np.sqrt(np.einsum("gnc,gnc->gc", a, a))
 
 
 def _check_layers(layers):

@@ -1,18 +1,45 @@
 """Coarse-scale Darcy solve in the multiscale velocity space.
 
-The fine operators are projected onto the basis columns (velocity) and
-the kept eigenvectors (pressure). The projected blocks are sparse: each
-basis function lives on its oversampled region, so two functions couple
-only when their regions overlap. There is one basis function per
-auxiliary column, so the divergence block is square, with corank 1. A
-sparse LU of the velocity block in symmetric mode checks that it is
-positive definite. One sparse LU of the divergence block bordered by the
-pressure-mean weights gives its null vector, a particular velocity and,
-by a transposed solve, the pressure; the velocity is the particular one
-plus the multiple of the null vector that minimizes the energy. A
-Lanczos iteration on the same factor gives the inf-sup constant of the
-pressure Schur complement on zero-mean coefficients. The solution is
-expanded back to fine-grid fluxes and pressures.
+The fine operators are projected onto the basis columns Psi (velocity)
+and the kept eigenvectors R (pressure): A_c = Psi^T M Psi and
+B_c = R^T B Psi. Both blocks are assembled from what each basis
+function's region solve returns, with no product of M or B with Psi.
+Every function's divergence lies in the weighted image S R of the
+auxiliary space, B psi_i = S R b_i, so B_c has column i equal to the
+function's divergence coefficients b_i. Its flux equations give
+M psi_i = B^T q_i + g_i, where q_i is its pressure companion and the
+trace g_i lives on its region-boundary edges. With R^T S R = I,
+
+    A_c = B_c^T Pi + Psi^T G,   Pi = R^T S Q,
+
+where Q and G hold the q_i and g_i as columns. The region equations fix
+Pi. For `type2` (and `global`) the multipliers are y_i = R^T S q_i and
+b_i = e_i - y_i, so Pi = E - B_c; for `type1` the constraint pins the
+moments, so Pi = E. Here e_i is function i's own column and E selects
+them (the identity for a set built in column order). The `global`
+flavor has no region boundary, so there G = 0.
+
+The region equations hold only up to the region solve's residual, so
+b_i is read off psi_i itself (b_i = R^T B psi_i on the region): then the
+element mass balances of the expanded velocity Psi U hold to roundoff,
+as with the fine-grid product. The diagonal of A_c is the functions'
+energies psi_i^T M psi_i: the identity is accurate only relative to
+|b_i| |Pi_i|, which leaves the sign of a tiny diagonal entry to roundoff
+(a function that vanishes but for roundoff, such as the constant mode
+of a one-element global set, could make A_c indefinite).
+
+The blocks are sparse: each basis function lives on its oversampled
+region, so two functions couple only when their regions overlap. There
+is one basis function per auxiliary column, so the divergence block is
+square, with corank 1. A sparse LU of the velocity block in symmetric
+mode checks that it is positive definite. One sparse LU of the
+divergence block bordered by the pressure-mean weights gives its null
+vector, a particular velocity and, by a transposed solve, the pressure;
+the velocity is the particular one plus the multiple of the null vector
+that minimizes the energy. A Lanczos iteration on the same factor gives
+the inf-sup constant of the pressure Schur complement on zero-mean
+coefficients. The solution is expanded back to fine-grid fluxes and
+pressures.
 """
 
 import os
@@ -23,7 +50,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
 from .errors import ConfigError, SolveError
-from .fem import check_zero_mean, divergence_matrix, mass_matrix
+from .fem import check_zero_mean, divergence_matrix
 
 
 @dataclass(frozen=True)
@@ -67,6 +94,15 @@ class MassReport:
 def assemble_coarse_system(basis_set, perm, f):
     """Project the fine problem onto the multiscale spaces.
 
+    B_c = R^T B Psi is read off the functions' divergence coefficients,
+    and A_c = Psi^T M Psi = B_c^T Pi + Psi^T G, with Pi = E - B_c for
+    `type2` and `global` and Pi = E for `type1` (see the module notes):
+
+        psi_k^T M psi_i = (B psi_k)^T q_i + psi_k^T g_i
+                        = b_k^T R^T S q_i + psi_k^T g_i.
+
+    Its diagonal holds the functions' energies.
+
     Sizes whose coarse solve would not fit in physical memory raise
     ConfigError. The estimate is 2.5 * nnz * sqrt(n) bytes for n basis
     functions and nnz stored entries of A_c and B_c: the LU fills of the
@@ -81,11 +117,16 @@ def assemble_coarse_system(basis_set, perm, f):
     f = np.asarray(f, dtype=np.float64)
     h2 = grid.h ** 2
     check_zero_mean(f, h2)
-    Psi = basis_set.matrix
     R = aux.matrix
-    A_c = Psi.T @ (mass_matrix(grid, perm) @ Psi)
-    B_c = R.T @ (divergence_matrix(grid) @ Psi)
-    n = Psi.shape[1]
+    B_c = basis_set.divergence
+    n = len(basis_set)
+    E = sp.csc_matrix((np.ones(n), basis_set.columns, np.arange(n + 1)), shape=B_c.shape)
+    Pi = E if basis_set.flavor == "type1" else E - B_c
+    A_c = B_c.T @ Pi + basis_set.matrix.T @ basis_set.traces
+    A_c.setdiag(basis_set.energies)
+    # a sparse sum keeps arrays sized for both terms' entries; the copy
+    # releases that slack (7 MiB at 3072 functions on a 64x64 grid)
+    A_c = A_c.copy()
     need = 2.5 * (A_c.nnz + B_c.nnz) * np.sqrt(n)
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:

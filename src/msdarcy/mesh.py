@@ -212,6 +212,15 @@ class Region:
         he = g.hedge_id(ih[None, :], jh[:, None]).ravel()
         return np.sort(np.concatenate([ve, he]))
 
+    def boundary_edges(self):
+        """Edges on the region's boundary, sorted ascending."""
+        g = self.fine
+        jv = np.arange(self.j0, self.j1)
+        ve = g.vedge_id(np.array([self.i0, self.i1])[None, :], jv[:, None]).ravel()
+        ih = np.arange(self.i0, self.i1)
+        he = g.hedge_id(ih[None, :], np.array([self.j0, self.j1])[:, None]).ravel()
+        return np.sort(np.concatenate([ve, he]))
+
 
 def full_domain(fine):
     """Region covering all of [0,1]^2."""

@@ -12,7 +12,8 @@ from msdarcy import (ConfigError, PermField, SolveError, bilinear_pou,
                      build_grids, build_snapshot, compute_weight, generate_medium,
                      solve_all_spectra, solve_fine_reference, three_channel_spec)
 from msdarcy.basis import CondensedElements
-from msdarcy.fem import mass_matrix, mass_triplets, saddle_matrix, velocity_dofmap
+from msdarcy.fem import (divergence_matrix, mass_matrix, mass_triplets, saddle_matrix,
+                         velocity_dofmap)
 from msdarcy.mesh import full_domain, oversample_region
 from test_auxspace import restriction
 from test_fem import assemble_a, assemble_b, refined_lu
@@ -21,8 +22,8 @@ from test_fem import assemble_a, assemble_b, refined_lu
 def _region_lu_reference(aux, perm, region, flavor, rtol=1e-10):
     """Oracle: the region's constrained saddle system assembled whole and
     factored by sparse LU, the path static condensation replaced. Returns
-    solve(e, j) -> (v, q, mu) for the basis function of eigenvector j of
-    element e (mu is None for type2)."""
+    solve(e, j) -> (v, q, div) for the basis function of eigenvector j of
+    element e, div its divergence coefficients: B v = S R_loc div."""
     dofmap = velocity_dofmap(region)
     cols, R_loc = restriction(aux, region)
     cells = region.cells()
@@ -42,17 +43,20 @@ def _region_lu_reference(aux, perm, region, flavor, rtol=1e-10):
         else:
             rhs_p = s_region * p_loc
         x = lu(np.concatenate([np.zeros(n), -rhs_p, -rhs_c]))
-        return x[:n], x[n:n + m], (-x[n + m:] if flavor == "type1" else None)
+        # B v + C y = rhs_p, which is C e_j for type2 and zero for type1
+        div = -x[n + m:]
+        if flavor != "type1":
+            div[np.searchsorted(cols, aux.column(e, j))] += 1.0
+        return x[:n], x[n:n + m], div
     return solve
 
 
 def _worst_deviation(functions, solve):
-    """Largest relative difference of v, q and mu from the oracle."""
+    """Largest relative difference of v, q and div from the oracle."""
     worst = 0.0
     for fn in functions:
-        v, q, mu = solve(fn.element, fn.j)
-        pairs = [(fn.v, v), (fn.q, q)] + ([(fn.mu, mu)] if mu is not None else [])
-        for got, want in pairs:
+        v, q, div = solve(fn.element, fn.j)
+        for got, want in ((fn.v, v), (fn.q, q), (fn.div, div)):
             worst = max(worst, np.linalg.norm(got - want) / np.linalg.norm(want))
     return worst
 
@@ -107,18 +111,55 @@ def test_type1_pins_pressure_moments(small_case):
     s_region = aux.s_diag[region.cells()]
     batch = CondensedElements(aux, perm, "type1").batch(e, 2)
     for j, fn in enumerate(batch):
-        assert fn.mu is not None and fn.mu.size == cols.size
-        assert np.array_equal(fn.mu_columns, cols)
+        assert fn.div.size == cols.size
+        assert np.array_equal(fn.div_columns, cols)
         moments = R_loc.T @ (s_region * fn.q)
         want = np.zeros(cols.size)
         want[np.searchsorted(cols, aux.column(e, j))] = 1.0
         assert np.allclose(moments, want, atol=1e-9)
 
 
-def test_type2_has_no_multipliers(small_case):
+def test_type2_divergence_coefficients_complement_pressure_moments(small_case):
+    """For type2 the multipliers are the moments R^T S q, and the
+    divergence coefficients are the own column minus them."""
     fine, coarse, perm, weight, aux = small_case
-    fn = build_basis_function(aux, perm, 5, 0, layers=1)
-    assert fn.mu is None and fn.mu_columns is None
+    e, j = 5, 1
+    region = oversample_region(coarse, e, 1)
+    cols, R_loc = restriction(aux, region)
+    fn = build_basis_function(aux, perm, e, j, layers=1)
+    assert np.array_equal(fn.div_columns, cols)
+    own = np.zeros(cols.size)
+    own[np.searchsorted(cols, aux.column(e, j))] = 1.0
+    moments = R_loc.T @ (aux.s_diag[region.cells()] * fn.q)
+    assert np.abs(fn.div + moments - own).max() <= 1e-12
+
+
+@pytest.mark.parametrize("flavor", ["type1", "type2", "global"])
+def test_traces_are_flux_residuals_on_region_boundary(small_case, flavor):
+    """M psi - B^T q vanishes on every domain-interior edge but the
+    region-boundary ones, where it is the stored trace; the global flavor
+    stores none. Regions at a domain corner, on a domain edge and inside."""
+    fine, coarse, perm, weight, aux = small_case
+    M = mass_matrix(fine, perm)
+    B = divergence_matrix(fine)
+    inner = ~fine.boundary_edge_mask()
+    if flavor == "global":
+        functions = build_basis_set(aux, perm, flavor="global").functions
+    else:
+        cond = CondensedElements(aux, perm, flavor)
+        functions = [fn for e in (0, 2, 5) for fn in cond.batch(e, 1)]
+    for fn in functions:
+        flux = M @ fn.v_global(fine.n_edges) - B.T @ fn.q_global(fine.n_cells)
+        stored = np.zeros(fine.n_edges)
+        stored[fn.trace_edges] = fn.trace
+        if flavor == "global":
+            assert fn.trace.size == 0
+        else:
+            region = oversample_region(coarse, fn.element, 1)
+            want = region.boundary_edges()
+            assert np.array_equal(fn.trace_edges, want[inner[want]])
+            assert np.abs(fn.trace).max() > 0
+        assert np.abs((flux - stored)[inner]).max() <= 1e-12 * np.abs(flux).max()
 
 
 def test_saturating_layers_reproduce_global_flavor(small_case):
