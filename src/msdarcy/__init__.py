@@ -24,7 +24,7 @@ from .fem import (FineSolution, saddle_matrix, solve_fine_reference,
 from .auxspace import (AuxSpace, ElementSpectrum, build_aux_space,
                        solve_all_spectra)
 from .basis import (BasisSet, CondensedElements, VelocityBasisFunction,
-                    build_basis_function, build_basis_set, build_snapshot)
+                    build_basis_set, build_snapshot)
 from .coarse import (CoarseSystem, MsSolution, assemble_coarse_system,
                      div_compat_residual, mass_residuals, solve_multiscale)
 from .metrics import (ConvergenceRow, DecayProfile, ErrorReport, NormReport,

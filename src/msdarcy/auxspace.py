@@ -210,7 +210,6 @@ class AuxSpace:
     offsets: np.ndarray
     cells: list
     pressures: list
-    lambdas: list
     lambda_next: np.ndarray
     spectral_gap: float
 
@@ -227,13 +226,6 @@ class AuxSpace:
             raise ConfigError(f"element {e} keeps {self.counts[e]} eigenvectors, "
                               f"asked for index {j}")
         return int(self.offsets[e] + j)
-
-    def column_labels(self):
-        """(element, j) per column, element-major."""
-        elements = np.repeat(np.arange(self.counts.size), self.counts)
-        j = np.concatenate([np.arange(c) for c in self.counts]) \
-            if self.counts.size else np.empty(0, dtype=int)
-        return elements, j
 
     @cached_property
     def matrix(self):
@@ -281,7 +273,6 @@ def build_aux_space(coarse, weight, spectra, nbasis=None, threshold=None):
         coarse=coarse, weight=weight, counts=counts, offsets=offsets,
         cells=[spec.cells for spec in spectra],
         pressures=[spec.pressures[:, :counts[spec.element]] for spec in spectra],
-        lambdas=[spec.lambdas[:counts[spec.element]] for spec in spectra],
         lambda_next=lam_next, spectral_gap=gap)
 
 
@@ -295,7 +286,12 @@ def write_eigen_report(path, spectra, m):
                 fh.write(f"{spec.element},{j},{spec.lambdas[j]:.17g}\n")
 
 
-def gap_split(lambdas, zero_rel=1e-10):
+# Eigenvalues below this fraction of the largest count as zero in
+# `gap_split`.
+GAP_ZERO_REL = 1e-10
+
+
+def gap_split(lambdas):
     """Locate the dominant multiplicative gap above the zero cluster.
 
     Returns (n_small, ratio): how many eigenvalues sit at or below the
@@ -310,7 +306,7 @@ def gap_split(lambdas, zero_rel=1e-10):
     lmax = float(lam[-1])
     if lmax <= 0:
         return n, float("inf")
-    z = max(1, int(np.sum(lam < zero_rel * lmax)))
+    z = max(1, int(np.sum(lam < GAP_ZERO_REL * lmax)))
     if z >= n or z + 1 > n - 1:
         return min(z, n), float("inf")
     ks = np.arange(z + 1, n)

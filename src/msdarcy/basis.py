@@ -30,9 +30,11 @@ centre element and recovers every element's interior by
 back-substitution. Regions of one shape share their index maps (a
 `_RegionTemplate`), and are solved together (`_Regions`): their ids,
 values, right-hand sides, back-substitutions and residuals are stacked,
-and only the skeleton factors and solves run region by region. The
-condensed elements serve every region, every layer count and the
-`global` flavor, which is the same solve on the whole-domain region.
+and only the skeleton factors and solves run region by region.
+`CondensedElements.functions` is the one entry point: it builds the
+functions of any elements on their regions of any layer count, or, for
+`layers=None`, on the whole-domain region (the `global` flavor, from the
+`type2` elements), whose skeleton is factored once for all of them.
 Each function's full region saddle residual is checked at `rtol`.
 
 Each function also carries what the coarse blocks need, so that they
@@ -91,11 +93,6 @@ class VelocityBasisFunction:
     def v_global(self, n_edges):
         full = np.zeros(n_edges)
         full[self.edges] = self.v
-        return full
-
-    def q_global(self, n_cells):
-        full = np.zeros(n_cells)
-        full[self.cells] = self.q
         return full
 
 
@@ -188,7 +185,8 @@ class CondensedElements:
     get an identity. `interior_solve` applies K_II^-1 through them.
 
     `flavor` is `type1` or `type2`; the `global` flavor uses `type2`.
-    `workers` threads each condense a contiguous slice of the elements.
+    `workers` threads each condense a contiguous slice of the elements,
+    and solve the regions of `functions` in parts.
     """
 
     def __init__(self, aux, perm, flavor="type2", workers=1):
@@ -197,6 +195,7 @@ class CondensedElements:
         self.aux = aux
         self.perm = perm
         self.flavor = flavor
+        self.workers = workers
         coarse = aux.coarse
         grid = coarse.fine
         n_el = coarse.n_elements
@@ -325,10 +324,11 @@ class CondensedElements:
         z += self._inverse(ids, res)
         return z
 
-    def regions(self, regions):
-        """The condensed systems of regions that share one `_RegionTemplate`
-        (one shape, the same column counts), solved together."""
-        return _Regions(self, regions)
+    def regions(self, regions, layers):
+        """The condensed systems of regions of `layers` layers (None: the
+        whole domain) that share one `_RegionTemplate` (one shape, the same
+        column counts), solved together."""
+        return _Regions(self, regions, layers)
 
     def template(self, region):
         """The index maps of the regions of `region`'s shape whose elements
@@ -340,18 +340,44 @@ class CondensedElements:
                 self._templates[key] = _RegionTemplate(self, region, elements)
             return self._templates[key]
 
-    def batch(self, e, layers, rtol=1e-10):
-        """All basis functions of element e on its region of `layers`
-        layers, or on the whole domain (the `global` flavor, from `type2`)
-        when `layers` is None."""
+    def functions(self, elements, layers, rtol=1e-10):
+        """The basis functions of `elements`, element-major, on their
+        regions of `layers` layers, or on the whole domain (the `global`
+        flavor, from `type2`) when `layers` is None; each function's region
+        saddle residual is checked at rtol.
+
+        The whole domain is factored once for every element. Regions of one
+        template are solved together, in parts of about REGION_BYTES and at
+        least one part per worker.
+        """
+        coarse = self.aux.coarse
         if layers is None:
             if self.flavor != "type2":
                 raise ConfigError("the global flavor is built from type2 elements")
-            return self.regions([full_domain(self.aux.coarse.fine)]).functions(
-                [(0, e)], -1, "global", rtol)[0]
+            batches = self.regions([full_domain(coarse.fine)], None).functions(
+                [(0, e) for e in elements], rtol)
+            return [fn for b in batches for fn in b]
         _check_layers(layers)
-        region = oversample_region(self.aux.coarse, e, layers)
-        return self.regions([region]).functions([(0, e)], layers, self.flavor, rtol)[0]
+        groups = {}
+        for e in elements:
+            region = oversample_region(coarse, e, layers)
+            groups.setdefault(id(self.template(region)), []).append((e, region))
+        parts = []
+        for group in groups.values():
+            size = self.template(group[0][1]).bytes
+            count = min(len(group),
+                        max(self.workers or 1, -(-len(group) * size // REGION_BYTES)))
+            parts += [group[len(group) * i // count:len(group) * (i + 1) // count]
+                      for i in range(count)]
+
+        def solve(part):
+            return self.regions([region for _, region in part], layers).functions(
+                [(i, e) for i, (e, _) in enumerate(part)], rtol)
+
+        solved = {}
+        for part, batches in zip(parts, _run(self.workers, solve, parts)):
+            solved.update((e, fns) for (e, _), fns in zip(part, batches))
+        return [fn for e in elements for fn in solved[e]]
 
 
 class _Rows:
@@ -486,7 +512,8 @@ REGION_BYTES = 8 << 20
 class _Regions:
     """Regions of one template, solved together: each region's skeleton
     system is the element complements summed on the element boundary
-    edges strictly inside it.
+    edges strictly inside it. `layers` is their layer count; None marks
+    the whole domain, whose functions are the `global` flavor's.
 
     Arrays carry a leading region axis. A region's unknowns are ordered as
     in `fem`: region-interior edges, region cells, region columns, each
@@ -497,9 +524,11 @@ class _Regions:
     several parts keeps the factor between them.
     """
 
-    def __init__(self, cond, regions):
+    def __init__(self, cond, regions, layers):
         self.cond = cond
         self.regions = regions
+        self.layers = layers
+        self.flavor = "global" if layers is None else cond.flavor
         coarse = cond.aux.coarse
         grid = coarse.fine
         tpl = self.template = cond.template(regions[0])
@@ -533,7 +562,10 @@ class _Regions:
             cond.S[self.elements][:, tpl.S_mask].ravel(), minlength=g * nnz).reshape(g, nnz)
 
     def _label(self, i):
-        return f"{self.cond.flavor} region around element {self.regions[i].center}"
+        if self.layers is None:
+            return "the global flavor's whole domain"
+        return (f"the {self.flavor} region of {self.layers} layers around element "
+                f"{self.regions[i].center}")
 
     def _skeleton(self, lus, sel, g):
         """Skeleton values u (with the discarded slot) from right-hand sides
@@ -590,7 +622,7 @@ class _Regions:
         x[:, tpl.pos] += z
         return x[:, :tpl.n]
 
-    def functions(self, items, layers, flavor, rtol):
+    def functions(self, items, rtol):
         """The basis functions of the (region index, centre element) pairs in
         `items`, one list per pair, each function with its region saddle
         residual checked at rtol. A region's centres are solved side by
@@ -603,10 +635,10 @@ class _Regions:
         lus = [None] * len(self.regions) if len(items) > size else None
         out = []
         for start in range(0, len(items), size):
-            out += self._solve(lus, items[start:start + size], layers, flavor, rtol)
+            out += self._solve(lus, items[start:start + size], rtol)
         return out
 
-    def _solve(self, lus, items, layers, flavor, rtol):
+    def _solve(self, lus, items, rtol):
         """The functions of one part of `items`, as `functions` returns them."""
         cond, tpl = self.cond, self.template
         n, n_s, k = tpl.n, tpl.n_s, cond.Z.shape[2]
@@ -644,9 +676,12 @@ class _Regions:
             norms = _norms(res)
         bad = np.argwhere(norms > tol)
         if bad.size:
-            i, j = bad[0]
-            raise SolveError(f"residual {norms[i, j]:.3e} above tolerance {tol[i, j]:.3e} "
-                             f"for {self._label(i)}", residual=float(norms[i, j]))
+            i, col = bad[0]
+            t = np.flatnonzero((region == i) & (order == col // k))[0]
+            raise SolveError(f"residual {norms[i, col]:.3e} above tolerance "
+                             f"{tol[i, col]:.3e} for the {self.flavor} function "
+                             f"{col % k} of element {centre[t]}",
+                             residual=float(norms[i, col]))
         # what the coarse blocks need: the traces on the region-boundary
         # edges, and from K's velocity columns, which give (A psi, -B psi, 0),
         # the energies psi^T A psi and the divergence coefficients
@@ -670,12 +705,13 @@ class _Regions:
         ds = div.transpose(0, 2, 1)[pick]
         ts = trace.transpose(0, 2, 1)[pick]
         es = energy[pick]
+        layers = -1 if self.layers is None else self.layers
         out = []
         for t, (i, e) in enumerate(zip(region, centre)):
             keep = self.inner[i]
             edges, trace_edges, tr = self.edges[i], self.boundary[i][keep], ts[t][:, keep]
             out.append([VelocityBasisFunction(
-                element=int(e), j=j, layers=layers, flavor=flavor,
+                element=int(e), j=j, layers=layers, flavor=self.flavor,
                 edges=edges, v=xs[t, j, :n_e], cells=self.cells[i],
                 q=xs[t, j, n_e:n_e + n_c], div=ds[t, j], div_columns=self.columns[i],
                 trace=tr[j], trace_edges=trace_edges, energy=float(es[t, j]))
@@ -693,57 +729,16 @@ def _check_layers(layers):
         raise ConfigError("localized basis functions need at least one layer")
 
 
-def build_basis_function(aux, perm, e, j, layers=None, flavor="type2", rtol=1e-10):
-    """A single basis function; `flavor="global"` solves on the whole domain."""
-    aux.column(e, j)
-    if flavor == "global":
-        flavor, layers = "type2", None
-    else:
-        _check_layers(layers)
-    return CondensedElements(aux, perm, flavor).batch(e, layers, rtol)[j]
-
-
 def build_basis_set(aux, perm, layers=None, flavor="type2", rtol=1e-10, workers=1):
-    """Basis functions for every element and kept eigenvector.
-
-    Functions are ordered element-major to match the auxiliary-space
-    columns. Every element is condensed once; the `global` flavor factors
-    the whole-domain skeleton once and reuses it for every element.
-    """
-    coarse = aux.coarse
-    if flavor != "global":
+    """Basis functions for every element and kept eigenvector, ordered
+    element-major to match the auxiliary-space columns: the elements
+    condensed once, then `CondensedElements.functions`."""
+    glob = flavor == "global"
+    if not glob:
         _check_layers(layers)
-    cond = CondensedElements(aux, perm, "type2" if flavor == "global" else flavor,
-                             workers)
-    ids = range(coarse.n_elements)
-    if flavor == "global":
-        batches = cond.regions([full_domain(coarse.fine)]).functions(
-            [(0, e) for e in ids], -1, flavor, rtol)
-        layers = -1
-    else:
-        # regions of one template are solved together, in parts of about
-        # REGION_BYTES and at least one part per worker
-        groups = {}
-        for e in ids:
-            region = oversample_region(coarse, e, layers)
-            groups.setdefault(id(cond.template(region)), []).append((e, region))
-        parts = []
-        for group in groups.values():
-            size = cond.template(group[0][1]).bytes
-            count = min(len(group), max(workers or 1, -(-len(group) * size // REGION_BYTES)))
-            parts += [group[len(group) * i // count:len(group) * (i + 1) // count]
-                      for i in range(count)]
-
-        def solve(part):
-            return cond.regions([region for _, region in part]).functions(
-                [(i, e) for i, (e, _) in enumerate(part)], layers, flavor, rtol)
-
-        solved = {}
-        for part, batches in zip(parts, _run(workers, solve, parts)):
-            solved.update((e, fns) for (e, _), fns in zip(part, batches))
-        batches = [solved[e] for e in ids]
-    functions = [fn for b in batches for fn in b]
-    return BasisSet(coarse, aux, flavor, layers, functions)
+    cond = CondensedElements(aux, perm, "type2" if glob else flavor, workers)
+    functions = cond.functions(range(aux.coarse.n_elements), None if glob else layers, rtol)
+    return BasisSet(aux.coarse, aux, flavor, -1 if glob else layers, functions)
 
 
 def build_snapshot(aux, perm, f, rtol=1e-10):

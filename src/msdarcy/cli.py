@@ -386,8 +386,7 @@ def cmd_decay(args):
 
     weight, spectra = spectra_stage(perm, coarse, solver["workers"])
     aux = build_aux_space(coarse, weight, spectra, nbasis=nbasis)
-    profile = decay_study(aux, perm, e, j, layer_list, rtol=solver["rtol"],
-                          keep_fields=True, keep_functions=True)
+    profile = decay_study(aux, perm, e, j, layer_list, rtol=solver["rtol"])
 
     out = _out_dir(cfg, args)
     with open(os.path.join(out, "decay.csv"), "w") as fh:

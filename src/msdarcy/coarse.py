@@ -63,7 +63,6 @@ class CoarseSystem:
     B_c: sp.spmatrix
     rhs_q: np.ndarray
     mean_w: np.ndarray
-    f: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -136,7 +135,7 @@ def assemble_coarse_system(basis_set, perm, f):
             f"{have / 2**30:.1f} GiB of physical memory")
     rhs_q = h2 * (R.T @ f)
     mean_w = np.asarray(R.T @ np.full(grid.n_cells, h2))
-    return CoarseSystem(basis_set, aux, A_c, B_c, rhs_q, mean_w, f)
+    return CoarseSystem(basis_set, aux, A_c, B_c, rhs_q, mean_w)
 
 
 def _top_eigenvalue(apply, n, tol=0.0):
@@ -271,12 +270,9 @@ def div_compat_residual(v_edges, aux):
     return num / max(den, 1e-300)
 
 
-def mass_residuals(solution, f, aux=None):
-    """Conservation check of a fine-grid velocity field against the source.
-
-    With `aux` given the report also carries the projection-compatibility
-    residual of the velocity divergence.
-    """
+def mass_residuals(solution, f, aux):
+    """Conservation check of a fine-grid velocity field against the source,
+    with the projection-compatibility residual of the velocity divergence."""
     coarse = solution.coarse
     grid = coarse.fine
     h2 = grid.h ** 2
@@ -285,5 +281,5 @@ def mass_residuals(solution, f, aux=None):
     per_element = np.zeros(coarse.n_elements)
     np.add.at(per_element, coarse.element_of_cell(np.arange(grid.n_cells)), diff)
     per_element = np.abs(per_element)
-    compat = div_compat_residual(solution.v, aux) if aux is not None else float("nan")
-    return MassReport(per_element, float(per_element.max()), compat)
+    return MassReport(per_element, float(per_element.max()),
+                      div_compat_residual(solution.v, aux))

@@ -7,13 +7,13 @@ rescaled on load so the minimum is exactly 1; ratios are preserved.
 A medium is described by axis-aligned channel strips and rectangular
 inclusion blocks in domain coordinates, each with its own contrast
 multiplier over the background. Rasterization snaps edges to the fine
-lattice; overlapping shapes take the maximum multiplier. A seeded jitter
-can displace the nominal placements by whole cells, and `sample_spec`
+lattice; overlapping shapes take the maximum multiplier. `sample_spec`
 draws an entire layout from counts and placement bands, so a fixed seed
-reproduces the raster bit for bit either way.
+reproduces the raster bit for bit; an explicit layout rasterizes where
+its shapes are placed.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -130,22 +130,16 @@ class Block:
 @dataclass(frozen=True)
 class MediumSpec:
     """Explicit layout: channel strips plus inclusion blocks on a uniform
-    background. `jitter_cells` displaces every shape by a seeded whole-cell
-    offset at rasterization (transverse only for strips). When `coarse_n`
-    and `max_channels_per_element` are set, rasterization fails if any
-    coarse element is crossed by more channels than the cap allows.
+    background. When `coarse_n` and `max_channels_per_element` are set,
+    rasterization fails if any coarse element is crossed by more channels
+    than the cap allows.
     """
 
     strips: tuple = ()
     blocks: tuple = ()
     background: float = 1.0
-    seed: int = 0
-    jitter_cells: int = 0
     coarse_n: int = 0
     max_channels_per_element: int = 0
-
-    def with_seed(self, seed):
-        return replace(self, seed=int(seed))
 
 
 def _cells(lo, hi, n, what):
@@ -159,39 +153,30 @@ def _cells(lo, hi, n, what):
     return max(a, 0), min(b, n)
 
 
-def _strip_cells(strip, n, shift):
+def _strip_cells(strip, n):
     if strip.axis not in ("h", "v"):
         raise ConfigError(f"strip axis must be 'h' or 'v', got {strip.axis!r}")
     t0, t1 = _cells(strip.lo, strip.lo + strip.thickness, n, "strip")
-    w = t1 - t0
-    t0 = min(max(t0 + shift, 0), n - w)
     s0, s1 = _cells(strip.span[0], strip.span[1], n, "strip span")
-    return t0, t0 + w, s0, s1
+    return t0, t1, s0, s1
 
 
 def generate_medium(spec, grid):
-    """Rasterize a MediumSpec on a fine grid. Fixed seed, fixed raster."""
+    """Rasterize a MediumSpec on a fine grid."""
     nx, ny = grid.nx, grid.ny
     if spec.background <= 0:
         raise ConfigError(f"background must be positive, got {spec.background}")
     if spec.coarse_n and nx % spec.coarse_n != 0:
         raise ConfigError(f"coarse_n={spec.coarse_n} does not divide nx={nx}")
-    rng = np.random.default_rng(spec.seed)
-
-    def shift():
-        if spec.jitter_cells <= 0:
-            return 0
-        return int(rng.integers(-spec.jitter_cells, spec.jitter_cells + 1))
-
     values = np.full((ny, nx), spec.background)
     rects = []
     for strip in spec.strips:
         if strip.multiplier < 1:
             raise ConfigError(f"strip multiplier {strip.multiplier} below 1")
         if strip.axis == "h":
-            j0, j1, i0, i1 = _strip_cells(strip, ny, shift())
+            j0, j1, i0, i1 = _strip_cells(strip, ny)
         else:
-            i0, i1, j0, j1 = _strip_cells(strip, nx, shift())
+            i0, i1, j0, j1 = _strip_cells(strip, nx)
         rects.append((i0, i1, j0, j1))
         values[j0:j1, i0:i1] = np.maximum(values[j0:j1, i0:i1],
                                           spec.background * strip.multiplier)
@@ -199,12 +184,8 @@ def generate_medium(spec, grid):
     for blk in spec.blocks:
         if blk.multiplier < 1:
             raise ConfigError(f"block multiplier {blk.multiplier} below 1")
-        dx, dy = shift(), shift()
         i0, i1 = _cells(blk.x, blk.x + blk.w, nx, "block")
         j0, j1 = _cells(blk.y, blk.y + blk.h, ny, "block")
-        wi, wj = i1 - i0, j1 - j0
-        i0 = min(max(i0 + dx, 0), nx - wi); i1 = i0 + wi
-        j0 = min(max(j0 + dy, 0), ny - wj); j1 = j0 + wj
         values[j0:j1, i0:i1] = np.maximum(values[j0:j1, i0:i1],
                                           spec.background * blk.multiplier)
 
@@ -309,8 +290,7 @@ def sample_spec(n, n_horizontal=0, n_vertical=0, n_inclusions=0,
             blocks.append(Block(i0 / n, j0 / n, s / n, s / n, contrast()))
 
     return MediumSpec(strips=strips, blocks=tuple(blocks), background=background,
-                      seed=seed, coarse_n=coarse_n,
-                      max_channels_per_element=max_channels_per_element)
+                      coarse_n=coarse_n, max_channels_per_element=max_channels_per_element)
 
 
 def spec_from_mapping(mapping, n):

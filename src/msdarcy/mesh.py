@@ -52,13 +52,6 @@ class FineGrid:
     def n_edges(self):
         return self.n_vedges + self.n_hedges
 
-    @property
-    def n_nodes(self):
-        return (self.nx + 1) * (self.ny + 1)
-
-    def cell_id(self, ix, iy):
-        return np.asarray(iy) * self.nx + np.asarray(ix)
-
     def cell_ix_iy(self, cells):
         cells = np.asarray(cells)
         return cells % self.nx, cells // self.nx
@@ -101,12 +94,6 @@ class FineGrid:
         mask[self.hedge_id(i, self.ny)] = True
         return mask
 
-    def cell_centers(self, cells=None):
-        if cells is None:
-            cells = np.arange(self.n_cells)
-        ix, iy = self.cell_ix_iy(cells)
-        return (ix + 0.5) * self.h, (iy + 0.5) * self.h
-
 
 @dataclass(frozen=True)
 class CoarseGrid:
@@ -127,10 +114,6 @@ class CoarseGrid:
     @property
     def n_elements(self):
         return self.Nx * self.Ny
-
-    @property
-    def n_nodes(self):
-        return (self.Nx + 1) * (self.Ny + 1)
 
     def element_id(self, I, J):
         return np.asarray(J) * self.Nx + np.asarray(I)

@@ -1,9 +1,9 @@
 """Norms, relative errors, localization decay, and convergence sweeps.
 
 The velocity norm pairs the permeability-weighted flux energy with a
-weighted divergence term; pressures use plain and weighted L2 norms.
-All norms accept an optional region restriction, accumulated per cell
-(edges on the region boundary count toward the cells that own them).
+weighted divergence term; pressures use plain and weighted L2 norms,
+both over the whole domain. The decay study builds its global and
+localized functions through `basis.CondensedElements.functions`.
 """
 
 from dataclasses import dataclass
@@ -17,7 +17,7 @@ from .coarse import assemble_coarse_system, mass_residuals, solve_multiscale
 from .errors import ConfigError
 from .fem import solve_fine_reference
 from .medium import compute_weight
-from .mesh import bilinear_pou, build_grids, full_domain, oversample_region
+from .mesh import bilinear_pou, build_grids, oversample_region
 
 
 @dataclass(frozen=True)
@@ -29,33 +29,24 @@ class NormReport:
     l2: float = None
 
 
-def velocity_norms(grid, perm, weight, v, region=None):
+def velocity_norms(grid, perm, weight, v):
     """Energy, weighted-divergence, and combined norms of an edge field."""
-    if region is None:
-        region = full_domain(grid)
-    cells = region.cells()
-    L, R, B, T = grid.cell_edge_ids(cells)
+    L, R, B, T = grid.cell_edge_ids(np.arange(grid.n_cells))
     vL, vR, vB, vT = v[L], v[R], v[B], v[T]
     h2 = grid.h ** 2
-    kappa = perm.values[cells]
     a2 = np.sum((vL * vL + vL * vR + vR * vR
-                 + vB * vB + vB * vT + vT * vT) * h2 / (3.0 * kappa))
+                 + vB * vB + vB * vT + vT * vT) * h2 / (3.0 * perm.values))
     dv = vR - vL + vT - vB
-    div2 = np.sum(dv * dv / weight.values[cells])
+    div2 = np.sum(dv * dv / weight.values)
     return NormReport(a=float(np.sqrt(a2)), div=float(np.sqrt(div2)),
                       V=float(np.sqrt(a2 + div2)))
 
 
-def pressure_norms(weight, q, region=None):
+def pressure_norms(weight, q):
     """Weighted and plain L2 norms of a cell field."""
-    grid = weight.grid
-    if region is None:
-        region = full_domain(grid)
-    cells = region.cells()
-    h2 = grid.h ** 2
-    qc = q[cells]
-    s2 = np.sum(weight.values[cells] * qc * qc * h2)
-    l22 = np.sum(qc * qc * h2)
+    h2 = weight.grid.h ** 2
+    s2 = np.sum(weight.values * q * q * h2)
+    l22 = np.sum(q * q * h2)
     return NormReport(s=float(np.sqrt(s2)), l2=float(np.sqrt(l22)))
 
 
@@ -114,29 +105,29 @@ class DecayProfile:
     diff_a: np.ndarray
     rel_V: np.ndarray
     saturated: np.ndarray
-    step_ratios: np.ndarray
     rho: float
     norm_glo_V: float
     fields: list
-    global_function: object = None
-    functions: list = None
+    global_function: object
+    functions: list
 
 
-def decay_study(aux, perm, e, j, layers_list, rtol=1e-10, keep_fields=False,
-                keep_functions=False):
+def decay_study(aux, perm, e, j, layers_list, rtol=1e-10):
     """Measure how fast localized basis functions approach the global one.
 
     The fitted per-layer ratio `rho` uses only non-saturated layer counts
     (regions still smaller than the domain); saturated entries are kept in
     the profile but flagged. The elements are condensed once, for the
-    global function and every layer count.
+    global function and every layer count. The profile keeps the global
+    and localized functions and, per layer count, the speed field of the
+    difference.
     """
     coarse = aux.coarse
     grid = coarse.fine
     weight = aux.weight
     aux.column(e, j)
     cond = CondensedElements(aux, perm, "type2")
-    glo = cond.batch(e, None, rtol)[j]
+    glo = cond.functions([e], None, rtol)[j]
     glo_v = glo.v_global(grid.n_edges)
     norm_glo = velocity_norms(grid, perm, weight, glo_v).V
 
@@ -145,18 +136,16 @@ def decay_study(aux, perm, e, j, layers_list, rtol=1e-10, keep_fields=False,
     diff_a = np.zeros(layers_arr.size)
     saturated = np.zeros(layers_arr.size, dtype=bool)
     fields = []
-    functions = [] if keep_functions else None
+    functions = []
     for k, l in enumerate(layers_arr):
-        fn = cond.batch(e, int(l), rtol)[j]
+        fn = cond.functions([e], int(l), rtol)[j]
         dv = glo_v - fn.v_global(grid.n_edges)
         rep = velocity_norms(grid, perm, weight, dv)
         diff_V[k] = rep.V
         diff_a[k] = rep.a
         saturated[k] = oversample_region(coarse, e, int(l)).is_full_domain
-        if keep_fields:
-            fields.append(speed_field(grid, perm, dv))
-        if keep_functions:
-            functions.append(fn)
+        fields.append(speed_field(grid, perm, dv))
+        functions.append(fn)
 
     keep = ~saturated & (diff_V > 0)
     if np.count_nonzero(keep) >= 2:
@@ -164,15 +153,9 @@ def decay_study(aux, perm, e, j, layers_list, rtol=1e-10, keep_fields=False,
         rho = float(np.exp(slope))
     else:
         rho = float("nan")
-    steps = np.full(max(layers_arr.size - 1, 0), np.nan)
-    for k in range(layers_arr.size - 1):
-        dl = layers_arr[k + 1] - layers_arr[k]
-        if diff_V[k] > 0 and dl > 0:
-            steps[k] = (diff_V[k + 1] / diff_V[k]) ** (1.0 / dl)
     return DecayProfile(int(e), int(j), layers_arr, diff_V, diff_a,
                         diff_V / norm_glo if norm_glo > 0 else diff_V,
-                        saturated, steps, rho, norm_glo, fields,
-                        glo if keep_functions else None, functions)
+                        saturated, rho, norm_glo, fields, glo, functions)
 
 
 @dataclass(frozen=True)
@@ -207,8 +190,7 @@ def _multiscale(perm, f, coarse, weight, spectra, nbasis, threshold, layers,
     return solve_multiscale(system, rtol=rtol), aux, basis_set
 
 
-def convergence_study(perm, f, cases, flavor="type2", rtol=1e-10, workers=1,
-                      fine=None):
+def convergence_study(perm, f, cases, flavor="type2", rtol=1e-10, workers=1):
     """Errors of the multiscale solve against the fine reference.
 
     `cases` holds (nbasis, Nx, layers) triples, solved in order on the
@@ -217,8 +199,7 @@ def convergence_study(perm, f, cases, flavor="type2", rtol=1e-10, workers=1,
     computed once.
     """
     coarse = {Nx: build_grids(perm.grid.nx, Nx)[1] for _, Nx, _ in cases}
-    if fine is None:
-        fine = solve_fine_reference(perm, f, rtol=rtol)
+    fine = solve_fine_reference(perm, f, rtol=rtol)
     stages = {}
     rows = []
     for nbasis, Nx, layers in cases:

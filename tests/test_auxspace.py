@@ -227,9 +227,9 @@ def test_column_indexing_and_labels():
 
     # uneven counts via threshold selection
     aux = build_aux_space(coarse, W(), spectra, threshold=0.4)
-    elements, j = aux.column_labels()
+    elements = np.repeat(np.arange(2), aux.counts)
     assert np.array_equal(elements, [0, 0, 1, 1])
-    assert np.array_equal(j, [0, 1, 0, 1])
+    assert np.array_equal(np.arange(aux.n_columns) - aux.offsets[elements], [0, 1, 0, 1])
     assert aux.column(1, 1) == 3
     with pytest.raises(ConfigError):
         aux.column(0, 2)

@@ -8,8 +8,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from msdarcy import (ConfigError, PermField, SolveError, bilinear_pou,
-                     build_aux_space, build_basis_function, build_basis_set,
-                     build_grids, build_snapshot, compute_weight, generate_medium,
+                     build_aux_space, build_basis_set, build_grids, build_snapshot, compute_weight, generate_medium,
                      solve_all_spectra, solve_fine_reference, three_channel_spec)
 from msdarcy.basis import CondensedElements
 from msdarcy.fem import (divergence_matrix, mass_matrix, mass_triplets, saddle_matrix,
@@ -76,7 +75,7 @@ def small_case():
 def test_batch_shapes_and_support(small_case):
     fine, coarse, perm, weight, aux = small_case
     e = int(coarse.element_id(1, 1))
-    batch = CondensedElements(aux, perm, "type2").batch(e, 1)
+    batch = CondensedElements(aux, perm, "type2").functions([e], 1)
     assert len(batch) == aux.counts[e]
     region = oversample_region(coarse, e, 1)
     dof_edges = velocity_dofmap(region).edges
@@ -94,7 +93,7 @@ def test_divergence_stays_in_auxiliary_space(small_case):
     fine, coarse, perm, weight, aux = small_case
     e = int(coarse.element_id(2, 1))
     for flavor in ("type1", "type2"):
-        for fn in CondensedElements(aux, perm, flavor).batch(e, 2):
+        for fn in CondensedElements(aux, perm, flavor).functions([e], 2):
             region = oversample_region(coarse, e, 2)
             B = assemble_b(region)
             g = np.zeros(fine.n_cells)
@@ -109,7 +108,7 @@ def test_type1_pins_pressure_moments(small_case):
     region = oversample_region(coarse, e, 2)
     cols, R_loc = restriction(aux, region)
     s_region = aux.s_diag[region.cells()]
-    batch = CondensedElements(aux, perm, "type1").batch(e, 2)
+    batch = CondensedElements(aux, perm, "type1").functions([e], 2)
     for j, fn in enumerate(batch):
         assert fn.div.size == cols.size
         assert np.array_equal(fn.div_columns, cols)
@@ -126,7 +125,7 @@ def test_type2_divergence_coefficients_complement_pressure_moments(small_case):
     e, j = 5, 1
     region = oversample_region(coarse, e, 1)
     cols, R_loc = restriction(aux, region)
-    fn = build_basis_function(aux, perm, e, j, layers=1)
+    fn = CondensedElements(aux, perm, "type2").functions([e], 1)[j]
     assert np.array_equal(fn.div_columns, cols)
     own = np.zeros(cols.size)
     own[np.searchsorted(cols, aux.column(e, j))] = 1.0
@@ -146,10 +145,11 @@ def test_traces_are_flux_residuals_on_region_boundary(small_case, flavor):
     if flavor == "global":
         functions = build_basis_set(aux, perm, flavor="global").functions
     else:
-        cond = CondensedElements(aux, perm, flavor)
-        functions = [fn for e in (0, 2, 5) for fn in cond.batch(e, 1)]
+        functions = CondensedElements(aux, perm, flavor).functions([0, 2, 5], 1)
     for fn in functions:
-        flux = M @ fn.v_global(fine.n_edges) - B.T @ fn.q_global(fine.n_cells)
+        q = np.zeros(fine.n_cells)
+        q[fn.cells] = fn.q
+        flux = M @ fn.v_global(fine.n_edges) - B.T @ q
         stored = np.zeros(fine.n_edges)
         stored[fn.trace_edges] = fn.trace
         if flavor == "global":
@@ -165,8 +165,9 @@ def test_traces_are_flux_residuals_on_region_boundary(small_case, flavor):
 def test_saturating_layers_reproduce_global_flavor(small_case):
     fine, coarse, perm, weight, aux = small_case
     e, j = int(coarse.element_id(1, 2)), 1
-    glo = build_basis_function(aux, perm, e, j, flavor="global")
-    sat = build_basis_function(aux, perm, e, j, layers=10, flavor="type2")
+    cond = CondensedElements(aux, perm, "type2")
+    glo = cond.functions([e], None)[j]
+    sat = cond.functions([e], 10)[j]
     assert glo.flavor == "global" and glo.layers == -1
     assert glo.cells.size == fine.n_cells
     assert sat.cells.size == fine.n_cells
@@ -182,11 +183,12 @@ def test_localization_error_decreases_with_layers():
     aux = build_aux_space(coarse, weight, solve_all_spectra(coarse, perm, weight),
                           nbasis=1)
     e, j = int(coarse.element_id(3, 3)), 0
-    glo = build_basis_function(aux, perm, e, j, flavor="global")
+    cond = CondensedElements(aux, perm, "type2")
+    glo = cond.functions([e], None)[j]
     M = mass_matrix(fine, perm)
     diffs = []
     for layers in (1, 2, 3):
-        loc = build_basis_function(aux, perm, e, j, layers=layers)
+        loc = cond.functions([e], layers)[j]
         d = glo.v_global(fine.n_edges) - loc.v_global(fine.n_edges)
         diffs.append(float(np.sqrt(d @ M @ d)))
     assert diffs[1] < diffs[0] and diffs[2] < diffs[1]
@@ -196,7 +198,8 @@ def test_basis_set_ordering_matches_aux_columns(small_case):
     fine, coarse, perm, weight, aux = small_case
     bset = build_basis_set(aux, perm, layers=1, workers=2)
     assert len(bset) == aux.n_columns
-    elements, js = aux.column_labels()
+    elements = np.repeat(np.arange(coarse.n_elements), aux.counts)
+    js = np.arange(aux.n_columns) - aux.offsets[elements]
     for k, fn in enumerate(bset):
         assert fn.element == elements[k] and fn.j == js[k]
     assert bset.matrix.shape == (fine.n_edges, aux.n_columns)
@@ -213,7 +216,7 @@ def test_regions_solved_together_match_each_alone(small_case, flavor):
     aux = build_aux_space(coarse, weight, solve_all_spectra(coarse, perm, weight),
                           threshold=1.0)
     cond = CondensedElements(aux, perm, flavor)
-    alone = [fn for e in range(coarse.n_elements) for fn in cond.batch(e, 2)]
+    alone = [fn for e in range(coarse.n_elements) for fn in cond.functions([e], 2)]
     together = build_basis_set(aux, perm, layers=2, flavor=flavor)
     assert len(together) == len(alone)
     for a, b in zip(together, alone):
@@ -242,9 +245,9 @@ def test_saturated_set_has_one_null_direction(small_case):
 def test_basis_validation_errors(small_case):
     fine, coarse, perm, weight, aux = small_case
     with pytest.raises(ConfigError):
-        CondensedElements(aux, perm, "type2").batch(0, 0)
+        CondensedElements(aux, perm, "type2").functions([0], 0)
     with pytest.raises(ConfigError):
-        CondensedElements(aux, perm, "type3").batch(0, 1)
+        CondensedElements(aux, perm, "type3")
 
 
 def test_snapshot_divergence_and_walls(small_case):
@@ -286,11 +289,11 @@ def test_condensed_basis_matches_region_lu_reference(small_case, flavor):
         solve = _region_lu_reference(aux, perm, full_domain(fine), "type2")
         assert _worst_deviation(bset, solve) <= 1e-10
         return
+    cond = CondensedElements(aux, perm, flavor)
     worst = 0.0
     for e in range(coarse.n_elements):
         solve = _region_lu_reference(aux, perm, oversample_region(coarse, e, 1), flavor)
-        worst = max(worst, _worst_deviation(
-            CondensedElements(aux, perm, flavor).batch(e, 1), solve))
+        worst = max(worst, _worst_deviation(cond.functions([e], 1), solve))
     assert worst <= 1e-10
 
 
@@ -308,7 +311,7 @@ def test_condensed_threshold_space_at_corner_edge_and_interior(small_case, flavo
     assert aux.counts[centres[1]] == 1
     for e in centres:
         for layers in (1, 2):
-            batch = cond.batch(e, layers)
+            batch = cond.functions([e], layers)
             assert len(batch) == aux.counts[e]
             solve = _region_lu_reference(aux, perm, oversample_region(coarse, e, layers),
                                          flavor)
@@ -328,20 +331,41 @@ def test_condensed_threshold_space_at_corner_edge_and_interior(small_case, flavo
 def test_condensed_elements_serve_global_and_local_and_check_residuals(small_case):
     fine, coarse, perm, weight, aux = small_case
     cond = CondensedElements(aux, perm, "type2")
-    glo = cond.batch(5, None)[1]
+    glo = cond.functions([5], None)[1]
     assert (glo.flavor, glo.layers) == ("global", -1)
-    assert np.array_equal(glo.v, build_basis_function(aux, perm, 5, 1, flavor="global").v)
-    assert cond.batch(5, 1)[1].layers == 1
+    want = build_basis_set(aux, perm, flavor="global").functions[aux.column(5, 1)].v
+    assert np.abs(glo.v - want).max() <= 1e-12 * np.abs(want).max()
+    assert cond.functions([5], 1)[1].layers == 1
     with pytest.raises(ConfigError):
-        CondensedElements(aux, perm, "type1").batch(5, None)
+        CondensedElements(aux, perm, "type1").functions([5], None)
     with pytest.raises(ConfigError):
         CondensedElements(aux, perm, "global")
     with pytest.raises(ConfigError):
-        cond.batch(5, 0)
+        cond.functions([5], 0)
     # every function's full region residual is checked at rtol
     with pytest.raises(SolveError) as info:
-        cond.batch(5, 1, rtol=1e-30)
+        cond.functions([5], 1, rtol=1e-30)
     assert info.value.residual > 0
+
+
+def test_solve_errors_name_flavor_and_element(small_case, monkeypatch):
+    """Residual errors name the flavor and the element whose function
+    failed; factorization errors name the flavor and the region."""
+    fine, coarse, perm, weight, aux = small_case
+    cond = CondensedElements(aux, perm, "type2")
+    with pytest.raises(SolveError, match="for the global function 0 of element 5$"):
+        cond.functions([5], None, rtol=1e-30)
+    with pytest.raises(SolveError, match="for the type2 function 0 of element 6$"):
+        cond.functions([6], 1, rtol=1e-30)
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+    monkeypatch.setattr("msdarcy.basis.splu", fail)
+    with pytest.raises(SolveError, match="failed for the global flavor's whole domain: "):
+        cond.functions([5], None)
+    with pytest.raises(SolveError, match="failed for the type1 region of 2 layers "
+                                         "around element 5: "):
+        CondensedElements(aux, perm, "type1").functions([5], 2)
 
 
 def _condensation_oracle(cond, e):
@@ -431,7 +455,7 @@ def test_region_templates_reproduce_operator_slices(small_case, flavor):
     for layers in (1, 2):
         for e in range(coarse.n_elements):
             region = oversample_region(coarse, e, layers)
-            system = cond.regions([region])
+            system = cond.regions([region], layers)
             assert np.array_equal(system.edges[0], region.interior_edges())
             assert np.array_equal(system.cells[0], region.cells())
             cols, _ = restriction(aux, region)

@@ -70,9 +70,6 @@ def test_elementwise_conservation_and_divergence_compatibility():
     assert report.element_residuals.size == coarse.n_elements
     assert report.max_residual < 1e-12 * np.abs(f).max() * fine.h ** 2 * fine.n_cells
     assert report.div_compat < 1e-10
-    no_aux = mass_residuals(ms, f)
-    assert np.isnan(no_aux.div_compat)
-    assert np.array_equal(no_aux.element_residuals, report.element_residuals)
 
 
 def test_div_compat_flags_incompatible_fields():
