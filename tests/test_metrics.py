@@ -8,7 +8,8 @@ from msdarcy import (ConfigError, PermField, bilinear_pou, build_aux_space,
                      pressure_norms, relative_errors, solve_all_spectra,
                      solve_case, solve_fine_reference, velocity_norms)
 from msdarcy.fem import divergence_matrix, mass_matrix
-from msdarcy.mesh import FineGrid
+from msdarcy.medium import WeightField
+from msdarcy.mesh import element_region, FineGrid
 from msdarcy.metrics import auto_layers, decay_study, rate, speed_field
 
 
@@ -33,6 +34,35 @@ def test_velocity_norms_match_quadratic_forms(case32):
     div2 = np.sum(Bv**2 / (fine.h**2 * weight.values))
     assert rep.div**2 == pytest.approx(div2, rel=1e-12)
     assert rep.V**2 == pytest.approx(rep.a**2 + rep.div**2, rel=1e-12)
+
+
+def test_norms_are_additive_over_element_partition(case32):
+    """Each norm is a sum of per-cell terms. A cell with infinite
+    coefficients (velocity) or a zero field value (pressure) adds nothing,
+    so the per-element parts add up to the whole-domain norm."""
+    fine, coarse, perm, weight = case32
+    rng = np.random.default_rng(43)
+    v = rng.standard_normal(fine.n_edges)
+    q = rng.standard_normal(fine.n_cells)
+    a2 = div2 = s2 = l22 = 0.0
+    for e in range(coarse.n_elements):
+        cells = element_region(coarse, e).cells()
+        inside = np.zeros(fine.n_cells, dtype=bool)
+        inside[cells] = True
+        perm_e = PermField(fine, np.where(inside, perm.values, np.inf))
+        weight_e = WeightField(fine, np.where(inside, weight.values, np.inf))
+        vr = velocity_norms(fine, perm_e, weight_e, v)
+        pr = pressure_norms(weight, np.where(inside, q, 0.0))
+        a2 += vr.a**2
+        div2 += vr.div**2
+        s2 += pr.s**2
+        l22 += pr.l2**2
+    total_v = velocity_norms(fine, perm, weight, v)
+    total_p = pressure_norms(weight, q)
+    assert total_v.a**2 == pytest.approx(a2, rel=1e-12)
+    assert total_v.div**2 == pytest.approx(div2, rel=1e-12)
+    assert total_p.s**2 == pytest.approx(s2, rel=1e-12)
+    assert total_p.l2**2 == pytest.approx(l22, rel=1e-12)
 
 
 def test_pressure_norms_formulas(case32):
