@@ -25,9 +25,11 @@ its boundary edges, symmetric positive definite for both flavors, is
 kept with those stacked factors. A region sums the complements of its
 elements on its skeleton (the element boundary edges strictly inside
 it; the no-flux condition drops the edges on the region boundary),
-factors that sparse matrix once, solves for all right-hand sides of the
-centre element and recovers every element's interior by
-back-substitution. Regions of one shape share their index maps (a
+factors that matrix once, solves for all right-hand sides of the centre
+element and recovers every element's interior by back-substitution. The
+skeleton runs row by row in space, so its matrix is a band about two
+rows of the region's edges wide, factored by LAPACK's banded Cholesky
+(`fem.band_cholesky`). Regions of one shape share their index maps (a
 `_RegionTemplate`), and are solved together (`_Regions`): their ids,
 values, right-hand sides, back-substitutions and residuals are stacked,
 and only the skeleton factors and solves run region by region.
@@ -49,12 +51,11 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .auxspace import _run, _stacked, element_lines
 from .errors import ConfigError, SolveError
-from .fem import (FineSolution, _solve_whole_domain, check_zero_mean,
-                  divergence_matrix, mass_matrix, saddle_matrix)
+from .fem import (FineSolution, _solve_whole_domain, band_cholesky, band_solve,
+                  check_zero_mean, divergence_matrix, mass_matrix, saddle_matrix)
 from .mesh import element_layout, full_domain, oversample_region, region_elements
 
 
@@ -437,9 +438,10 @@ class _RegionTemplate:
     of global id (vertical edges, horizontal edges and cells) by a
     constant and keeps every sorted order. So the positions of the
     elements' interior unknowns among the region's unknowns (`pos`), the
-    skeleton and its slots, the CSC pattern of the skeleton matrix with
-    the gather from the elements' stacked complements into it, and the
-    patterns of the region's saddle matrix (`K`) and of its coupling to
+    skeleton in its row-by-row order and its slots, the lower band of the
+    skeleton matrix (half-width `kd`) with the scatter from the elements'
+    stacked complements into it, and the patterns of the region's saddle
+    matrix (`K`, and `Kv`, its velocity columns) and of its coupling to
     the region-boundary edges (`T`) inside the whole-domain operator hold
     for all of them. Column ids are not translated: they follow the column
     counts, and each region reads them from the offsets.
@@ -465,20 +467,29 @@ class _RegionTemplate:
         element_boundary = cond.boundary[elements]
         at = np.minimum(np.searchsorted(edges, element_boundary), edges.size - 1)
         inside = edges[at] == element_boundary
-        self.skeleton = np.unique(at[inside])
+        # the skeleton row by row in space, by the doubled coordinates of
+        # the edge midpoints: an element's complement couples edges at most
+        # one element row apart, so the skeleton matrix is a narrow band
+        skeleton = np.unique(at[inside])
+        kind, i, j = grid.decode_edge(edges[skeleton])
+        self.skeleton = skeleton[np.argsort((2 * j + 1 - kind) * (2 * grid.nx + 2)
+                                            + 2 * i + kind)]
         n_s = self.n_s = self.skeleton.size
-        self.slots = np.where(inside, np.searchsorted(self.skeleton, at), n_s).astype(np.int32)
-        # the skeleton matrix: entry (slot a, slot b) of every element's
-        # complement, summed, in CSC order. The maps are narrow integers:
-        # that keeps the templates small, and int32 indices spare the
-        # sparse constructors a scan of them
-        self.S_mask = inside[:, :, None] & inside[:, None, :]
+        rank = np.zeros(edges.size, dtype=np.int64)
+        rank[self.skeleton] = np.arange(n_s)
+        self.slots = np.where(inside, rank[at], n_s).astype(np.int32)
+        # the skeleton matrix's lower band, transposed: entry (slot a, slot
+        # b), a >= b, of every element's complement, summed at row b and
+        # column a - b of an (n_s, kd + 1) array, whose transpose is LAPACK's
+        # band storage. The map is a narrow integer: that keeps the
+        # templates small
+        self.S_mask = (inside[:, :, None] & inside[:, None, :]
+                       & (self.slots[:, :, None] >= self.slots[:, None, :]))
         a = np.broadcast_to(self.slots[:, :, None], self.S_mask.shape)[self.S_mask]
         b = np.broadcast_to(self.slots[:, None, :], self.S_mask.shape)[self.S_mask]
-        pattern, dst = np.unique(b.astype(np.int64) * n_s + a, return_inverse=True)
-        self.S_dst = dst.astype(np.min_scalar_type(pattern.size))
-        self.S_indices = (pattern % n_s).astype(np.int32)
-        self.S_indptr = np.searchsorted(pattern // n_s, np.arange(n_s + 1)).astype(np.int32)
+        self.kd = int((a - b).max(initial=0))
+        self.S_dst = (b * (self.kd + 1) + a - b).astype(
+            np.min_scalar_type(n_s * (self.kd + 1)))
         # the region's saddle matrix: its rows of the operator restricted to
         # its columns. Its region-boundary rows restricted to its columns,
         # which give the traces M psi - B^T q, are by symmetry its rows in
@@ -488,16 +499,19 @@ class _RegionTemplate:
         # rows on its cells (-C^T) give the divergence coefficients
         rows = cond.operator[unknowns]
         self.K = _Rows(rows, unknowns)
+        self.Kv = _Rows(rows[:n - columns.size], edges)
         self.T = _Rows(rows, boundary)
         self.T_rows = self.T.nonempty()
         self.Ct = _Rows(rows[n - columns.size:], grid.n_edges + cells)
         self.edges, self.cells = edges.astype(np.int32), cells.astype(np.int32)
         self.boundary = boundary.astype(np.int32)
         # about what a region takes while solved with others: its ids and
-        # values, its saddle and boundary matrices and five arrays of
+        # values, its saddle and boundary matrices, its gathered complements,
+        # its skeleton band (which its factor overwrites) and five arrays of
         # right-hand-side size
-        self.bytes = 8 * (4 * sum(int(m.indptr[-1]) for m in (self.K, self.T, self.Ct))
-                          + 2 * np.count_nonzero(self.S_mask) + 5 * (n + 1) * cond.Z.shape[2])
+        self.bytes = 8 * (4 * sum(int(m.indptr[-1]) for m in (self.K, self.Kv, self.T, self.Ct))
+                          + np.count_nonzero(self.S_mask) + n_s * (self.kd + 1)
+                          + 5 * (n + 1) * cond.Z.shape[2])
         # the region's elements row by row: consecutive ids, consecutive
         # positions in `elements`
         self.width = region.shape[0] // cond.aux.coarse.r
@@ -518,10 +532,8 @@ class _Regions:
     Arrays carry a leading region axis. A region's unknowns are ordered as
     in `fem`: region-interior edges, region cells, region columns, each
     ascending; index n is a discarded slot for the padding of elements'
-    interior unknowns. Each skeleton factor is made, used and freed by the
-    call that solves its region (scipy does not release a SuperLU object
-    that another thread frees); a call that solves a region's centres in
-    several parts keeps the factor between them.
+    interior unknowns. Each region's skeleton factor is made once, on its
+    first solve, and kept for its other parts and refinement sweeps.
     """
 
     def __init__(self, cond, regions, layers):
@@ -548,6 +560,7 @@ class _Regions:
         # every region's saddle equations and the blocks of `_RegionTemplate`,
         # from the whole-domain operator, as block-diagonal matrices
         self.K = tpl.K.gather(cond.operator, unknowns)
+        self.Kv = tpl.Kv.gather(cond.operator, unknowns[:, :tpl.n - self.columns.shape[1]])
         # transposed: boundary edges by unknowns
         self.T = tpl.T.gather(cond.operator, unknowns[:, tpl.T_rows]).T.tocsr()
         self.Ct = tpl.Ct.gather(cond.operator, unknowns[:, tpl.n - self.columns.shape[1]:])
@@ -556,10 +569,11 @@ class _Regions:
         # vanishes on the domain boundary
         self.inner = ~grid.boundary_edge_mask()[self.boundary]
         g = len(regions)
-        nnz = tpl.S_indices.size
-        self.S_values = np.bincount(
-            (tpl.S_dst + np.arange(g)[:, None] * nnz).ravel(),
-            cond.S[self.elements][:, tpl.S_mask].ravel(), minlength=g * nnz).reshape(g, nnz)
+        size = tpl.n_s * (tpl.kd + 1)
+        self.bands = np.bincount(
+            (tpl.S_dst + np.arange(g)[:, None] * size).ravel(),
+            cond.S[self.elements][:, tpl.S_mask].ravel(),
+            minlength=g * size).reshape(g, tpl.n_s, tpl.kd + 1)
 
     def _label(self, i):
         if self.layers is None:
@@ -567,30 +581,24 @@ class _Regions:
         return (f"the {self.flavor} region of {self.layers} layers around element "
                 f"{self.regions[i].center}")
 
-    def _skeleton(self, lus, sel, g):
+    @cached_property
+    def factors(self):
+        """Every region's skeleton factor; each overwrites its band."""
+        factors = []
+        for i, band in enumerate(self.bands):
+            try:
+                factors.append(band_cholesky(band.T))
+            except np.linalg.LinAlgError as exc:
+                raise SolveError(f"factorization failed for {self._label(i)}: {exc}")
+        return factors
+
+    def _skeleton(self, sel, g):
         """Skeleton values u (with the discarded slot) from right-hand sides
-        g of the regions `sel`. A region's factor is kept in `lus` when that
-        is a list; else each is freed once used, so that a part of many
-        regions holds one factor at a time."""
-        tpl = self.template
-        u = np.zeros((len(sel), tpl.n_s + 1, g.shape[2]))
-        # one matrix for the shared pattern: each region swaps in its values
-        # (a factor keeps none of its input)
-        S = sp.csc_matrix((self.S_values[0], tpl.S_indices, tpl.S_indptr),
-                          shape=(tpl.n_s, tpl.n_s))
-        for k, i in enumerate(sel if tpl.n_s else []):
-            lu = lus[i] if lus is not None else None
-            if lu is None:
-                S.data = self.S_values[i]
-                try:
-                    # symmetric positive definite: a symmetric ordering, diagonal pivots
-                    lu = splu(S, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
-                              options={"SymmetricMode": True})
-                except RuntimeError as exc:
-                    raise SolveError(f"factorization failed for {self._label(i)}: {exc}")
-                if lus is not None:
-                    lus[i] = lu
-            u[k, :tpl.n_s] = lu.solve(g[k, :tpl.n_s])
+        g of the regions `sel`."""
+        n_s = self.template.n_s
+        u = np.zeros((len(sel), n_s + 1, g.shape[2]))
+        for k, i in enumerate(sel if n_s else []):
+            u[k, :n_s] = band_solve(self.factors[i], g[k, :n_s])
         return u
 
     def _back(self, sel, u):
@@ -605,7 +613,7 @@ class _Regions:
         x[:, tpl.skeleton] = u[:, :tpl.n_s]
         return x
 
-    def _refine(self, lus, sel, res):
+    def _refine(self, sel, res):
         """One sweep of the solve of the regions `sel` against residuals res."""
         cond, tpl = self.cond, self.template
         padded = np.zeros((len(sel), tpl.n + 1, res.shape[2]))
@@ -618,7 +626,7 @@ class _Regions:
         W = cond.W[self.elements[sel]]
         np.add.at(g, (np.arange(len(sel))[:, None, None], tpl.slots[None]),
                   -(W.transpose(0, 1, 3, 2) @ F))
-        x = self._back(sel, self._skeleton(lus, sel, g))
+        x = self._back(sel, self._skeleton(sel, g))
         x[:, tpl.pos] += z
         return x[:, :tpl.n]
 
@@ -631,14 +639,12 @@ class _Regions:
         k = cond.Z.shape[2]
         size = len(self.regions) * max(
             1, REGION_BYTES // (5 * 8 * (tpl.n + 1) * k * len(self.regions)))
-        # the factors are kept only when several parts reuse them
-        lus = [None] * len(self.regions) if len(items) > size else None
         out = []
         for start in range(0, len(items), size):
-            out += self._solve(lus, items[start:start + size], rtol)
+            out += self._solve(items[start:start + size], rtol)
         return out
 
-    def _solve(self, lus, items, rtol):
+    def _solve(self, items, rtol):
         """The functions of one part of `items`, as `functions` returns them."""
         cond, tpl = self.cond, self.template
         n, n_s, k = tpl.n, tpl.n_s, cond.Z.shape[2]
@@ -660,7 +666,7 @@ class _Regions:
         rhs[rows, at[:, :, None], cols] = cond.rhs[centre]
         g = np.zeros((len(sel), n_s + 1, c))
         g[rows, slots[:, :, None], cols] = -(cond.W[centre].transpose(0, 2, 1) @ cond.rhs[centre])
-        x = self._back(sel, self._skeleton(lus, sel, g))
+        x = self._back(sel, self._skeleton(sel, g))
         x[rows, at[:, :, None], cols] += cond.Z[centre]
         x, rhs = x[:, :n], rhs[:, :n]
         scale = _norms(rhs)
@@ -671,7 +677,7 @@ class _Regions:
             bad = np.flatnonzero((norms > tol).any(axis=1))
             if not bad.size:
                 break
-            x[bad] -= self._refine(lus, bad, res[bad])
+            x[bad] -= self._refine(bad, res[bad])
             res = (self.K @ x.reshape(-1, c)).reshape(x.shape) - rhs
             norms = _norms(res)
         bad = np.argwhere(norms > tol)
@@ -683,21 +689,20 @@ class _Regions:
                              f"{col % k} of element {centre[t]}",
                              residual=float(norms[i, col]))
         # what the coarse blocks need: the traces on the region-boundary
-        # edges, and from K's velocity columns, which give (A psi, -B psi, 0),
-        # the energies psi^T A psi and the divergence coefficients
-        # R^T B psi = C^T S^-1 B psi. B psi + C y equals C e (type2, e the
-        # own column) or zero (type1) only up to the solve's residual;
-        # coefficients read off psi keep the expanded velocity's element mass
-        # balances exact to roundoff
+        # edges, and from K's velocity columns, which give (A psi, -B psi) on
+        # the edges and cells, the energies psi^T A psi and the divergence
+        # coefficients R^T B psi = C^T S^-1 B psi. B psi + C y equals C e
+        # (type2, e the own column) or zero (type1) only up to the solve's
+        # residual; coefficients read off psi keep the expanded velocity's
+        # element mass balances exact to roundoff
         del rhs, res
         n_e, n_c = self.edges.shape[1], self.cells.shape[1]
         stacked = (len(sel), -1, c)
         trace = (self.T @ x[:, tpl.T_rows].reshape(-1, c)).reshape(stacked)
-        psi = np.zeros_like(x)
-        psi[:, :n_e] = x[:, :n_e]
-        Kpsi = (self.K @ psi.reshape(-1, c)).reshape(x.shape)
-        energy = np.einsum("gec,gec->gc", psi[:, :n_e], Kpsi[:, :n_e])
-        div = (Kpsi[:, n_e:n_e + n_c] / self.s[:, :, None]).reshape(-1, c)
+        psi = x[:, :n_e]
+        Kpsi = (self.Kv @ psi.reshape(-1, c)).reshape(stacked)
+        energy = np.einsum("gec,gec->gc", psi, Kpsi[:, :n_e])
+        div = (Kpsi[:, n_e:] / self.s[:, :, None]).reshape(-1, c)
         div = (self.Ct @ div).reshape(stacked)
         # every item's k columns, one row per function
         pick = (region[:, None], cols[:, 0])

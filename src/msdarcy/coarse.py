@@ -31,12 +31,14 @@ of a one-element global set, could make A_c indefinite).
 The blocks are sparse: each basis function lives on its oversampled
 region, so two functions couple only when their regions overlap. There
 is one basis function per auxiliary column, so the divergence block is
-square, with corank 1. A sparse LU of the velocity block in symmetric
-mode checks that it is positive definite. One sparse LU of the
+square, with corank 1. The functions run element-major, and the elements
+row by row in space, so the velocity block is a band; its banded
+Cholesky factor (`fem.band_cholesky`) checks that it is positive definite
+and serves the rank test below. One sparse LU of the
 divergence block bordered by the pressure-mean weights gives its null
 vector, a particular velocity and, by a transposed solve, the pressure;
 the velocity is the particular one plus the multiple of the null vector
-that minimizes the energy. A Lanczos iteration on the same factor gives
+that minimizes the energy. A Lanczos iteration on the LU factor gives
 the inf-sup constant of the pressure Schur complement on zero-mean
 coefficients. The solution is expanded back to fine-grid fluxes and
 pressures.
@@ -50,7 +52,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
 from .errors import ConfigError, SolveError
-from .fem import check_zero_mean, divergence_matrix
+from .fem import band_cholesky, band_solve, check_zero_mean, divergence_matrix
 
 
 @dataclass(frozen=True)
@@ -103,13 +105,14 @@ def assemble_coarse_system(basis_set, perm, f):
     Its diagonal holds the functions' energies.
 
     Sizes whose coarse solve would not fit in physical memory raise
-    ConfigError. The estimate is 2.5 * nnz * sqrt(n) bytes for n basis
-    functions and nnz stored entries of A_c and B_c: the LU fills of the
-    velocity block and of the bordered divergence block grow like
-    nnz * sqrt(n) (the latter 0.015-0.035 per unit on the preset
-    three-channel medium at 64/8/L3, 64/32/L2 and 128/32/L5), and the
-    measured peak of the coarse solve is 1.2-2.1 bytes per unit from
-    n = 768 to n = 12288 there.
+    ConfigError. For n basis functions the estimate is 8 * n * (kd + 1)
+    bytes for the band of the velocity block, of half-width kd (n - 1 for
+    a saturated set, whose A_c is full), plus 2 * nnz * sqrt(n) bytes for
+    the sparse LU of the bordered divergence block, with nnz stored
+    entries of A_c and B_c: its fill grows like nnz * sqrt(n) (0.015-0.035
+    per unit on the preset three-channel medium at 64/8/L3, 64/32/L2 and
+    128/32/L5), and the measured peak of the coarse solve above the band
+    is 0.3-1.3 bytes per unit from n = 192 to n = 12288 there.
     """
     aux = basis_set.aux
     grid = perm.grid
@@ -126,12 +129,14 @@ def assemble_coarse_system(basis_set, perm, f):
     # a sparse sum keeps arrays sized for both terms' entries; the copy
     # releases that slack (7 MiB at 3072 functions on a 64x64 grid)
     A_c = A_c.copy()
-    need = 2.5 * (A_c.nnz + B_c.nnz) * np.sqrt(n)
+    entries = A_c.tocoo()
+    kd = int(np.abs(entries.row - entries.col).max(initial=0))
+    need = 8 * n * (kd + 1) + 2 * (A_c.nnz + B_c.nnz) * np.sqrt(n)
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise ConfigError(
             f"coarse system of {n} basis functions needs about "
-            f"{need / 2**30:.1f} GiB for its sparse factors, more than the "
+            f"{need / 2**30:.1f} GiB for its factors, more than the "
             f"{have / 2**30:.1f} GiB of physical memory")
     rhs_q = h2 * (R.T @ f)
     mean_w = np.asarray(R.T @ np.full(grid.n_cells, h2))
@@ -171,17 +176,15 @@ def solve_multiscale(system, rtol=1e-10):
         u0 = sp.csr_matrix(system.aux.coefficients(
             np.ones(system.aux.coarse.fine.n_cells))[:, None])
         A = A + (A.diagonal().sum() / n / (u0.T @ u0)[0, 0]) * (u0 @ u0.T)
+    # the lower band of A: element-major functions keep it narrow (half-width
+    # 398 at n = 3072 on 64/32/L2, where reverse Cuthill-McKee gives 722)
+    lower = sp.tril(A).tocoo()
+    band = np.zeros((int((lower.row - lower.col).max(initial=0)) + 1, n), order="F")
+    band[lower.row - lower.col, lower.col] = lower.data
     try:
-        # symmetric mode, diagonal pivots (perm_r == perm_c): by Sylvester's
-        # law of inertia A is positive definite iff every pivot is positive
-        lu_a = splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
-                    options={"SymmetricMode": True})
-    except RuntimeError as exc:
+        chol = band_cholesky(band)
+    except np.linalg.LinAlgError as exc:
         raise SolveError(f"projected velocity block is not positive definite: {exc}")
-    pivots = lu_a.U.diagonal()
-    if not (np.array_equal(lu_a.perm_r, lu_a.perm_c) and np.all(pivots > 0)):
-        raise SolveError("projected velocity block is not positive definite: "
-                         f"smallest pivot {pivots.min():.3e}")
     # B_c has corank 1. Its left null vector is s = R^T S 1: every basis
     # function has zero net flux, and its divergence lies in the weighted
     # image S R of the auxiliary space, where R^T S R = I. Bordering B_c
@@ -234,7 +237,7 @@ def solve_multiscale(system, rtol=1e-10):
         # with the roundoff level of the largest eigenvalue, which needs
         # only a few digits
         lam_max = _top_eigenvalue(
-            lambda q: zero_mean(B_c @ lu_a.solve(B_c.T @ zero_mean(q))), n, tol=1e-3)
+            lambda q: zero_mean(B_c @ band_solve(chol, B_c.T @ zero_mean(q))), n, tol=1e-3)
         if not sigma > (n - 1) * np.finfo(float).eps * lam_max:
             raise SolveError(
                 f"coarse system is singular: restricted Schur eigenvalue {sigma:.3e}, "

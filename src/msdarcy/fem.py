@@ -28,12 +28,15 @@ snapshot have no C block; their pressure is fixed only up to a constant,
 which the whole-domain solve pins in one cell and then shifts to zero
 mean. The basis functions' region systems are rows and columns of the
 whole-domain template matrix with C (`basis.CondensedElements`).
+`band_cholesky` and `band_solve` serve the symmetric positive definite
+bands downstream: the region skeletons and the coarse velocity block.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse.linalg import splu
 
 from .errors import ConfigError, SolveError
@@ -141,6 +144,23 @@ def solve_saddle(K, rhs, rtol=1e-10, label="system"):
         raise SolveError(
             f"residual {res:.3e} above tolerance {tol:.3e} for {label}", residual=res)
     return x
+
+
+def band_cholesky(band):
+    """The Cholesky factor of the symmetric positive definite matrix A
+    whose lower band `band` holds in LAPACK storage: band[i - j, j] =
+    A[i, j] for 0 <= i - j <= kd. A Fortran-ordered `band` is overwritten
+    by the factor. Raises LinAlgError unless A is positive definite:
+    Cholesky succeeds exactly when every symmetric pivot is positive."""
+    factor, info = dpbtrf(band, lower=1, overwrite_ab=1)
+    if info:
+        raise np.linalg.LinAlgError(f"pivot {info} of {band.shape[1]} is not positive")
+    return factor
+
+
+def band_solve(factor, b):
+    """A^-1 b from the factor `band_cholesky` returned."""
+    return dpbtrs(factor, b, lower=1)[0]
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from msdarcy import (ConfigError, PermField, SolveError, bilinear_pou,
 from msdarcy.basis import CondensedElements
 from msdarcy.fem import (divergence_matrix, mass_matrix, mass_triplets, saddle_matrix,
                          velocity_dofmap)
-from msdarcy.mesh import full_domain, oversample_region
+from msdarcy.mesh import full_domain, oversample_region, region_elements
 from test_auxspace import restriction
 from test_fem import assemble_a, assemble_b, refined_lu
 
@@ -359,13 +359,56 @@ def test_solve_errors_name_flavor_and_element(small_case, monkeypatch):
         cond.functions([6], 1, rtol=1e-30)
 
     def fail(*args, **kwargs):
-        raise RuntimeError("Factor is exactly singular")
-    monkeypatch.setattr("msdarcy.basis.splu", fail)
+        raise np.linalg.LinAlgError("pivot 1 of 8 is not positive")
+    monkeypatch.setattr("msdarcy.basis.band_cholesky", fail)
     with pytest.raises(SolveError, match="failed for the global flavor's whole domain: "):
         cond.functions([5], None)
     with pytest.raises(SolveError, match="failed for the type1 region of 2 layers "
                                          "around element 5: "):
         CondensedElements(aux, perm, "type1").functions([5], 2)
+
+
+def _skeleton_superlu_oracle(cond, region):
+    """Oracle: a region's skeleton matrix, its elements' complements summed
+    on the element boundary edges strictly inside it in ascending edge
+    order, factored by SuperLU in symmetric mode (the path banded Cholesky
+    replaced). Returns the skeleton edges and the factor."""
+    elements = region_elements(cond.aux.coarse, region)
+    skeleton = np.intersect1d(cond.boundary[elements], region.interior_edges())
+    S = np.zeros((skeleton.size, skeleton.size))
+    for e in elements:
+        inside = np.isin(cond.boundary[e], skeleton)
+        at = np.searchsorted(skeleton, cond.boundary[e][inside])
+        S[np.ix_(at, at)] += cond.S[e][np.ix_(inside, inside)]
+    return skeleton, splu(sp.csc_matrix(S), permc_spec="MMD_AT_PLUS_A",
+                          diag_pivot_thresh=0.1, options={"SymmetricMode": True})
+
+
+@pytest.mark.parametrize("flavor", ["type1", "type2", "global"])
+@pytest.mark.parametrize("contrast", [1e3, 1e8])
+def test_banded_skeleton_solve_matches_superlu(flavor, contrast):
+    """Every region of one and two layers, or the whole domain: the banded
+    skeleton solve against the SuperLU solve of the same matrix."""
+    fine, coarse = build_grids(16, 4)
+    rng = np.random.default_rng(21)
+    perm = PermField.from_raw(fine, np.exp(rng.uniform(0, np.log(contrast), fine.n_cells)))
+    weight = compute_weight(perm, bilinear_pou(coarse))
+    aux = build_aux_space(coarse, weight, solve_all_spectra(coarse, perm, weight), nbasis=2)
+    cond = CondensedElements(aux, perm, "type2" if flavor == "global" else flavor)
+    if flavor == "global":
+        cases = [(full_domain(fine), None)]
+    else:
+        cases = [(oversample_region(coarse, e, layers), layers)
+                 for e in range(coarse.n_elements) for layers in (1, 2)]
+    for region, layers in cases:
+        system = cond.regions([region], layers)
+        skeleton, lu = _skeleton_superlu_oracle(cond, region)
+        # the banded path orders the skeleton row by row
+        order = np.searchsorted(skeleton, system.edges[0][system.template.skeleton])
+        g = rng.standard_normal((skeleton.size, 3))
+        want = lu.solve(g)[order]
+        got = system._skeleton([0], np.concatenate([g[order], np.zeros((1, 3))])[None])
+        assert np.linalg.norm(got[0, :-1] - want) <= 1e-10 * np.linalg.norm(want)
 
 
 def _condensation_oracle(cond, e):

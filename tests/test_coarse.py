@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackNoConvergence
+from scipy.sparse.linalg import ArpackNoConvergence, splu
 
 from msdarcy import (ConfigError, PermField, SolveError, bilinear_pou,
                      build_aux_space, build_basis_set, build_grids,
@@ -231,6 +231,82 @@ def test_schur_health_positive_and_degenerate_cases():
     negated = dataclasses.replace(system, A_c=-system.A_c)
     with pytest.raises(SolveError, match="not positive definite"):
         solve_multiscale(negated)
+
+
+def _superlu_velocity_verdict(system):
+    """Oracle: the velocity block's check by the path banded Cholesky
+    replaced. A SuperLU factor in symmetric mode with diagonal pivots finds
+    it positive definite iff every pivot is positive (Sylvester's law of
+    inertia), and a Lanczos iteration on its solves gives the rank test's
+    lambda_max. Returns (positive definite, lambda_max or None)."""
+    A_c, B_c, w = system.A_c, system.B_c, system.mean_w
+    n = w.size
+    A = 0.5 * (A_c + A_c.T)
+    if system.basis.saturated:
+        u0 = sp.csr_matrix(system.aux.coefficients(
+            np.ones(system.aux.coarse.fine.n_cells))[:, None])
+        A = A + (A.diagonal().sum() / n / (u0.T @ u0)[0, 0]) * (u0 @ u0.T)
+    try:
+        lu = splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+                  options={"SymmetricMode": True})
+    except RuntimeError:
+        return False, None
+    if not (np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal() > 0)):
+        return False, None
+    if n == 1:
+        return True, None
+
+    def zero_mean(q):
+        return q - (w @ q) / (w @ w) * w
+    return True, coarse._top_eigenvalue(
+        lambda q: zero_mean(B_c @ lu.solve(B_c.T @ zero_mean(q))), n, tol=1e-3)
+
+
+def _banded_velocity_verdict(system, monkeypatch):
+    """The same from `solve_multiscale`, whose lambda_max is its only
+    Lanczos run to three digits."""
+    top, seen = coarse._top_eigenvalue, {}
+
+    def record(apply, n, tol=0.0):
+        seen[tol] = top(apply, n, tol)
+        return seen[tol]
+    monkeypatch.setattr(coarse, "_top_eigenvalue", record)
+    try:
+        solve_multiscale(system)
+    except SolveError as exc:
+        if "not positive definite" in str(exc):
+            return False, None
+        raise
+    return True, seen.get(1e-3)
+
+
+# duplicated-function layouts (seed, a, b): function b replaced by function
+# a of the 16x16/4 set at two layers
+_DUPLICATED = [(seed, a, b) for seed in range(6) for a, b in ((0, 1), (3, 5), (0, 7))]
+
+
+@pytest.mark.parametrize("case", ["type2", "type1", "global", "single", "pair",
+                                  "type2-1e8", "global-1e8", "negated"]
+                         + [f"duplicated-{s}-{a}-{b}" for s, a, b in _DUPLICATED])
+def test_banded_velocity_check_matches_superlu_pivots(case, monkeypatch):
+    if case == "negated":
+        system = _oracle_system("type2")
+        system = dataclasses.replace(system, A_c=-system.A_c)
+    elif case.startswith("duplicated"):
+        seed, a, b = map(int, case.split("-")[1:])
+        fine, grid, perm, weight, aux, f = _setup(16, 4, nbasis=2, seed=seed)
+        functions = list(build_basis_set(aux, perm, layers=2).functions)
+        functions[b] = functions[a]
+        system = assemble_coarse_system(BasisSet(grid, aux, "type2", 2, functions),
+                                        perm, f)
+    else:
+        system = _oracle_system(case)
+    ok, lam = _banded_velocity_verdict(system, monkeypatch)
+    want_ok, want_lam = _superlu_velocity_verdict(system)
+    assert ok == want_ok
+    assert (lam is None) == (want_lam is None)
+    if want_lam is not None:
+        assert abs(lam - want_lam) <= 1e-3 * want_lam
 
 
 def test_non_square_divergence_block_is_refused():
