@@ -148,8 +148,9 @@ def _fix_signs(P):
 
 
 def _run(workers, fn, items):
-    """fn over items, on `workers` threads when more than one."""
-    if workers and workers > 1:
+    """fn over items, on `workers` threads when more than one and there
+    are at least two items."""
+    if workers and workers > 1 and len(items) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, items))
     return [fn(item) for item in items]

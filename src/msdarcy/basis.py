@@ -25,19 +25,22 @@ its boundary edges, symmetric positive definite for both flavors, is
 kept with those stacked factors. A region sums the complements of its
 elements on its skeleton (the element boundary edges strictly inside
 it; the no-flux condition drops the edges on the region boundary),
-factors that matrix once, solves for all right-hand sides of the centre
-element and recovers every element's interior by back-substitution. The
-skeleton runs row by row in space, so its matrix is a band about two
-rows of the region's edges wide, factored by LAPACK's banded Cholesky
-(`fem.band_cholesky`). Regions of one shape share their index maps (a
-`_RegionTemplate`), and are solved together (`_Regions`): their ids,
-values, right-hand sides, back-substitutions and residuals are stacked,
-and only the skeleton factors and solves run region by region.
-`CondensedElements.functions` is the one entry point: it builds the
-functions of any elements on their regions of any layer count, or, for
-`layers=None`, on the whole-domain region (the `global` flavor, from the
-`type2` elements), whose skeleton is factored once for all of them.
-Each function's full region saddle residual is checked at `rtol`.
+factors that matrix once, solves for all right-hand sides of the elements
+it is the region of (its centres) and recovers every element's interior
+by back-substitution. The skeleton runs row by row in space, so its
+matrix is a band about two rows of the region's edges wide, factored by
+LAPACK's banded Cholesky (`fem.band_cholesky`). Regions of one shape
+share their index maps (a `_RegionTemplate`), and are solved together
+(`_Regions`): their ids, values, right-hand sides, back-substitutions
+and residuals are stacked, and only the skeleton factors and solves run
+region by region.
+`CondensedElements.functions` is the one entry point and the one pass
+that groups regions: it takes each element's region of any layer count,
+or the whole domain for `layers=None` (the `global` flavor, from the
+`type2` elements), merges the elements whose regions coincide, and
+solves each distinct region once for all its centres, the regions of one
+template in parts of about `REGION_BYTES`. Each function's full region
+saddle residual is checked at `rtol`.
 
 Each function also carries what the coarse blocks need, so that they
 are assembled with no fine-grid product: its divergence coefficients
@@ -45,7 +48,6 @@ R^T B psi, its trace M psi - B^T q on the region-boundary edges and its
 energy psi^T M psi, each from the region's own rows of the operator.
 """
 
-import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -186,8 +188,8 @@ class CondensedElements:
     get an identity. `interior_solve` applies K_II^-1 through them.
 
     `flavor` is `type1` or `type2`; the `global` flavor uses `type2`.
-    `workers` threads each condense a contiguous slice of the elements,
-    and solve the regions of `functions` in parts.
+    Up to `workers` threads condense contiguous slices of the elements
+    and solve the parts of `functions`.
     """
 
     def __init__(self, aux, perm, flavor="type2", workers=1):
@@ -246,8 +248,8 @@ class CondensedElements:
         self.W = np.empty((n_el, self.keys.shape[1], n_b))
         self.S = np.empty((n_el, n_b, n_b))
         self.Z = np.empty((n_el, self.keys.shape[1], k_max))
+        # the `_RegionTemplate` of each region shape and column counts
         self._templates = {}
-        self._lock = threading.Lock()
         # the working set: the right-hand sides, the solution and two
         # temporaries of their size
         _stacked(workers, self._condense, n_el, 4 * 8 * self.W.shape[1] * (n_b + k_max))
@@ -325,59 +327,51 @@ class CondensedElements:
         z += self._inverse(ids, res)
         return z
 
-    def regions(self, regions, layers):
-        """The condensed systems of regions of `layers` layers (None: the
-        whole domain) that share one `_RegionTemplate` (one shape, the same
-        column counts), solved together."""
-        return _Regions(self, regions, layers)
-
-    def template(self, region):
-        """The index maps of the regions of `region`'s shape whose elements
-        keep the same column counts, built by the first such region."""
-        elements = region_elements(self.aux.coarse, region)
-        key = (region.shape, self.aux.counts[elements].tobytes())
-        with self._lock:
-            if key not in self._templates:
-                self._templates[key] = _RegionTemplate(self, region, elements)
-            return self._templates[key]
-
     def functions(self, elements, layers, rtol=1e-10):
         """The basis functions of `elements`, element-major, on their
         regions of `layers` layers, or on the whole domain (the `global`
         flavor, from `type2`) when `layers` is None; each function's region
         saddle residual is checked at rtol.
 
-        The whole domain is factored once for every element. Regions of one
-        template are solved together, in parts of about REGION_BYTES and at
-        least one part per worker.
+        Elements whose regions coincide share one region, factored once and
+        solved for all of them. Regions of one template are solved together,
+        in parts of about REGION_BYTES, on up to `workers` threads.
         """
         coarse = self.aux.coarse
         if layers is None:
             if self.flavor != "type2":
                 raise ConfigError("the global flavor is built from type2 elements")
-            batches = self.regions([full_domain(coarse.fine)], None).functions(
-                [(0, e) for e in elements], rtol)
-            return [fn for b in batches for fn in b]
-        _check_layers(layers)
-        groups = {}
+        else:
+            _check_layers(layers)
+        # every distinct region, by its bounds, with its centres
+        regions = {}
         for e in elements:
-            region = oversample_region(coarse, e, layers)
-            groups.setdefault(id(self.template(region)), []).append((e, region))
+            region = (full_domain(coarse.fine) if layers is None
+                      else oversample_region(coarse, e, layers))
+            regions.setdefault((region.i0, region.i1, region.j0, region.j1),
+                               (region, []))[1].append(e)
+        groups = {}
+        for region, centres in regions.values():
+            covered = region_elements(coarse, region)
+            key = (region.shape, self.aux.counts[covered].tobytes())
+            if key not in self._templates:
+                self._templates[key] = _RegionTemplate(self, region, covered)
+            groups.setdefault(key, []).append((region, covered, centres))
         parts = []
-        for group in groups.values():
-            size = self.template(group[0][1]).bytes
-            count = min(len(group),
-                        max(self.workers or 1, -(-len(group) * size // REGION_BYTES)))
-            parts += [group[len(group) * i // count:len(group) * (i + 1) // count]
+        for key, group in groups.items():
+            template = self._templates[key]
+            count = min(len(group), -(-len(group) * template.bytes // REGION_BYTES))
+            parts += [(template, group[len(group) * i // count:len(group) * (i + 1) // count])
                       for i in range(count)]
 
         def solve(part):
-            return self.regions([region for _, region in part], layers).functions(
-                [(i, e) for i, (e, _) in enumerate(part)], rtol)
+            template, group = part
+            items = [(i, e) for i, (_, _, centres) in enumerate(group) for e in centres]
+            system = _Regions(self, template, [region for region, _, _ in group],
+                              np.array([covered for _, covered, _ in group]), layers)
+            return zip([e for _, e in items], system.functions(items, rtol))
 
-        solved = {}
-        for part, batches in zip(parts, _run(self.workers, solve, parts)):
-            solved.update((e, fns) for (e, _), fns in zip(part, batches))
+        solved = dict(pair for pairs in _run(self.workers, solve, parts) for pair in pairs)
         return [fn for e in elements for fn in solved[e]]
 
 
@@ -526,8 +520,9 @@ REGION_BYTES = 8 << 20
 class _Regions:
     """Regions of one template, solved together: each region's skeleton
     system is the element complements summed on the element boundary
-    edges strictly inside it. `layers` is their layer count; None marks
-    the whole domain, whose functions are the `global` flavor's.
+    edges strictly inside it. `elements[g]` holds region g's elements, as
+    `mesh.region_elements` orders them. `layers` is their layer count;
+    None marks the whole domain, whose functions are the `global` flavor's.
 
     Arrays carry a leading region axis. A region's unknowns are ordered as
     in `fem`: region-interior edges, region cells, region columns, each
@@ -536,15 +531,14 @@ class _Regions:
     first solve, and kept for its other parts and refinement sweeps.
     """
 
-    def __init__(self, cond, regions, layers):
+    def __init__(self, cond, template, regions, elements, layers):
         self.cond = cond
+        self.template = tpl = template
         self.regions = regions
+        self.elements = elements
         self.layers = layers
         self.flavor = "global" if layers is None else cond.flavor
-        coarse = cond.aux.coarse
-        grid = coarse.fine
-        tpl = self.template = cond.template(regions[0])
-        self.elements = np.array([region_elements(coarse, r) for r in regions])
+        grid = cond.aux.coarse.fine
         di = np.array([[r.i0] for r in regions]) - tpl.i0
         dj = np.array([[r.j0] for r in regions]) - tpl.j0
 

@@ -60,7 +60,6 @@ class CoarseSystem:
     """Sparse projected blocks plus the data needed to expand solutions."""
 
     basis: object
-    aux: object
     A_c: sp.spmatrix
     B_c: sp.spmatrix
     rhs_q: np.ndarray
@@ -72,8 +71,6 @@ class MsSolution:
     """Multiscale solution expanded on the fine grid."""
 
     coarse: object
-    flavor: str
-    layers: int
     coeff_v: np.ndarray
     coeff_p: np.ndarray
     gamma: float
@@ -140,7 +137,7 @@ def assemble_coarse_system(basis_set, perm, f):
             f"{have / 2**30:.1f} GiB of physical memory")
     rhs_q = h2 * (R.T @ f)
     mean_w = np.asarray(R.T @ np.full(grid.n_cells, h2))
-    return CoarseSystem(basis_set, aux, A_c, B_c, rhs_q, mean_w)
+    return CoarseSystem(basis_set, A_c, B_c, rhs_q, mean_w)
 
 
 def _top_eigenvalue(apply, n, tol=0.0):
@@ -173,8 +170,8 @@ def solve_multiscale(system, rtol=1e-10):
         # pressure have zero velocity and divergence, so u0 spans the null
         # space of B_c; the shift makes A definite along it, and the energy
         # minimization below then fixes the coefficients along it
-        u0 = sp.csr_matrix(system.aux.coefficients(
-            np.ones(system.aux.coarse.fine.n_cells))[:, None])
+        aux = system.basis.aux
+        u0 = sp.csr_matrix(aux.coefficients(np.ones(aux.coarse.fine.n_cells))[:, None])
         A = A + (A.diagonal().sum() / n / (u0.T @ u0)[0, 0]) * (u0 @ u0.T)
     # the lower band of A: element-major functions keep it narrow (half-width
     # 398 at n = 3072 on 64/32/L2, where reverse Cuthill-McKee gives 722)
@@ -253,9 +250,8 @@ def solve_multiscale(system, rtol=1e-10):
                          residual=res)
     basis = system.basis
     v = np.asarray(basis.matrix @ U)
-    p = np.asarray(system.aux.matrix @ P)
-    return MsSolution(basis.coarse, basis.flavor, basis.layers,
-                      U, P, gamma, v, p, sigma)
+    p = np.asarray(basis.aux.matrix @ P)
+    return MsSolution(basis.coarse, U, P, gamma, v, p, sigma)
 
 
 def div_compat_residual(v_edges, aux):

@@ -10,9 +10,9 @@ from scipy.sparse.linalg import splu
 from msdarcy import (ConfigError, PermField, SolveError, bilinear_pou,
                      build_aux_space, build_basis_set, build_grids, build_snapshot, compute_weight, generate_medium,
                      solve_all_spectra, solve_fine_reference, three_channel_spec)
-from msdarcy.basis import CondensedElements
-from msdarcy.fem import (divergence_matrix, mass_matrix, mass_triplets, saddle_matrix,
-                         velocity_dofmap)
+from msdarcy.basis import BasisSet, CondensedElements, _Regions, _RegionTemplate
+from msdarcy.fem import (band_cholesky, divergence_matrix, mass_matrix, mass_triplets,
+                         saddle_matrix, velocity_dofmap)
 from msdarcy.mesh import full_domain, oversample_region, region_elements
 from test_auxspace import restriction
 from test_fem import assemble_a, assemble_b, refined_lu
@@ -368,6 +368,16 @@ def test_solve_errors_name_flavor_and_element(small_case, monkeypatch):
         CondensedElements(aux, perm, "type1").functions([5], 2)
 
 
+def _region_system(cond, region, layers, templates):
+    """The `_Regions` of one region, on the template in `templates` of its
+    shape and column counts, built by the first such region."""
+    elements = region_elements(cond.aux.coarse, region)
+    key = (region.shape, cond.aux.counts[elements].tobytes())
+    if key not in templates:
+        templates[key] = _RegionTemplate(cond, region, elements)
+    return _Regions(cond, templates[key], [region], elements[None], layers)
+
+
 def _skeleton_superlu_oracle(cond, region):
     """Oracle: a region's skeleton matrix, its elements' complements summed
     on the element boundary edges strictly inside it in ascending edge
@@ -400,8 +410,9 @@ def test_banded_skeleton_solve_matches_superlu(flavor, contrast):
     else:
         cases = [(oversample_region(coarse, e, layers), layers)
                  for e in range(coarse.n_elements) for layers in (1, 2)]
+    templates = {}
     for region, layers in cases:
-        system = cond.regions([region], layers)
+        system = _region_system(cond, region, layers, templates)
         skeleton, lu = _skeleton_superlu_oracle(cond, region)
         # the banded path orders the skeleton row by row
         order = np.searchsorted(skeleton, system.edges[0][system.template.skeleton])
@@ -495,10 +506,11 @@ def test_region_templates_reproduce_operator_slices(small_case, flavor):
     aux = build_aux_space(coarse, weight, spectra, threshold=1.0)
     cond = CondensedElements(aux, perm, flavor)
     grid = coarse.fine
+    templates = {}
     for layers in (1, 2):
         for e in range(coarse.n_elements):
             region = oversample_region(coarse, e, layers)
-            system = cond.regions([region], layers)
+            system = _region_system(cond, region, layers, templates)
             assert np.array_equal(system.edges[0], region.interior_edges())
             assert np.array_equal(system.cells[0], region.cells())
             cols, _ = restriction(aux, region)
@@ -509,7 +521,38 @@ def test_region_templates_reproduce_operator_slices(small_case, flavor):
             assert (system.K != want).nnz == 0
     # at 4x4 elements, one and two layers give 16 region shapes but for
     # equal column counts; the counts differ here, so there are more
-    assert len(cond._templates) < 2 * coarse.n_elements
+    assert len(templates) < 2 * coarse.n_elements
+    # `functions` shares templates the same way
+    for layers in (1, 2):
+        cond.functions(range(coarse.n_elements), layers)
+    assert len(cond._templates) == len(templates)
+
+
+def test_saturated_regions_are_factored_once(small_case, monkeypatch):
+    """At three layers every region of 4 x 4 elements is the whole domain:
+    one skeleton factor serves all sixteen centres. The functions are the
+    global flavor's, and agree with every centre solved on a factor of
+    its own."""
+    fine, coarse, perm, weight, aux = small_case
+    factored = []
+
+    def counted(band):
+        factored.append(band.shape)
+        return band_cholesky(band)
+    monkeypatch.setattr("msdarcy.basis.band_cholesky", counted)
+    local = build_basis_set(aux, perm, layers=3)
+    assert len(factored) == 1 and local.saturated
+    glob = build_basis_set(aux, perm, flavor="global")
+    assert len(factored) == 2
+    cond = CondensedElements(aux, perm, "type2")
+    single = BasisSet(coarse, aux, "type2", 3, [
+        fn for e in range(coarse.n_elements) for fn in cond.functions([e], 3)])
+    assert len(factored) == 2 + coarse.n_elements
+    for want, rtol in ((glob, 1e-12), (single, 1e-10)):
+        for name in ("matrix", "divergence", "traces"):
+            got, ref = getattr(local, name).toarray(), getattr(want, name).toarray()
+            assert np.abs(got - ref).max() <= rtol * np.abs(ref).max()
+        assert np.abs(local.energies - want.energies).max() <= rtol * want.energies.max()
 
 
 @pytest.mark.parametrize("flavor", ["type1", "type2"])

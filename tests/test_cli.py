@@ -115,6 +115,15 @@ def test_solve_artifacts_and_determinism(tmp_path):
     assert (out1 / "pressure.csv").read_bytes() == (out2 / "pressure.csv").read_bytes()
     # carries schur_sigma, an iterative (Lanczos) eigenvalue
     assert (out1 / "summary.csv").read_bytes() == (out2 / "summary.csv").read_bytes()
+    # at two layers of 4 x 4 elements the regions of neighbouring elements
+    # coincide and are solved once for all their centres: no worker count
+    # may change a byte
+    cfg2 = write_cfg(tmp_path / "c2.ini", SOLVE.replace("layers = 1", "layers = 2"))
+    out3, out4 = tmp_path / "w1", tmp_path / "w2"
+    assert run("solve", "--config", cfg2, "--out", str(out3)) == 0
+    assert run("solve", "--config", cfg2, "--out", str(out4), "--workers", "2") == 0
+    for name in ("velocity.csv", "pressure.csv", "summary.csv"):
+        assert (out3 / name).read_bytes() == (out4 / name).read_bytes()
 
     vel = (out1 / "velocity.csv").read_text().splitlines()
     assert vel[0] == "# grid: nx=16 ny=16"
