@@ -21,8 +21,7 @@ from .medium import (Block, MediumSpec, PermField, Strip, WeightField,
                      three_channel_spec)
 from .fem import (FineSolution, saddle_matrix, solve_fine_reference,
                   solve_saddle, manufactured_cospi)
-from .auxspace import (AuxSpace, ElementSpectrum, build_aux_space,
-                       solve_all_spectra)
+from .auxspace import AuxSpace, Spectra, build_aux_space, solve_all_spectra
 from .basis import (BasisSet, CondensedElements, VelocityBasisFunction,
                     build_basis_set, build_snapshot)
 from .coarse import (CoarseSystem, MsSolution, assemble_coarse_system,

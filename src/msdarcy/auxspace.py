@@ -11,9 +11,11 @@ grid line of an element (`ElementLines`), so B A^-1 B^T comes from
 batched solves of small tridiagonal line blocks, and one stacked
 symmetric eigensolve of S^-1/2 B A^-1 B^T S^-1/2 gives every spectrum.
 Eigenvalues come back ascending (the first is zero with a constant
-eigenvector) and eigenvectors are S-orthonormal. The auxiliary space
-keeps the first J_i eigenvectors per element; the projection onto it is
-S-orthogonal and acts elementwise.
+eigenvector) and eigenvectors are S-orthonormal. Every element has the
+same number of cells, so the spectra are one record of stacks
+(`Spectra`), one row per element. The auxiliary space keeps the first
+J_i eigenvectors per element, as one stack zero-padded to the largest
+J_i; the projection onto it is S-orthogonal and acts elementwise.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -29,10 +31,12 @@ from .mesh import element_layout
 
 
 @dataclass(frozen=True)
-class ElementSpectrum:
-    """All eigenpairs of one element, ascending, S-orthonormal columns."""
+class Spectra:
+    """Every element's eigenpairs, one row per element: its ascending
+    cells (elements, cells), its eigenvalues in ascending order (elements,
+    cells) and its S-orthonormal eigenvectors as columns (elements, cells,
+    cells)."""
 
-    element: int
     cells: np.ndarray
     lambdas: np.ndarray
     pressures: np.ndarray
@@ -174,7 +178,7 @@ def _stacked(workers, fn, n, item_bytes):
 
 
 def solve_all_spectra(coarse, perm, weight, workers=1):
-    """Every element's spectrum, in element order, as stacks: the elements
+    """Every element's spectrum, as the stacks of `Spectra`: the elements
     are solved in contiguous slices on `workers` threads."""
     lines = element_lines(coarse)
     _, cells, _ = element_layout(coarse)
@@ -192,7 +196,7 @@ def solve_all_spectra(coarse, perm, weight, workers=1):
         _fix_signs(P[part])
 
     _stacked(workers, solve, coarse.n_elements, 8 * n * n)
-    return [ElementSpectrum(e, cells[e], lam[e], P[e]) for e in range(coarse.n_elements)]
+    return Spectra(cells, lam, P)
 
 
 @dataclass
@@ -200,8 +204,10 @@ class AuxSpace:
     """Selected eigenvectors of all elements, with the projection onto
     their span in the weighted pressure inner product.
 
-    `pressures[e]` is the (cells_e x J_e) block of kept eigenvectors;
-    columns across elements are numbered element-major, so column
+    `cells[e]` holds element e's ascending cells and `pressures[e]` its
+    kept eigenvectors as columns: one (elements x cells x k_max) stack,
+    zero past each element's `counts[e]` columns up to the largest count.
+    Columns across elements are numbered element-major, so column
     `offsets[e] + j` is eigenvector j of element e.
     """
 
@@ -209,8 +215,8 @@ class AuxSpace:
     weight: object
     counts: np.ndarray
     offsets: np.ndarray
-    cells: list
-    pressures: list
+    cells: np.ndarray
+    pressures: np.ndarray
     lambda_next: np.ndarray
     spectral_gap: float
 
@@ -222,6 +228,12 @@ class AuxSpace:
     def s_diag(self):
         return self.weight.values * self.coarse.fine.h ** 2
 
+    @cached_property
+    def columns(self):
+        """Every element's column ids, (elements x k_max), -1 on padding."""
+        pad = np.arange(self.pressures.shape[2])
+        return np.where(pad < self.counts[:, None], self.offsets[:-1, None] + pad, -1)
+
     def column(self, e, j):
         if not 0 <= j < self.counts[e]:
             raise ConfigError(f"element {e} keeps {self.counts[e]} eigenvectors, "
@@ -231,12 +243,12 @@ class AuxSpace:
     @cached_property
     def matrix(self):
         """Global (n_cells x n_columns) eigenvector matrix."""
-        rows = [np.tile(c, k) for c, k in zip(self.cells, self.counts)]
-        cols = [np.repeat(np.arange(o, o + k), c.size)
-                for c, o, k in zip(self.cells, self.offsets, self.counts)]
-        vals = [block.T.ravel() for block in self.pressures]
+        shape = self.pressures.shape
+        columns = np.broadcast_to(self.columns[:, None, :], shape)
+        kept = columns >= 0
         return sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            (self.pressures[kept], (np.broadcast_to(self.cells[:, :, None], shape)[kept],
+                                    columns[kept])),
             shape=(self.coarse.fine.n_cells, self.n_columns)).tocsr()
 
     def coefficients(self, q):
@@ -253,28 +265,24 @@ def build_aux_space(coarse, weight, spectra, nbasis=None, threshold=None):
     threshold (all eigenvalues strictly below it, at least one kept)."""
     if (nbasis is None) == (threshold is None):
         raise ConfigError("choose exactly one of nbasis / threshold")
-    counts = np.zeros(len(spectra), dtype=int)
-    for spec in spectra:
-        n = spec.lambdas.size
-        if nbasis is not None:
-            if nbasis < 1 or nbasis > n:
-                raise ConfigError(
-                    f"nbasis={nbasis} out of range for element {spec.element} "
-                    f"with {n} eigenvalues")
-            counts[spec.element] = nbasis
-        else:
-            counts[spec.element] = max(1, int(np.sum(spec.lambdas < threshold)))
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    lam_next = np.array([
-        spec.lambdas[counts[spec.element]]
-        if counts[spec.element] < spec.lambdas.size else np.inf
-        for spec in spectra])
-    gap = float(lam_next.min()) if lam_next.size else np.inf
+    lam = spectra.lambdas
+    n_el, n = lam.shape
+    if nbasis is not None:
+        if nbasis < 1 or nbasis > n:
+            raise ConfigError(f"nbasis={nbasis} out of range for elements "
+                              f"with {n} eigenvalues")
+        counts = np.full(n_el, nbasis, dtype=int)
+    else:
+        counts = np.maximum(1, np.sum(lam < threshold, axis=1))
+    lam_next = np.where(counts < n, np.take_along_axis(
+        lam, np.minimum(counts, n - 1)[:, None], axis=1)[:, 0], np.inf)
+    k_max = int(counts.max())
+    kept = np.arange(k_max) < counts[:, None]
     return AuxSpace(
-        coarse=coarse, weight=weight, counts=counts, offsets=offsets,
-        cells=[spec.cells for spec in spectra],
-        pressures=[spec.pressures[:, :counts[spec.element]] for spec in spectra],
-        lambda_next=lam_next, spectral_gap=gap)
+        coarse=coarse, weight=weight, counts=counts,
+        offsets=np.concatenate([[0], np.cumsum(counts)]), cells=spectra.cells,
+        pressures=np.where(kept[:, None, :], spectra.pressures[:, :, :k_max], 0.0),
+        lambda_next=lam_next, spectral_gap=float(lam_next.min()))
 
 
 def write_eigen_report(path, spectra, m):
@@ -282,9 +290,8 @@ def write_eigen_report(path, spectra, m):
     (clamped to what each element has)."""
     with open(path, "w") as fh:
         fh.write("element_i,j,lambda\n")
-        for spec in spectra:
-            for j in range(min(m, spec.lambdas.size)):
-                fh.write(f"{spec.element},{j},{spec.lambdas[j]:.17g}\n")
+        fh.writelines(f"{e},{j},{lam:.17g}\n"
+                      for (e, j), lam in np.ndenumerate(spectra.lambdas[:, :m]))
 
 
 # Eigenvalues below this fraction of the largest count as zero in

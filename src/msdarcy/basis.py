@@ -45,7 +45,9 @@ saddle residual is checked at `rtol`.
 Each function also carries what the coarse blocks need, so that they
 are assembled with no fine-grid product: its divergence coefficients
 R^T B psi, its trace M psi - B^T q on the region-boundary edges and its
-energy psi^T M psi, each from the region's own rows of the operator.
+energy psi^T M psi. All of them, and the residual check, come from one
+matrix per region: its rows of the whole-domain operator, in its
+unknowns' columns and then its region-boundary edges' columns.
 """
 
 from dataclasses import dataclass
@@ -206,18 +208,14 @@ class CondensedElements:
         self.lines = element_lines(coarse)
         n_c, n_b = self.cells.shape[1], self.boundary.shape[1]
         n_ie = self.n_interior_edges = interior_edges.shape[1]
-        counts = aux.counts
-        k_max = int(counts.max())
-        pad = np.arange(k_max)[None, :]
-        kept = pad < counts[:, None]
-        columns = np.where(kept, aux.offsets[:-1, None] + pad, -1)
+        columns = aux.columns
+        kept = columns >= 0
+        k_max = columns.shape[1]
         self.keys = np.concatenate([
             interior_edges, grid.n_edges + self.cells,
             np.where(kept, grid.n_edges + grid.n_cells + columns, -1)], axis=1)
         # C on each element's cells and columns, zero on padding
-        P = np.zeros((n_el, n_c, k_max))
-        for e in range(n_el):
-            P[e, :, :counts[e]] = aux.pressures[e]
+        P = aux.pressures
         self.C = aux.s_diag[self.cells][:, :, None] * P
         self.Y = np.where(kept & (flavor == "type1"), 0.0, 1.0)
         # right-hand sides, with the template's sign flips: -rhs_p for
@@ -398,15 +396,6 @@ class _Rows:
         self.indptr = np.concatenate([[0], np.cumsum(self.counts)]).astype(np.int32)
         self.shape = (m, n)
 
-    def nonempty(self):
-        """Drop the rows without entries; returns the positions of the kept
-        rows among the old ones."""
-        kept = np.flatnonzero(self.counts).astype(np.int32)
-        self.counts = self.counts[kept]
-        self.indptr = np.concatenate([[0], np.cumsum(self.counts)]).astype(np.int32)
-        self.shape = (kept.size, self.shape[1])
-        return kept
-
     def gather(self, operator, rows):
         """One block-diagonal matrix of these entries for several regions,
         region g's block at rows of the operator `rows[g]`."""
@@ -434,11 +423,11 @@ class _RegionTemplate:
     elements' interior unknowns among the region's unknowns (`pos`), the
     skeleton in its row-by-row order and its slots, the lower band of the
     skeleton matrix (half-width `kd`) with the scatter from the elements'
-    stacked complements into it, and the patterns of the region's saddle
-    matrix (`K`, and `Kv`, its velocity columns) and of its coupling to
-    the region-boundary edges (`T`) inside the whole-domain operator hold
-    for all of them. Column ids are not translated: they follow the column
-    counts, and each region reads them from the offsets.
+    stacked complements into it, and the pattern of the region's rows
+    inside the whole-domain operator (`K`: the region's saddle matrix in
+    its unknowns' columns, then its coupling to the region-boundary edges)
+    hold for all of them. Column ids are not translated: they follow the
+    column counts, and each region reads them from the offsets.
     """
 
     def __init__(self, cond, region, elements):
@@ -484,26 +473,20 @@ class _RegionTemplate:
         self.kd = int((a - b).max(initial=0))
         self.S_dst = (b * (self.kd + 1) + a - b).astype(
             np.min_scalar_type(n_s * (self.kd + 1)))
-        # the region's saddle matrix: its rows of the operator restricted to
-        # its columns. Its region-boundary rows restricted to its columns,
-        # which give the traces M psi - B^T q, are by symmetry its rows in
-        # the boundary edges' columns (`T`, for the rows `T_rows` that have
-        # any): a region-boundary row of the operator has fewer entries where
-        # the domain ends, a region row the same in every region. Its column
-        # rows on its cells (-C^T) give the divergence coefficients
-        rows = cond.operator[unknowns]
-        self.K = _Rows(rows, unknowns)
-        self.Kv = _Rows(rows[:n - columns.size], edges)
-        self.T = _Rows(rows, boundary)
-        self.T_rows = self.T.nonempty()
-        self.Ct = _Rows(rows[n - columns.size:], grid.n_edges + cells)
+        # the region's rows of the operator, in its unknowns' columns (its
+        # saddle matrix) followed by its region-boundary edges' columns. By
+        # symmetry the latter, transposed, are the region-boundary rows in
+        # the unknowns' columns, which give the traces M psi - B^T q: a
+        # region-boundary row of the operator has fewer entries where the
+        # domain ends, a region row the same in every region
+        self.K = _Rows(cond.operator[unknowns], np.concatenate([unknowns, boundary]))
         self.edges, self.cells = edges.astype(np.int32), cells.astype(np.int32)
         self.boundary = boundary.astype(np.int32)
         # about what a region takes while solved with others: its ids and
-        # values, its saddle and boundary matrices, its gathered complements,
-        # its skeleton band (which its factor overwrites) and five arrays of
+        # values, its gathered rows, its gathered complements, its skeleton
+        # band (which its factor overwrites) and five arrays of
         # right-hand-side size
-        self.bytes = 8 * (4 * sum(int(m.indptr[-1]) for m in (self.K, self.Kv, self.T, self.Ct))
+        self.bytes = 8 * (4 * int(self.K.indptr[-1])
                           + np.count_nonzero(self.S_mask) + n_s * (self.kd + 1)
                           + 5 * (n + 1) * cond.Z.shape[2])
         # the region's elements row by row: consecutive ids, consecutive
@@ -527,8 +510,11 @@ class _Regions:
     Arrays carry a leading region axis. A region's unknowns are ordered as
     in `fem`: region-interior edges, region cells, region columns, each
     ascending; index n is a discarded slot for the padding of elements'
-    interior unknowns. Each region's skeleton factor is made once, on its
-    first solve, and kept for its other parts and refinement sweeps.
+    interior unknowns. `K` holds every region's rows of the template's `K`,
+    gathered once, as one block-diagonal matrix: region g's n rows, and
+    its n unknowns' columns followed by its region-boundary edges'. Each
+    region's skeleton factor is made once, on its first solve, and kept
+    for its other parts and refinement sweeps.
     """
 
     def __init__(self, cond, template, regions, elements, layers):
@@ -551,13 +537,9 @@ class _Regions:
         self.columns = cond.aux.offsets[self.elements[:, tpl.column_owner]] + tpl.column_j
         unknowns = np.concatenate([self.edges, grid.n_edges + self.cells,
                                    grid.n_edges + grid.n_cells + self.columns], axis=1)
-        # every region's saddle equations and the blocks of `_RegionTemplate`,
-        # from the whole-domain operator, as block-diagonal matrices
+        # every region's rows of `_RegionTemplate`, from the whole-domain
+        # operator, as one block-diagonal matrix
         self.K = tpl.K.gather(cond.operator, unknowns)
-        self.Kv = tpl.Kv.gather(cond.operator, unknowns[:, :tpl.n - self.columns.shape[1]])
-        # transposed: boundary edges by unknowns
-        self.T = tpl.T.gather(cond.operator, unknowns[:, tpl.T_rows]).T.tocsr()
-        self.Ct = tpl.Ct.gather(cond.operator, unknowns[:, tpl.n - self.columns.shape[1]:])
         self.s = cond.aux.s_diag[self.cells]
         # the region-boundary edges inside the domain: every function
         # vanishes on the domain boundary
@@ -585,6 +567,16 @@ class _Regions:
             except np.linalg.LinAlgError as exc:
                 raise SolveError(f"factorization failed for {self._label(i)}: {exc}")
         return factors
+
+    def _times(self, z, start=0):
+        """K [0; z; 0] for every region: z (regions, m, columns) on the
+        unknowns from `start` on, zeros on the other unknowns and on the
+        region-boundary edges. Returns (regions, n, columns)."""
+        n = self.template.n
+        g, m, c = z.shape
+        full = np.zeros((g, n + self.boundary.shape[1], c))
+        full[:, start:start + m] = z
+        return (self.K @ full.reshape(-1, c)).reshape(g, n, c)
 
     def _skeleton(self, sel, g):
         """Skeleton values u (with the discarded slot) from right-hand sides
@@ -665,14 +657,14 @@ class _Regions:
         x, rhs = x[:, :n], rhs[:, :n]
         scale = _norms(rhs)
         tol = np.where(scale > 0, rtol * scale, rtol)
-        res = (self.K @ x.reshape(-1, c)).reshape(x.shape) - rhs
+        res = self._times(x) - rhs
         norms = _norms(res)
         for _ in range(3):
             bad = np.flatnonzero((norms > tol).any(axis=1))
             if not bad.size:
                 break
             x[bad] -= self._refine(bad, res[bad])
-            res = (self.K @ x.reshape(-1, c)).reshape(x.shape) - rhs
+            res = self._times(x) - rhs
             norms = _norms(res)
         bad = np.argwhere(norms > tol)
         if bad.size:
@@ -682,22 +674,21 @@ class _Regions:
                              f"{tol[i, col]:.3e} for the {self.flavor} function "
                              f"{col % k} of element {centre[t]}",
                              residual=float(norms[i, col]))
-        # what the coarse blocks need: the traces on the region-boundary
-        # edges, and from K's velocity columns, which give (A psi, -B psi) on
-        # the edges and cells, the energies psi^T A psi and the divergence
-        # coefficients R^T B psi = C^T S^-1 B psi. B psi + C y equals C e
-        # (type2, e the own column) or zero (type1) only up to the solve's
-        # residual; coefficients read off psi keep the expanded velocity's
-        # element mass balances exact to roundoff
+        # what the coarse blocks need, all from K: the traces on the
+        # region-boundary edges, K^T x there; from K [psi; 0], which is
+        # (A psi, -B psi) on the edges and cells, the energies psi^T A psi;
+        # and from the column rows of K [0; S^-1 B psi; 0], which are -C^T,
+        # the divergence coefficients R^T B psi = C^T S^-1 B psi. B psi + C y
+        # equals C e (type2, e the own column) or zero (type1) only up to the
+        # solve's residual; coefficients read off psi keep the expanded
+        # velocity's element mass balances exact to roundoff
         del rhs, res
         n_e, n_c = self.edges.shape[1], self.cells.shape[1]
-        stacked = (len(sel), -1, c)
-        trace = (self.T @ x[:, tpl.T_rows].reshape(-1, c)).reshape(stacked)
+        trace = (self.K.T @ x.reshape(-1, c)).reshape(len(sel), -1, c)[:, n:]
         psi = x[:, :n_e]
-        Kpsi = (self.Kv @ psi.reshape(-1, c)).reshape(stacked)
+        Kpsi = self._times(psi)
         energy = np.einsum("gec,gec->gc", psi, Kpsi[:, :n_e])
-        div = (Kpsi[:, n_e:] / self.s[:, :, None]).reshape(-1, c)
-        div = (self.Ct @ div).reshape(stacked)
+        div = self._times(Kpsi[:, n_e:n_e + n_c] / self.s[:, :, None], n_e)[:, n_e + n_c:]
         # every item's k columns, one row per function
         pick = (region[:, None], cols[:, 0])
         xs = x[:, :n_e + n_c].transpose(0, 2, 1)[pick]

@@ -439,10 +439,10 @@ def cmd_eigs(args):
     write_eigen_report(os.path.join(out, "eigenvalues.csv"), spectra, count)
     with open(os.path.join(out, "gap_report.csv"), "w") as fh:
         fh.write("element,I,J,n_small,gap_ratio\n")
-        for spec in spectra:
-            I, J = coarse.element_IJ(spec.element)
-            n_small, ratio = gap_split(spec.lambdas)
-            fh.write(f"{spec.element},{I},{J},{n_small},{_fmt(ratio)}\n")
+        for e, lam in enumerate(spectra.lambdas):
+            I, J = coarse.element_IJ(e)
+            n_small, ratio = gap_split(lam)
+            fh.write(f"{e},{I},{J},{n_small},{_fmt(ratio)}\n")
     _write_manifest(out, "eigs", cfg, {
         "medium": med_res, "nx": fine.nx, "coarse": coarse.Nx,
         "count": count, "workers": solver["workers"],

@@ -8,11 +8,11 @@ import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from msdarcy import (AuxSpace, ConfigError, PermField, bilinear_pou,
+from msdarcy import (AuxSpace, ConfigError, PermField, Spectra, bilinear_pou,
                      build_aux_space, build_grids, compute_weight,
                      generate_medium, solve_all_spectra, solve_case,
                      three_channel_spec)
-from msdarcy.auxspace import ElementSpectrum, element_lines, gap_split, write_eigen_report
+from msdarcy.auxspace import element_lines, gap_split, write_eigen_report
 from msdarcy.fem import (divergence_matrix, mass_matrix,
                          mass_triplets, velocity_dofmap)
 from msdarcy.mesh import element_layout, element_region, oversample_region, region_elements
@@ -61,13 +61,13 @@ def _check_against_oracle(coarse, perm, weight):
     spectra = solve_all_spectra(coarse, perm, weight)
     lams = _spectra_oracle(coarse, perm, weight)
     _, cells, _ = element_layout(coarse)
-    for e, spec in enumerate(spectra):
-        assert spec.element == e and np.array_equal(spec.cells, cells[e])
+    assert np.array_equal(spectra.cells, cells)
+    for e, (lam, P) in enumerate(zip(spectra.lambdas, spectra.pressures)):
         scale = max(lams[e][-1], np.finfo(float).tiny)
-        assert np.abs(spec.lambdas - lams[e]).max() <= 1e-10 * scale
+        assert np.abs(lam - lams[e]).max() <= 1e-10 * scale
         # each returned pair satisfies its pencil
         M, S = _dense_pencil(coarse, e, perm, weight)
-        res = M @ spec.pressures - S @ spec.pressures * spec.lambdas[None, :]
+        res = M @ P - S @ P * lam[None, :]
         assert np.abs(res).max() <= 1e-9 * scale * np.abs(S).max() ** 0.5
     return spectra
 
@@ -105,29 +105,30 @@ def test_spectrum_against_qz_pencil():
     fine, coarse, perm, weight = _case()
     spectra = solve_all_spectra(coarse, perm, weight)
     for e in (0, 5, 15):
-        spec = spectra[e]
+        lam, P = spectra.lambdas[e], spectra.pressures[e]
         M, S = _dense_pencil(coarse, e, perm, weight)
         # independent generalized solve without the symmetric reduction
         w = scipy.linalg.eig(M, S, right=False)
         w = np.sort(w.real)
         scale = w[-1]
-        assert np.allclose(spec.lambdas, w, atol=1e-8 * scale)
+        assert np.allclose(lam, w, atol=1e-8 * scale)
         # each returned pair satisfies the pencil
-        res = M @ spec.pressures - S @ spec.pressures * spec.lambdas[None, :]
+        res = M @ P - S @ P * lam[None, :]
         assert np.abs(res).max() < 1e-9 * scale * np.abs(S).max() ** 0.5
 
 
 def test_spectrum_first_pair_and_orthonormality():
     fine, coarse, perm, weight = _case()
-    spec = solve_all_spectra(coarse, perm, weight)[3]
-    assert spec.lambdas[0] == pytest.approx(0.0, abs=1e-12 * spec.lambdas[-1])
-    first = spec.pressures[:, 0]
+    spectra = solve_all_spectra(coarse, perm, weight)
+    lam, P = spectra.lambdas[3], spectra.pressures[3]
+    assert lam[0] == pytest.approx(0.0, abs=1e-12 * lam[-1])
+    first = P[:, 0]
     assert np.ptp(first) < 1e-10 * np.abs(first).max()
     assert first.max() > 0  # deterministic sign
-    S = np.diag(weight.values[spec.cells] * fine.h ** 2)
-    G = spec.pressures.T @ S @ spec.pressures
+    S = np.diag(weight.values[spectra.cells[3]] * fine.h ** 2)
+    G = P.T @ S @ P
     assert np.allclose(G, np.eye(G.shape[0]), atol=1e-10)
-    assert (np.diff(spec.lambdas) >= -1e-12 * spec.lambdas[-1]).all()
+    assert (np.diff(lam) >= -1e-12 * lam[-1]).all()
 
 
 def test_spectrum_invariant_under_global_scaling():
@@ -139,7 +140,7 @@ def test_spectrum_invariant_under_global_scaling():
     for c in (1.0, 7.5):
         perm = PermField(fine, c * vals)
         weight = compute_weight(perm, pou)
-        lam.append(solve_all_spectra(coarse, perm, weight)[6].lambdas)
+        lam.append(solve_all_spectra(coarse, perm, weight).lambdas[6])
     assert np.allclose(lam[0], lam[1], rtol=1e-9)
 
 
@@ -155,7 +156,7 @@ def test_two_channel_eigenvalue_scales_inversely_with_contrast():
         vals[5:7, :] = contrast
         perm = PermField(fine, vals.ravel())
         weight = compute_weight(perm, pou)
-        lam[contrast] = solve_all_spectra(coarse, perm, weight)[0].lambdas
+        lam[contrast] = solve_all_spectra(coarse, perm, weight).lambdas[0]
     for c in (1e3, 1e5):
         assert lam[c][0] < 1e-10 * lam[c][-1]
         assert lam[c][1] < 50.0 / c      # contrast-small
@@ -177,19 +178,14 @@ def test_solve_all_spectra_workers_agree():
         parallel = solve_all_spectra(coarse, perm, weight, workers=3)
     finally:
         sys.setswitchinterval(interval)
-    assert [s.element for s in serial] == list(range(coarse.n_elements))
-    for a, b in zip(serial, parallel):
-        assert np.array_equal(a.lambdas, b.lambdas)
-        assert np.array_equal(a.pressures, b.pressures)
+    assert serial.lambdas.shape == (coarse.n_elements, 256)
+    for name in ("cells", "lambdas", "pressures"):
+        assert np.array_equal(getattr(serial, name), getattr(parallel, name))
 
 
 def _fake_spectra():
-    lams = [np.array([0.0, 1e-8, 0.5, 2.0]), np.array([0.0, 0.3, 0.9, 4.0])]
-    spectra = []
-    for e, lam in enumerate(lams):
-        P = np.eye(4)
-        spectra.append(ElementSpectrum(e, np.arange(e * 4, e * 4 + 4), lam, P))
-    return spectra
+    lams = np.array([[0.0, 1e-8, 0.5, 2.0], [0.0, 0.3, 0.9, 4.0]])
+    return Spectra(np.arange(8).reshape(2, 4), lams, np.stack([np.eye(4)] * 2))
 
 
 def test_build_aux_space_selection_rules():
@@ -205,7 +201,7 @@ def test_build_aux_space_selection_rules():
         build_aux_space(coarse, W(), spectra, nbasis=2, threshold=0.1)
     with pytest.raises(ConfigError):
         build_aux_space(coarse, W(), spectra, nbasis=9)
-    aux = build_aux_space(coarse, W(), spectra[:1] + spectra[1:], nbasis=2)
+    aux = build_aux_space(coarse, W(), spectra, nbasis=2)
     assert np.array_equal(aux.counts, [2, 2])
     assert np.array_equal(aux.offsets, [0, 2, 4])
     assert aux.n_columns == 4
@@ -235,6 +231,37 @@ def test_column_indexing_and_labels():
         aux.column(0, 2)
 
 
+def test_threshold_selection_stacks_match_per_element_build():
+    """At threshold selection the elements keep unequal counts: the padded
+    stacks of kept eigenvectors and column ids, the eigenvector matrix and
+    the next eigenvalues against a build element by element."""
+    fine, coarse, perm, weight = _case(nx=16, Nx=4, seed=13)
+    spectra = solve_all_spectra(coarse, perm, weight)
+    aux = build_aux_space(coarse, weight, spectra, threshold=1.0)
+    assert np.unique(aux.counts).size > 1
+    assert aux.pressures.shape == (coarse.n_elements, 16, aux.counts.max())
+    rows, cols, vals, lam_next = [], [], [], []
+    for e in range(coarse.n_elements):
+        lam, P, k = spectra.lambdas[e], spectra.pressures[e], aux.counts[e]
+        assert k == max(1, np.sum(lam < 1.0))
+        assert np.array_equal(aux.cells[e], spectra.cells[e])
+        assert np.array_equal(aux.pressures[e, :, :k], P[:, :k])
+        assert (aux.pressures[e, :, k:] == 0.0).all()
+        assert np.array_equal(aux.columns[e, :k], aux.offsets[e] + np.arange(k))
+        assert (aux.columns[e, k:] == -1).all()
+        for j in range(k):
+            rows.append(spectra.cells[e])
+            cols.append(np.full(spectra.cells[e].size, aux.offsets[e] + j))
+            vals.append(P[:, j])
+        lam_next.append(lam[k] if k < lam.size else np.inf)
+    want = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(fine.n_cells, aux.n_columns)).tocsr()
+    assert aux.matrix.shape == want.shape and (aux.matrix != want).nnz == 0
+    assert np.array_equal(aux.lambda_next, lam_next)
+    assert aux.spectral_gap == min(lam_next)
+
+
 def test_projection_idempotent_selfadjoint_preserves_constants():
     fine, coarse, perm, weight = _case(nx=16, Nx=4, seed=9)
     spectra = solve_all_spectra(coarse, perm, weight)
@@ -258,12 +285,12 @@ def test_projection_reproduces_kept_eigenvectors_only():
     fine, coarse, perm, weight = _case(nx=8, Nx=2, seed=11)
     spectra = solve_all_spectra(coarse, perm, weight)
     aux = build_aux_space(coarse, weight, spectra, nbasis=2)
-    spec = spectra[2]
+    cells, P = spectra.cells[2], spectra.pressures[2]
     kept = np.zeros(fine.n_cells)
-    kept[spec.cells] = spec.pressures[:, 1]
+    kept[cells] = P[:, 1]
     assert np.allclose(aux.project(kept), kept, atol=1e-10)
     dropped = np.zeros(fine.n_cells)
-    dropped[spec.cells] = spec.pressures[:, 5]
+    dropped[cells] = P[:, 5]
     assert np.abs(aux.project(dropped)).max() < 1e-10 * np.abs(dropped).max()
 
 
@@ -326,7 +353,7 @@ def test_eigen_report_format(tmp_path):
     assert len(lines) == 1 + 4 * 3
     e, j, lam = lines[1].split(",")
     assert (e, j) == ("0", "0")
-    assert float(lam) == pytest.approx(spectra[0].lambdas[0], abs=1e-15)
+    assert float(lam) == pytest.approx(spectra.lambdas[0, 0], abs=1e-15)
     rows = [ln.split(",") for ln in lines[1:]]
     assert [r[0] for r in rows] == [str(e) for e in range(4) for _ in range(3)]
 
@@ -340,8 +367,8 @@ def test_one_cell_elements():
     lines = element_lines(coarse)
     assert lines.interior.shape == (2, 0) and lines.edges.shape == (2, 2)
     spectra = _check_against_oracle(coarse, perm, weight)
-    for spec in spectra:
-        assert spec.lambdas.shape == (1,) and spec.lambdas[0] == 0.0
+    assert spectra.lambdas.shape == (coarse.n_elements, 1)
+    assert (spectra.lambdas == 0.0).all()
     f = np.zeros(fine.n_cells)
     f[0], f[-1] = 1.0, -1.0
     _, _, _, report = solve_case(perm, f, 8, nbasis=1, layers=1)

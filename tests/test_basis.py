@@ -437,7 +437,7 @@ def _condensation_oracle(cond, e):
     r, c, v = mass_triplets(grid, cells, cond.perm.values[cells])
     mass = sp.coo_matrix((v, (r, c)), shape=(grid.n_edges, grid.n_edges)).tocsr()
     K_GG = mass[cond.boundary[e]][:, cond.boundary[e]].toarray()
-    P = aux.pressures[e]
+    P = aux.pressures[e][:, :aux.counts[e]]
     weighted = aux.s_diag[cells][:, None] * P
     rhs = np.zeros((keys.size, P.shape[1]))
     n_ie = cond.n_interior_edges
@@ -497,28 +497,39 @@ def test_condensation_workers_agree():
         assert np.array_equal(getattr(serial, name), getattr(threaded, name))
 
 
-@pytest.mark.parametrize("flavor", ["type1", "type2"])
+@pytest.mark.parametrize("flavor", ["type1", "type2", "global"])
 def test_region_templates_reproduce_operator_slices(small_case, flavor):
     """Regions that share a template get their own ids and the values of
-    their own rows and columns of the whole-domain operator."""
+    their own rows of the whole-domain operator, entry for entry: in their
+    unknowns' columns, then in their region-boundary edges' columns."""
     fine, coarse, perm, weight, _ = small_case
     spectra = solve_all_spectra(coarse, perm, weight)
     aux = build_aux_space(coarse, weight, spectra, threshold=1.0)
-    cond = CondensedElements(aux, perm, flavor)
+    cond = CondensedElements(aux, perm, "type2" if flavor == "global" else flavor)
     grid = coarse.fine
+    if flavor == "global":
+        cases = [(full_domain(fine), None)]
+    else:
+        cases = [(oversample_region(coarse, e, layers), layers)
+                 for layers in (1, 2) for e in range(coarse.n_elements)]
     templates = {}
-    for layers in (1, 2):
-        for e in range(coarse.n_elements):
-            region = oversample_region(coarse, e, layers)
-            system = _region_system(cond, region, layers, templates)
-            assert np.array_equal(system.edges[0], region.interior_edges())
-            assert np.array_equal(system.cells[0], region.cells())
-            cols, _ = restriction(aux, region)
-            assert np.array_equal(system.columns[0], cols)
-            unknowns = np.concatenate([system.edges[0], grid.n_edges + system.cells[0],
-                                       grid.n_edges + grid.n_cells + system.columns[0]])
-            want = cond.operator[unknowns][:, unknowns]
-            assert (system.K != want).nnz == 0
+    for region, layers in cases:
+        system = _region_system(cond, region, layers, templates)
+        assert np.array_equal(system.edges[0], region.interior_edges())
+        assert np.array_equal(system.cells[0], region.cells())
+        assert np.array_equal(system.boundary[0], region.boundary_edges())
+        cols, _ = restriction(aux, region)
+        assert np.array_equal(system.columns[0], cols)
+        unknowns = np.concatenate([system.edges[0], grid.n_edges + system.cells[0],
+                                   grid.n_edges + grid.n_cells + system.columns[0]])
+        rows = cond.operator[unknowns]
+        n = unknowns.size
+        for got, want in ((system.K[:, :n], rows[:, unknowns]),
+                          (system.K[:, n:], rows[:, region.boundary_edges()])):
+            assert got.shape == want.shape and got.nnz == want.nnz
+            assert (got != want).nnz == 0
+    if flavor == "global":
+        return
     # at 4x4 elements, one and two layers give 16 region shapes but for
     # equal column counts; the counts differ here, so there are more
     assert len(templates) < 2 * coarse.n_elements
