@@ -22,7 +22,7 @@ every element at once, as stacks: the interior edges are eliminated line
 by line (`auxspace.ElementLines`), the remaining dense block on the
 cells and multipliers is inverted, and the element's Schur complement on
 its boundary edges, symmetric positive definite for both flavors, is
-kept with those stacked factors. A region sums the complements of its
+kept; the factors are not. A region sums the complements of its
 elements on its skeleton (the element boundary edges strictly inside
 it; the no-flux condition drops the edges on the region boundary),
 factors that matrix once, solves for all right-hand sides of the elements
@@ -182,12 +182,12 @@ class CondensedElements:
     eigenvector. `keys[e]` numbers the interior unknowns as rows of
     `operator`, the whole-domain saddle matrix (-1 on padding).
 
-    K_II is kept factored, as stacks over the elements: the inverse of
-    every line block of the interior edges (`auxspace.ElementLines`) and
-    the inverse of the dense block left on the cells and columns once the
-    edges are eliminated. That block is -B A^-1 B^T bordered by -C and
-    closed by the identity (`type2`) or zero (`type1`); padding columns
-    get an identity. `interior_solve` applies K_II^-1 through them.
+    `factor` factors K_II for some elements, as stacks: it inverts every
+    line block of the interior edges (`auxspace.ElementLines`) and the
+    dense block left on the cells and columns, -B A^-1 B^T bordered by -C
+    and closed by the identity (`type2`) or zero (`type1`), with an
+    identity on padding. The factors are dropped once W and Z are made;
+    a region's rare refinement sweep (`_Regions._refine`) makes its own.
 
     `flavor` is `type1` or `type2`; the `global` flavor uses `type2`.
     Up to `workers` threads condense contiguous slices of the elements
@@ -238,11 +238,6 @@ class CondensedElements:
             mass_matrix(grid, perm), divergence_matrix(grid), C,
             identity_block=(flavor == "type2")).tocsr()
         self.operator.sort_indices()
-        r = coarse.r
-        self._A = np.empty((n_el, 2 * r, r - 1, r - 1))
-        self._A_inv = np.empty_like(self._A)
-        self._X = np.empty((n_el, 2 * r, r - 1, r))
-        self._K_inv = np.empty((n_el, n_c + k_max, n_c + k_max))
         self.W = np.empty((n_el, self.keys.shape[1], n_b))
         self.S = np.empty((n_el, n_b, n_b))
         self.Z = np.empty((n_el, self.keys.shape[1], k_max))
@@ -253,23 +248,14 @@ class CondensedElements:
         _stacked(workers, self._condense, n_el, 4 * 8 * self.W.shape[1] * (n_b + k_max))
 
     def _condense(self, part):
-        """Factor and condense the elements of one slice."""
+        """Condense the elements of one slice; their factors are dropped."""
         lines = self.lines
-        n_ie, n_c = self.n_interior_edges, self.cells.shape[1]
-        mass = lines.mass(self.perm, np.arange(self.aux.coarse.n_elements)[part])
-        self._A[part], self._A_inv[part], self._X[part], M = lines.eliminate(mass)
-        C = self.C[part]
-        n, k = C.shape[0], C.shape[2]
-        K = np.zeros((n, n_c + k, n_c + k))
-        K[:, :n_c, :n_c] = -M
-        K[:, :n_c, n_c:] = -C
-        K[:, n_c:, :n_c] = -C.transpose(0, 2, 1)
-        K[:, np.arange(n_c, n_c + k), np.arange(n_c, n_c + k)] = self.Y[part]
-        self._K_inv[part] = np.linalg.inv(K)
+        n_ie = self.n_interior_edges
+        mass, solve = self.factor(part)
         # K_IG: the interior edges' and cells' couplings to the boundary,
         # all within lines, next to the right-hand sides; K_GG: the
         # element's own flux mass on the boundary
-        n_b = self.S.shape[1]
+        n, n_b, k = mass.shape[0], self.S.shape[1], self.C.shape[2]
         ends = [0, -1]
         F = np.zeros((n, self.W.shape[1], n_b + k))
         F[:, lines.interior[:, :, None], lines.boundary[:, None, :]] = \
@@ -280,50 +266,56 @@ class CondensedElements:
         K_GG = np.zeros((n, n_b, n_b))
         K_GG[:, lines.boundary[:, :, None], lines.boundary[:, None, :]] = \
             mass[:, :, ends][:, :, :, ends]
-        sol = self.interior_solve(part, F)
+        sol = solve(F)
         W = self.W[part] = sol[:, :, :n_b]
         self.Z[part] = sol[:, :, n_b:]
         S = K_GG - F[:, :, :n_b].transpose(0, 2, 1) @ W
         self.S[part] = 0.5 * (S + S.transpose(0, 2, 1))
 
-    def _inverse(self, ids, F):
-        """K_II^-1 F from the stacked factors of elements `ids`: the edges'
-        line solves, the dense block's inverse, the edges' back-substitution."""
-        lines = self.lines
-        n_ie = self.n_interior_edges
-        y = self._A_inv[ids] @ F[:, lines.interior]
-        g = F[:, n_ie:].copy()
-        g[:, :self.cells.shape[1]] += lines.to_cells(lines.div[:, :, 1:-1] @ y)
-        pc = self._K_inv[ids] @ g
-        out = np.empty_like(F)
-        out[:, lines.interior] = y + self._X[ids] @ pc[:, lines.cells]
-        out[:, n_ie:] = pc
-        return out
-
-    def _product(self, ids, z):
-        """K_II z for elements `ids`, from the line blocks, B and C."""
+    def factor(self, ids):
+        """The line masses of the elements `ids` (a slice or an index
+        array) and solve(F) = K_II^-1 F from their factors, F stacked as
+        (elements, interior unknowns, columns), refined once: at high
+        contrast an element's divergence rows are small next to its flux
+        rows, and they carry the conservation identities."""
         lines = self.lines
         n_ie, n_c = self.n_interior_edges, self.cells.shape[1]
-        u, p, y = z[:, lines.interior], z[:, n_ie:n_ie + n_c], z[:, n_ie + n_c:]
+        mass = lines.mass(self.perm, np.arange(self.aux.coarse.n_elements)[ids])
+        A, A_inv, X, M = lines.eliminate(mass)
+        C, Y = self.C[ids], self.Y[ids]
+        n, k = C.shape[0], C.shape[2]
+        K = np.zeros((n, n_c + k, n_c + k))
+        K[:, :n_c, :n_c] = -M
+        K[:, :n_c, n_c:] = -C
+        K[:, n_c:, :n_c] = -C.transpose(0, 2, 1)
+        K[:, np.arange(n_c, n_c + k), np.arange(n_c, n_c + k)] = Y
+        K_inv = np.linalg.inv(K)
         div = lines.div[:, :, 1:-1]
-        C = self.C[ids]
-        out = np.empty_like(z)
-        out[:, lines.interior] = self._A[ids] @ u - div.transpose(0, 2, 1) @ p[:, lines.cells]
-        out[:, n_ie:n_ie + n_c] = -lines.to_cells(div @ u) - C @ y
-        out[:, n_ie + n_c:] = self.Y[ids][:, :, None] * y - C.transpose(0, 2, 1) @ p
-        return out
 
-    def interior_solve(self, ids, F):
-        """K_II^-1 F for the elements `ids` (a slice or an index array), F
-        stacked as (elements, interior unknowns, columns), refined once: at
-        high contrast an element's divergence rows are small next to its
-        flux rows, and they carry the conservation identities. The factors
-        are kept, so the refinement path of a region reuses them."""
-        z = self._inverse(ids, F)
-        res = self._product(ids, z)
-        np.subtract(F, res, out=res)
-        z += self._inverse(ids, res)
-        return z
+        def inverse(F):
+            # the edges' line solves, the dense block's inverse, the
+            # edges' back-substitution
+            y = A_inv @ F[:, lines.interior]
+            g = F[:, n_ie:].copy()
+            g[:, :n_c] += lines.to_cells(div @ y)
+            pc = K_inv @ g
+            out = np.empty_like(F)
+            out[:, lines.interior] = y + X @ pc[:, lines.cells]
+            out[:, n_ie:] = pc
+            return out
+
+        def solve(F):
+            z = inverse(F)
+            # K_II z, from the line blocks, B and C
+            u, p, y = z[:, lines.interior], z[:, n_ie:n_ie + n_c], z[:, n_ie + n_c:]
+            res = np.empty_like(z)
+            res[:, lines.interior] = A @ u - div.transpose(0, 2, 1) @ p[:, lines.cells]
+            res[:, n_ie:n_ie + n_c] = -lines.to_cells(div @ u) - C @ y
+            res[:, n_ie + n_c:] = Y[:, :, None] * y - C.transpose(0, 2, 1) @ p
+            np.subtract(F, res, out=res)
+            z += inverse(res)
+            return z
+        return mass, solve
 
     def functions(self, elements, layers, rtol=1e-10):
         """The basis functions of `elements`, element-major, on their
@@ -568,15 +560,15 @@ class _Regions:
                 raise SolveError(f"factorization failed for {self._label(i)}: {exc}")
         return factors
 
-    def _times(self, z, start=0):
+    def _times(self, z, start=0, K=None):
         """K [0; z; 0] for every region: z (regions, m, columns) on the
         unknowns from `start` on, zeros on the other unknowns and on the
-        region-boundary edges. Returns (regions, n, columns)."""
-        n = self.template.n
+        region-boundary edges. K is `self.K` or some rows of each region's
+        block of it, the same in every block. Returns (regions, rows, columns)."""
         g, m, c = z.shape
-        full = np.zeros((g, n + self.boundary.shape[1], c))
+        full = np.zeros((g, self.template.n + self.boundary.shape[1], c))
         full[:, start:start + m] = z
-        return (self.K @ full.reshape(-1, c)).reshape(g, n, c)
+        return ((self.K if K is None else K) @ full.reshape(-1, c)).reshape(g, -1, c)
 
     def _skeleton(self, sel, g):
         """Skeleton values u (with the discarded slot) from right-hand sides
@@ -605,8 +597,8 @@ class _Regions:
         padded = np.zeros((len(sel), tpl.n + 1, res.shape[2]))
         padded[:, :tpl.n] = res
         F = padded[:, tpl.pos]
-        z = cond.interior_solve(self.elements[sel].ravel(),
-                                F.reshape((-1,) + F.shape[2:])).reshape(F.shape)
+        _, solve = cond.factor(self.elements[sel].ravel())
+        z = solve(F.reshape((-1,) + F.shape[2:])).reshape(F.shape)
         g = padded[:, tpl.skeleton]
         g = np.concatenate([g, np.zeros((len(sel), 1, g.shape[2]))], axis=1)
         W = cond.W[self.elements[sel]]
@@ -688,7 +680,8 @@ class _Regions:
         psi = x[:, :n_e]
         Kpsi = self._times(psi)
         energy = np.einsum("gec,gec->gc", psi, Kpsi[:, :n_e])
-        div = self._times(Kpsi[:, n_e:n_e + n_c] / self.s[:, :, None], n_e)[:, n_e + n_c:]
+        column_rows = (np.arange(len(sel))[:, None] * n + np.arange(n_e + n_c, n)).ravel()
+        div = self._times(Kpsi[:, n_e:n_e + n_c] / self.s[:, :, None], n_e, self.K[column_rows])
         # every item's k columns, one row per function
         pick = (region[:, None], cols[:, 0])
         xs = x[:, :n_e + n_c].transpose(0, 2, 1)[pick]

@@ -174,11 +174,11 @@ class FineSolution:
     p: np.ndarray
 
 
-def check_zero_mean(f, h2, what="source"):
+def check_zero_mean(f, h2):
     total = float(np.sum(f) * h2)
     scale = float(np.sum(np.abs(f)) * h2)
     if abs(total) > 1e-12 * max(scale, 1.0):
-        raise ConfigError(f"{what} must have zero mean, integral is {total:.3e}")
+        raise ConfigError(f"source must have zero mean, integral is {total:.3e}")
 
 
 def _solve_whole_domain(perm, rhs_p, rtol, label):

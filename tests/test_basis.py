@@ -9,7 +9,8 @@ from scipy.sparse.linalg import splu
 
 from msdarcy import (ConfigError, PermField, SolveError, bilinear_pou,
                      build_aux_space, build_basis_set, build_grids, build_snapshot, compute_weight, generate_medium,
-                     solve_all_spectra, solve_fine_reference, three_channel_spec)
+                     sample_spec, solve_all_spectra, solve_fine_reference,
+                     three_channel_spec)
 from msdarcy.basis import BasisSet, CondensedElements, _Regions, _RegionTemplate
 from msdarcy.fem import (band_cholesky, divergence_matrix, mass_matrix, mass_triplets,
                          saddle_matrix, velocity_dofmap)
@@ -346,6 +347,32 @@ def test_condensed_elements_serve_global_and_local_and_check_residuals(small_cas
     with pytest.raises(SolveError) as info:
         cond.functions([5], 1, rtol=1e-30)
     assert info.value.residual > 0
+
+
+def test_refinement_sweep_matches_region_lu_reference(monkeypatch):
+    """At contrast 1e10 some type1 region solves miss the residual bound
+    until the region refinement sweep, which factors its elements'
+    interiors anew, runs; the refined functions agree with the sparse LU
+    oracle."""
+    fine, coarse = build_grids(32, 4)
+    perm = generate_medium(sample_spec(32, n_horizontal=2, n_vertical=2, n_inclusions=3,
+                                       seed=2, contrast_lo=1e10, contrast_hi=1e10), fine)
+    weight = compute_weight(perm, bilinear_pou(coarse))
+    aux = build_aux_space(coarse, weight, solve_all_spectra(coarse, perm, weight), nbasis=3)
+    sweeps = []
+    refine = _Regions._refine
+
+    def counted(self, sel, res):
+        sweeps.append(len(sel))
+        return refine(self, sel, res)
+    monkeypatch.setattr(_Regions, "_refine", counted)
+    bset = build_basis_set(aux, perm, layers=1, flavor="type1")
+    assert sweeps
+    worst = max(_worst_deviation(
+        [fn for fn in bset if fn.element == e],
+        _region_lu_reference(aux, perm, oversample_region(coarse, e, 1), "type1"))
+        for e in range(coarse.n_elements))
+    assert worst <= 1e-10
 
 
 def test_solve_errors_name_flavor_and_element(small_case, monkeypatch):

@@ -11,14 +11,17 @@ once per repeat and worker count. Each stage is timed on its own: weight,
 spectra, aux space, basis, coarse assembly, coarse solve and
 post-processing (mass residuals and errors against the fine reference).
 The fine reference is solved once per fine grid and repeat, and timed
-apart from the cases.
+apart from the cases. Every solve of a case, and every reference solve,
+runs in a fresh process, so what one leaves allocated does not hide
+another's memory.
 
 Writes `BENCH_<label>.json` (into `--out`, default the repository root):
-the median over repeats of every stage's seconds and of its peak
-resident memory above the stage's start, per case and worker count, plus
-the worker counts, the core count, the BLAS thread count and the numpy
-and scipy versions. BLAS is pinned to one thread, so `workers` is the
-number of busy threads.
+the median over repeats of every stage's seconds and of how much it
+raised its process's resident high-water mark (`ru_maxrss`), per case
+and worker count, plus the worker counts, the core count, the BLAS
+thread count and the numpy and scipy versions. A stage's raise counts
+only its growth above every earlier stage's peak. BLAS is pinned to one
+thread, so `workers` is the number of busy threads.
 """
 
 import os
@@ -31,10 +34,12 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse
 import json
 import platform
+import resource
 import statistics
 import sys
-import threading
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
+from multiprocessing import get_context
 from pathlib import Path
 from time import perf_counter
 
@@ -57,40 +62,25 @@ SOURCE_GRID = 8
 STAGES = ("weight", "spectra", "aux", "basis", "assembly", "coarse_solve", "post")
 
 
-def _rss_bytes():
-    with open("/proc/self/statm") as fh:
-        return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+def _maxrss_mb():
+    """The process's resident high-water mark (Linux reports KiB)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
 class StageClock:
-    """Seconds and peak resident memory (above the start) per stage. A
-    thread samples the resident set every few milliseconds."""
+    """Seconds per stage, and how much each stage raised the process's
+    resident high-water mark, in MiB."""
 
-    def __init__(self, interval=0.005):
-        self.interval = interval
+    def __init__(self):
         self.seconds, self.peak_mb = {}, {}
-        self._peak = 0
-        self._stop = threading.Event()
-        self._thread = threading.Thread(target=self._sample, daemon=True)
-        self._thread.start()
-
-    def _sample(self):
-        while not self._stop.wait(self.interval):
-            self._peak = max(self._peak, _rss_bytes())
 
     @contextmanager
     def stage(self, name):
-        start = _rss_bytes()
-        self._peak = start
+        start = _maxrss_mb()
         t0 = perf_counter()
         yield
         self.seconds[name] = perf_counter() - t0
-        peak = max(self._peak, _rss_bytes())
-        self.peak_mb[name] = (peak - start) / 1024.0 ** 2
-
-    def close(self):
-        self._stop.set()
-        self._thread.join()
+        self.peak_mb[name] = _maxrss_mb() - start
 
 
 def corner_source(fine):
@@ -107,24 +97,21 @@ def run_case(perm, f, ref, Nx, layers, workers):
     """One multiscale solve, stage by stage."""
     _, coarse = build_grids(perm.grid.nx, Nx)
     clock = StageClock()
-    try:
-        with clock.stage("weight"):
-            weight = compute_weight(perm, bilinear_pou(coarse))
-        with clock.stage("spectra"):
-            spectra = solve_all_spectra(coarse, perm, weight, workers=workers)
-        with clock.stage("aux"):
-            aux = build_aux_space(coarse, weight, spectra, nbasis=NBASIS)
-        with clock.stage("basis"):
-            basis = build_basis_set(aux, perm, layers=layers, workers=workers)
-        with clock.stage("assembly"):
-            system = assemble_coarse_system(basis, perm, f)
-        with clock.stage("coarse_solve"):
-            ms = solve_multiscale(system)
-        with clock.stage("post"):
-            report = mass_residuals(ms, f, aux)
-            err = relative_errors(ref, ms, perm, weight)
-    finally:
-        clock.close()
+    with clock.stage("weight"):
+        weight = compute_weight(perm, bilinear_pou(coarse))
+    with clock.stage("spectra"):
+        spectra = solve_all_spectra(coarse, perm, weight, workers=workers)
+    with clock.stage("aux"):
+        aux = build_aux_space(coarse, weight, spectra, nbasis=NBASIS)
+    with clock.stage("basis"):
+        basis = build_basis_set(aux, perm, layers=layers, workers=workers)
+    with clock.stage("assembly"):
+        system = assemble_coarse_system(basis, perm, f)
+    with clock.stage("coarse_solve"):
+        ms = solve_multiscale(system)
+    with clock.stage("post"):
+        report = mass_residuals(ms, f, aux)
+        err = relative_errors(ref, ms, perm, weight)
     return clock, {"functions": len(basis), "e_v": err.e_v, "e_p": err.e_p,
                    "max_mass_residual": float(report.max_residual)}
 
@@ -133,35 +120,56 @@ def median(values):
     return float(statistics.median(values))
 
 
+def _fresh(fn, *args):
+    """fn(*args) in a new interpreter, whose high-water mark starts from
+    its imports alone."""
+    with ProcessPoolExecutor(1, mp_context=get_context("spawn")) as pool:
+        return pool.submit(fn, *args).result()
+
+
+def _inputs(nx):
+    fine, _ = build_grids(nx, 1)
+    return generate_medium(three_channel_spec(contrast=CONTRAST), fine), corner_source(fine)
+
+
+def _reference(nx):
+    """The fine reference of grid nx: (seconds, peaks, solution)."""
+    perm, f = _inputs(nx)
+    clock = StageClock()
+    with clock.stage("reference"):
+        ref = solve_fine_reference(perm, f)
+    return clock.seconds, clock.peak_mb, ref
+
+
+def _case(case, workers, ref):
+    """One `run_case` of case (nx, Nx, layers): (seconds, peaks, result)."""
+    nx, Nx, layers = case
+    perm, f = _inputs(nx)
+    clock, result = run_case(perm, f, ref, Nx, layers, workers)
+    return clock.seconds, clock.peak_mb, result
+
+
 def measure(workers, repeats):
-    """Per case: median stage seconds and peaks over `repeats` solves."""
+    """Per case: median stage seconds and peaks over `repeats` solves,
+    each in a fresh process."""
     runs = {case: [] for case in CASES}
     references = {}
     for _ in range(repeats):
         for nx in sorted({c[0] for c in CASES}):
-            fine, _ = build_grids(nx, 1)
-            perm = generate_medium(three_channel_spec(contrast=CONTRAST), fine)
-            f = corner_source(fine)
-            clock = StageClock()
-            try:
-                with clock.stage("reference"):
-                    ref = solve_fine_reference(perm, f)
-            finally:
-                clock.close()
-            references.setdefault(nx, []).append(clock)
+            seconds, peak_mb, ref = _fresh(_reference, nx)
+            references.setdefault(nx, []).append((seconds, peak_mb))
             for case in CASES:
                 if case[0] == nx:
-                    runs[case].append(run_case(perm, f, ref, case[1], case[2], workers))
+                    runs[case].append(_fresh(_case, case, workers, ref))
     cases = []
     for (nx, Nx, layers), samples in runs.items():
-        clocks = [c for c, _ in samples]
         cases.append({
-            "nx": nx, "Nx": Nx, "layers": layers, **samples[-1][1],
-            "total_s": median([sum(c.seconds.values()) for c in clocks]),
-            "seconds": {s: median([c.seconds[s] for c in clocks]) for s in STAGES},
-            "peak_mb": {s: median([c.peak_mb[s] for c in clocks]) for s in STAGES}})
-    reference = {str(nx): {"seconds": median([c.seconds["reference"] for c in cl]),
-                           "peak_mb": median([c.peak_mb["reference"] for c in cl])}
+            "nx": nx, "Nx": Nx, "layers": layers, **samples[-1][2],
+            "total_s": median([sum(sec.values()) for sec, _, _ in samples]),
+            "seconds": {s: median([sec[s] for sec, _, _ in samples]) for s in STAGES},
+            "peak_mb": {s: median([mb[s] for _, mb, _ in samples]) for s in STAGES}})
+    reference = {str(nx): {"seconds": median([sec["reference"] for sec, _ in cl]),
+                           "peak_mb": median([mb["reference"] for _, mb in cl])}
                  for nx, cl in references.items()}
     return {"workers": workers, "cases": cases, "reference": reference}
 
@@ -184,8 +192,9 @@ def main(argv=None):
         "python": platform.python_version(), "repeats": args.repeats,
         "medium": f"three_channel_spec(contrast={CONTRAST:g})",
         "source": f"corners, grid {SOURCE_GRID}", "nbasis": NBASIS,
-        "statistic": "median over repeats; peak_mb is resident memory above "
-                     "the stage's start",
+        "statistic": "median over repeats, each solve in a fresh process; peak_mb "
+                     "is how much the stage raised the process's resident "
+                     "high-water mark (ru_maxrss)",
         "runs": [measure(w, args.repeats) for w in workers]}
     path = args.out / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(record, indent=1) + "\n")
