@@ -47,9 +47,13 @@ are assembled with no fine-grid product: its divergence coefficients
 R^T B psi, its trace M psi - B^T q on the region-boundary edges and its
 energy psi^T M psi. All of them, and the residual check, come from one
 matrix per region: its rows of the whole-domain operator, in its
-unknowns' columns and then its region-boundary edges' columns.
+unknowns' columns and then its region-boundary edges' columns. They are
+held only as the column stacks of a `BasisSet` (Psi, Q, B_c and G): the
+grouping pass fixes every column's place before any solve, each part
+writes its columns there, and the per-function records are views.
 """
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -78,7 +82,8 @@ class VelocityBasisFunction:
     region's flux equations make it zero on the region-interior edges, and
     psi vanishes on the domain boundary, so psi_k^T M psi = psi_k^T
     (B^T q + trace) for every function psi_k. The `global` flavor has no
-    such edges. `energy` is psi^T M psi.
+    such edges. `energy` is psi^T M psi. The arrays are views of the
+    function's columns in its `BasisSet`'s stacks, not copies.
     """
 
     element: int
@@ -101,33 +106,42 @@ class VelocityBasisFunction:
         return full
 
 
-def _columns(rows, values, n_rows):
-    """The CSC matrix whose column k holds values[k] on the ascending
-    row ids rows[k]."""
-    if not rows:
-        return sp.csc_matrix((n_rows, 0))
-    indptr = np.concatenate([[0], np.cumsum([r.size for r in rows])])
-    return sp.csc_matrix((np.concatenate(values), np.concatenate(rows), indptr),
-                         shape=(n_rows, len(rows)))
+@dataclass(frozen=True)
+class BasisSet(Sequence):
+    """The basis functions of one flavor/layer choice, element-major, as
+    CSC column stacks written once by the basis stage: column k of Psi
+    (`matrix`), Q (`pressures`), B_c (`divergence`) and G (`traces`) holds
+    what record k holds. `layers` is -1 for the `global` flavor. `len`,
+    iteration and `bset[k]` give `VelocityBasisFunction` records whose
+    arrays are views of column k of the stacks, not copies.
+    """
 
-
-class BasisSet:
-    """All basis functions of one flavor/layer choice, element-major."""
-
-    def __init__(self, coarse, aux, flavor, layers, functions):
-        self.coarse = coarse
-        self.aux = aux
-        self.flavor = flavor
-        self.layers = layers
-        self.functions = functions
+    aux: object
+    flavor: str
+    layers: int
+    matrix: sp.csc_matrix
+    pressures: sp.csc_matrix
+    divergence: sp.csc_matrix
+    traces: sp.csc_matrix
+    energies: np.ndarray
+    columns: np.ndarray
+    elements: np.ndarray
 
     def __len__(self):
-        return len(self.functions)
+        return self.energies.size
 
-    def __iter__(self):
-        return iter(self.functions)
+    def __getitem__(self, k):
+        k = range(len(self))[k]
+        e = int(self.elements[k])
+        edges, v, cells, q, div_columns, div, trace_edges, trace = (
+            a[m.indptr[k]:m.indptr[k + 1]]
+            for m in (self.matrix, self.pressures, self.divergence, self.traces)
+            for a in (m.indices, m.data))
+        return VelocityBasisFunction(
+            e, int(self.columns[k] - self.aux.offsets[e]), self.layers, self.flavor, edges, v,
+            cells, q, div, div_columns, trace, trace_edges, float(self.energies[k]))
 
-    @cached_property
+    @property
     def saturated(self):
         """True when every function was solved on the whole domain.
 
@@ -135,39 +149,24 @@ class BasisSet:
         reproducing the constant pressure has zero velocity), which the
         coarse solve shifts out of the velocity block.
         """
-        n_cells = self.coarse.fine.n_cells
-        return all(fn.cells.size == n_cells for fn in self.functions)
+        return bool(np.all(np.diff(self.pressures.indptr) == self.aux.coarse.fine.n_cells))
 
-    @cached_property
-    def matrix(self):
-        """Sparse (n_edges x n_functions) flux matrix Psi."""
-        return _columns([fn.edges for fn in self.functions],
-                        [fn.v for fn in self.functions], self.coarse.fine.n_edges)
 
-    @cached_property
-    def divergence(self):
-        """The (n_columns x n_functions) divergence block B_c = R^T B Psi,
-        from the functions' divergence coefficients."""
-        return _columns([fn.div_columns for fn in self.functions],
-                        [fn.div for fn in self.functions], self.aux.n_columns)
+def _stack(sizes, n_rows):
+    """A CSC matrix with `sizes[k]` entries in column k, whose row ids and
+    values (the constructor reads neither) the parts write in place (`_put`)."""
+    nnz = int(sizes.sum())
+    index = np.int32 if max(nnz, n_rows) < 2 ** 31 else np.int64
+    indptr = np.append(0, np.cumsum(sizes)).astype(index)
+    return sp.csc_matrix((np.empty(nnz), np.empty(nnz, dtype=index), indptr),
+                         shape=(n_rows, sizes.size))
 
-    @property
-    def traces(self):
-        """The (n_edges x n_functions) traces M psi - B^T q, built on each
-        access: only the coarse assembly reads them."""
-        return _columns([fn.trace_edges for fn in self.functions],
-                        [fn.trace for fn in self.functions], self.coarse.fine.n_edges)
 
-    @cached_property
-    def energies(self):
-        """Each function's energy psi^T M psi."""
-        return np.array([fn.energy for fn in self.functions])
-
-    @cached_property
-    def columns(self):
-        """The auxiliary column each function was built for."""
-        return np.array([self.aux.offsets[fn.element] + fn.j for fn in self.functions],
-                        dtype=np.int64)
+def _put(stack, k, ids, values):
+    """Write `values`, one row per column, into columns k, k + 1, ... on rows `ids`."""
+    at = slice(stack.indptr[k], stack.indptr[k + len(values)])
+    stack.indices[at].reshape(len(values), ids.size)[:] = ids
+    stack.data[at].reshape(values.shape)[:] = values
 
 
 class CondensedElements:
@@ -318,34 +317,46 @@ class CondensedElements:
         return mass, solve
 
     def functions(self, elements, layers, rtol=1e-10):
-        """The basis functions of `elements`, element-major, on their
-        regions of `layers` layers, or on the whole domain (the `global`
-        flavor, from `type2`) when `layers` is None; each function's region
-        saddle residual is checked at rtol.
+        """The `BasisSet` of the basis functions of `elements`,
+        element-major, on their regions of `layers` layers, or on the whole
+        domain (the `global` flavor, from `type2`) when `layers` is None;
+        each function's region saddle residual is checked at rtol.
 
         Elements whose regions coincide share one region, factored once and
         solved for all of them. Regions of one template are solved together,
-        in parts of about REGION_BYTES, on up to `workers` threads.
+        in parts of about REGION_BYTES, on up to `workers` threads, each
+        part writing its functions' columns of the stacks in place.
         """
-        coarse = self.aux.coarse
+        aux, coarse, grid = self.aux, self.aux.coarse, self.aux.coarse.fine
         if layers is None:
             if self.flavor != "type2":
                 raise ConfigError("the global flavor is built from type2 elements")
         else:
             _check_layers(layers)
-        # every distinct region, by its bounds, with its centres
+        elements = np.array(elements, dtype=np.int64)
+        counts = aux.counts[elements]
+        first = np.cumsum(counts) - counts
+        # every distinct region, by its bounds, with its centres' positions
+        # in `elements`
         regions = {}
-        for e in elements:
-            region = (full_domain(coarse.fine) if layers is None
+        for t, e in enumerate(elements):
+            region = (full_domain(grid) if layers is None
                       else oversample_region(coarse, e, layers))
             regions.setdefault((region.i0, region.i1, region.j0, region.j1),
-                               (region, []))[1].append(e)
+                               (region, []))[1].append(t)
+        # each centre's column sizes in the stacks: its region's edges,
+        # cells, columns and region-boundary edges inside the domain
+        sizes = np.empty((elements.size, 4), dtype=np.int64)
         groups = {}
         for region, centres in regions.values():
             covered = region_elements(coarse, region)
-            key = (region.shape, self.aux.counts[covered].tobytes())
+            key = (region.shape, aux.counts[covered].tobytes())
             if key not in self._templates:
                 self._templates[key] = _RegionTemplate(self, region, covered)
+            tpl, (w, h) = self._templates[key], region.shape
+            sizes[centres] = (tpl.edges.size, tpl.cells.size, tpl.column_owner.size,
+                              h * ((region.i0 > 0) + (region.i1 < grid.nx))
+                              + w * ((region.j0 > 0) + (region.j1 < grid.ny)))
             groups.setdefault(key, []).append((region, covered, centres))
         parts = []
         for key, group in groups.items():
@@ -353,16 +364,28 @@ class CondensedElements:
             count = min(len(group), -(-len(group) * template.bytes // REGION_BYTES))
             parts += [(template, group[len(group) * i // count:len(group) * (i + 1) // count])
                       for i in range(count)]
+        sizes = np.repeat(sizes, counts, axis=0)
+        stacks = [_stack(size, rows) for size, rows in
+                  zip(sizes.T, (grid.n_edges, grid.n_cells, aux.n_columns, grid.n_edges))]
+        energies = np.empty(sizes.shape[0])
 
         def solve(part):
             template, group = part
-            items = [(i, e) for i, (_, _, centres) in enumerate(group) for e in centres]
             system = _Regions(self, template, [region for region, _, _ in group],
                               np.array([covered for _, covered, _ in group]), layers)
-            return zip([e for _, e in items], system.functions(items, rtol))
+            items = [(i, elements[t], first[t]) for i, (_, _, centres) in enumerate(group)
+                     for t in centres]
+            # a region's centres are solved side by side, in parts of about REGION_BYTES
+            size = len(group) * max(1, REGION_BYTES // (
+                5 * 8 * (template.n + 1) * self.Z.shape[2] * len(group)))
+            for start in range(0, len(items), size):
+                system.solve(items[start:start + size], rtol, stacks, energies)
 
-        solved = dict(pair for pairs in _run(self.workers, solve, parts) for pair in pairs)
-        return [fn for e in elements for fn in solved[e]]
+        _run(self.workers, solve, parts)
+        owner = np.repeat(elements, counts)
+        columns = aux.offsets[owner] + np.arange(owner.size) - np.repeat(first, counts)
+        return BasisSet(aux, "global" if layers is None else self.flavor,
+                        -1 if layers is None else layers, *stacks, energies, columns, owner)
 
 
 class _Rows:
@@ -608,32 +631,17 @@ class _Regions:
         x[:, tpl.pos] += z
         return x[:, :tpl.n]
 
-    def functions(self, items, rtol):
-        """The basis functions of the (region index, centre element) pairs in
-        `items`, one list per pair, each function with its region saddle
-        residual checked at rtol. A region's centres are solved side by
-        side, in parts of about REGION_BYTES."""
-        cond, tpl = self.cond, self.template
-        k = cond.Z.shape[2]
-        size = len(self.regions) * max(
-            1, REGION_BYTES // (5 * 8 * (tpl.n + 1) * k * len(self.regions)))
-        out = []
-        for start in range(0, len(items), size):
-            out += self._solve(items[start:start + size], rtol)
-        return out
-
-    def _solve(self, items, rtol):
-        """The functions of one part of `items`, as `functions` returns them."""
+    def solve(self, items, rtol, stacks, energies):
+        """The basis functions of the (region index, centre element, first
+        column) triples in `items`, in region order, each with its region
+        saddle residual checked at rtol, written into `stacks` (Psi, Q, B_c
+        and G, from `_stack`) and `energies` from the first column on."""
         cond, tpl = self.cond, self.template
         n, n_s, k = tpl.n, tpl.n_s, cond.Z.shape[2]
         sel = np.arange(len(self.regions))
-        region = np.array([i for i, _ in items])
-        centre = np.array([e for _, e in items])
+        region, centre, _ = np.array(items).T
         # a region's items sit side by side, k columns each, in item order
-        by_region = np.argsort(region, kind="stable")
-        order = np.empty(len(items), dtype=int)
-        order[by_region] = np.arange(len(items)) - np.searchsorted(region[by_region],
-                                                                   region[by_region])
+        order = np.arange(len(items)) - np.searchsorted(region, region)
         c = k * (order.max() + 1)
         cols = (order[:, None] * k + np.arange(k))[:, None, :]
         index = np.argmax(self.elements[region] == centre[:, None], axis=1)
@@ -682,24 +690,16 @@ class _Regions:
         energy = np.einsum("gec,gec->gc", psi, Kpsi[:, :n_e])
         column_rows = (np.arange(len(sel))[:, None] * n + np.arange(n_e + n_c, n)).ravel()
         div = self._times(Kpsi[:, n_e:n_e + n_c] / self.s[:, :, None], n_e, self.K[column_rows])
-        # every item's k columns, one row per function
-        pick = (region[:, None], cols[:, 0])
-        xs = x[:, :n_e + n_c].transpose(0, 2, 1)[pick]
-        ds = div.transpose(0, 2, 1)[pick]
-        ts = trace.transpose(0, 2, 1)[pick]
-        es = energy[pick]
-        layers = -1 if self.layers is None else self.layers
-        out = []
-        for t, (i, e) in enumerate(zip(region, centre)):
-            keep = self.inner[i]
-            edges, trace_edges, tr = self.edges[i], self.boundary[i][keep], ts[t][:, keep]
-            out.append([VelocityBasisFunction(
-                element=int(e), j=j, layers=layers, flavor=self.flavor,
-                edges=edges, v=xs[t, j, :n_e], cells=self.cells[i],
-                q=xs[t, j, n_e:n_e + n_c], div=ds[t, j], div_columns=self.columns[i],
-                trace=tr[j], trace_edges=trace_edges, energy=float(es[t, j]))
-                for j in range(cond.aux.counts[e])])
-        return out
+        Psi, Q, B_c, G = stacks
+        for t, (i, e, first) in enumerate(items):
+            # the item's functions: columns first, first + 1, ... of the
+            # stacks, and columns cs of the part's solution
+            cs = slice(order[t] * k, order[t] * k + cond.aux.counts[e])
+            _put(Psi, first, self.edges[i], x[i, :n_e, cs].T)
+            _put(Q, first, self.cells[i], x[i, n_e:n_e + n_c, cs].T)
+            _put(B_c, first, self.columns[i], div[i, :, cs].T)
+            _put(G, first, self.boundary[i][self.inner[i]], trace[i, self.inner[i], cs].T)
+            energies[first:first + cs.stop - cs.start] = energy[i, cs]
 
 
 def _norms(a):
@@ -720,8 +720,7 @@ def build_basis_set(aux, perm, layers=None, flavor="type2", rtol=1e-10, workers=
     if not glob:
         _check_layers(layers)
     cond = CondensedElements(aux, perm, "type2" if glob else flavor, workers)
-    functions = cond.functions(range(aux.coarse.n_elements), None if glob else layers, rtol)
-    return BasisSet(aux.coarse, aux, flavor, -1 if glob else layers, functions)
+    return cond.functions(range(aux.coarse.n_elements), None if glob else layers, rtol)
 
 
 def build_snapshot(aux, perm, f, rtol=1e-10):

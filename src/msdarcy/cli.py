@@ -238,7 +238,7 @@ def _resolve_solver(cfg, args):
     if getattr(args, "workers", None) is not None:
         workers = args.workers
     if workers <= 0:
-        workers = os.cpu_count() or 1
+        workers = len(os.sched_getaffinity(0))
     max_global = _get(cfg, "solver", "max_global_nx", default=64, cast=int)
     return {"rtol": rtol, "workers": workers, "max_global_nx": max_global}
 

@@ -12,12 +12,13 @@ trace g_i lives on its region-boundary edges. With R^T S R = I,
 
     A_c = B_c^T Pi + Psi^T G,   Pi = R^T S Q,
 
-where Q and G hold the q_i and g_i as columns. The region equations fix
-Pi. For `type2` (and `global`) the multipliers are y_i = R^T S q_i and
-b_i = e_i - y_i, so Pi = E - B_c; for `type1` the constraint pins the
-moments, so Pi = E. Here e_i is function i's own column and E selects
-them (the identity for a set built in column order). The `global`
-flavor has no region boundary, so there G = 0.
+where Q and G hold the q_i and g_i as columns: the basis set's
+`pressures` and `traces`. The region equations fix Pi. For `type2` (and
+`global`) the multipliers are y_i = R^T S q_i and b_i = e_i - y_i, so
+Pi = E - B_c; for `type1` the constraint pins the moments, so Pi = E.
+Here e_i is function i's own column and E selects them (the identity
+for a set built in column order). The `global` flavor has no region
+boundary, so there G = 0.
 
 The region equations hold only up to the region solve's residual, so
 b_i is read off psi_i itself (b_i = R^T B psi_i on the region): then the
@@ -251,7 +252,7 @@ def solve_multiscale(system, rtol=1e-10):
     basis = system.basis
     v = np.asarray(basis.matrix @ U)
     p = np.asarray(basis.aux.matrix @ P)
-    return MsSolution(basis.coarse, U, P, gamma, v, p, sigma)
+    return MsSolution(basis.aux.coarse, U, P, gamma, v, p, sigma)
 
 
 def div_compat_residual(v_edges, aux):

@@ -61,6 +61,30 @@ def _worst_deviation(functions, solve):
     return worst
 
 
+def _columns(rows, values, n_rows):
+    """The CSC matrix whose column k holds values[k] on the ascending row
+    ids rows[k]."""
+    indptr = np.concatenate([[0], np.cumsum([r.size for r in rows])])
+    return sp.csc_matrix((np.concatenate(values), np.concatenate(rows), indptr),
+                         shape=(n_rows, len(rows)))
+
+
+def _from_records(aux, records):
+    """Oracle: the set of `records`, its stacks rebuilt column by column
+    from them, the path the stacks written in place replaced."""
+    grid = aux.coarse.fine
+
+    def stack(rows, values, n_rows):
+        return _columns([getattr(fn, rows) for fn in records],
+                        [getattr(fn, values) for fn in records], n_rows)
+    return BasisSet(
+        aux, records[0].flavor, records[0].layers, stack("edges", "v", grid.n_edges),
+        stack("cells", "q", grid.n_cells), stack("div_columns", "div", aux.n_columns),
+        stack("trace_edges", "trace", grid.n_edges), np.array([fn.energy for fn in records]),
+        np.array([aux.offsets[fn.element] + fn.j for fn in records]),
+        np.array([fn.element for fn in records]))
+
+
 @pytest.fixture(scope="module")
 def small_case():
     fine, coarse = build_grids(16, 4)
@@ -144,7 +168,7 @@ def test_traces_are_flux_residuals_on_region_boundary(small_case, flavor):
     B = divergence_matrix(fine)
     inner = ~fine.boundary_edge_mask()
     if flavor == "global":
-        functions = build_basis_set(aux, perm, flavor="global").functions
+        functions = build_basis_set(aux, perm, flavor="global")
     else:
         functions = CondensedElements(aux, perm, flavor).functions([0, 2, 5], 1)
     for fn in functions:
@@ -207,6 +231,51 @@ def test_basis_set_ordering_matches_aux_columns(small_case):
     assert not bset.saturated
     serial = build_basis_set(aux, perm, layers=1, workers=1)
     assert abs(bset.matrix - serial.matrix).max() == 0.0
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("select", [{"nbasis": 2}, {"threshold": 1.0}])
+@pytest.mark.parametrize("flavor", ["type1", "type2", "global"])
+def test_stacks_match_sets_rebuilt_from_records(small_case, flavor, select, workers):
+    """The parts write their functions' columns into the shared stacks in
+    place, on up to three threads handing the interpreter lock over often.
+    Rebuilt column by column from the records of elements solved one at a
+    time, the stacks are the same: bit for bit at one layer, where every
+    region has one centre either way; for the global flavor, whose one
+    region is solved for all its centres at once, the ids are the same and
+    the values agree to roundoff."""
+    fine, coarse, perm, weight, _ = small_case
+    aux = build_aux_space(coarse, weight, solve_all_spectra(coarse, perm, weight), **select)
+    layers = None if flavor == "global" else 1
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        bset = build_basis_set(aux, perm, layers=layers, flavor=flavor, workers=workers)
+    finally:
+        sys.setswitchinterval(interval)
+    cond = CondensedElements(aux, perm, "type2" if flavor == "global" else flavor)
+    want = _from_records(aux, [fn for e in range(coarse.n_elements)
+                               for fn in cond.functions([e], layers)])
+    assert (bset.flavor, bset.layers) == (want.flavor, want.layers)
+    for name in ("columns", "elements"):
+        assert np.array_equal(getattr(bset, name), getattr(want, name))
+    pairs = [(bset.energies, want.energies)]
+    for name in ("matrix", "pressures", "divergence", "traces"):
+        got, ref = getattr(bset, name), getattr(want, name)
+        assert got.shape == ref.shape
+        assert np.array_equal(got.indptr, ref.indptr) and np.array_equal(got.indices, ref.indices)
+        pairs.append((got.data, ref.data))
+    for got, ref in pairs:
+        if flavor == "global":
+            assert np.abs(got - ref).max(initial=0) <= 1e-12 * np.abs(ref).max(initial=0)
+        else:
+            assert np.array_equal(got, ref)
+    # records are views of the stacks' columns
+    k = len(bset) // 2
+    fn = bset[k]
+    for part, stack in ((fn.v, bset.matrix), (fn.q, bset.pressures), (fn.div, bset.divergence)):
+        assert np.shares_memory(part, stack.data)
+    assert np.array_equal(fn.v_global(fine.n_edges), bset.matrix[:, k].toarray().ravel())
 
 
 @pytest.mark.parametrize("flavor", ["type1", "type2"])
@@ -334,7 +403,7 @@ def test_condensed_elements_serve_global_and_local_and_check_residuals(small_cas
     cond = CondensedElements(aux, perm, "type2")
     glo = cond.functions([5], None)[1]
     assert (glo.flavor, glo.layers) == ("global", -1)
-    want = build_basis_set(aux, perm, flavor="global").functions[aux.column(5, 1)].v
+    want = build_basis_set(aux, perm, flavor="global")[aux.column(5, 1)].v
     assert np.abs(glo.v - want).max() <= 1e-12 * np.abs(want).max()
     assert cond.functions([5], 1)[1].layers == 1
     with pytest.raises(ConfigError):
@@ -583,7 +652,7 @@ def test_saturated_regions_are_factored_once(small_case, monkeypatch):
     glob = build_basis_set(aux, perm, flavor="global")
     assert len(factored) == 2
     cond = CondensedElements(aux, perm, "type2")
-    single = BasisSet(coarse, aux, "type2", 3, [
+    single = _from_records(aux, [
         fn for e in range(coarse.n_elements) for fn in cond.functions([e], 3)])
     assert len(factored) == 2 + coarse.n_elements
     for want, rtol in ((glob, 1e-12), (single, 1e-10)):

@@ -3,6 +3,7 @@
 import argparse
 import configparser
 import json
+import os
 import textwrap
 
 import numpy as np
@@ -148,6 +149,18 @@ def test_solve_artifacts_and_determinism(tmp_path):
     assert manifest["resolved"]["layers"] == "1"
     assert manifest["resolved"]["flavor"] == "type2"
 
+
+
+def test_default_workers_are_the_cores_the_process_may_use(tmp_path, monkeypatch):
+    """With no worker count set, the solver starts one thread per core the
+    process may run on, which `taskset` or a cpuset make fewer than the
+    machine's cores."""
+    cfg = write_cfg(tmp_path / "c.ini", SOLVE.replace("workers = 1", "workers = 0"))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5})
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    out = tmp_path / "out"
+    assert run("solve", "--config", cfg, "--out", str(out)) == 0
+    assert json.loads((out / "manifest.json").read_text())["resolved"]["workers"] == 3
 
 def test_solve_auto_layers_and_manufactured_source(tmp_path):
     cfg = write_cfg(tmp_path / "c.ini", """\

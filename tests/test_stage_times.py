@@ -30,5 +30,6 @@ def test_run_case_times_every_stage(monkeypatch):
     assert set(clock.seconds) == set(tool.STAGES) == set(clock.peak_mb)
     assert all(clock.seconds[s] >= 0 for s in tool.STAGES)
     assert result["functions"] == 16 * tool.NBASIS
+    assert 0 < result["basis_mb"] < 1
     assert result["max_mass_residual"] <= 1e-10
     assert 0 < result["e_v"] < 1 and 0 < result["e_p"] < 1

@@ -18,8 +18,9 @@ another's memory.
 Writes `BENCH_<label>.json` (into `--out`, default the repository root):
 the median over repeats of every stage's seconds and of how much it
 raised its process's resident high-water mark (`ru_maxrss`), per case
-and worker count, plus the worker counts, the core count, the BLAS
-thread count and the numpy and scipy versions. A stage's raise counts
+and worker count, the MiB the returned basis set's arrays hold
+(`basis_mb`), plus the worker counts, the core count, the BLAS thread
+count and the numpy and scipy versions. A stage's raise counts
 only its growth above every earlier stage's peak. BLAS is pinned to one
 thread, so `workers` is the number of busy threads.
 """
@@ -93,6 +94,15 @@ def corner_source(fine):
     return f.ravel()
 
 
+def basis_mb(basis):
+    """MiB held by a basis set's arrays: its four column stacks, its
+    energies, columns and elements."""
+    arrays = [basis.energies, basis.columns, basis.elements]
+    for stack in (basis.matrix, basis.pressures, basis.divergence, basis.traces):
+        arrays += [stack.data, stack.indices, stack.indptr]
+    return sum(a.nbytes for a in arrays) / 2 ** 20
+
+
 def run_case(perm, f, ref, Nx, layers, workers):
     """One multiscale solve, stage by stage."""
     _, coarse = build_grids(perm.grid.nx, Nx)
@@ -112,7 +122,8 @@ def run_case(perm, f, ref, Nx, layers, workers):
     with clock.stage("post"):
         report = mass_residuals(ms, f, aux)
         err = relative_errors(ref, ms, perm, weight)
-    return clock, {"functions": len(basis), "e_v": err.e_v, "e_p": err.e_p,
+    return clock, {"functions": len(basis), "basis_mb": basis_mb(basis),
+                   "e_v": err.e_v, "e_p": err.e_p,
                    "max_mass_residual": float(report.max_residual)}
 
 
