@@ -30,19 +30,16 @@ energies psi_i^T M psi_i: the identity is accurate only relative to
 of a one-element global set, could make A_c indefinite).
 
 The blocks are sparse: each basis function lives on its oversampled
-region, so two functions couple only when their regions overlap. There
-is one basis function per auxiliary column, so the divergence block is
-square, with corank 1. The functions run element-major, and the elements
-row by row in space, so the velocity block is a band; its banded
-Cholesky factor (`fem.band_cholesky`) checks that it is positive definite
-and serves the rank test below. One sparse LU of the
-divergence block bordered by the pressure-mean weights gives its null
-vector, a particular velocity and, by a transposed solve, the pressure;
-the velocity is the particular one plus the multiple of the null vector
-that minimizes the energy. A Lanczos iteration on the LU factor gives
-the inf-sup constant of the pressure Schur complement on zero-mean
-coefficients. The solution is expanded back to fine-grid fluxes and
-pressures.
+region, so two functions couple only when their regions overlap. The
+functions run element-major, and the elements row by row in space, so
+both blocks are bands. The velocity block's banded Cholesky factor
+(`fem.band_cholesky`) checks that it is positive definite and serves the
+rank test. There is one function per auxiliary column, so the divergence
+block is square; its left null vector s = R^T S 1 makes one of its rows
+redundant, and LAPACK's banded LU of the block with that row replaced by
+a pin solves the saddle system. A Lanczos iteration on that LU gives the
+inf-sup constant of the pressure Schur complement on zero-mean
+coefficients.
 """
 
 import os
@@ -50,7 +47,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
+from scipy.linalg.lapack import dgbtrf, dgbtrs
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import ConfigError, SolveError
 from .fem import band_cholesky, band_solve, check_zero_mean, divergence_matrix
@@ -103,14 +101,10 @@ def assemble_coarse_system(basis_set, perm, f):
     Its diagonal holds the functions' energies.
 
     Sizes whose coarse solve would not fit in physical memory raise
-    ConfigError. For n basis functions the estimate is 8 * n * (kd + 1)
-    bytes for the band of the velocity block, of half-width kd (n - 1 for
-    a saturated set, whose A_c is full), plus 2 * nnz * sqrt(n) bytes for
-    the sparse LU of the bordered divergence block, with nnz stored
-    entries of A_c and B_c: its fill grows like nnz * sqrt(n) (0.015-0.035
-    per unit on the preset three-channel medium at 64/8/L3, 64/32/L2 and
-    128/32/L5), and the measured peak of the coarse solve above the band
-    is 0.3-1.3 bytes per unit from n = 192 to n = 12288 there.
+    ConfigError. Its band factors take 8 * n * (kd + 1) bytes for the
+    velocity block of n functions and half-width kd (n - 1 for a saturated
+    set, whose A_c is full), and 8 * n * (3 * kb + 1) bytes for the pinned
+    divergence block of half-width kb, whose row pivots add kb diagonals.
     """
     aux = basis_set.aux
     grid = perm.grid
@@ -127,9 +121,7 @@ def assemble_coarse_system(basis_set, perm, f):
     # a sparse sum keeps arrays sized for both terms' entries; the copy
     # releases that slack (7 MiB at 3072 functions on a 64x64 grid)
     A_c = A_c.copy()
-    entries = A_c.tocoo()
-    kd = int(np.abs(entries.row - entries.col).max(initial=0))
-    need = 8 * n * (kd + 1) + 2 * (A_c.nnz + B_c.nnz) * np.sqrt(n)
+    need = 8 * n * (_half_width(A_c) + 1) + 8 * n * (3 * _half_width(B_c) + 1)
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise ConfigError(
@@ -139,6 +131,12 @@ def assemble_coarse_system(basis_set, perm, f):
     rhs_q = h2 * (R.T @ f)
     mean_w = np.asarray(R.T @ np.full(grid.n_cells, h2))
     return CoarseSystem(basis_set, A_c, B_c, rhs_q, mean_w)
+
+
+def _half_width(matrix):
+    """The largest |i - j| over the stored entries (i, j) of `matrix`."""
+    entries = matrix.tocoo()
+    return int(np.abs(entries.row - entries.col).max(initial=0))
 
 
 def _top_eigenvalue(apply, n, tol=0.0):
@@ -155,9 +153,14 @@ def _top_eigenvalue(apply, n, tol=0.0):
 
 
 def solve_multiscale(system, rtol=1e-10):
-    """Solve the coarse saddle system through one sparse LU of the square
-    divergence block bordered by the pressure mean, and expand to the
-    fine grid."""
+    """Solve the coarse saddle system through the banded LU of the
+    divergence block with one redundant row pinned, and expand to the fine
+    grid. As s^T B_c = 0, B_c U + gamma w = f_q fixes gamma = s^T f_q /
+    s^T w, and row k of B_c U = f_q - gamma w, at the largest |s_k|,
+    combines the others. B~, which is B_c with row k replaced by U_k = 0,
+    is nonsingular; B~ z = e_k gives the null vector z of B_c. For
+    z^T h = 0, B~^T P = h solves B_c^T P = h with P_k = z^T B~^T P = 0, and
+    the multiple of s that meets w^T P = f_w completes the pressure."""
     A_c, B_c, w, rhs_q = system.A_c, system.B_c, system.mean_w, system.rhs_q
     n = w.size
     if A_c.shape != (n, n) or B_c.shape != (n, n):
@@ -165,52 +168,48 @@ def solve_multiscale(system, rtol=1e-10):
             f"coarse system needs one basis function per auxiliary column: "
             f"velocity block {A_c.shape[0]}x{A_c.shape[1]}, divergence block "
             f"{B_c.shape[0]}x{B_c.shape[1]}")
+    s = system.basis.aux.coefficients(1.0)
     A = 0.5 * (A_c + A_c.T)
     if system.basis.saturated:
-        # global functions combined by the coefficients u0 of the constant
-        # pressure have zero velocity and divergence, so u0 spans the null
+        # global functions combined by the coefficients s of the constant
+        # pressure have zero velocity and divergence, so s spans the null
         # space of B_c; the shift makes A definite along it, and the energy
         # minimization below then fixes the coefficients along it
-        aux = system.basis.aux
-        u0 = sp.csr_matrix(aux.coefficients(np.ones(aux.coarse.fine.n_cells))[:, None])
-        A = A + (A.diagonal().sum() / n / (u0.T @ u0)[0, 0]) * (u0 @ u0.T)
-    # the lower band of A: element-major functions keep it narrow (half-width
-    # 398 at n = 3072 on 64/32/L2, where reverse Cuthill-McKee gives 722)
+        u0 = sp.csr_matrix(s[:, None])
+        A = A + (A.diagonal().sum() / n / (s @ s)) * (u0 @ u0.T)
     lower = sp.tril(A).tocoo()
-    band = np.zeros((int((lower.row - lower.col).max(initial=0)) + 1, n), order="F")
+    band = np.zeros((_half_width(lower) + 1, n), order="F")
     band[lower.row - lower.col, lower.col] = lower.data
     try:
         chol = band_cholesky(band)
     except np.linalg.LinAlgError as exc:
         raise SolveError(f"projected velocity block is not positive definite: {exc}")
-    # B_c has corank 1. Its left null vector is s = R^T S 1: every basis
-    # function has zero net flux, and its divergence lies in the weighted
-    # image S R of the auxiliary space, where R^T S R = I. Bordering B_c
-    # by w gives M = [[B_c, w], [w^T, 0]], nonsingular iff s^T w != 0 and
-    # w^T z != 0 for the right null vector z of B_c (both cosines are
-    # about 0.7 on the 16x16 test systems at contrast 1e3, 0.09 at 1e8).
-    # Then M [z; t] = [0; 1] has t = 0, so it gives z. The pattern of M is
-    # nearly symmetric; a minimum-degree ordering of M + M^T fills far
-    # less than COLAMD at two layers (7.2M against 51M at n = 12288)
-    w_col = sp.csr_matrix(w[:, None])
-    try:
-        lu = splu(sp.bmat([[B_c, w_col], [w_col.T, None]], format="csc"),
-                  permc_spec="MMD_AT_PLUS_A")
-    except RuntimeError as exc:
-        raise SolveError(f"coarse system is singular: {exc}")
-    z = lu.solve(np.append(np.zeros(n), 1.0))[:n]
+    # B~ in LAPACK's general band storage, with kb rows on top for the fill
+    # of the row pivots: band[2 kb + i - j, j] = B~[i, j]
+    entries = B_c.tocoo()
+    k, kb = int(np.argmax(np.abs(s))), _half_width(entries)
+    keep = entries.row != k
+    band = np.zeros((3 * kb + 1, n), order="F")
+    band[2 * kb + entries.row[keep] - entries.col[keep], entries.col[keep]] = entries.data[keep]
+    band[2 * kb, k] = 1.0
+    lu, piv, info = dgbtrf(band, kb, kb, overwrite_ab=1)
+    if info:
+        raise SolveError(f"coarse system is singular: pivot {info} of {n} is zero")
+    z = dgbtrs(lu, kb, kb, np.eye(1, n, k)[0], piv)[0]
     Az = A @ z
     zAz = z @ Az
 
     def solve(f_u, f_q, f_w):
-        """(U, P, gamma) with A U - B_c^T P = f_u, B_c U + gamma w = f_q,
-        w^T P = f_w: a particular U_p from M, the multiple of z that
-        makes A U - f_u orthogonal to z (the range of B_c^T), and P from
-        the transposed solve."""
-        y = lu.solve(np.append(f_q, 0.0))
-        U = y[:n] + ((z @ f_u - Az @ y[:n]) / zAz) * z
-        P = lu.solve(np.append(A @ U - f_u, f_w), trans="T")[:n]
-        return U, P, y[n]
+        """(U, P, gamma) with A U - B_c^T P = f_u, B_c U + gamma w = f_q and
+        w^T P = f_w: a particular U with U_k = 0 plus the multiple of z that
+        makes A U - f_u orthogonal to z, the range of B_c^T; then P."""
+        gamma = (s @ f_q) / (s @ w)
+        r = f_q - gamma * w
+        r[k] = 0.0
+        U = dgbtrs(lu, kb, kb, r, piv)[0]
+        U += ((z @ f_u - Az @ U) / zAz) * z
+        P = dgbtrs(lu, kb, kb, A @ U - f_u, piv, trans=1)[0]
+        return U, P + ((f_w - w @ P) / (s @ w)) * s, gamma
 
     # one solve and one refinement sweep on the unshifted equations: the
     # LU solve is accurate in the norm of the dominant rows only, and at

@@ -192,6 +192,64 @@ def test_schur_solve_matches_dense_kkt(case):
     assert abs(ms.gamma - gamma) <= 1e-10 * scale
 
 
+def _bordered_superlu_solve(system):
+    """Oracle: the coarse solve by the path that the pinned band LU
+    replaced. One SuperLU factor of the divergence block bordered by the
+    mean weights, M = [[B_c, w], [w^T, 0]], gives the null vector z of B_c
+    (M [z; t] = [0; 1]), a particular velocity and, by a transposed solve,
+    the pressure; then one refinement sweep, and sigma from a Lanczos
+    iteration on M solves. Returns (U, P, sigma)."""
+    A_c, B_c, w, rhs_q = system.A_c, system.B_c, system.mean_w, system.rhs_q
+    n = w.size
+    A = 0.5 * (A_c + A_c.T)
+    if system.basis.saturated:
+        u0 = sp.csr_matrix(system.basis.aux.coefficients(1.0)[:, None])
+        A = A + (A.diagonal().sum() / n / (u0.T @ u0)[0, 0]) * (u0 @ u0.T)
+    w_col = sp.csr_matrix(w[:, None])
+    lu = splu(sp.bmat([[B_c, w_col], [w_col.T, None]], format="csc"),
+              permc_spec="MMD_AT_PLUS_A")
+    z = lu.solve(np.append(np.zeros(n), 1.0))[:n]
+    Az = A @ z
+
+    def solve(f_u, f_q, f_w):
+        y = lu.solve(np.append(f_q, 0.0))
+        U = y[:n] + ((z @ f_u - Az @ y[:n]) / (z @ Az)) * z
+        P = lu.solve(np.append(A @ U - f_u, f_w), trans="T")[:n]
+        return U, P, y[n]
+
+    U, P, gamma = np.zeros(n), np.zeros(n), 0.0
+    for _ in range(2):
+        dU, dP, dgamma = solve(B_c.T @ P - A_c @ U, rhs_q - B_c @ U - gamma * w, -(w @ P))
+        U, P, gamma = U + dU, P + dP, gamma + dgamma
+    if n == 1:
+        return U, P, np.inf
+
+    def zero_mean(q):
+        return q - (w @ q) / (w @ w) * w
+    return U, P, 1.0 / coarse._top_eigenvalue(
+        lambda q: solve(np.zeros(n), zero_mean(q), 0.0)[1], n)
+
+
+@pytest.mark.parametrize("case", ["type2", "type1", "global", "single", "pair",
+                                  "type2-1e8", "global-1e8", "type2-32-8-L2"])
+def test_pinned_band_solve_matches_bordered_superlu(case):
+    if case == "type2-32-8-L2":
+        fine, grid, perm, weight, aux, f = _setup(32, 8, nbasis=2, seed=40)
+        system = assemble_coarse_system(build_basis_set(aux, perm, layers=2), perm, f)
+    else:
+        system = _oracle_system(case)
+    ms = solve_multiscale(system)
+    U, P, sigma = _bordered_superlu_solve(system)
+    A = 0.5 * (system.A_c + system.A_c.T)
+    d = ms.coeff_v - U
+    assert np.sqrt(d @ A @ d) <= 1e-10 * np.sqrt(U @ A @ U)
+    assert np.linalg.norm(ms.coeff_p - P) <= 1e-10 * np.linalg.norm(P)
+    if sigma == np.inf:
+        assert ms.schur_sigma == np.inf
+    else:
+        assert abs(ms.schur_sigma - sigma) <= 1e-8 * sigma
+
+
 @pytest.mark.parametrize("flavor", ["type1", "type2", "global"])
 @pytest.mark.parametrize("contrast", [1e3, 1e8])
 def test_blocks_match_fine_grid_products(flavor, contrast):
@@ -271,7 +329,10 @@ def _superlu_velocity_verdict(system):
 
 def _banded_velocity_verdict(system, monkeypatch):
     """The same from `solve_multiscale`, whose lambda_max is its only
-    Lanczos run to three digits."""
+    Lanczos run to three digits, plus the SolveError it raised or None. An
+    error other than "not positive definite" comes after the velocity
+    check, which then counts as passed, with the lambda_max of the Lanczos
+    run before the error."""
     top, seen = coarse._top_eigenvalue, {}
 
     def record(apply, n, tol=0.0):
@@ -282,9 +343,9 @@ def _banded_velocity_verdict(system, monkeypatch):
         solve_multiscale(system)
     except SolveError as exc:
         if "not positive definite" in str(exc):
-            return False, None
-        raise
-    return True, seen.get(1e-3)
+            return False, None, exc
+        return True, seen.get(1e-3), exc
+    return True, seen.get(1e-3), None
 
 
 # duplicated-function layouts (seed, a, b): function b replaced by function
@@ -308,8 +369,12 @@ def test_banded_velocity_check_matches_superlu_pivots(case, monkeypatch):
         system = assemble_coarse_system(_select(bset, keep), perm, f)
     else:
         system = _oracle_system(case)
-    ok, lam = _banded_velocity_verdict(system, monkeypatch)
+    ok, lam, error = _banded_velocity_verdict(system, monkeypatch)
     want_ok, want_lam = _superlu_velocity_verdict(system)
+    if case.startswith("duplicated"):
+        # two equal columns leave B_c of corank 2, so the solve is refused
+        # whether or not roundoff left the velocity block's zero pivot positive
+        assert error is not None
     assert ok == want_ok
     assert (lam is None) == (want_lam is None)
     if want_lam is not None:
@@ -365,14 +430,24 @@ def test_lanczos_failure_raises_solve_error(monkeypatch):
 
 
 def test_memory_guard_refuses_oversized_coarse_system(monkeypatch):
+    """The guard counts both band factors exactly: the velocity block's
+    Cholesky band and the pinned divergence block's LU band, whose row
+    pivots add kb superdiagonals."""
     fine, coarse, perm, weight, aux, f = _setup(8, 2, nbasis=1, seed=39)
     bset = build_basis_set(aux, perm, layers=1)
+    system = assemble_coarse_system(bset, perm, f)
+    n = len(bset)
+    kd, kb = (int(np.abs(m.row - m.col).max()) for m in (system.A_c.tocoo(), system.B_c.tocoo()))
+    need = 8 * n * (kd + 1) + 8 * n * (3 * kb + 1)
     pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 1}
     monkeypatch.setattr(os, "sysconf", pages.__getitem__)
-    with pytest.raises(ConfigError, match=f"{len(bset)} basis functions needs about"):
+    with pytest.raises(ConfigError, match=f"{n} basis functions needs about"):
         assemble_coarse_system(bset, perm, f)
-    pages["SC_PHYS_PAGES"] = 2 ** 40
-    assert assemble_coarse_system(bset, perm, f).A_c.shape == (len(bset),) * 2
+    pages["SC_PHYS_PAGES"] = need - 1
+    with pytest.raises(ConfigError, match=f"{n} basis functions needs about"):
+        assemble_coarse_system(bset, perm, f)
+    pages["SC_PHYS_PAGES"] = need
+    assert assemble_coarse_system(bset, perm, f).A_c.shape == (n, n)
 
 
 def test_contrast_sweep_conserves_mass_with_stable_errors():
