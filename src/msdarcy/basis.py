@@ -469,9 +469,7 @@ class _RegionTemplate:
         # the edge midpoints: an element's complement couples edges at most
         # one element row apart, so the skeleton matrix is a narrow band
         skeleton = np.unique(at[inside])
-        kind, i, j = grid.decode_edge(edges[skeleton])
-        self.skeleton = skeleton[np.argsort((2 * j + 1 - kind) * (2 * grid.nx + 2)
-                                            + 2 * i + kind)]
+        self.skeleton = skeleton[np.argsort(grid.edge_midpoint_key(edges[skeleton]))]
         n_s = self.n_s = self.skeleton.size
         rank = np.zeros(edges.size, dtype=np.int64)
         rank[self.skeleton] = np.arange(n_s)

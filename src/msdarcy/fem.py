@@ -11,25 +11,31 @@ global numbering; a region's A and B are their rows and columns on its
 interior edges and cells. The element kernels of `auxspace` read the
 same per-cell triplets (`mass_triplets`) line by line.
 
-Every fine-scale linear system in the package is an instance of one
-symmetric indefinite template over unknowns (u, p[, y]):
+The basis functions' region systems are instances of one symmetric
+indefinite template over unknowns (u, p[, y]):
 
     A u - B^T p                       = rhs_v
     B u + C y                         = rhs_p
     C^T p - [y if identity_block]     = rhs_c
 
 where A is the weighted flux mass matrix, B the signed divergence and C
-an optional coupling block (used for the energy-minimization
-constraint). Rows are sign-flipped on assembly (`saddle_matrix`) so the
-full matrix is symmetric. `solve_saddle` factors it by sparse LU and
-solves one right-hand side packed as (rhs_v, -rhs_p[, -rhs_c]), with
-iterative refinement and a residual check. The fine reference and the
-snapshot have no C block; their pressure is fixed only up to a constant,
-which the whole-domain solve pins in one cell and then shifts to zero
-mean. The basis functions' region systems are rows and columns of the
+the coupling block of the energy-minimization constraint. Rows are
+sign-flipped on assembly (`saddle_matrix`) so the full matrix is
+symmetric; a region's system is its rows and columns of the
 whole-domain template matrix with C (`basis.CondensedElements`).
-`band_cholesky` and `band_solve` serve the symmetric positive definite
-bands downstream: the region skeletons and the coarse velocity block.
+
+The fine reference and the snapshot have no C block, and they are
+solved by hybridization (`_solve_whole_domain`): each cell's fluxes are
+its own, an edge multiplier enforces the flux continuity between the two
+cells of an interior edge, and the cells are eliminated, which leaves a
+symmetric positive semidefinite system on the multipliers alone. Their
+pressure is fixed only up to a constant, which one pinned multiplier
+fixes; the pressure is then shifted to zero mean.
+
+`band_cholesky` and `band_solve` factor and solve every symmetric
+positive definite band in the package: the multipliers, the region
+skeletons and the coarse velocity block, each ordered row by row in space
+(`mesh.FineGrid.edge_midpoint_key` for the fine edges).
 """
 
 from dataclasses import dataclass
@@ -37,10 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dpbtrf, dpbtrs
-from scipy.sparse.linalg import splu
 
 from .errors import ConfigError, SolveError
-from .mesh import full_domain
 
 
 @dataclass(frozen=True)
@@ -112,40 +116,6 @@ def saddle_matrix(A, B, C=None, identity_block=True):
     return sp.bmat(rows, format="csc")
 
 
-def solve_saddle(K, rhs, rtol=1e-10, label="system"):
-    """Factor the template matrix `K` by sparse LU and solve `K x = rhs`,
-    verifying the residual.
-
-    `rhs` is packed in the order and with the sign flips of the template:
-    (rhs_v, -rhs_p[, -rhs_c]). Raises SolveError if the factorization
-    fails or the relative residual stays above rtol after the refinement
-    sweeps.
-    """
-    if K.shape[0] == 0:
-        raise ConfigError(f"{label} has no unknowns")
-    try:
-        lu = splu(K)
-    except RuntimeError as exc:
-        raise SolveError(f"factorization failed for {label}: {exc}")
-    x = lu.solve(rhs)
-    # one unconditional refinement sweep: the plain LU solve is only
-    # accurate in the norm of the dominant rows, and at high contrast
-    # the small divergence rows carry the conservation identities
-    x = x - lu.solve(K @ x - rhs)
-    scale = np.linalg.norm(rhs)
-    tol = rtol * scale if scale > 0 else rtol
-    res = np.linalg.norm(K @ x - rhs)
-    for _ in range(2):
-        if res <= tol:
-            break
-        x = x - lu.solve(K @ x - rhs)
-        res = np.linalg.norm(K @ x - rhs)
-    if res > tol:
-        raise SolveError(
-            f"residual {res:.3e} above tolerance {tol:.3e} for {label}", residual=res)
-    return x
-
-
 def band_cholesky(band):
     """The Cholesky factor of the symmetric positive definite matrix A
     whose lower band `band` holds in LAPACK storage: band[i - j, j] =
@@ -181,26 +151,132 @@ def check_zero_mean(f, h2):
         raise ConfigError(f"source must have zero mean, integral is {total:.3e}")
 
 
+# a cell's local unknowns: its left, right, bottom and top fluxes, then its
+# pressure. _SIGN holds each edge's sign in the cell's divergence, and
+# _MASS_ROW/_MASS_COL place mass_triplets' eight values in the 4x4 block
+_SIGN = np.array([-1.0, 1.0, -1.0, 1.0])
+_MASS_ROW = [0, 1, 0, 1, 2, 3, 2, 3]
+_MASS_COL = [0, 1, 1, 0, 2, 3, 3, 2]
+# the most refinement sweeps against the whole-domain residual
+_SWEEPS = 6
+
+
 def _solve_whole_domain(perm, rhs_p, rtol, label):
     """The no-flux mixed problem on the whole fine grid with cell
-    right-hand side `rhs_p` and a zero-mean pressure, from the
-    whole-domain blocks on the interior edges.
+    right-hand side `rhs_p` and a zero-mean pressure, by hybridization.
 
-    The pressure is fixed only up to a constant and the rows of B sum to
-    zero, so once `rhs_p` has zero mean cell 0's row is the negated sum
-    of the others: it is dropped, which pins p[0] = 0, and the square
-    system is solved. The pressure is then shifted to zero mean.
+    Each cell K keeps its own fluxes u_K on its four edges and its
+    pressure p_K, with the local block [[A_K, -B_K^T], [-B_K, 0]] of the
+    template; a domain-boundary edge, whose flux is zero, is a decoupled
+    identity row. A multiplier lambda_e per interior edge enters the
+    flux rows of both cells with the divergence sign s_Ke, and continuity
+    reads sum_K s_Ke u_Ke = 0; the multipliers cancel in the sum of an
+    edge's two flux rows, so the hybrid system has the template's
+    solution. Eliminating the cells through the inverses X_K of their
+    blocks leaves H lambda = g with H = sum_K S_K X_K,uu S_K: symmetric
+    positive semidefinite, with the constants as its null vector. Its
+    multipliers are ordered row by row in space, so H is a band of
+    half-width 2 nx - 1, and the multiplier with the largest diagonal is
+    pinned to zero. The mean of `rhs_p` is removed first, which makes g
+    compatible.
+
+    Each edge's flux is read from its left or bottom cell, each cell's
+    pressure from its block, and the pressure is shifted to zero mean.
+    Refinement sweeps against the residual of every interior-edge and
+    cell row follow, until the residual stops falling. Raises SolveError
+    if the band is not positive definite or the relative residual stays
+    above rtol.
     """
     grid = perm.grid
-    dofmap = velocity_dofmap(full_domain(grid))
-    edges = dofmap.edges
-    A = mass_matrix(grid, perm)[edges][:, edges]
-    B = divergence_matrix(grid)[1:, edges]
+    n_cells = grid.n_cells
+    cells = np.arange(n_cells)
+    edges = np.stack(grid.cell_edge_ids(cells), axis=1)
+    on_boundary = grid.boundary_edge_mask()
+    inner = ~on_boundary[edges]
+    both = inner[:, :, None] & inner[:, None, :]
+    sign = _SIGN * inner
+    block = np.zeros((n_cells, 5, 5))
+    mass = mass_triplets(grid, cells, perm.values)[2]
+    block[:, _MASS_ROW, _MASS_COL] = mass.reshape(8, n_cells).T
+    block[:, :4, :4] = np.where(both, block[:, :4, :4], np.eye(4))
+    block[:, :4, 4] = block[:, 4, :4] = -grid.h * sign
+    X = np.linalg.inv(block)
+
+    interior = np.flatnonzero(~on_boundary)
+    n = interior.size
+    rank = np.zeros(grid.n_edges, dtype=np.int64)
+    rank[interior[np.argsort(grid.edge_midpoint_key(interior))]] = np.arange(n)
+    slot = rank[edges]
+    # the lower band of H, transposed: entry (slot a, slot b), a >= b, of
+    # every cell's contribution, summed at row b and column a - b of an
+    # (n, kd + 1) array, whose transpose is LAPACK's band storage
+    lower = both & (slot[:, :, None] >= slot[:, None, :])
+    a = np.broadcast_to(slot[:, :, None], lower.shape)[lower]
+    b = np.broadcast_to(slot[:, None, :], lower.shape)[lower]
+    kd = int((a - b).max(initial=0))
+    H = sign[:, :, None] * X[:, :4, :4] * sign[:, None, :]
+    band = np.bincount(b * (kd + 1) + a - b, H[lower],
+                       minlength=n * (kd + 1)).reshape(n, kd + 1)
+    # lambda = 0 at the largest diagonal: its row and column of H become
+    # those of the identity, and its entry of every g is zeroed
+    pin = int(np.argmax(band[:, 0]))
+    d = np.arange(1, min(kd, pin) + 1)
+    band[pin, 1:] = 0.0
+    band[pin - d, d] = 0.0
+    band[pin, 0] = 1.0
+    try:
+        factor = band_cholesky(band.T)
+    except np.linalg.LinAlgError as exc:
+        raise SolveError(f"factorization failed for {label}: {exc}")
+
+    def solve(F):
+        """Flux per edge and pressure per cell of the hybrid system with
+        the cell-local right-hand sides F (one row of five per cell)."""
+        Y = np.einsum("kij,kj->ki", X, F)
+        g = np.bincount(slot[inner], (sign * Y[:, :4])[inner], minlength=n)
+        g[pin] = 0.0
+        lam = band_solve(factor, g)
+        z = Y - np.einsum("kij,kj->ki", X[:, :, :4], sign * lam[slot])
+        v = np.zeros(grid.n_edges)
+        v[edges[:, 1]] = z[:, 1]
+        v[edges[:, 3]] = z[:, 3]
+        return v, z[:, 4]
+
+    M, D = mass_matrix(grid, perm), divergence_matrix(grid)
     rhs_p = rhs_p - np.mean(rhs_p)
-    x = solve_saddle(saddle_matrix(A, B),
-                     np.concatenate([np.zeros(edges.size), -rhs_p[1:]]), rtol, label)
-    p = np.concatenate([[0.0], x[edges.size:]])
-    return FineSolution(grid, dofmap.scatter(x[:edges.size], grid.n_edges), p - np.mean(p))
+
+    def residual(v, p):
+        """The template's residual on every interior-edge and cell row, as
+        cell-local right-hand sides (an edge's row goes to its left or
+        bottom cell), and its norm."""
+        r_v = np.where(on_boundary, 0.0, M @ v - D.T @ p)
+        r_p = rhs_p - D @ v
+        F = np.zeros((n_cells, 5))
+        F[:, 1], F[:, 3], F[:, 4] = r_v[edges[:, 1]], r_v[edges[:, 3]], r_p
+        return F, np.sqrt(r_v @ r_v + r_p @ r_p)
+
+    F = np.zeros((n_cells, 5))
+    F[:, 4] = -rhs_p
+    v, p = solve(F)
+    F, res = residual(v, p)
+    scale = np.linalg.norm(rhs_p)
+    tol = rtol * scale if scale > 0 else rtol
+    # refine while each sweep at least halves the residual, and at least
+    # once: at high contrast the band is solved only to the accuracy of
+    # its dominant rows, while the small divergence rows carry the
+    # conservation identities, and a sweep that first meets rtol can leave
+    # the solution off by more than rtol
+    for _ in range(_SWEEPS):
+        dv, dp = solve(F)
+        v, p = v - dv, p - dp
+        prev = res
+        F, res = residual(v, p)
+        if res > prev / 2:
+            break
+    if res > tol:
+        raise SolveError(
+            f"residual {res:.3e} above tolerance {tol:.3e} for {label}", residual=res)
+    return FineSolution(grid, v, p - np.mean(p))
 
 
 def solve_fine_reference(perm, f, rtol=1e-10):

@@ -83,6 +83,15 @@ class FineGrid:
         j_h = eh // self.nx
         return kind, np.where(kind == 0, i_v, i_h), np.where(kind == 0, j_v, j_h)
 
+    def edge_midpoint_key(self, edges):
+        """Sort key that orders edges row by row in space: y2 * (2 nx + 2) +
+        x2 for the doubled coordinates (x2, y2) of each edge's midpoint.
+        In that order the edges of a row of cells lie within 2 nx of each
+        other, so an operator coupling only the edges of one cell is a
+        narrow band."""
+        kind, i, j = self.decode_edge(edges)
+        return (2 * j + 1 - kind) * (2 * self.nx + 2) + 2 * i + kind
+
     def boundary_edge_mask(self):
         """Boolean mask of edges lying on the boundary of the unit square."""
         mask = np.zeros(self.n_edges, dtype=bool)

@@ -7,11 +7,11 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from msdarcy import (ConfigError, PermField, SolveError, bilinear_pou,
-                     build_grids, compute_weight, generate_medium,
-                     manufactured_cospi, solve_all_spectra, solve_fine_reference,
-                     three_channel_spec)
+                     build_aux_space, build_grids, build_snapshot, compute_weight,
+                     generate_medium, manufactured_cospi, solve_all_spectra,
+                     solve_fine_reference, three_channel_spec)
 from msdarcy.fem import (check_zero_mean, divergence_matrix, mass_matrix,
-                         mass_triplets, saddle_matrix, solve_saddle, velocity_dofmap)
+                         mass_triplets, saddle_matrix, velocity_dofmap)
 from msdarcy.mesh import FineGrid, element_layout, element_region, full_domain
 
 
@@ -96,6 +96,22 @@ def bordered_reference(perm, f):
     n = dofmap.n_dofs
     x = refined_lu(K)(np.concatenate([np.zeros(n), -h2 * f, [0.0]]))
     return dofmap.scatter(x[:n], grid.n_edges), x[n:n + grid.n_cells]
+
+
+def pinned_reference(perm, rhs_p):
+    """Reference: the whole-domain solve with cell right-hand side
+    `rhs_p` by sparse LU of the saddle matrix with cell 0's divergence row
+    dropped (the path the hybridized solve replaced), its pressure shifted
+    to zero mean. Returns (v per edge, p)."""
+    grid = perm.grid
+    region = full_domain(grid)
+    dofmap = velocity_dofmap(region)
+    A, B = assemble_a(region, perm, dofmap), assemble_b(region, dofmap)
+    n = dofmap.n_dofs
+    rhs_p = rhs_p - np.mean(rhs_p)
+    x = refined_lu(saddle_matrix(A, B[1:]))(np.concatenate([np.zeros(n), -rhs_p[1:]]))
+    p = np.concatenate([[0.0], x[n:]])
+    return dofmap.scatter(x[:n], grid.n_edges), p - np.mean(p)
 
 
 def _random_perm(grid, seed=0, span=3.0):
@@ -208,20 +224,39 @@ def test_sliced_blocks_and_solves_match_region_assembly():
     assert np.linalg.norm(sol.p - p_ref) <= 1e-10 * np.linalg.norm(p_ref)
 
 
-@pytest.mark.parametrize("contrast", [1.0, 1e4, 1e8, 1e12])
-def test_pinned_reference_matches_bordered_oracle(contrast):
-    """The pinned-pressure fine reference against the bordered solve on
-    the 64x64 three-channel medium with the corner source: the flux in
-    the energy norm (at high contrast its plain L2 difference is
+def _oracle_case(case):
+    """The medium, source and coarse grid of an oracle case: the 64x64
+    three-channel medium at contrast `case` with the corner source, or a
+    log-uniform medium over 12 decades with a random zero-mean source
+    (the media of the type1 region-residual findings)."""
+    if case == "random16":
+        fine, coarse = build_grids(16, 2)
+        perm = _random_perm(fine, seed=21, span=12 * np.log(10))
+    elif case == "random32":
+        fine, coarse = build_grids(32, 8)
+        perm = _random_perm(fine, seed=3, span=12 * np.log(10))
+    else:
+        fine, coarse = build_grids(64, 8)
+        perm = generate_medium(three_channel_spec(contrast=case), fine)
+        f = np.zeros((64, 64))
+        f[56:, :8] = 1.0
+        f[:8, 56:] = -1.0
+        return perm, coarse, f.ravel()
+    f = np.random.default_rng(fine.nx).standard_normal(fine.n_cells)
+    return perm, coarse, f - f.mean()
+
+
+@pytest.mark.parametrize("case", [1.0, 1e4, 1e8, 1e12, "random16", "random32"])
+def test_pinned_reference_matches_bordered_oracle(case):
+    """The hybridized fine reference against the bordered solve: the flux
+    in the energy norm (at high contrast its plain L2 difference is
     roundoff that both solves share, as far off a solve refined with
     long-double residuals as they are off each other) and the pressure
-    in L2, plus every cell's mass balance."""
-    grid = FineGrid(64, 64)
-    perm = generate_medium(three_channel_spec(contrast=contrast), grid)
-    f = np.zeros((64, 64))
-    f[56:, :8] = 1.0
-    f[:8, 56:] = -1.0
-    f = f.ravel()
+    in L2, plus every cell's mass balance. The snapshot, the other
+    whole-domain solve, against the LU of the saddle matrix pinned in
+    cell 0, in the same norms."""
+    perm, coarse, f = _oracle_case(case)
+    grid = perm.grid
     sol = solve_fine_reference(perm, f)
     v_ref, p_ref = bordered_reference(perm, f)
     M = mass_matrix(grid, perm)
@@ -232,11 +267,19 @@ def test_pinned_reference_matches_bordered_oracle(contrast):
     defect = np.abs(divergence_matrix(grid) @ sol.v - h2 * f)
     assert defect.max() <= 1e-10 * h2 * np.abs(f).sum()
 
+    weight = compute_weight(perm, bilinear_pou(coarse))
+    aux = build_aux_space(coarse, weight, solve_all_spectra(coarse, perm, weight), nbasis=3)
+    snap = build_snapshot(aux, perm, f)
+    v_ref, p_ref = pinned_reference(perm, aux.s_diag * aux.project(f / weight.values))
+    dv = snap.v - v_ref
+    assert np.sqrt(dv @ M @ dv) <= 1e-10 * np.sqrt(v_ref @ M @ v_ref)
+    # the snapshot is posed with +b(v, p), the template with -b(v, p)
+    assert np.linalg.norm(snap.p + p_ref) <= 1e-10 * np.linalg.norm(p_ref)
+
 
 def test_small_source_mean_is_removed():
     """A source whose mean check_zero_mean lets through gives the solution
-    of its mean-free part, and that part's mass balance in every cell,
-    the pinned cell 0 included."""
+    of its mean-free part, and that part's mass balance in every cell."""
     grid = FineGrid(16, 16)
     perm = _random_perm(grid, seed=16, span=6.0)
     rng = np.random.default_rng(17)
@@ -282,7 +325,7 @@ def test_saddle_template_solves_block_equations():
     K = saddle_matrix(A, B, C, identity_block=True)
     assert abs(K - K.T).max() < 1e-14
     # packed with the template's sign flips: rhs_v, -rhs_p, -rhs_c
-    x = solve_saddle(K, np.concatenate([rhs_v, -rhs_p, -rhs_c]), rtol=1e-12)
+    x = refined_lu(K, rtol=1e-12)(np.concatenate([rhs_v, -rhs_p, -rhs_c]))
     u, p, y = x[:n], x[n:n + m], x[n + m:]
     assert np.allclose(A @ u - B.T @ p, rhs_v, atol=1e-9)
     assert np.allclose(B @ u + C @ y, rhs_p, atol=1e-9)
@@ -299,22 +342,30 @@ def test_saddle_identity_block_toggle():
     rhs_v = rng.standard_normal(n)
     rhs_p = rng.standard_normal(m)
     rhs_c = rng.standard_normal(k)
-    x = solve_saddle(saddle_matrix(A, B, C, identity_block=False),
-                     np.concatenate([rhs_v, -rhs_p, -rhs_c]), rtol=1e-12)
+    x = refined_lu(saddle_matrix(A, B, C, identity_block=False), rtol=1e-12)(
+        np.concatenate([rhs_v, -rhs_p, -rhs_c]))
     p, y = x[n:n + m], x[n + m:]
     # without the identity block the third row reads C^T p = rhs_c
     assert np.allclose(C.T @ p, rhs_c, atol=1e-9)
     assert np.allclose(B @ x[:n] + C @ y, rhs_p, atol=1e-9)
 
 
-def test_saddle_errors():
-    A = sp.csr_matrix(np.zeros((2, 2)))
-    B = sp.csr_matrix(np.ones((1, 2)))
-    with pytest.raises(SolveError):
-        solve_saddle(saddle_matrix(A, B), np.ones(3), label="degenerate")
-    empty = saddle_matrix(sp.csr_matrix((0, 0)), sp.csr_matrix((0, 0)))
-    with pytest.raises(ConfigError):
-        solve_saddle(empty, np.zeros(0))
+def test_fine_reference_residual_error(monkeypatch):
+    """A tolerance no solve meets raises a SolveError that names the
+    system and carries the final residual; so does a failed factor."""
+    grid = FineGrid(8, 8)
+    perm = _random_perm(grid, seed=18)
+    f = np.random.default_rng(19).standard_normal(grid.n_cells)
+    f -= f.mean()
+    with pytest.raises(SolveError, match="fine reference") as info:
+        solve_fine_reference(perm, f, rtol=1e-30)
+    assert info.value.residual > 0
+
+    def fail(band):
+        raise np.linalg.LinAlgError("pivot 1 of 112 is not positive")
+    monkeypatch.setattr("msdarcy.fem.band_cholesky", fail)
+    with pytest.raises(SolveError, match="factorization failed for fine reference: pivot"):
+        solve_fine_reference(perm, f)
 
 
 def test_check_zero_mean():
