@@ -42,7 +42,6 @@ inf-sup constant of the pressure Schur complement on zero-mean
 coefficients.
 """
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,8 +49,8 @@ import scipy.sparse as sp
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-from .errors import ConfigError, SolveError
-from .fem import band_cholesky, band_solve, check_zero_mean, divergence_matrix
+from .errors import SolveError
+from .fem import band_cholesky, band_solve, check_memory, check_zero_mean, divergence_matrix
 
 
 @dataclass(frozen=True)
@@ -122,12 +121,7 @@ def assemble_coarse_system(basis_set, perm, f):
     # releases that slack (7 MiB at 3072 functions on a 64x64 grid)
     A_c = A_c.copy()
     need = 8 * n * (_half_width(A_c) + 1) + 8 * n * (3 * _half_width(B_c) + 1)
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > have:
-        raise ConfigError(
-            f"coarse system of {n} basis functions needs about "
-            f"{need / 2**30:.1f} GiB for its factors, more than the "
-            f"{have / 2**30:.1f} GiB of physical memory")
+    check_memory(need, f"coarse system of {n} basis functions")
     rhs_q = h2 * (R.T @ f)
     mean_w = np.asarray(R.T @ np.full(grid.n_cells, h2))
     return CoarseSystem(basis_set, A_c, B_c, rhs_q, mean_w)

@@ -1,5 +1,7 @@
 """Mixed discretization blocks, the saddle template, the fine reference solve."""
 
+import os
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -10,8 +12,8 @@ from msdarcy import (ConfigError, PermField, SolveError, bilinear_pou,
                      build_aux_space, build_grids, build_snapshot, compute_weight,
                      generate_medium, manufactured_cospi, solve_all_spectra,
                      solve_fine_reference, three_channel_spec)
-from msdarcy.fem import (check_zero_mean, divergence_matrix, mass_matrix,
-                         mass_triplets, saddle_matrix, velocity_dofmap)
+from msdarcy.fem import (band_cholesky, band_solve, check_zero_mean, divergence_matrix,
+                         mass_matrix, mass_triplets, saddle_matrix, velocity_dofmap)
 from msdarcy.mesh import FineGrid, element_layout, element_region, full_domain
 
 
@@ -64,20 +66,28 @@ def assemble_b(region, dofmap=None):
 
 
 def refined_lu(K, rtol=1e-10):
-    """Reference: sparse LU of K with one refinement sweep and up to two
-    more, asserting the relative residual; returns solve(rhs) -> x."""
+    """Reference: sparse LU of K, asserting the relative residual; returns
+    solve(rhs) -> x. The residuals are summed in long double, and the
+    refinement sweeps (at least one, at most six) run while each at least
+    halves the correction, so x reaches the solution rounded to double
+    rather than the roundoff of a double K @ x."""
     K = sp.csc_matrix(K)
     lu = splu(K)
+    K_long = K.astype(np.longdouble)
+
+    def residual(x, rhs):
+        return (K_long @ x.astype(np.longdouble) - rhs).astype(np.float64)
 
     def solve(rhs):
         x = lu.solve(rhs)
-        x = x - lu.solve(K @ x - rhs)
-        tol = rtol * (np.linalg.norm(rhs) or 1.0)
-        for _ in range(2):
-            if np.linalg.norm(K @ x - rhs) <= tol:
+        prev = np.inf
+        for _ in range(6):
+            dx = lu.solve(residual(x, rhs))
+            x = x - dx
+            if np.linalg.norm(dx) > prev / 2:
                 break
-            x = x - lu.solve(K @ x - rhs)
-        assert np.linalg.norm(K @ x - rhs) <= tol
+            prev = np.linalg.norm(dx)
+        assert np.linalg.norm(residual(x, rhs)) <= rtol * (np.linalg.norm(rhs) or 1.0)
         return x
     return solve
 
@@ -112,6 +122,84 @@ def pinned_reference(perm, rhs_p):
     x = refined_lu(saddle_matrix(A, B[1:]))(np.concatenate([np.zeros(n), -rhs_p[1:]]))
     p = np.concatenate([[0.0], x[n:]])
     return dofmap.scatter(x[:n], grid.n_edges), p - np.mean(p)
+
+
+def _cell_hybrid_reference(perm, rhs_p, rtol=1e-10):
+    """Reference: the whole-domain solve with cell right-hand side `rhs_p`
+    by hybridization onto every interior-edge multiplier, one band
+    Cholesky over all of them (the path the macro-cell condensation
+    replaced). Each cell's 5x5 block is inverted as a stack; the band is
+    ordered by the doubled-midpoint key and pinned at its largest
+    diagonal; refinement sweeps run while each halves the residual.
+    Returns (v per edge, p) with a zero-mean p."""
+    grid = perm.grid
+    n_cells = grid.n_cells
+    cells = np.arange(n_cells)
+    edges = np.stack(grid.cell_edge_ids(cells), axis=1)
+    on_boundary = grid.boundary_edge_mask()
+    inner = ~on_boundary[edges]
+    both = inner[:, :, None] & inner[:, None, :]
+    sign = np.array([-1.0, 1.0, -1.0, 1.0]) * inner
+    block = np.zeros((n_cells, 5, 5))
+    mass = mass_triplets(grid, cells, perm.values)[2]
+    block[:, [0, 1, 0, 1, 2, 3, 2, 3], [0, 1, 1, 0, 2, 3, 3, 2]] = mass.reshape(8, n_cells).T
+    block[:, :4, :4] = np.where(both, block[:, :4, :4], np.eye(4))
+    block[:, :4, 4] = block[:, 4, :4] = -grid.h * sign
+    X = np.linalg.inv(block)
+
+    interior = np.flatnonzero(~on_boundary)
+    n = interior.size
+    rank = np.zeros(grid.n_edges, dtype=np.int64)
+    rank[interior[np.argsort(grid.edge_midpoint_key(interior))]] = np.arange(n)
+    slot = rank[edges]
+    lower = both & (slot[:, :, None] >= slot[:, None, :])
+    a = np.broadcast_to(slot[:, :, None], lower.shape)[lower]
+    b = np.broadcast_to(slot[:, None, :], lower.shape)[lower]
+    kd = int((a - b).max(initial=0))
+    H = sign[:, :, None] * X[:, :4, :4] * sign[:, None, :]
+    band = np.bincount(b * (kd + 1) + a - b, H[lower],
+                       minlength=n * (kd + 1)).reshape(n, kd + 1)
+    pin = int(np.argmax(band[:, 0]))
+    d = np.arange(1, min(kd, pin) + 1)
+    band[pin, 1:] = 0.0
+    band[pin - d, d] = 0.0
+    band[pin, 0] = 1.0
+    factor = band_cholesky(band.T)
+
+    def solve(F):
+        Y = np.einsum("kij,kj->ki", X, F)
+        g = np.bincount(slot[inner], (sign * Y[:, :4])[inner], minlength=n)
+        g[pin] = 0.0
+        lam = band_solve(factor, g)
+        z = Y - np.einsum("kij,kj->ki", X[:, :, :4], sign * lam[slot])
+        v = np.zeros(grid.n_edges)
+        v[edges[:, 1]] = z[:, 1]
+        v[edges[:, 3]] = z[:, 3]
+        return v, z[:, 4]
+
+    M, D = mass_matrix(grid, perm), divergence_matrix(grid)
+    rhs_p = rhs_p - np.mean(rhs_p)
+
+    def residual(v, p):
+        r_v = np.where(on_boundary, 0.0, M @ v - D.T @ p)
+        r_p = rhs_p - D @ v
+        F = np.zeros((n_cells, 5))
+        F[:, 1], F[:, 3], F[:, 4] = r_v[edges[:, 1]], r_v[edges[:, 3]], r_p
+        return F, np.sqrt(r_v @ r_v + r_p @ r_p)
+
+    F = np.zeros((n_cells, 5))
+    F[:, 4] = -rhs_p
+    v, p = solve(F)
+    F, res = residual(v, p)
+    for _ in range(6):
+        dv, dp = solve(F)
+        v, p = v - dv, p - dp
+        prev = res
+        F, res = residual(v, p)
+        if res > prev / 2:
+            break
+    assert res <= rtol * np.linalg.norm(rhs_p)
+    return v, p - np.mean(p)
 
 
 def _random_perm(grid, seed=0, span=3.0):
@@ -275,6 +363,77 @@ def test_pinned_reference_matches_bordered_oracle(case):
     assert np.sqrt(dv @ M @ dv) <= 1e-10 * np.sqrt(v_ref @ M @ v_ref)
     # the snapshot is posed with +b(v, p), the template with -b(v, p)
     assert np.linalg.norm(snap.p + p_ref) <= 1e-10 * np.linalg.norm(p_ref)
+
+
+@pytest.mark.parametrize("case", [1.0, 1e4, 1e8, 1e12, "random16", "random32", "channels128"])
+def test_macro_condensation_matches_cell_hybrid_reference(case):
+    """The whole-domain solve, which eliminates each 2x2 macro-cell's inner
+    multipliers before the band, against the hybridization onto all the
+    multipliers that it replaced: the flux in the energy norm and the
+    pressure in L2, on the oracle cases and the three-channel medium at
+    128x128."""
+    if case == "channels128":
+        fine, _ = build_grids(128, 8)
+        perm = generate_medium(three_channel_spec(contrast=1e4), fine)
+        f = np.zeros((128, 128))
+        f[112:, :16] = 1.0
+        f[:16, 112:] = -1.0
+        f = f.ravel()
+    else:
+        perm, _, f = _oracle_case(case)
+    grid = perm.grid
+    sol = solve_fine_reference(perm, f)
+    v_ref, p_ref = _cell_hybrid_reference(perm, grid.h ** 2 * f)
+    M = mass_matrix(grid, perm)
+    dv = sol.v - v_ref
+    assert np.sqrt(dv @ M @ dv) <= 1e-10 * np.sqrt(v_ref @ M @ v_ref)
+    assert np.linalg.norm(sol.p - p_ref) <= 1e-10 * np.linalg.norm(p_ref)
+
+
+@pytest.mark.parametrize("nx", [2, 3, 5, 7, 9])
+def test_odd_and_tiny_grids_match_bordered_oracle(nx):
+    """Grids whose last macro-cell row and column are partial, and the
+    2x2 grid, whose only macro holds every interior edge, on media over 12
+    decades, against the bordered solve with the bounds of the oracle
+    cases."""
+    grid = FineGrid(nx, nx)
+    perm = _random_perm(grid, seed=nx, span=12 * np.log(10))
+    f = np.random.default_rng(nx + 100).standard_normal(grid.n_cells)
+    f -= f.mean()
+    sol = solve_fine_reference(perm, f)
+    v_ref, p_ref = bordered_reference(perm, f)
+    M = mass_matrix(grid, perm)
+    dv = sol.v - v_ref
+    assert np.sqrt(dv @ M @ dv) <= 1e-10 * np.sqrt(v_ref @ M @ v_ref)
+    assert np.linalg.norm(sol.p - p_ref) <= 1e-10 * np.linalg.norm(p_ref)
+    h2 = grid.h ** 2
+    defect = np.abs(divergence_matrix(grid) @ sol.v - h2 * f)
+    assert defect.max() <= 1e-10 * h2 * np.abs(f).sum()
+    assert (sol.v[grid.boundary_edge_mask()] == 0).all()
+
+
+def test_one_cell_grid_is_refused():
+    """A 1x1 grid has no interior edge, so no multiplier to solve for."""
+    grid = FineGrid(1, 1)
+    with pytest.raises(ConfigError, match="1x1 fine grid has no interior edge"):
+        solve_fine_reference(PermField.from_raw(grid, np.ones(1)), np.zeros(1))
+
+
+def test_memory_guard_refuses_oversized_fine_band(monkeypatch):
+    """The guard counts the band factor exactly: on an 8x8 grid the macro
+    boundaries carry 2 * 8 * 3 = 48 multipliers at half-width 2 * 8 - 1."""
+    grid = FineGrid(8, 8)
+    perm = _random_perm(grid, seed=40)
+    f = np.random.default_rng(41).standard_normal(grid.n_cells)
+    f -= f.mean()
+    need = 8 * 48 * 16
+    pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": need - 1}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    with pytest.raises(ConfigError, match="8x8 fine grid's band of 48 multipliers at "
+                                          "half-width 15 needs about"):
+        solve_fine_reference(perm, f)
+    pages["SC_PHYS_PAGES"] = need
+    assert solve_fine_reference(perm, f).v.shape == (grid.n_edges,)
 
 
 def test_small_source_mean_is_removed():

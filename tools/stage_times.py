@@ -3,6 +3,7 @@
 Usage (from the repository root):
 
     python3 tools/stage_times.py --label NAME [--workers 1 2] [--repeats 3]
+                                 [--baseline DIR]
 
 Solves the five North-star cases (fine/coarse/layers 64/8/3, 64/32/2,
 128/8/3, 128/16/4, 128/32/5) on the preset three-channel medium at
@@ -15,6 +16,12 @@ apart from the cases. Every solve of a case, and every reference solve,
 runs in a fresh process, so what one leaves allocated does not hide
 another's memory.
 
+With `--baseline DIR` (another checkout, such as the parent commit) every
+fresh-process solve runs twice per repeat, once importing the package
+from `DIR/src` and once from this tree, and the tree that goes first
+alternates from one solve to the next. So both trees meet the machine's
+slow and fast spells alike, and their files can be compared.
+
 Writes `BENCH_<label>.json` (into `--out`, default the repository root):
 the median over repeats of every stage's seconds and of how much it
 raised its process's resident high-water mark (`ru_maxrss`), per case
@@ -22,7 +29,8 @@ and worker count, the MiB the returned basis set's arrays hold
 (`basis_mb`), plus the worker counts, the core count, the BLAS thread
 count and the numpy and scipy versions. A stage's raise counts
 only its growth above every earlier stage's peak. BLAS is pinned to one
-thread, so `workers` is the number of busy threads.
+thread, so `workers` is the number of busy threads. With `--baseline` the
+baseline's results go to `BENCH_<name of DIR>.json` beside them.
 """
 
 import os
@@ -45,7 +53,10 @@ from pathlib import Path
 from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
+# the source tree to import the package from: this checkout's, unless a
+# fresh process of a --baseline run is told another
+SRC_VARIABLE = "STAGE_TIMES_SRC"
+sys.path.insert(0, os.environ.get(SRC_VARIABLE) or str(ROOT / "src"))
 
 import numpy as np
 import scipy
@@ -131,11 +142,28 @@ def median(values):
     return float(statistics.median(values))
 
 
-def _fresh(fn, *args):
-    """fn(*args) in a new interpreter, whose high-water mark starts from
-    its imports alone."""
-    with ProcessPoolExecutor(1, mp_context=get_context("spawn")) as pool:
-        return pool.submit(fn, *args).result()
+def _in_tree(fn, *args):
+    """fn(*args), and the source tree this process imported msdarcy from."""
+    import msdarcy
+    return Path(msdarcy.__file__).resolve().parents[1], fn(*args)
+
+
+def _fresh(src, fn, *args):
+    """fn(*args) in a new interpreter that imports msdarcy from the source
+    tree `src`, and whose high-water mark starts from its imports alone."""
+    before = os.environ.get(SRC_VARIABLE)
+    os.environ[SRC_VARIABLE] = str(src)
+    try:
+        with ProcessPoolExecutor(1, mp_context=get_context("spawn")) as pool:
+            tree, result = pool.submit(_in_tree, fn, *args).result()
+    finally:
+        if before is None:
+            del os.environ[SRC_VARIABLE]
+        else:
+            os.environ[SRC_VARIABLE] = before
+    if tree != Path(src).resolve():
+        raise RuntimeError(f"a solve meant for {src} imported msdarcy from {tree}")
+    return result
 
 
 def _inputs(nx):
@@ -160,18 +188,36 @@ def _case(case, workers, ref):
     return clock.seconds, clock.peak_mb, result
 
 
-def measure(workers, repeats):
-    """Per case: median stage seconds and peaks over `repeats` solves,
-    each in a fresh process."""
-    runs = {case: [] for case in CASES}
-    references = {}
+def measure(workers, repeats, sources):
+    """Per source tree and case: median stage seconds and peaks over
+    `repeats` solves, each in a fresh process. Every solve runs once from
+    each tree in `sources`, and the tree that goes first alternates from
+    one solve to the next. Returns one record per tree."""
+    runs = [{case: [] for case in CASES} for _ in sources]
+    references = [{} for _ in sources]
+    turn = 0
     for _ in range(repeats):
         for nx in sorted({c[0] for c in CASES}):
-            seconds, peak_mb, ref = _fresh(_reference, nx)
-            references.setdefault(nx, []).append((seconds, peak_mb))
+            refs = [None] * len(sources)
+            for t in _order(len(sources), turn):
+                seconds, peak_mb, refs[t] = _fresh(sources[t], _reference, nx)
+                references[t].setdefault(nx, []).append((seconds, peak_mb))
+            turn += 1
             for case in CASES:
                 if case[0] == nx:
-                    runs[case].append(_fresh(_case, case, workers, ref))
+                    for t in _order(len(sources), turn):
+                        runs[t][case].append(_fresh(sources[t], _case, case, workers, refs[t]))
+                    turn += 1
+    return [_summary(workers, r, refs) for r, refs in zip(runs, references)]
+
+
+def _order(n, turn):
+    """The trees in the order of this turn: forwards on even turns."""
+    return range(n) if turn % 2 == 0 else range(n - 1, -1, -1)
+
+
+def _summary(workers, runs, references):
+    """Medians over the samples of one tree."""
     cases = []
     for (nx, Nx, layers), samples in runs.items():
         cases.append({
@@ -192,29 +238,44 @@ def main(argv=None):
                    help="worker counts to run (default: 1 and the core count)")
     p.add_argument("--repeats", type=int, default=3)
     p.add_argument("--out", type=Path, default=ROOT)
+    p.add_argument("--baseline", type=Path, default=None,
+                   help="a checkout to time alongside this one, solve by solve")
     args = p.parse_args(argv)
     nproc = len(os.sched_getaffinity(0))
     workers = args.workers or sorted({1, nproc})
     if args.repeats < 1 or min(workers) < 1:
         p.error("--repeats and --workers must be at least 1")
-    record = {
-        "label": args.label, "nproc": nproc, "blas_threads": BLAS_THREADS,
-        "numpy": np.__version__, "scipy": scipy.__version__,
-        "python": platform.python_version(), "repeats": args.repeats,
-        "medium": f"three_channel_spec(contrast={CONTRAST:g})",
-        "source": f"corners, grid {SOURCE_GRID}", "nbasis": NBASIS,
-        "statistic": "median over repeats, each solve in a fresh process; peak_mb "
-                     "is how much the stage raised the process's resident "
-                     "high-water mark (ru_maxrss)",
-        "runs": [measure(w, args.repeats) for w in workers]}
-    path = args.out / f"BENCH_{args.label}.json"
-    path.write_text(json.dumps(record, indent=1) + "\n")
-    for run in record["runs"]:
-        for case in run["cases"]:
-            stages = " ".join(f"{s}={case['seconds'][s]:.2f}" for s in STAGES)
-            print(f"workers={run['workers']} {case['nx']}/{case['Nx']}/L{case['layers']}: "
-                  f"{stages} total={case['total_s']:.2f}")
-    print(path)
+    labels, sources = [args.label], [ROOT / "src"]
+    if args.baseline is not None:
+        if not (args.baseline / "src" / "msdarcy").is_dir():
+            p.error(f"--baseline: no package sources under {args.baseline / 'src'}")
+        if args.baseline.resolve().name == args.label:
+            p.error("--baseline: the baseline's directory name is the label")
+        labels.append(args.baseline.resolve().name)
+        sources.append(args.baseline / "src")
+    runs = [measure(w, args.repeats, sources) for w in workers]
+    for t, (label, src) in enumerate(zip(labels, sources)):
+        record = {
+            "label": label, "nproc": nproc, "blas_threads": BLAS_THREADS,
+            "numpy": np.__version__, "scipy": scipy.__version__,
+            "python": platform.python_version(), "repeats": args.repeats,
+            "medium": f"three_channel_spec(contrast={CONTRAST:g})",
+            "source": f"corners, grid {SOURCE_GRID}", "nbasis": NBASIS,
+            "statistic": "median over repeats, each solve in a fresh process; peak_mb "
+                         "is how much the stage raised the process's resident "
+                         "high-water mark (ru_maxrss)",
+            "runs": [per_tree[t] for per_tree in runs]}
+        if len(sources) > 1:
+            record["interleaved_with"] = labels[1 - t]
+        path = args.out / f"BENCH_{label}.json"
+        path.write_text(json.dumps(record, indent=1) + "\n")
+        for run in record["runs"]:
+            for case in run["cases"]:
+                stages = " ".join(f"{s}={case['seconds'][s]:.2f}" for s in STAGES)
+                print(f"{label} workers={run['workers']} "
+                      f"{case['nx']}/{case['Nx']}/L{case['layers']}: "
+                      f"{stages} total={case['total_s']:.2f}")
+        print(path)
 
 
 if __name__ == "__main__":
