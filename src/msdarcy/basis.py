@@ -47,8 +47,9 @@ are assembled with no fine-grid product: its divergence coefficients
 R^T B psi, its trace M psi - B^T q on the region-boundary edges and its
 energy psi^T M psi. All of them, and the residual check, come from one
 matrix per region: its rows of the whole-domain operator, in its
-unknowns' columns and then its region-boundary edges' columns. They are
-held only as the column stacks of a `BasisSet` (Psi, Q, B_c and G): the
+unknowns' columns and then its region-boundary edges' columns. The
+region solve's pressure q is read there and dropped. The rest is held
+only as the column stacks of a `BasisSet` (Psi, B_c and G): the
 grouping pass fixes every column's place before any solve, each part
 writes its columns there, and the per-function records are views.
 """
@@ -63,7 +64,7 @@ import scipy.sparse as sp
 from .auxspace import _run, _stacked, element_lines
 from .errors import ConfigError, SolveError
 from .fem import (FineSolution, _solve_whole_domain, band_cholesky, band_solve,
-                  check_zero_mean, divergence_matrix, mass_matrix, saddle_matrix)
+                  check_source, divergence_matrix, mass_matrix, saddle_matrix)
 from .mesh import element_layout, full_domain, oversample_region, region_elements
 
 
@@ -71,19 +72,20 @@ from .mesh import element_layout, full_domain, oversample_region, region_element
 class VelocityBasisFunction:
     """One localized (or global) basis function.
 
-    `v` holds fluxes on `edges` (the region-interior edges), `q` the
-    pressure companion on `cells`; both are zero outside the region.
-    What the coarse blocks need (`coarse.assemble_coarse_system`), from the
-    region solve: `div` holds the divergence coefficients R^T B psi on
-    `div_columns`, the region's auxiliary columns. The divergence lies in
-    the weighted image of the auxiliary space, B psi = S R div, so `div` is
-    the function's column of B_c = R^T B Psi. `trace` holds M psi - B^T q
-    on `trace_edges`, the region-boundary edges inside the domain: the
-    region's flux equations make it zero on the region-interior edges, and
-    psi vanishes on the domain boundary, so psi_k^T M psi = psi_k^T
-    (B^T q + trace) for every function psi_k. The `global` flavor has no
-    such edges. `energy` is psi^T M psi. The arrays are views of the
-    function's columns in its `BasisSet`'s stacks, not copies.
+    `v` holds fluxes on `edges` (the region-interior edges), zero outside
+    the region, whose cells are `cells`. What the coarse blocks need
+    (`coarse.assemble_coarse_system`), from the region solve: `div` holds
+    the divergence coefficients R^T B psi on `div_columns`, the region's
+    auxiliary columns. The divergence lies in the weighted image of the
+    auxiliary space, B psi = S R div, so `div` is the function's column of
+    B_c = R^T B Psi. `trace` holds M psi - B^T q on `trace_edges`, the
+    region-boundary edges inside the domain, q being the region solve's
+    pressure (not kept): the region's flux equations make it zero on the
+    region-interior edges, and psi vanishes on the domain boundary, so
+    psi_k^T M psi = psi_k^T (B^T q + trace) for every function psi_k. The
+    `global` flavor has no such edges. `energy` is psi^T M psi. The arrays
+    but `cells` are views of the function's columns in its `BasisSet`'s
+    stacks, not copies.
     """
 
     element: int
@@ -93,7 +95,6 @@ class VelocityBasisFunction:
     edges: np.ndarray
     v: np.ndarray
     cells: np.ndarray
-    q: np.ndarray
     div: np.ndarray
     div_columns: np.ndarray
     trace: np.ndarray
@@ -110,17 +111,17 @@ class VelocityBasisFunction:
 class BasisSet(Sequence):
     """The basis functions of one flavor/layer choice, element-major, as
     CSC column stacks written once by the basis stage: column k of Psi
-    (`matrix`), Q (`pressures`), B_c (`divergence`) and G (`traces`) holds
-    what record k holds. `layers` is -1 for the `global` flavor. `len`,
-    iteration and `bset[k]` give `VelocityBasisFunction` records whose
-    arrays are views of column k of the stacks, not copies.
+    (`matrix`), B_c (`divergence`) and G (`traces`) holds what record k
+    holds. `layers` is -1 for the `global` flavor. `len`, iteration and
+    `bset[k]` give `VelocityBasisFunction` records whose arrays are views
+    of column k of the stacks, not copies; their `cells` are those of
+    their element's region.
     """
 
     aux: object
     flavor: str
     layers: int
     matrix: sp.csc_matrix
-    pressures: sp.csc_matrix
     divergence: sp.csc_matrix
     traces: sp.csc_matrix
     energies: np.ndarray
@@ -133,23 +134,28 @@ class BasisSet(Sequence):
     def __getitem__(self, k):
         k = range(len(self))[k]
         e = int(self.elements[k])
-        edges, v, cells, q, div_columns, div, trace_edges, trace = (
+        coarse = self.aux.coarse
+        region = (full_domain(coarse.fine) if self.layers == -1
+                  else oversample_region(coarse, e, self.layers))
+        edges, v, div_columns, div, trace_edges, trace = (
             a[m.indptr[k]:m.indptr[k + 1]]
-            for m in (self.matrix, self.pressures, self.divergence, self.traces)
+            for m in (self.matrix, self.divergence, self.traces)
             for a in (m.indices, m.data))
         return VelocityBasisFunction(
             e, int(self.columns[k] - self.aux.offsets[e]), self.layers, self.flavor, edges, v,
-            cells, q, div, div_columns, trace, trace_edges, float(self.energies[k]))
+            region.cells(), div, div_columns, trace, trace_edges, float(self.energies[k]))
 
     @property
     def saturated(self):
-        """True when every function was solved on the whole domain.
+        """True when every function was solved on the whole domain: its
+        column of Psi holds every domain-interior edge.
 
         The set then carries one exact linear dependency (the combination
         reproducing the constant pressure has zero velocity), which the
         coarse solve shifts out of the velocity block.
         """
-        return bool(np.all(np.diff(self.pressures.indptr) == self.aux.coarse.fine.n_cells))
+        interior = full_domain(self.aux.coarse.fine).interior_edges().size
+        return bool(np.all(np.diff(self.matrix.indptr) == interior))
 
 
 def _stack(sizes, n_rows):
@@ -345,8 +351,8 @@ class CondensedElements:
             regions.setdefault((region.i0, region.i1, region.j0, region.j1),
                                (region, []))[1].append(t)
         # each centre's column sizes in the stacks: its region's edges,
-        # cells, columns and region-boundary edges inside the domain
-        sizes = np.empty((elements.size, 4), dtype=np.int64)
+        # columns and region-boundary edges inside the domain
+        sizes = np.empty((elements.size, 3), dtype=np.int64)
         groups = {}
         for region, centres in regions.values():
             covered = region_elements(coarse, region)
@@ -354,7 +360,7 @@ class CondensedElements:
             if key not in self._templates:
                 self._templates[key] = _RegionTemplate(self, region, covered)
             tpl, (w, h) = self._templates[key], region.shape
-            sizes[centres] = (tpl.edges.size, tpl.cells.size, tpl.column_owner.size,
+            sizes[centres] = (tpl.edges.size, tpl.column_owner.size,
                               h * ((region.i0 > 0) + (region.i1 < grid.nx))
                               + w * ((region.j0 > 0) + (region.j1 < grid.ny)))
             groups.setdefault(key, []).append((region, covered, centres))
@@ -366,7 +372,7 @@ class CondensedElements:
                       for i in range(count)]
         sizes = np.repeat(sizes, counts, axis=0)
         stacks = [_stack(size, rows) for size, rows in
-                  zip(sizes.T, (grid.n_edges, grid.n_cells, aux.n_columns, grid.n_edges))]
+                  zip(sizes.T, (grid.n_edges, aux.n_columns, grid.n_edges))]
         energies = np.empty(sizes.shape[0])
 
         def solve(part):
@@ -632,8 +638,8 @@ class _Regions:
     def solve(self, items, rtol, stacks, energies):
         """The basis functions of the (region index, centre element, first
         column) triples in `items`, in region order, each with its region
-        saddle residual checked at rtol, written into `stacks` (Psi, Q, B_c
-        and G, from `_stack`) and `energies` from the first column on."""
+        saddle residual checked at rtol, written into `stacks` (Psi, B_c and
+        G, from `_stack`) and `energies` from the first column on."""
         cond, tpl = self.cond, self.template
         n, n_s, k = tpl.n, tpl.n_s, cond.Z.shape[2]
         sel = np.arange(len(self.regions))
@@ -688,13 +694,12 @@ class _Regions:
         energy = np.einsum("gec,gec->gc", psi, Kpsi[:, :n_e])
         column_rows = (np.arange(len(sel))[:, None] * n + np.arange(n_e + n_c, n)).ravel()
         div = self._times(Kpsi[:, n_e:n_e + n_c] / self.s[:, :, None], n_e, self.K[column_rows])
-        Psi, Q, B_c, G = stacks
+        Psi, B_c, G = stacks
         for t, (i, e, first) in enumerate(items):
             # the item's functions: columns first, first + 1, ... of the
             # stacks, and columns cs of the part's solution
             cs = slice(order[t] * k, order[t] * k + cond.aux.counts[e])
             _put(Psi, first, self.edges[i], x[i, :n_e, cs].T)
-            _put(Q, first, self.cells[i], x[i, n_e:n_e + n_c, cs].T)
             _put(B_c, first, self.columns[i], div[i, :, cs].T)
             _put(G, first, self.boundary[i][self.inner[i]], trace[i, self.inner[i], cs].T)
             energies[first:first + cs.stop - cs.start] = energy[i, cs]
@@ -725,8 +730,7 @@ def build_snapshot(aux, perm, f, rtol=1e-10):
     """Solve the whole-domain problem with source replaced by the
     weighted projection of kappa_tilde^-1 f onto the auxiliary space: the
     localization target's exact counterpart for the chosen space."""
-    f = np.asarray(f, dtype=np.float64)
-    check_zero_mean(f, perm.grid.h ** 2)
+    f = check_source(f, perm.grid)
     pw = aux.project(f / aux.weight.values)
     sol = _solve_whole_domain(perm, aux.s_diag * pw, rtol, "snapshot")
     # the template solves with -b(v, p); this problem is posed with +b(v, p)

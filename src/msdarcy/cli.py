@@ -36,7 +36,7 @@ import numpy as np
 from . import __version__
 from .auxspace import build_aux_space, gap_split, write_eigen_report
 from .errors import ConfigError, SolveError
-from .fem import check_zero_mean, manufactured_cospi
+from .fem import check_source, manufactured_cospi
 from .medium import (generate_medium, load_raster, save_raster,
                      spec_from_mapping, three_channel_spec)
 from .mesh import FineGrid, build_grids
@@ -120,7 +120,6 @@ def _resolve_medium(cfg, grid, seed_override=None):
 
 def _resolve_source(cfg, grid):
     kind = _get(cfg, "source", "kind", default="corners")
-    h2 = grid.h ** 2
     if kind in ("corners", "cells"):
         g = _get(cfg, "source", "grid", default=8, cast=int)
         if g < 1:
@@ -157,8 +156,7 @@ def _resolve_source(cfg, grid):
         raise ConfigError(f"unknown source kind {kind!r}")
     if not np.isfinite(f).all():
         raise ConfigError("source values must be finite")
-    check_zero_mean(f, h2)
-    return f, {"kind": kind}
+    return check_source(f, grid), {"kind": kind}
 
 
 def _ints(raw, count=None):

@@ -7,13 +7,13 @@ function's region solve returns, with no product of M or B with Psi.
 Every function's divergence lies in the weighted image S R of the
 auxiliary space, B psi_i = S R b_i, so B_c has column i equal to the
 function's divergence coefficients b_i. Its flux equations give
-M psi_i = B^T q_i + g_i, where q_i is its pressure companion and the
-trace g_i lives on its region-boundary edges. With R^T S R = I,
+M psi_i = B^T q_i + g_i, where q_i is the pressure of its region solve
+and the trace g_i lives on its region-boundary edges. With R^T S R = I,
 
     A_c = B_c^T Pi + Psi^T G,   Pi = R^T S Q,
 
-where Q and G hold the q_i and g_i as columns: the basis set's
-`pressures` and `traces`. The region equations fix Pi. For `type2` (and
+where Q and G hold the q_i and g_i as columns. G is the basis set's
+`traces`; Q is not kept, since the region equations fix Pi. For `type2` (and
 `global`) the multipliers are y_i = R^T S q_i and b_i = e_i - y_i, so
 Pi = E - B_c; for `type1` the constraint pins the moments, so Pi = E.
 Here e_i is function i's own column and E selects them (the identity
@@ -50,7 +50,7 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import SolveError
-from .fem import band_cholesky, band_solve, check_memory, check_zero_mean, divergence_matrix
+from .fem import band_cholesky, band_solve, check_memory, check_source, divergence_matrix
 
 
 @dataclass(frozen=True)
@@ -107,9 +107,8 @@ def assemble_coarse_system(basis_set, perm, f):
     """
     aux = basis_set.aux
     grid = perm.grid
-    f = np.asarray(f, dtype=np.float64)
+    f = check_source(f, grid)
     h2 = grid.h ** 2
-    check_zero_mean(f, h2)
     R = aux.matrix
     B_c = basis_set.divergence
     n = len(basis_set)

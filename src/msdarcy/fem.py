@@ -64,12 +64,6 @@ class VelocityDofMap:
     def n_dofs(self):
         return self.edges.size
 
-    def scatter(self, u, n_edges):
-        """Expand local dof values to a full per-edge vector (zeros elsewhere)."""
-        full = np.zeros(n_edges)
-        full[self.edges] = u
-        return full
-
 
 def velocity_dofmap(region):
     return VelocityDofMap(region.interior_edges())
@@ -160,11 +154,17 @@ def check_memory(need, what):
             f"than the {have / 2**30:.1f} GiB of physical memory")
 
 
-def check_zero_mean(f, h2):
-    total = float(np.sum(f) * h2)
-    scale = float(np.sum(np.abs(f)) * h2)
+def check_source(f, grid):
+    """`f` as per-cell source averages on `grid`, refused unless it holds
+    one value per cell and integrates to zero (to 1e-12 of its scale)."""
+    f = np.asarray(f, dtype=np.float64)
+    if f.shape != (grid.n_cells,):
+        raise ConfigError(f"source has shape {f.shape}, the {grid.nx}x{grid.ny} grid "
+                          f"has {grid.n_cells} cells")
+    total, scale = float(np.sum(f)) * grid.h ** 2, float(np.sum(np.abs(f))) * grid.h ** 2
     if abs(total) > 1e-12 * max(scale, 1.0):
         raise ConfigError(f"source must have zero mean, integral is {total:.3e}")
+    return f
 
 
 # a cell's four edges: left, right, bottom and top. _SIGN holds each edge's
@@ -427,13 +427,8 @@ def solve_fine_reference(perm, f, rtol=1e-10):
 
     `f` holds per-cell source averages and must integrate to zero.
     """
-    grid = perm.grid
-    f = np.asarray(f, dtype=np.float64)
-    if f.size != grid.n_cells:
-        raise ConfigError(f"source has {f.size} values, grid has {grid.n_cells} cells")
-    h2 = grid.h ** 2
-    check_zero_mean(f, h2)
-    return _solve_whole_domain(perm, h2 * f, rtol, "fine reference")
+    f = check_source(f, perm.grid)
+    return _solve_whole_domain(perm, perm.grid.h ** 2 * f, rtol, "fine reference")
 
 
 def manufactured_cospi(grid):

@@ -15,7 +15,7 @@ from .auxspace import build_aux_space, solve_all_spectra
 from .basis import CondensedElements, build_basis_set
 from .coarse import assemble_coarse_system, mass_residuals, solve_multiscale
 from .errors import ConfigError
-from .fem import solve_fine_reference
+from .fem import check_source, solve_fine_reference
 from .medium import compute_weight
 from .mesh import bilinear_pou, build_grids, oversample_region
 
@@ -227,7 +227,9 @@ def convergence_study(perm, f, cases, flavor="type2", rtol=1e-10, workers=1):
 
 def solve_case(perm, f, Nx, nbasis=None, threshold=None, layers=3,
                flavor="type2", rtol=1e-10, workers=1):
-    """One multiscale solve, returning (solution, aux, basis, mass report)."""
+    """One multiscale solve, returning (solution, aux, basis, mass report).
+    The source is checked before the first stage."""
+    f = check_source(f, perm.grid)
     _, coarse = build_grids(perm.grid.nx, Nx)
     weight, spectra = spectra_stage(perm, coarse, workers)
     ms, aux, basis_set = _multiscale(perm, f, coarse, weight, spectra, nbasis,

@@ -22,12 +22,20 @@ from test_fem import assemble_a, assemble_b, refined_lu
 def _region_lu_reference(aux, perm, region, flavor, rtol=1e-10):
     """Oracle: the region's constrained saddle system assembled whole and
     factored by sparse LU, the path static condensation replaced. Returns
-    solve(e, j) -> (v, q, div) for the basis function of eigenvector j of
-    element e, div its divergence coefficients: B v = S R_loc div."""
+    solve(e, j) -> (v, q, div, trace) for the basis function of eigenvector
+    j of element e: its fluxes v on the region-interior edges, the pressure
+    q of the region solve on the region's cells, its divergence
+    coefficients div (B v = S R_loc div) and its trace M v - B^T q on the
+    region-boundary edges inside the domain."""
     dofmap = velocity_dofmap(region)
     cols, R_loc = restriction(aux, region)
     cells = region.cells()
     s_region = aux.s_diag[cells]
+    grid = region.fine
+    trace_edges = region.boundary_edges()
+    trace_edges = trace_edges[~grid.boundary_edge_mask()[trace_edges]]
+    M_trace = mass_matrix(grid, perm)[trace_edges][:, dofmap.edges]
+    B_trace = divergence_matrix(grid)[cells][:, trace_edges].T
     n, m = dofmap.n_dofs, cells.size
     K = saddle_matrix(assemble_a(region, perm, dofmap), assemble_b(region, dofmap),
                       (sp.diags(s_region) @ R_loc).tocsr(),
@@ -47,17 +55,21 @@ def _region_lu_reference(aux, perm, region, flavor, rtol=1e-10):
         div = -x[n + m:]
         if flavor != "type1":
             div[np.searchsorted(cols, aux.column(e, j))] += 1.0
-        return x[:n], x[n:n + m], div
+        v, q = x[:n], x[n:n + m]
+        return v, q, div, M_trace @ v - B_trace @ q
     return solve
 
 
 def _worst_deviation(functions, solve):
-    """Largest relative difference of v, q and div from the oracle."""
+    """Largest relative difference of v, div and the trace from the
+    oracle; the trace carries the oracle's pressure q, which the set does
+    not keep."""
     worst = 0.0
     for fn in functions:
-        v, q, div = solve(fn.element, fn.j)
-        for got, want in ((fn.v, v), (fn.q, q), (fn.div, div)):
-            worst = max(worst, np.linalg.norm(got - want) / np.linalg.norm(want))
+        v, _, div, trace = solve(fn.element, fn.j)
+        for got, want in ((fn.v, v), (fn.div, div), (fn.trace, trace)):
+            if want.size:
+                worst = max(worst, np.linalg.norm(got - want) / np.linalg.norm(want))
     return worst
 
 
@@ -79,7 +91,7 @@ def _from_records(aux, records):
                         [getattr(fn, values) for fn in records], n_rows)
     return BasisSet(
         aux, records[0].flavor, records[0].layers, stack("edges", "v", grid.n_edges),
-        stack("cells", "q", grid.n_cells), stack("div_columns", "div", aux.n_columns),
+        stack("div_columns", "div", aux.n_columns),
         stack("trace_edges", "trace", grid.n_edges), np.array([fn.energy for fn in records]),
         np.array([aux.offsets[fn.element] + fn.j for fn in records]),
         np.array([fn.element for fn in records]))
@@ -128,16 +140,20 @@ def test_divergence_stays_in_auxiliary_space(small_case):
 
 
 def test_type1_pins_pressure_moments(small_case):
+    """The functions agree with the region LU oracle, whose pressure meets
+    the type1 constraint: its moments are the own column."""
     fine, coarse, perm, weight, aux = small_case
     e = int(coarse.element_id(0, 2))
     region = oversample_region(coarse, e, 2)
     cols, R_loc = restriction(aux, region)
     s_region = aux.s_diag[region.cells()]
     batch = CondensedElements(aux, perm, "type1").functions([e], 2)
+    solve = _region_lu_reference(aux, perm, region, "type1")
+    assert _worst_deviation(batch, solve) <= 1e-10
     for j, fn in enumerate(batch):
         assert fn.div.size == cols.size
         assert np.array_equal(fn.div_columns, cols)
-        moments = R_loc.T @ (s_region * fn.q)
+        moments = R_loc.T @ (s_region * solve(e, j)[1])
         want = np.zeros(cols.size)
         want[np.searchsorted(cols, aux.column(e, j))] = 1.0
         assert np.allclose(moments, want, atol=1e-9)
@@ -145,7 +161,8 @@ def test_type1_pins_pressure_moments(small_case):
 
 def test_type2_divergence_coefficients_complement_pressure_moments(small_case):
     """For type2 the multipliers are the moments R^T S q, and the
-    divergence coefficients are the own column minus them."""
+    divergence coefficients are the own column minus them; q is the
+    region LU oracle's."""
     fine, coarse, perm, weight, aux = small_case
     e, j = 5, 1
     region = oversample_region(coarse, e, 1)
@@ -154,7 +171,8 @@ def test_type2_divergence_coefficients_complement_pressure_moments(small_case):
     assert np.array_equal(fn.div_columns, cols)
     own = np.zeros(cols.size)
     own[np.searchsorted(cols, aux.column(e, j))] = 1.0
-    moments = R_loc.T @ (aux.s_diag[region.cells()] * fn.q)
+    q = _region_lu_reference(aux, perm, region, "type2")(e, j)[1]
+    moments = R_loc.T @ (aux.s_diag[region.cells()] * q)
     assert np.abs(fn.div + moments - own).max() <= 1e-12
 
 
@@ -162,7 +180,8 @@ def test_type2_divergence_coefficients_complement_pressure_moments(small_case):
 def test_traces_are_flux_residuals_on_region_boundary(small_case, flavor):
     """M psi - B^T q vanishes on every domain-interior edge but the
     region-boundary ones, where it is the stored trace; the global flavor
-    stores none. Regions at a domain corner, on a domain edge and inside."""
+    stores none. q is the region LU oracle's. Regions at a domain corner,
+    on a domain edge and inside."""
     fine, coarse, perm, weight, aux = small_case
     M = mass_matrix(fine, perm)
     B = divergence_matrix(fine)
@@ -171,9 +190,15 @@ def test_traces_are_flux_residuals_on_region_boundary(small_case, flavor):
         functions = build_basis_set(aux, perm, flavor="global")
     else:
         functions = CondensedElements(aux, perm, flavor).functions([0, 2, 5], 1)
+    oracles = {}
     for fn in functions:
+        key = None if flavor == "global" else fn.element
+        if key not in oracles:
+            region = full_domain(fine) if key is None else oversample_region(coarse, key, 1)
+            oracles[key] = _region_lu_reference(aux, perm, region,
+                                                "type2" if key is None else flavor)
         q = np.zeros(fine.n_cells)
-        q[fn.cells] = fn.q
+        q[fn.cells] = oracles[key](fn.element, fn.j)[1]
         flux = M @ fn.v_global(fine.n_edges) - B.T @ q
         stored = np.zeros(fine.n_edges)
         stored[fn.trace_edges] = fn.trace
@@ -260,7 +285,7 @@ def test_stacks_match_sets_rebuilt_from_records(small_case, flavor, select, work
     for name in ("columns", "elements"):
         assert np.array_equal(getattr(bset, name), getattr(want, name))
     pairs = [(bset.energies, want.energies)]
-    for name in ("matrix", "pressures", "divergence", "traces"):
+    for name in ("matrix", "divergence", "traces"):
         got, ref = getattr(bset, name), getattr(want, name)
         assert got.shape == ref.shape
         assert np.array_equal(got.indptr, ref.indptr) and np.array_equal(got.indices, ref.indices)
@@ -273,7 +298,7 @@ def test_stacks_match_sets_rebuilt_from_records(small_case, flavor, select, work
     # records are views of the stacks' columns
     k = len(bset) // 2
     fn = bset[k]
-    for part, stack in ((fn.v, bset.matrix), (fn.q, bset.pressures), (fn.div, bset.divergence)):
+    for part, stack in ((fn.v, bset.matrix), (fn.div, bset.divergence)):
         assert np.shares_memory(part, stack.data)
     assert np.array_equal(fn.v_global(fine.n_edges), bset.matrix[:, k].toarray().ravel())
 
@@ -292,14 +317,27 @@ def test_regions_solved_together_match_each_alone(small_case, flavor):
     for a, b in zip(together, alone):
         assert (a.element, a.j) == (b.element, b.j)
         assert np.array_equal(a.edges, b.edges) and np.array_equal(a.cells, b.cells)
-        for got, want in ((a.v, b.v), (a.q, b.q)):
-            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        for got, want in ((a.v, b.v), (a.div, b.div), (a.trace, b.trace)):
+            assert np.abs(got - want).max(initial=0) <= 1e-13 * np.abs(want).max(initial=0)
 
 
 def test_saturated_set_has_one_null_direction(small_case):
     fine, coarse, perm, weight, aux = small_case
     bset = build_basis_set(aux, perm, flavor="global")
     assert bset.saturated
+    # a set is saturated when each of its functions' regions is the whole
+    # domain, subsets and single elements included
+    cond = CondensedElements(aux, perm, "type2")
+    assert cond.functions(range(coarse.n_elements), 3).saturated
+    assert not cond.functions(range(coarse.n_elements), 2).saturated
+    fine3, coarse3 = build_grids(12, 3)
+    perm3 = PermField.from_raw(fine3, np.random.default_rng(22).uniform(1, 10, fine3.n_cells))
+    weight3 = compute_weight(perm3, bilinear_pou(coarse3))
+    aux3 = build_aux_space(coarse3, weight3, solve_all_spectra(coarse3, perm3, weight3),
+                           nbasis=2)
+    cond3 = CondensedElements(aux3, perm3, "type2")
+    assert cond3.functions([int(coarse3.element_id(1, 1))], 1).saturated
+    assert not cond3.functions([int(coarse3.element_id(0, 0))], 1).saturated
     M = mass_matrix(fine, perm)
     Psi = bset.matrix
     G = (Psi.T @ M @ Psi).toarray()

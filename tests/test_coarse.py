@@ -36,7 +36,7 @@ def _select(bset, keep):
     columns `keep`."""
     return dataclasses.replace(
         bset, **{name: getattr(bset, name)[:, keep]
-                 for name in ("matrix", "pressures", "divergence", "traces")},
+                 for name in ("matrix", "divergence", "traces")},
         **{name: getattr(bset, name)[keep] for name in ("energies", "columns", "elements")})
 
 
@@ -388,6 +388,28 @@ def test_non_square_divergence_block_is_refused():
     system = assemble_coarse_system(two, perm, f)
     with pytest.raises(SolveError, match="velocity block 2x2, divergence block 32x2"):
         solve_multiscale(system)
+
+
+def test_source_of_wrong_size_is_refused_before_the_spectra(monkeypatch):
+    """A source one row of cells short is refused with both sizes, by
+    `solve_case` before any stage runs, and by every solve that takes one."""
+    fine, coarse, perm, weight, aux, f = _setup(16, 4, nbasis=2, seed=37)
+    short = f[:-fine.nx]
+    message = rf"source has shape \({short.size},\), the 16x16 grid has {fine.n_cells} cells"
+
+    def no_spectra(*args, **kwargs):
+        raise AssertionError("the spectra ran before the source was checked")
+    monkeypatch.setattr("msdarcy.metrics.spectra_stage", no_spectra)
+    with pytest.raises(ConfigError, match=message):
+        solve_case(perm, short, 4, nbasis=2, layers=1)
+    bset = build_basis_set(aux, perm, layers=1)
+    for solve in (lambda: solve_fine_reference(perm, short),
+                  lambda: build_snapshot(aux, perm, short),
+                  lambda: assemble_coarse_system(bset, perm, short)):
+        with pytest.raises(ConfigError, match=message):
+            solve()
+    with pytest.raises(ConfigError, match="zero mean"):
+        solve_case(perm, f + 1.0, 4, nbasis=2, layers=1)
 
 
 def test_singular_bordered_divergence_block_raises_solve_error():

@@ -41,6 +41,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = str(BLAS_THREADS)
 
 import argparse
+import dataclasses
 import json
 import platform
 import resource
@@ -60,6 +61,7 @@ sys.path.insert(0, os.environ.get(SRC_VARIABLE) or str(ROOT / "src"))
 
 import numpy as np
 import scipy
+import scipy.sparse
 
 from msdarcy import (assemble_coarse_system, bilinear_pou, build_aux_space,
                      build_basis_set, build_grids, compute_weight,
@@ -106,11 +108,16 @@ def corner_source(fine):
 
 
 def basis_mb(basis):
-    """MiB held by a basis set's arrays: its four column stacks, its
-    energies, columns and elements."""
-    arrays = [basis.energies, basis.columns, basis.elements]
-    for stack in (basis.matrix, basis.pressures, basis.divergence, basis.traces):
-        arrays += [stack.data, stack.indices, stack.indptr]
+    """MiB held by a basis set's arrays: every column stack it holds (the
+    sparse fields, however many a tree's `BasisSet` has), and its other
+    array fields, such as the energies, columns and elements."""
+    arrays = []
+    for field in dataclasses.fields(basis):
+        value = getattr(basis, field.name)
+        if scipy.sparse.issparse(value):
+            arrays += [value.data, value.indices, value.indptr]
+        elif isinstance(value, np.ndarray):
+            arrays.append(value)
     return sum(a.nbytes for a in arrays) / 2 ** 20
 
 
