@@ -16,18 +16,22 @@ same number of cells, so the spectra are one record of stacks
 (`Spectra`), one row per element. The auxiliary space keeps the first
 J_i eigenvectors per element, as one stack zero-padded to the largest
 J_i; the projection onto it is S-orthogonal and acts elementwise.
+
+The element lines hold only indices and the divergence signs, so they are
+memoized per grid (`element_lines`, read-only); the line masses, the
+eliminations and the spectra are computed per call.
 """
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigError
 from .fem import divergence_matrix, mass_triplets
-from .mesh import element_layout
+from .mesh import element_layout, read_only
 
 
 @dataclass(frozen=True)
@@ -123,8 +127,9 @@ class ElementLines:
         return out
 
 
+@cache
 def element_lines(coarse):
-    """The `ElementLines` of a coarse grid."""
+    """The `ElementLines` of a coarse grid, memoized per grid."""
     grid = coarse.fine
     r = coarse.r
     interior, cells, boundary = (a[0] for a in element_layout(coarse))
@@ -136,9 +141,9 @@ def element_lines(coarse):
     rows = np.broadcast_to(cells[line_cells][:, :, None], (2 * r, r, r + 1))
     cols = np.broadcast_to(edges[:, None, :], rows.shape)
     div = np.asarray(divergence_matrix(grid)[rows.ravel(), cols.ravel()]).reshape(rows.shape)
-    return ElementLines(coarse, edges, line_cells,
-                        np.searchsorted(interior, edges[:, 1:-1]),
-                        np.searchsorted(boundary, edges[:, [0, -1]]), div)
+    return ElementLines(coarse, *read_only(
+        edges, line_cells, np.searchsorted(interior, edges[:, 1:-1]),
+        np.searchsorted(boundary, edges[:, [0, -1]]), div))
 
 
 def _fix_signs(P):

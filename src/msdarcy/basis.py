@@ -30,17 +30,25 @@ it is the region of (its centres) and recovers every element's interior
 by back-substitution. The skeleton runs row by row in space, so its
 matrix is a band about two rows of the region's edges wide, factored by
 LAPACK's banded Cholesky (`fem.band_cholesky`). Regions of one shape
-share their index maps (a `_RegionTemplate`), and are solved together
-(`_Regions`): their ids, values, right-hand sides, back-substitutions
-and residuals are stacked, and only the skeleton factors and solves run
-region by region.
+and column counts share their index maps (a `_RegionTemplate`), and are
+solved together (`_Regions`): their ids, values, right-hand sides,
+back-substitutions and residuals are stacked, and only the skeleton
+factors and solves run region by region.
 `CondensedElements.functions` is the one entry point and the one pass
 that groups regions: it takes each element's region of any layer count,
 or the whole domain for `layers=None` (the `global` flavor, from the
 `type2` elements), merges the elements whose regions coincide, and
 solves each distinct region once for all its centres, the regions of one
-template in parts of about `REGION_BYTES`. Each function's full region
-saddle residual is checked at `rtol`.
+template in parts of about `REGION_BYTES`. It finds every region's
+bounds, covered elements and template in one vectorized step. Each
+function's full region saddle residual is checked at `rtol`.
+
+The templates depend on the grids alone: on the flavor, the region's
+shape and its elements' column counts, not on the permeability or the
+eigenvectors. So they are memoized per grid (`_template`, read-only) and
+serve every later solve on the same grids. The condensed elements, the
+whole-domain operator, the region values, factors and solutions, and the
+stacks are made per call.
 
 Each function also carries what the coarse blocks need, so that they
 are assembled with no fine-grid product: its divergence coefficients
@@ -56,7 +64,7 @@ writes its columns there, and the per-function records are views.
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -65,7 +73,8 @@ from .auxspace import _run, _stacked, element_lines
 from .errors import ConfigError, SolveError
 from .fem import (FineSolution, _solve_whole_domain, band_cholesky, band_solve,
                   check_source, divergence_matrix, mass_matrix, saddle_matrix)
-from .mesh import element_layout, full_domain, oversample_region, region_elements
+from .mesh import (Region, element_layout, full_domain, oversample_region, read_only,
+                   region_elements)
 
 
 @dataclass(frozen=True)
@@ -246,8 +255,6 @@ class CondensedElements:
         self.W = np.empty((n_el, self.keys.shape[1], n_b))
         self.S = np.empty((n_el, n_b, n_b))
         self.Z = np.empty((n_el, self.keys.shape[1], k_max))
-        # the `_RegionTemplate` of each region shape and column counts
-        self._templates = {}
         # the working set: the right-hand sides, the solution and two
         # temporaries of their size
         _stacked(workers, self._condense, n_el, 4 * 8 * self.W.shape[1] * (n_b + k_max))
@@ -342,33 +349,47 @@ class CondensedElements:
         elements = np.array(elements, dtype=np.int64)
         counts = aux.counts[elements]
         first = np.cumsum(counts) - counts
-        # every distinct region, by its bounds, with its centres' positions
-        # in `elements`
-        regions = {}
-        for t, e in enumerate(elements):
-            region = (full_domain(grid) if layers is None
-                      else oversample_region(coarse, e, layers))
-            regions.setdefault((region.i0, region.i1, region.j0, region.j1),
-                               (region, []))[1].append(t)
+        k_max = self.Z.shape[2]
+        # every centre's region, [I0, I1) x [J0, J1) in elements (the whole
+        # domain when `layers` is None), and the distinct regions in the
+        # order of their first centres; `region[t]` numbers centre t's
+        reach = max(coarse.Nx, coarse.Ny) if layers is None else layers
+        I, J = coarse.element_IJ(elements)
+        bounds = np.stack([np.maximum(I - reach, 0), np.minimum(I + reach + 1, coarse.Nx),
+                           np.maximum(J - reach, 0), np.minimum(J + reach + 1, coarse.Ny)],
+                          axis=1)
+        _, at, region = np.unique(bounds, axis=0, return_index=True, return_inverse=True)
+        distinct = np.argsort(at)
+        bounds, centre = bounds[at[distinct]], elements[at[distinct]]
+        region = np.argsort(distinct)[region.ravel()]
+        shapes = bounds[:, [1, 3]] - bounds[:, [0, 2]]
+        # each region's template, by its shape and its covered elements'
+        # column counts
+        template = np.empty(len(bounds), dtype=np.int64)
+        keys = []
+        for shape in np.unique(shapes, axis=0):
+            same = np.flatnonzero((shapes == shape).all(axis=1))
+            kept = aux.counts[_covered(coarse, bounds[same])].astype(np.int64)
+            rows, which = np.unique(kept, axis=0, return_inverse=True)
+            template[same] = len(keys) + which.ravel()
+            keys += [(tuple(int(x) for x in shape), row.tobytes()) for row in rows]
+        _, first_region = np.unique(template, return_index=True)
+        templates = [_template(coarse, self.flavor, *key, k_max) for key in keys]
         # each centre's column sizes in the stacks: its region's edges,
         # columns and region-boundary edges inside the domain
-        sizes = np.empty((elements.size, 3), dtype=np.int64)
-        groups = {}
-        for region, centres in regions.values():
-            covered = region_elements(coarse, region)
-            key = (region.shape, aux.counts[covered].tobytes())
-            if key not in self._templates:
-                self._templates[key] = _RegionTemplate(self, region, covered)
-            tpl, (w, h) = self._templates[key], region.shape
-            sizes[centres] = (tpl.edges.size, tpl.column_owner.size,
-                              h * ((region.i0 > 0) + (region.i1 < grid.nx))
-                              + w * ((region.j0 > 0) + (region.j1 < grid.ny)))
-            groups.setdefault(key, []).append((region, covered, centres))
+        tpl_sizes = np.array([(tpl.edges.size, tpl.column_owner.size) for tpl in templates])
+        r = coarse.r
+        sides_x = (bounds[:, 0] > 0).astype(np.int64) + (bounds[:, 1] < coarse.Nx)
+        sides_y = (bounds[:, 2] > 0).astype(np.int64) + (bounds[:, 3] < coarse.Ny)
+        traces = r * (shapes[:, 1] * sides_x + shapes[:, 0] * sides_y)
+        sizes = np.column_stack([tpl_sizes[template], traces])[region]
+        # the regions of each template, in parts of about REGION_BYTES; a
+        # part's items are its regions' centres, region by region
         parts = []
-        for key, group in groups.items():
-            template = self._templates[key]
-            count = min(len(group), -(-len(group) * template.bytes // REGION_BYTES))
-            parts += [(template, group[len(group) * i // count:len(group) * (i + 1) // count])
+        for g in np.argsort(first_region):
+            tpl, group = templates[g], np.flatnonzero(template == g)
+            count = min(group.size, -(-group.size * tpl.bytes // REGION_BYTES))
+            parts += [(tpl, group[group.size * i // count:group.size * (i + 1) // count])
                       for i in range(count)]
         sizes = np.repeat(sizes, counts, axis=0)
         stacks = [_stack(size, rows) for size, rows in
@@ -376,14 +397,18 @@ class CondensedElements:
         energies = np.empty(sizes.shape[0])
 
         def solve(part):
-            template, group = part
-            system = _Regions(self, template, [region for region, _, _ in group],
-                              np.array([covered for _, covered, _ in group]), layers)
-            items = [(i, elements[t], first[t]) for i, (_, _, centres) in enumerate(group)
-                     for t in centres]
+            tpl, group = part
+            system = _Regions(self, tpl, r * bounds[group][:, [0, 2]], centre[group],
+                              _covered(coarse, bounds[group]), layers)
+            # the part's centres, by their region's place in the part
+            place = np.full(len(bounds), group.size)
+            place[group] = np.arange(group.size)
+            place = place[region]
+            ts = np.argsort(place, kind="stable")[:np.count_nonzero(place < group.size)]
+            items = np.column_stack([place[ts], elements[ts], first[ts]])
             # a region's centres are solved side by side, in parts of about REGION_BYTES
-            size = len(group) * max(1, REGION_BYTES // (
-                5 * 8 * (template.n + 1) * self.Z.shape[2] * len(group)))
+            size = group.size * max(1, REGION_BYTES // (
+                5 * 8 * (tpl.n + 1) * k_max * group.size))
             for start in range(0, len(items), size):
                 system.solve(items[start:start + size], rtol, stacks, energies)
 
@@ -394,28 +419,33 @@ class CondensedElements:
                         -1 if layers is None else layers, *stacks, energies, columns, owner)
 
 
+def _covered(coarse, bounds):
+    """The elements covering regions of one shape, [I0, I1) x [J0, J1) per
+    row of `bounds`, one row per region, in `mesh.region_elements` order."""
+    I0, I1, J0, J1 = bounds.T
+    I = I0[:, None, None] + np.arange(I1[0] - I0[0])
+    J = J0[:, None, None] + np.arange(J1[0] - J0[0])[:, None]
+    return coarse.element_id(I, J).reshape(len(bounds), -1)
+
+
 class _Rows:
-    """The entries of some rows of the whole-domain operator (`rows`, sliced
-    from it) that lie in some of its columns (`columns`, distinct ids), as
-    the number of them per row, their positions within the operator's rows
-    and their columns' positions in `columns`. The same for every region of
+    """The pattern of some rows of the whole-domain operator, from the
+    number of entries per row (`counts`) and their column ids (`ids`, row
+    by row, each row's ascending), every one of which is among `columns`
+    (distinct ids): kept as `counts`, each entry's position within its row
+    and its column's position in `columns`. The same for every region of
     one template (`_RegionTemplate`)."""
 
-    def __init__(self, rows, columns):
+    def __init__(self, counts, ids, columns):
         n = columns.size
-        lookup = np.full(rows.shape[1], -1, dtype=np.int32)
+        lookup = np.full(columns.max() + 1, -1, dtype=np.int32)
         lookup[columns] = np.arange(n)
-        local = lookup[rows.indices]
-        hit = local >= 0
-        per_row = np.diff(rows.indptr)
-        offset = (np.arange(rows.nnz) - np.repeat(rows.indptr[:-1], per_row))[hit]
-        self.offset = offset.astype(np.min_scalar_type(per_row.max(initial=0)))
-        self.indices = local[hit].astype(np.min_scalar_type(n))
-        m = rows.shape[0]
-        self.counts = np.bincount(np.repeat(np.arange(m), per_row)[hit],
-                                  minlength=m).astype(np.int32)
-        self.indptr = np.concatenate([[0], np.cumsum(self.counts)]).astype(np.int32)
-        self.shape = (m, n)
+        self.counts = counts.astype(np.int32)
+        self.indptr = np.append(0, np.cumsum(self.counts)).astype(np.int32)
+        self.offset = (np.arange(ids.size) - np.repeat(self.indptr[:-1], self.counts)).astype(
+            np.min_scalar_type(self.counts.max(initial=0)))
+        self.indices = lookup[ids].astype(np.min_scalar_type(n))
+        self.shape = (counts.size, n)
 
     def gather(self, operator, rows):
         """One block-diagonal matrix of these entries for several regions,
@@ -449,26 +479,41 @@ class _RegionTemplate:
     its unknowns' columns, then its coupling to the region-boundary edges)
     hold for all of them. Column ids are not translated: they follow the
     column counts, and each region reads them from the offsets.
+
+    The template depends on the grids alone, not on the permeability or
+    the eigenvectors: it is built for the region of `shape` (elements
+    wide, high) at the domain's lower-left corner, whose covered elements,
+    row by row, keep `counts` columns of at most `k_max`, and memoized per
+    grid (`_template`). Its arrays are read-only.
     """
 
-    def __init__(self, cond, region, elements):
-        grid = region.fine
-        self.i0, self.j0 = region.i0, region.j0
+    def __init__(self, coarse, flavor, shape, counts, k_max):
+        grid, r = coarse.fine, coarse.r
+        self.width, height = shape
+        region = Region(grid, 0, self.width * r, 0, height * r)
+        elements = region_elements(coarse, region)
         edges, cells = region.interior_edges(), region.cells()
         boundary = region.boundary_edges()
         self.vertical = edges < grid.n_vedges
         self.boundary_vertical = boundary < grid.n_vedges
-        counts = cond.aux.counts[elements]
         self.column_owner = np.repeat(np.arange(elements.size), counts)
         self.column_j = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts,
                                                             counts)
-        columns = cond.aux.offsets[elements][self.column_owner] + self.column_j
-        unknowns = np.concatenate([edges, grid.n_edges + cells,
-                                   grid.n_edges + grid.n_cells + columns])
+        # columns numbered from 0 in the region: each region's own keep
+        # their order, and only the order enters the maps
+        first = grid.n_edges + grid.n_cells + np.cumsum(counts) - counts
+        unknowns = np.concatenate([edges, grid.n_edges + cells, first[self.column_owner]
+                                   + self.column_j])
         n = self.n = unknowns.size
-        keys = cond.keys[elements]
+        interior_edges, element_cells, element_boundary = (
+            a[elements] for a in element_layout(coarse))
+        # the elements' interior unknowns as `CondensedElements.keys` numbers
+        # them, -1 on padding
+        pad = np.arange(k_max)
+        keys = np.concatenate([interior_edges, grid.n_edges + element_cells,
+                               np.where(pad < counts[:, None], first[:, None] + pad, -1)],
+                              axis=1)
         self.pos = np.where(keys >= 0, np.searchsorted(unknowns, keys), n).astype(np.int32)
-        element_boundary = cond.boundary[elements]
         at = np.minimum(np.searchsorted(edges, element_boundary), edges.size - 1)
         inside = edges[at] == element_boundary
         # the skeleton row by row in space, by the doubled coordinates of
@@ -483,22 +528,52 @@ class _RegionTemplate:
         # the skeleton matrix's lower band, transposed: entry (slot a, slot
         # b), a >= b, of every element's complement, summed at row b and
         # column a - b of an (n_s, kd + 1) array, whose transpose is LAPACK's
-        # band storage. The map is a narrow integer: that keeps the
+        # band storage. `S_src` holds each such entry's place in the flat
+        # stack of element complements for the template's own elements; a
+        # region's elements are theirs shifted by the region's first
+        # element id. The maps are narrow integers: that keeps the
         # templates small
-        self.S_mask = (inside[:, :, None] & inside[:, None, :]
-                       & (self.slots[:, :, None] >= self.slots[:, None, :]))
-        a = np.broadcast_to(self.slots[:, :, None], self.S_mask.shape)[self.S_mask]
-        b = np.broadcast_to(self.slots[:, None, :], self.S_mask.shape)[self.S_mask]
+        mask = (inside[:, :, None] & inside[:, None, :]
+                & (self.slots[:, :, None] >= self.slots[:, None, :]))
+        a = np.broadcast_to(self.slots[:, :, None], mask.shape)[mask]
+        b = np.broadcast_to(self.slots[:, None, :], mask.shape)[mask]
         self.kd = int((a - b).max(initial=0))
         self.S_dst = (b * (self.kd + 1) + a - b).astype(
             np.min_scalar_type(n_s * (self.kd + 1)))
+        owner, entry = np.nonzero(mask.reshape(elements.size, -1))
+        self.S_src = (elements[owner] * mask[0].size + entry).astype(
+            np.min_scalar_type(coarse.n_elements * mask[0].size))
         # the region's rows of the operator, in its unknowns' columns (its
         # saddle matrix) followed by its region-boundary edges' columns. By
         # symmetry the latter, transposed, are the region-boundary rows in
         # the unknowns' columns, which give the traces M psi - B^T q: a
         # region-boundary row of the operator has fewer entries where the
-        # domain ends, a region row the same in every region
-        self.K = _Rows(cond.operator[unknowns], np.concatenate([unknowns, boundary]))
+        # domain ends, a region row the same in every region. A region row
+        # couples only the region's unknowns and boundary edges, so its
+        # pattern is written out by kind, each row ascending as the operator
+        # stores it: an interior edge couples to itself and the opposite
+        # edge of each of its two cells (the flux mass) and to those cells
+        # (B); a cell to its four edges (B) and its element's columns (C,
+        # an entry for each, zero or not); a column to its element's cells
+        # and, for `type2`, itself
+        nx, (cells_x, cells_y) = grid.nx, region.shape
+        j, i = np.mgrid[0:cells_y, 1:cells_x]
+        v, cell = grid.vedge_id(i, j), grid.n_edges + j * nx + i
+        vertical = np.stack([v - 1, v, v + 1, cell - 1, cell], axis=-1).reshape(-1, 5)
+        j, i = np.mgrid[1:cells_y, 0:cells_x]
+        h, cell = grid.hedge_id(i, j), grid.n_edges + j * nx + i
+        horizontal = np.stack([h - nx, h, h + nx, cell - nx, cell], axis=-1).reshape(-1, 5)
+        ix, iy = grid.cell_ix_iy(cells)
+        cell_rows = np.concatenate([np.stack(grid.cell_edge_ids(cells), axis=1),
+                                    keys[(iy // r) * self.width + ix // r, -k_max:]], axis=1)
+        columns = unknowns[edges.size + cells.size:, None]
+        identity = [columns] if flavor == "type2" else []
+        column_rows = np.concatenate([grid.n_edges + element_cells[self.column_owner]]
+                                     + identity, axis=1)
+        rows = (vertical, horizontal, cell_rows, column_rows)
+        self.K = _Rows(np.concatenate([np.count_nonzero(a >= 0, axis=1) for a in rows]),
+                       np.concatenate([a[a >= 0] for a in rows]),
+                       np.concatenate([unknowns, boundary]))
         self.edges, self.cells = edges.astype(np.int32), cells.astype(np.int32)
         self.boundary = boundary.astype(np.int32)
         # about what a region takes while solved with others: its ids and
@@ -506,12 +581,22 @@ class _RegionTemplate:
         # band (which its factor overwrites) and five arrays of
         # right-hand-side size
         self.bytes = 8 * (4 * int(self.K.indptr[-1])
-                          + np.count_nonzero(self.S_mask) + n_s * (self.kd + 1)
-                          + 5 * (n + 1) * cond.Z.shape[2])
+                          + self.S_src.size + n_s * (self.kd + 1)
+                          + 5 * (n + 1) * k_max)
         # the region's elements row by row: consecutive ids, consecutive
         # positions in `elements`
-        self.width = region.shape[0] // cond.aux.coarse.r
         self.row_starts = range(0, elements.size, self.width)
+        read_only(*(a for a in vars(self).values() if isinstance(a, np.ndarray)),
+                  *(a for a in vars(self.K).values() if isinstance(a, np.ndarray)))
+
+
+@cache
+def _template(coarse, flavor, shape, counts, k_max):
+    """The `_RegionTemplate` of regions of `shape` (elements wide, high)
+    for `flavor`, whose covered elements keep `counts` columns (int64
+    bytes, row by row) of at most `k_max`; memoized per grid."""
+    return _RegionTemplate(coarse, flavor, shape, np.frombuffer(counts, dtype=np.int64),
+                           k_max)
 
 
 # About how many bytes the regions or centres solved together may take;
@@ -522,9 +607,11 @@ REGION_BYTES = 8 << 20
 class _Regions:
     """Regions of one template, solved together: each region's skeleton
     system is the element complements summed on the element boundary
-    edges strictly inside it. `elements[g]` holds region g's elements, as
-    `mesh.region_elements` orders them. `layers` is their layer count;
-    None marks the whole domain, whose functions are the `global` flavor's.
+    edges strictly inside it. Region g's lower-left cell is `origins[g]`
+    (ix, iy), its first centre `centres[g]` (named in errors) and
+    `elements[g]` holds its elements, as `mesh.region_elements` orders
+    them. `layers` is their layer count; None marks the whole domain,
+    whose functions are the `global` flavor's.
 
     Arrays carry a leading region axis. A region's unknowns are ordered as
     in `fem`: region-interior edges, region cells, region columns, each
@@ -536,16 +623,16 @@ class _Regions:
     for its other parts and refinement sweeps.
     """
 
-    def __init__(self, cond, template, regions, elements, layers):
+    def __init__(self, cond, template, origins, centres, elements, layers):
         self.cond = cond
         self.template = tpl = template
-        self.regions = regions
+        self.centres = centres
         self.elements = elements
         self.layers = layers
         self.flavor = "global" if layers is None else cond.flavor
         grid = cond.aux.coarse.fine
-        di = np.array([[r.i0] for r in regions]) - tpl.i0
-        dj = np.array([[r.j0] for r in regions]) - tpl.j0
+        # the template's region sits at the domain's lower-left corner
+        di, dj = origins[:, :1], origins[:, 1:]
 
         def shifted(edges, vertical):
             return edges + np.where(vertical, dj * (grid.nx + 1) + di, dj * grid.nx + di)
@@ -563,18 +650,18 @@ class _Regions:
         # the region-boundary edges inside the domain: every function
         # vanishes on the domain boundary
         self.inner = ~grid.boundary_edge_mask()[self.boundary]
-        g = len(regions)
+        g = len(centres)
         size = tpl.n_s * (tpl.kd + 1)
         self.bands = np.bincount(
             (tpl.S_dst + np.arange(g)[:, None] * size).ravel(),
-            cond.S[self.elements][:, tpl.S_mask].ravel(),
+            cond.S.ravel()[tpl.S_src + self.elements[:, :1] * cond.S[0].size].ravel(),
             minlength=g * size).reshape(g, tpl.n_s, tpl.kd + 1)
 
     def _label(self, i):
         if self.layers is None:
             return "the global flavor's whole domain"
         return (f"the {self.flavor} region of {self.layers} layers around element "
-                f"{self.regions[i].center}")
+                f"{self.centres[i]}")
 
     @cached_property
     def factors(self):
@@ -637,13 +724,13 @@ class _Regions:
 
     def solve(self, items, rtol, stacks, energies):
         """The basis functions of the (region index, centre element, first
-        column) triples in `items`, in region order, each with its region
+        column) rows of the array `items`, in region order, each with its region
         saddle residual checked at rtol, written into `stacks` (Psi, B_c and
         G, from `_stack`) and `energies` from the first column on."""
         cond, tpl = self.cond, self.template
         n, n_s, k = tpl.n, tpl.n_s, cond.Z.shape[2]
-        sel = np.arange(len(self.regions))
-        region, centre, _ = np.array(items).T
+        sel = np.arange(len(self.centres))
+        region, centre, _ = items.T
         # a region's items sit side by side, k columns each, in item order
         order = np.arange(len(items)) - np.searchsorted(region, region)
         c = k * (order.max() + 1)

@@ -127,9 +127,11 @@ def assemble_coarse_system(basis_set, perm, f):
 
 
 def _half_width(matrix):
-    """The largest |i - j| over the stored entries (i, j) of `matrix`."""
-    entries = matrix.tocoo()
-    return int(np.abs(entries.row - entries.col).max(initial=0))
+    """The largest |i - j| over the stored entries (i, j) of a CSR or CSC
+    `matrix`, read off its index arrays without a copy of its values."""
+    major = np.repeat(np.arange(matrix.indptr.size - 1, dtype=matrix.indices.dtype),
+                      np.diff(matrix.indptr))
+    return int(np.abs(matrix.indices - major).max(initial=0))
 
 
 def _top_eigenvalue(apply, n, tol=0.0):
@@ -177,7 +179,7 @@ def solve_multiscale(system, rtol=1e-10):
         u0 = sp.csr_matrix(s[:, None])
         A = A + (A.diagonal().sum() / n / (s @ s)) * (u0 @ u0.T)
     lower = sp.tril(A).tocoo()
-    band = np.zeros((_half_width(lower) + 1, n), order="F")
+    band = np.zeros((_half_width(A) + 1, n), order="F")
     band[lower.row - lower.col, lower.col] = lower.data
     try:
         chol = band_cholesky(band)
@@ -186,7 +188,7 @@ def solve_multiscale(system, rtol=1e-10):
     # B~ in LAPACK's general band storage, with kb rows on top for the fill
     # of the row pivots: band[2 kb + i - j, j] = B~[i, j]
     entries = B_c.tocoo()
-    k, kb = int(np.argmax(np.abs(s))), _half_width(entries)
+    k, kb = int(np.argmax(np.abs(s))), _half_width(B_c)
     keep = entries.row != k
     band = np.zeros((3 * kb + 1, n), order="F")
     band[2 * kb + entries.row[keep] - entries.col[keep], entries.col[keep]] = entries.data[keep]

@@ -41,17 +41,26 @@ the region skeletons and the coarse velocity block, each ordered row by
 row in space (`mesh.FineGrid.edge_midpoint_key` for the fine edges).
 `check_memory` refuses, before they are made, the factors that would
 not fit in physical memory.
+
+The macro-cell tables of the whole-domain solve depend on the grid
+alone, so they are memoized per grid and read-only: the layout and band
+size (`_macro_layout`, small, read before the memory check) and the
+slots, unit-cell codes and scatter maps derived from it
+(`_macro_tables`). The cell blocks, the band and its factor depend on
+the permeability and are made per call.
 """
 
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .errors import ConfigError, SolveError
+from .mesh import read_only
 
 
 @dataclass(frozen=True)
@@ -217,6 +226,7 @@ _LOWER = np.tril_indices(8)
 _SWEEPS = 6
 
 
+@cache
 def _macro_layout(grid):
     """The 2x2 macro-cells of `grid` and the band of their outer slots;
     inert padding cells complete the last row and column of an odd grid.
@@ -227,7 +237,8 @@ def _macro_layout(grid):
     the sorted points of all interior edges; the band rank of every outer
     slot (n where it is no multiplier); and the band's size n and
     half-width kd. Its arrays hold a few integers per cell, so the band's
-    memory can be checked before anything larger is made."""
+    memory can be checked before anything larger is made. Memoized per
+    grid, read-only."""
     nx, ny = grid.nx, grid.ny
     mx, my = -(-nx // 2), -(-ny // 2)
     x2 = 4 * np.arange(mx)[None, :, None] + _MIDPOINT[:, 0]
@@ -242,7 +253,32 @@ def _macro_layout(grid):
     kd = int((np.where(valid[:, 4:], rank, -1).max(axis=1) - rank.min(axis=1)).max(initial=0))
     lattice[point[:, :4]] = True
     lattice[0] = False
-    return point, valid, np.flatnonzero(lattice), rank, n, kd
+    return *read_only(point, valid, np.flatnonzero(lattice), rank), n, kd
+
+
+@cache
+def _macro_tables(grid):
+    """The index tables of the whole-domain solve that `_macro_layout`
+    fixes, memoized per grid, read-only: each cell edge's slot in the flat
+    (macro, slot) numbering (`cslot`, cells x 4); each lower pair of outer
+    slots' place in the (n, kd + 1) band, or past its end where either
+    slot is no multiplier (`flat`, macros x 36); which cell edges are
+    interior (`inner`), as the code of the cell's set of interior edges
+    (`unit`, bit e for edge e) and as the edges' signs in the cell's
+    divergence (`sign`); and each cell's 4 x 4 place in its macro's
+    12 x 12 block (`scatter`, cells x 16)."""
+    nx = grid.nx
+    _, valid, _, rank, n, kd = _macro_layout(grid)
+    ix, iy = grid.cell_ix_iy(np.arange(grid.n_cells))
+    macro = (iy // 2) * -(-nx // 2) + ix // 2
+    cslot = 12 * macro[:, None] + _QUADRANT[2 * (iy % 2) + ix % 2]
+    row, col = _LOWER
+    flat = np.where((rank[:, row] < n) & (rank[:, col] < n),
+                    rank[:, col] * (kd + 1) + rank[:, row] - rank[:, col], n * (kd + 1))
+    inner = valid.ravel()[cslot]
+    unit = inner @ (1, 2, 4, 8)
+    scatter = (12 * cslot[:, :, None] + cslot[:, None, :] % 12).reshape(grid.n_cells, -1)
+    return read_only(cslot, flat, inner, unit, _SIGN * inner, scatter)
 
 
 def _solve_whole_domain(perm, rhs_p, rtol, label):
@@ -282,9 +318,10 @@ def _solve_whole_domain(perm, rhs_p, rtol, label):
 
     Refinement sweeps against the residual of every interior-edge and
     cell row, summed from the cells' blocks, follow while each halves the
-    residual. Raises ConfigError for a grid without interior edges or a
-    band larger than physical memory, and SolveError if the band is not
-    positive definite or the relative residual stays above rtol.
+    residual and until it is zero. Raises ConfigError for a grid without
+    interior edges or a band larger than physical memory, and SolveError
+    if the band is not positive definite or the relative residual stays
+    above rtol.
     """
     grid = perm.grid
     nx, ny, h = grid.nx, grid.ny, grid.h
@@ -294,23 +331,13 @@ def _solve_whole_domain(perm, rhs_p, rtol, label):
     check_memory(8 * n * (kd + 1), f"the {nx}x{ny} fine grid's band of {n} "
                  f"multipliers at half-width {kd}")
     n_macros = valid.shape[0]
-    # each cell edge's slot in the flat (macro, slot) numbering, and each
-    # lower pair of outer slots' place in the (n, kd + 1) band, or past its
-    # end where either slot is no multiplier
-    ix, iy = grid.cell_ix_iy(np.arange(grid.n_cells))
-    macro = (iy // 2) * -(-nx // 2) + ix // 2
-    cslot = 12 * macro[:, None] + _QUADRANT[2 * (iy % 2) + ix % 2]
+    cslot, flat, inner, unit, sign, scatter = _macro_tables(grid)
     row, col = _LOWER
-    flat = np.where((rank[:, row] < n) & (rank[:, col] < n),
-                    rank[:, col] * (kd + 1) + rank[:, row] - rank[:, col], n * (kd + 1))
 
     # each cell's X_K, scaled from the unit cell's by a = kappa / h^2
-    inner = valid.ravel()[cslot]
-    unit = inner @ (1, 2, 4, 8)
     a = perm.values / (h * h)
     Ad, Ao = a[:, None] * _UNIT_AD[unit], a[:, None] * _UNIT_AO[unit]
     w, s = (a * h)[:, None] * _UNIT_W[unit], a * h * h * _UNIT_S[unit]
-    sign = _SIGN * inner
 
     def apply_X(y_u, y_p):
         """Every cell's X_K (y_u, y_p): its four fluxes and its pressure."""
@@ -319,8 +346,7 @@ def _solve_whole_domain(perm, rhs_p, rtol, label):
 
     # every macro's 12x12 block of H; an inner slot that padding cells leave
     # without an edge is an identity row
-    H = np.bincount((12 * cslot[:, :, None] + cslot[:, None, :] % 12).ravel(),
-                    (a[:, None, None] * _UNIT_G[unit]).ravel(),
+    H = np.bincount(scatter.ravel(), (a[:, None, None] * _UNIT_G[unit]).ravel(),
                     minlength=144 * n_macros).reshape(-1, 12, 12)
     k = np.arange(12)
     H[:, k[:4], k[:4]] += ~valid[:, :4]
@@ -405,11 +431,14 @@ def _solve_whole_domain(perm, rhs_p, rtol, label):
     scale = np.linalg.norm(rhs_p)
     tol = rtol * scale if scale > 0 else rtol
     # refine while each sweep at least halves the residual, and at least
-    # once: at high contrast the band is solved only to the accuracy of
-    # its dominant rows, while the small divergence rows carry the
-    # conservation identities, and a sweep that first meets rtol can leave
-    # the solution off by more than rtol
+    # once unless it is zero: at high contrast the band is solved only to
+    # the accuracy of its dominant rows, while the small divergence rows
+    # carry the conservation identities, and a sweep that first meets rtol
+    # can leave the solution off by more than rtol. A zero residual (a zero
+    # source) leaves nothing to refine
     for _ in range(_SWEEPS):
+        if res == 0:
+            break
         dv, dp = solve(f_u, f_p)
         v, p = v - dv, p - dp
         prev = res

@@ -16,9 +16,17 @@ Numbering conventions, used everywhere downstream:
 
 Edge degrees of freedom are signed fluxes with respect to the +x/+y
 normals, so a velocity field is a single vector indexed by global edge id.
+
+The grids are frozen and hashable. Index tables that depend on the grids
+alone are memoized per grid with `functools.cache` and returned
+read-only (`read_only`): here `element_layout`, elsewhere the element
+lines of `auxspace`, the macro-cell tables of `fem` and the region
+templates of `basis`. Anything that depends on the permeability, the
+source or the basis coefficients is built per call.
 """
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -238,13 +246,22 @@ def oversample_region(coarse, e, layers):
                   center=int(e), layers=layers)
 
 
+def read_only(*arrays):
+    """The arrays, marked read-only: a memoized table is shared by every
+    caller, so none may write to it."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@cache
 def element_layout(coarse):
     """Every element's interior edges, cells and 4r boundary edges.
 
-    Returns three arrays with one row per element, each row ascending:
-    row e of the first two equals `element_region(coarse, e)`'s
+    Returns three read-only arrays with one row per element, each row
+    ascending: row e of the first two equals `element_region(coarse, e)`'s
     `interior_edges()` and `cells()`, and the third holds the edges on the
-    element's boundary.
+    element's boundary. Memoized per grid.
     """
     grid = coarse.fine
     r = coarse.r
@@ -257,7 +274,8 @@ def element_layout(coarse):
     shift_v = (J * r * (grid.nx + 1) + I * r)[:, None]
     shift_h = (J * r * grid.nx + I * r)[:, None]
     all_edges = edges + np.where(edges < grid.n_vedges, shift_v, shift_h)
-    return all_edges[:, on_interior], region.cells() + shift_h, all_edges[:, ~on_interior]
+    return read_only(all_edges[:, on_interior], region.cells() + shift_h,
+                     all_edges[:, ~on_interior])
 
 
 def region_elements(coarse, region):

@@ -11,7 +11,7 @@ from msdarcy import (ConfigError, PermField, SolveError, bilinear_pou,
                      build_aux_space, build_basis_set, build_grids, build_snapshot, compute_weight, generate_medium,
                      sample_spec, solve_all_spectra, solve_fine_reference,
                      three_channel_spec)
-from msdarcy.basis import BasisSet, CondensedElements, _Regions, _RegionTemplate
+from msdarcy.basis import BasisSet, CondensedElements, _Regions, _template
 from msdarcy.fem import (band_cholesky, divergence_matrix, mass_matrix, mass_triplets,
                          saddle_matrix, velocity_dofmap)
 from msdarcy.mesh import full_domain, oversample_region, region_elements
@@ -502,14 +502,16 @@ def test_solve_errors_name_flavor_and_element(small_case, monkeypatch):
         CondensedElements(aux, perm, "type1").functions([5], 2)
 
 
-def _region_system(cond, region, layers, templates):
-    """The `_Regions` of one region, on the template in `templates` of its
-    shape and column counts, built by the first such region."""
-    elements = region_elements(cond.aux.coarse, region)
-    key = (region.shape, cond.aux.counts[elements].tobytes())
-    if key not in templates:
-        templates[key] = _RegionTemplate(cond, region, elements)
-    return _Regions(cond, templates[key], [region], elements[None], layers)
+def _region_system(cond, region, layers):
+    """The `_Regions` of one region, on the memoized template of its shape
+    and column counts."""
+    coarse = cond.aux.coarse
+    elements = region_elements(coarse, region)
+    shape = (region.shape[0] // coarse.r, region.shape[1] // coarse.r)
+    template = _template(coarse, cond.flavor, shape,
+                         cond.aux.counts[elements].astype(np.int64).tobytes(), cond.Z.shape[2])
+    return _Regions(cond, template, np.array([[region.i0, region.j0]]),
+                    np.array([region.center]), elements[None], layers)
 
 
 def _skeleton_superlu_oracle(cond, region):
@@ -544,9 +546,8 @@ def test_banded_skeleton_solve_matches_superlu(flavor, contrast):
     else:
         cases = [(oversample_region(coarse, e, layers), layers)
                  for e in range(coarse.n_elements) for layers in (1, 2)]
-    templates = {}
     for region, layers in cases:
-        system = _region_system(cond, region, layers, templates)
+        system = _region_system(cond, region, layers)
         skeleton, lu = _skeleton_superlu_oracle(cond, region)
         # the banded path orders the skeleton row by row
         order = np.searchsorted(skeleton, system.edges[0][system.template.skeleton])
@@ -646,9 +647,9 @@ def test_region_templates_reproduce_operator_slices(small_case, flavor):
     else:
         cases = [(oversample_region(coarse, e, layers), layers)
                  for layers in (1, 2) for e in range(coarse.n_elements)]
-    templates = {}
+    _template.cache_clear()
     for region, layers in cases:
-        system = _region_system(cond, region, layers, templates)
+        system = _region_system(cond, region, layers)
         assert np.array_equal(system.edges[0], region.interior_edges())
         assert np.array_equal(system.cells[0], region.cells())
         assert np.array_equal(system.boundary[0], region.boundary_edges())
@@ -666,11 +667,12 @@ def test_region_templates_reproduce_operator_slices(small_case, flavor):
         return
     # at 4x4 elements, one and two layers give 16 region shapes but for
     # equal column counts; the counts differ here, so there are more
-    assert len(templates) < 2 * coarse.n_elements
-    # `functions` shares templates the same way
+    templates = _template.cache_info().currsize
+    assert templates < 2 * coarse.n_elements
+    # `functions` shares templates the same way, and builds no other
     for layers in (1, 2):
         cond.functions(range(coarse.n_elements), layers)
-    assert len(cond._templates) == len(templates)
+    assert _template.cache_info().currsize == templates
 
 
 def test_saturated_regions_are_factored_once(small_case, monkeypatch):

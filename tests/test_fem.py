@@ -441,6 +441,22 @@ def test_memory_guard_refuses_oversized_fine_band(monkeypatch):
     assert solve_fine_reference(perm, f).v.shape == (grid.n_edges,)
 
 
+def test_zero_source_stops_at_the_first_solve(monkeypatch):
+    """A zero source gives v = p = 0 from the first band solve, whose
+    residual is exactly zero: no refinement sweep follows."""
+    grid = FineGrid(16, 16)
+    perm = _random_perm(grid, seed=16, span=6.0)
+    calls = []
+
+    def counted(factor, b):
+        calls.append(b.shape)
+        return band_solve(factor, b)
+    monkeypatch.setattr("msdarcy.fem.band_solve", counted)
+    sol = solve_fine_reference(perm, np.zeros(grid.n_cells))
+    assert len(calls) == 1
+    assert not sol.v.any() and not sol.p.any()
+
+
 def test_small_source_mean_is_removed():
     """A source whose mean check_source lets through gives the solution
     of its mean-free part, and that part's mass balance in every cell."""

@@ -1,13 +1,16 @@
 """The library API `tools/stage_times.py` uses: one small case through its
-`run_case`, so a change that breaks the tool fails here; and one small
-interleaved run of two source trees through its command line."""
+`run_case`, so a change that breaks the tool fails here; one small
+interleaved run of two source trees through its command line; and the
+medians, quartiles and per-repeat samples its BENCH records hold."""
 
 import importlib.util
 import json
 import shutil
+import statistics
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -63,6 +66,10 @@ def test_baseline_interleaves_two_trees(monkeypatch, tmp_path):
         assert (case["nx"], case["Nx"], case["layers"]) == (16, 4, 1)
         assert set(case["seconds"]) == set(tool.STAGES)
         assert run["reference"]["16"]["seconds"] > 0
+        # one repeat: one sample per metric, which is its own median
+        assert case["samples"]["total_s"] == [case["total_s"]]
+        assert all(case["samples"]["seconds"][s] == [case["seconds"][s]] for s in tool.STAGES)
+        assert run["reference"]["16"]["samples"]["seconds"] == [run["reference"]["16"]["seconds"]]
     # both trees hold the same code here, so they compute the same case
     assert records["change"]["runs"][0]["cases"][0]["e_v"] == \
         records["base"]["runs"][0]["cases"][0]["e_v"]
@@ -75,3 +82,33 @@ def test_fresh_refuses_a_solve_from_the_wrong_tree(monkeypatch, tmp_path):
     tool = _load_tool(monkeypatch)
     with pytest.raises(RuntimeError, match="imported msdarcy from"):
         tool._fresh(tmp_path, tool.median, [1.0])
+
+
+def test_summary_keeps_every_sample_beside_its_median(monkeypatch):
+    """Each median and quartile pair of a BENCH record is that of the
+    samples stored beside it, one per repeat, in solve order."""
+    tool = _load_tool(monkeypatch)
+    case = (16, 4, 1)
+    repeats = [({s: 0.1 * (k + 1) + i for i, s in enumerate(tool.STAGES)},
+                {s: 10.0 * k - i for i, s in enumerate(tool.STAGES)}, {"functions": 48})
+               for k in (4, 0, 2, 1, 3)]
+    references = {16: [({"reference": 0.5 * k}, {"reference": float(k)}) for k in (2, 0, 1)]}
+    summary = tool._summary(1, {case: repeats}, references)
+    (record,) = summary["cases"]
+    assert record["functions"] == 48
+    totals = [sum(sec.values()) for sec, _, _ in repeats]
+    assert record["samples"]["total_s"] == totals
+    assert record["total_s"] == statistics.median(totals)
+    assert record["quartiles"]["total_s"] == list(np.percentile(totals, [25, 75]))
+    for key, at in (("seconds", 0), ("peak_mb", 1)):
+        for s in tool.STAGES:
+            values = record["samples"][key][s]
+            assert values == [sample[at][s] for sample in repeats]
+            assert len(values) == len(repeats)
+            assert record[key][s] == statistics.median(values)
+            q1, q3 = record["quartiles"][key][s]
+            assert q1 <= record[key][s] <= q3
+    reference = summary["reference"]["16"]
+    assert reference["samples"] == {"seconds": [1.0, 0.0, 0.5], "peak_mb": [2.0, 0.0, 1.0]}
+    assert (reference["seconds"], reference["peak_mb"]) == (0.5, 1.0)
+    assert reference["quartiles"] == {"seconds": [0.25, 0.75], "peak_mb": [0.5, 1.5]}

@@ -23,11 +23,13 @@ alternates from one solve to the next. So both trees meet the machine's
 slow and fast spells alike, and their files can be compared.
 
 Writes `BENCH_<label>.json` (into `--out`, default the repository root):
-the median over repeats of every stage's seconds and of how much it
-raised its process's resident high-water mark (`ru_maxrss`), per case
-and worker count, the MiB the returned basis set's arrays hold
-(`basis_mb`), plus the worker counts, the core count, the BLAS thread
-count and the numpy and scipy versions. A stage's raise counts
+the median over repeats of every stage's seconds, of the total and of
+how much each stage raised its process's resident high-water mark
+(`ru_maxrss`), per case and worker count, with their first and third
+quartiles (`quartiles`) and every repeat's value (`samples`), so that a
+pair of files can be compared run by run; the MiB the returned basis
+set's arrays hold (`basis_mb`), plus the worker counts, the core count,
+the BLAS thread count and the numpy and scipy versions. A stage's raise counts
 only its growth above every earlier stage's peak. BLAS is pinned to one
 thread, so `workers` is the number of busy threads. With `--baseline` the
 baseline's results go to `BENCH_<name of DIR>.json` beside them.
@@ -196,8 +198,8 @@ def _case(case, workers, ref):
 
 
 def measure(workers, repeats, sources):
-    """Per source tree and case: median stage seconds and peaks over
-    `repeats` solves, each in a fresh process. Every solve runs once from
+    """Per source tree and case: stage seconds and peaks of `repeats`
+    solves, each in a fresh process, with their medians and quartiles. Every solve runs once from
     each tree in `sources`, and the tree that goes first alternates from
     one solve to the next. Returns one record per tree."""
     runs = [{case: [] for case in CASES} for _ in sources]
@@ -223,17 +225,34 @@ def _order(n, turn):
     return range(n) if turn % 2 == 0 else range(n - 1, -1, -1)
 
 
+def quartiles(values):
+    """The first and third quartiles (numpy's linear percentiles 25, 75)."""
+    return [float(q) for q in np.percentile(values, [25, 75])]
+
+
+def _statistics(samples):
+    """Every repeat's value of each metric in `samples` (name -> list, or
+    name -> stage -> list), with their medians and quartiles: the median
+    record has the shape of `samples`, and `quartiles` and `samples`
+    beside it hold the same names."""
+    def each(fn, tree):
+        return {k: each(fn, v) if isinstance(v, dict) else fn(v) for k, v in tree.items()}
+    return {**each(median, samples), "quartiles": each(quartiles, samples),
+            "samples": samples}
+
+
 def _summary(workers, runs, references):
-    """Medians over the samples of one tree."""
+    """Medians, quartiles and every sample of one tree."""
     cases = []
     for (nx, Nx, layers), samples in runs.items():
         cases.append({
             "nx": nx, "Nx": Nx, "layers": layers, **samples[-1][2],
-            "total_s": median([sum(sec.values()) for sec, _, _ in samples]),
-            "seconds": {s: median([sec[s] for sec, _, _ in samples]) for s in STAGES},
-            "peak_mb": {s: median([mb[s] for _, mb, _ in samples]) for s in STAGES}})
-    reference = {str(nx): {"seconds": median([sec["reference"] for sec, _ in cl]),
-                           "peak_mb": median([mb["reference"] for _, mb in cl])}
+            **_statistics({
+                "total_s": [sum(sec.values()) for sec, _, _ in samples],
+                "seconds": {s: [sec[s] for sec, _, _ in samples] for s in STAGES},
+                "peak_mb": {s: [mb[s] for _, mb, _ in samples] for s in STAGES}})})
+    reference = {str(nx): _statistics({"seconds": [sec["reference"] for sec, _ in cl],
+                                       "peak_mb": [mb["reference"] for _, mb in cl]})
                  for nx, cl in references.items()}
     return {"workers": workers, "cases": cases, "reference": reference}
 
@@ -268,9 +287,11 @@ def main(argv=None):
             "python": platform.python_version(), "repeats": args.repeats,
             "medium": f"three_channel_spec(contrast={CONTRAST:g})",
             "source": f"corners, grid {SOURCE_GRID}", "nbasis": NBASIS,
-            "statistic": "median over repeats, each solve in a fresh process; peak_mb "
-                         "is how much the stage raised the process's resident "
-                         "high-water mark (ru_maxrss)",
+            "statistic": "median over repeats, each solve in a fresh process, with "
+                         "the first and third quartiles (`quartiles`) and every "
+                         "repeat's value in solve order (`samples`); peak_mb is how "
+                         "much the stage raised the process's resident high-water "
+                         "mark (ru_maxrss)",
             "runs": [per_tree[t] for per_tree in runs]}
         if len(sources) > 1:
             record["interleaved_with"] = labels[1 - t]
