@@ -40,6 +40,19 @@ redundant, and LAPACK's banded LU of the block with that row replaced by
 a pin solves the saddle system. A Lanczos iteration on that LU gives the
 inf-sup constant of the pressure Schur complement on zero-mean
 coefficients.
+
+Both factors are written straight from the blocks' compressed arrays:
+the Cholesky band of the symmetric part (A_c + A_c^T) / 2 from A_c's
+rows, the LU band from B_c's columns. No symmetrized, triangular or
+coordinate copy of either block is made. Each band is overwritten by
+its factor, so every product with a block reads the CSR/CSC block
+itself, A_c rather than its symmetric part. A product on a band layout
+would need a second copy of the band and gains little or loses: at 3072
+functions on one thread, BLAS `dsbmv` took 0.42-0.51 ms against 0.54 ms
+for the CSR product with A_c, and `dgbmv` 0.36 ms against 0.16 ms for
+the CSC product with B_c. The Cholesky band lives until the rank test,
+the LU band until the sigma iteration; the two coexist from the LU to
+the end of that iteration, which sets the solve's memory peak.
 """
 
 from dataclasses import dataclass
@@ -97,7 +110,11 @@ def assemble_coarse_system(basis_set, perm, f):
         psi_k^T M psi_i = (B psi_k)^T q_i + psi_k^T g_i
                         = b_k^T R^T S q_i + psi_k^T g_i.
 
-    Its diagonal holds the functions' energies.
+    Its diagonal holds the functions' energies. A_c is summed in blocks of
+    rows, each copied to its exact size before the next is formed, so no
+    sum's slack for both terms' entries outlives its block. The solve
+    reads A_c and B_c in the CSR and CSC layouts returned here, with no
+    copy.
 
     Sizes whose coarse solve would not fit in physical memory raise
     ConfigError. Its band factors take 8 * n * (kd + 1) bytes for the
@@ -113,17 +130,43 @@ def assemble_coarse_system(basis_set, perm, f):
     B_c = basis_set.divergence
     n = len(basis_set)
     E = sp.csc_matrix((np.ones(n), basis_set.columns, np.arange(n + 1)), shape=B_c.shape)
-    Pi = E if basis_set.flavor == "type1" else E - B_c
-    A_c = B_c.T @ Pi + basis_set.matrix.T @ basis_set.traces
+    A_c = _velocity_block(B_c, (E if basis_set.flavor == "type1" else E - B_c).tocsr(),
+                          basis_set.matrix, basis_set.traces.tocsr())
     A_c.setdiag(basis_set.energies)
-    # a sparse sum keeps arrays sized for both terms' entries; the copy
-    # releases that slack (7 MiB at 3072 functions on a 64x64 grid)
-    A_c = A_c.copy()
     need = 8 * n * (_half_width(A_c) + 1) + 8 * n * (3 * _half_width(B_c) + 1)
     check_memory(need, f"coarse system of {n} basis functions")
     rhs_q = h2 * (R.T @ f)
     mean_w = np.asarray(R.T @ np.full(grid.n_cells, h2))
     return CoarseSystem(basis_set, A_c, B_c, rhs_q, mean_w)
+
+
+# A_c is summed in blocks of this many rows (functions). A sparse sum keeps
+# arrays sized for both terms' entries, and each block's sum is copied to
+# its exact size before the next is formed. At 3072 functions on a 64x64
+# grid that took the assembly's tracemalloc peak from 29.3 to 20.0 MiB,
+# at 3072 on a 128x128 grid (5 layers) from 129 to 86 MiB. Below this many
+# functions there is one block: at 192 the calls of 8 blocks cost more
+# than the whole sum (0.020 against 0.011 s).
+_BLOCK_ROWS = 384
+
+
+def _rows(matrix, start, stop):
+    """Rows start:stop of the CSR `matrix`, as views of its arrays."""
+    p0, p1 = matrix.indptr[start], matrix.indptr[stop]
+    return sp.csr_matrix((matrix.data[p0:p1], matrix.indices[p0:p1],
+                          matrix.indptr[start:stop + 1] - p0),
+                         shape=(stop - start, matrix.shape[1]))
+
+
+def _velocity_block(B_c, Pi, Psi, G):
+    """B_c^T Pi + Psi^T G as CSR with no slack, for the CSC stacks B_c and
+    Psi (whose transposes are CSR with no copy) and CSR Pi and G, summed
+    in row blocks of _BLOCK_ROWS."""
+    n = B_c.shape[1]
+    parts = [(_rows(B_c.T, i, min(i + _BLOCK_ROWS, n)) @ Pi
+              + _rows(Psi.T, i, min(i + _BLOCK_ROWS, n)) @ G).copy()
+             for i in range(0, n, _BLOCK_ROWS)]
+    return parts[0] if len(parts) == 1 else sp.vstack(parts, format="csr")
 
 
 def _half_width(matrix):
@@ -132,6 +175,62 @@ def _half_width(matrix):
     major = np.repeat(np.arange(matrix.indptr.size - 1, dtype=matrix.indices.dtype),
                       np.diff(matrix.indptr))
     return int(np.abs(matrix.indices - major).max(initial=0))
+
+
+def _band_from_entries(positions, values, ld, n):
+    """The Fortran-ordered ld x n array whose flat (column-major) position
+    p holds the sum of the `values` at `positions` p; repeated positions
+    add up."""
+    flat = np.zeros(ld * n)
+    np.add.at(flat, positions, values)
+    return flat.reshape(ld, n, order="F")
+
+
+def _positions(minor, major, ld, n):
+    """minor + ld * major in place in `minor`, as int64 where ld * n does
+    not fit the index type. `major` is overwritten."""
+    if ld * n > np.iinfo(minor.dtype).max:
+        minor, major = minor.astype(np.int64), major.astype(np.int64)
+    major *= ld
+    minor += major
+    return minor
+
+
+def _symmetric_band(A_c, kd):
+    """The lower band of (A_c + A_c^T) / 2 in LAPACK's symmetric band
+    storage, band[i - j, j] for 0 <= i - j, at half-width kd or A_c's own
+    if that is larger, straight from A_c's compressed rows: each stored
+    entry (i, j) adds itself at (max(i, j), min(i, j)), the sums are
+    halved, and the diagonal is A_c's own."""
+    A = A_c.tocsr()
+    n = A.shape[0]
+    offset = np.repeat(np.arange(n, dtype=A.indices.dtype), np.diff(A.indptr))
+    low = np.minimum(offset, A.indices)
+    offset -= A.indices
+    np.abs(offset, out=offset)
+    kd = max(kd, int(offset.max(initial=0)))
+    band = _band_from_entries(_positions(offset, low, kd + 1, n), A.data, kd + 1, n)
+    band *= 0.5
+    band[0] = A.diagonal()
+    return band
+
+
+def _pinned_band(B_c, k):
+    """B~, which is B_c with row k replaced by e_k^T, in LAPACK's general
+    band storage with kb rows on top for the fill of the row pivots,
+    band[2 kb + i - j, j] = B~[i, j], straight from B_c's compressed
+    columns. Returns the band and B_c's half-width kb."""
+    B = B_c.tocsc()
+    n = B.shape[1]
+    column = np.repeat(np.arange(n, dtype=B.indices.dtype), np.diff(B.indptr))
+    offset = B.indices - column
+    kb = int(max(offset.max(initial=0), -offset.min(initial=0)))
+    offset += 2 * kb
+    band = _band_from_entries(_positions(offset, column, 3 * kb + 1, n), B.data, 3 * kb + 1, n)
+    row_k = np.arange(max(k - kb, 0), min(k + kb + 1, n))
+    band[2 * kb + k - row_k, row_k] = 0.0
+    band[2 * kb, k] = 1.0
+    return band, kb
 
 
 def _top_eigenvalue(apply, n, tol=0.0):
@@ -161,7 +260,18 @@ def solve_multiscale(system, rtol=1e-10):
     combines the others. B~, which is B_c with row k replaced by U_k = 0,
     is nonsingular; B~ z = e_k gives the null vector z of B_c. For
     z^T h = 0, B~^T P = h solves B_c^T P = h with P_k = z^T B~^T P = 0, and
-    the multiple of s that meets w^T P = f_w completes the pressure."""
+    the multiple of s that meets w^T P = f_w completes the pressure.
+
+    The Cholesky band of A's symmetric part comes from A_c's compressed
+    rows and the LU band of B~ from B_c's compressed columns, with no
+    sparse copy of either block. The matrix-vector products read A_c and
+    B_c themselves, plus c s (s . x) for the shift of a saturated set: A
+    is A_c (+ c s s^T) in the products, with A_c^T z in the null-vector
+    correction, and its symmetric part only in the factor. The checks run
+    in a fixed order: positive definiteness (Cholesky), a zero pivot (LU),
+    the sigma iteration, the rank test. The LU band is freed after the
+    sigma iteration, its last use, and the Cholesky band after the rank
+    test, its last use."""
     A_c, B_c, w, rhs_q = system.A_c, system.B_c, system.mean_w, system.rhs_q
     n = w.size
     if A_c.shape != (n, n) or B_c.shape != (n, n):
@@ -170,34 +280,35 @@ def solve_multiscale(system, rtol=1e-10):
             f"velocity block {A_c.shape[0]}x{A_c.shape[1]}, divergence block "
             f"{B_c.shape[0]}x{B_c.shape[1]}")
     s = system.basis.aux.coefficients(1.0)
-    A = 0.5 * (A_c + A_c.T)
-    if system.basis.saturated:
+    saturated = system.basis.saturated
+    chol = _symmetric_band(A_c, n - 1 if saturated else 0)
+    if saturated:
         # global functions combined by the coefficients s of the constant
         # pressure have zero velocity and divergence, so s spans the null
-        # space of B_c; the shift makes A definite along it, and the energy
-        # minimization below then fixes the coefficients along it
-        u0 = sp.csr_matrix(s[:, None])
-        A = A + (A.diagonal().sum() / n / (s @ s)) * (u0 @ u0.T)
-    lower = sp.tril(A).tocoo()
-    band = np.zeros((_half_width(A) + 1, n), order="F")
-    band[lower.row - lower.col, lower.col] = lower.data
+        # space of B_c; the shift c s s^T makes A definite along it, and the
+        # energy minimization below then fixes the coefficients along it
+        shift = chol[0].sum() / n / (s @ s)
+        for d in range(n):
+            chol[d, :n - d] += shift * (s[d:] * s[:n - d])
+
+    def apply_a(x, matrix=A_c):
+        """A x for A = A_c, plus c s s^T for a saturated set (A^T x for
+        `matrix` A_c^T)."""
+        y = matrix @ x
+        if saturated:
+            y += (shift * (s @ x)) * s
+        return y
     try:
-        chol = band_cholesky(band)
+        chol = band_cholesky(chol)
     except np.linalg.LinAlgError as exc:
         raise SolveError(f"projected velocity block is not positive definite: {exc}")
-    # B~ in LAPACK's general band storage, with kb rows on top for the fill
-    # of the row pivots: band[2 kb + i - j, j] = B~[i, j]
-    entries = B_c.tocoo()
-    k, kb = int(np.argmax(np.abs(s))), _half_width(B_c)
-    keep = entries.row != k
-    band = np.zeros((3 * kb + 1, n), order="F")
-    band[2 * kb + entries.row[keep] - entries.col[keep], entries.col[keep]] = entries.data[keep]
-    band[2 * kb, k] = 1.0
-    lu, piv, info = dgbtrf(band, kb, kb, overwrite_ab=1)
+    k = int(np.argmax(np.abs(s)))
+    lu, kb = _pinned_band(B_c, k)
+    lu, piv, info = dgbtrf(lu, kb, kb, overwrite_ab=1)
     if info:
         raise SolveError(f"coarse system is singular: pivot {info} of {n} is zero")
     z = dgbtrs(lu, kb, kb, np.eye(1, n, k)[0], piv)[0]
-    Az = A @ z
+    Az = apply_a(z, A_c.T)
     zAz = z @ Az
 
     def solve(f_u, f_q, f_w):
@@ -209,7 +320,7 @@ def solve_multiscale(system, rtol=1e-10):
         r[k] = 0.0
         U = dgbtrs(lu, kb, kb, r, piv)[0]
         U += ((z @ f_u - Az @ U) / zAz) * z
-        P = dgbtrs(lu, kb, kb, A @ U - f_u, piv, trans=1)[0]
+        P = dgbtrs(lu, kb, kb, apply_a(U) - f_u, piv, trans=1)[0]
         return U, P + ((f_w - w @ P) / (s @ w)) * s, gamma
 
     # one solve and one refinement sweep on the unshifted equations: the
@@ -220,17 +331,17 @@ def solve_multiscale(system, rtol=1e-10):
     for _ in range(2):
         dU, dP, dgamma = solve(B_c.T @ P - A_c @ U, rhs_q - B_c @ U - gamma * w, -(w @ P))
         U, P, gamma = U + dU, P + dP, gamma + dgamma
-    if n == 1:
-        sigma = np.inf
-    else:
-        def zero_mean(q):
-            return q - (w @ q) / (w @ w) * w
 
-        # the pressure of the solve with data (0, Pi r, 0) is (Pi S Pi)^+ r
-        # for the Schur complement S = B_c A^-1 B_c^T and the zero-mean
-        # projector Pi, so the top eigenvalue of that map is 1 / sigma
-        sigma = 1.0 / _top_eigenvalue(
-            lambda q: solve(np.zeros(n), zero_mean(q), 0.0)[1], n)
+    def zero_mean(q):
+        return q - (w @ q) / (w @ w) * w
+
+    # the pressure of the solve with data (0, Pi r, 0) is (Pi S Pi)^+ r for
+    # the Schur complement S = B_c A^-1 B_c^T and the zero-mean projector
+    # Pi, so the top eigenvalue of that map is 1 / sigma
+    sigma = np.inf if n == 1 else 1.0 / _top_eigenvalue(
+        lambda q: solve(np.zeros(n), zero_mean(q), 0.0)[1], n)
+    del lu
+    if n > 1:
         # numerical rank test: sigma scales like 1/contrast, so compare it
         # with the roundoff level of the largest eigenvalue, which needs
         # only a few digits
@@ -240,6 +351,7 @@ def solve_multiscale(system, rtol=1e-10):
             raise SolveError(
                 f"coarse system is singular: restricted Schur eigenvalue {sigma:.3e}, "
                 f"largest {lam_max:.3e}")
+    del chol
     BU = B_c @ U
     gamma = float(w @ (rhs_q - BU)) / (w @ w)
     res = np.sqrt(np.linalg.norm(A_c @ U - B_c.T @ P) ** 2

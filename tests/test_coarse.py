@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -248,6 +249,117 @@ def test_pinned_band_solve_matches_bordered_superlu(case):
         assert ms.schur_sigma == np.inf
     else:
         assert abs(ms.schur_sigma - sigma) <= 1e-8 * sigma
+
+
+def _symmetrized_coo_solve(system):
+    """Oracle: the coarse solve by the route that building both bands from
+    the blocks' compressed arrays replaced. The symmetric part
+    (A_c + A_c^T) / 2, shifted by c s s^T for a saturated set, is a sparse
+    matrix whose `tril` goes through COO into the Cholesky band, B_c goes
+    through COO into the pinned LU band, and every product with the
+    velocity block reads that symmetric matrix. Returns (U, P, sigma, the
+    Cholesky band before factoring)."""
+    A_c, B_c, w, rhs_q = system.A_c, system.B_c, system.mean_w, system.rhs_q
+    n = w.size
+    s = system.basis.aux.coefficients(1.0)
+    A = 0.5 * (A_c + A_c.T)
+    if system.basis.saturated:
+        u0 = sp.csr_matrix(s[:, None])
+        A = A + (A.diagonal().sum() / n / (s @ s)) * (u0 @ u0.T)
+    lower = sp.tril(A).tocoo()
+    band = np.zeros((coarse._half_width(A) + 1, n), order="F")
+    band[lower.row - lower.col, lower.col] = lower.data
+    entries = B_c.tocoo()
+    k, kb = int(np.argmax(np.abs(s))), coarse._half_width(B_c)
+    keep = entries.row != k
+    pinned = np.zeros((3 * kb + 1, n), order="F")
+    pinned[2 * kb + entries.row[keep] - entries.col[keep], entries.col[keep]] = entries.data[keep]
+    pinned[2 * kb, k] = 1.0
+    lu, piv, info = scipy.linalg.lapack.dgbtrf(pinned, kb, kb)
+    assert info == 0
+    z = scipy.linalg.lapack.dgbtrs(lu, kb, kb, np.eye(1, n, k)[0], piv)[0]
+    Az = A @ z
+
+    def solve(f_u, f_q, f_w):
+        gamma = (s @ f_q) / (s @ w)
+        r = f_q - gamma * w
+        r[k] = 0.0
+        U = scipy.linalg.lapack.dgbtrs(lu, kb, kb, r, piv)[0]
+        U += ((z @ f_u - Az @ U) / (z @ Az)) * z
+        P = scipy.linalg.lapack.dgbtrs(lu, kb, kb, A @ U - f_u, piv, trans=1)[0]
+        return U, P + ((f_w - w @ P) / (s @ w)) * s, gamma
+
+    U, P, gamma = np.zeros(n), np.zeros(n), 0.0
+    for _ in range(2):
+        dU, dP, dgamma = solve(B_c.T @ P - A_c @ U, rhs_q - B_c @ U - gamma * w, -(w @ P))
+        U, P, gamma = U + dU, P + dP, gamma + dgamma
+    if n == 1:
+        return U, P, np.inf, band
+
+    def zero_mean(q):
+        return q - (w @ q) / (w @ w) * w
+    sigma = 1.0 / coarse._top_eigenvalue(lambda q: solve(np.zeros(n), zero_mean(q), 0.0)[1], n)
+    return U, P, sigma, band
+
+
+@pytest.mark.parametrize("case", ["type2", "type1", "global", "type2-antisymmetric"])
+def test_bands_from_compressed_arrays_match_symmetrized_coo_route(case, monkeypatch):
+    """The Cholesky band built from A_c's rows equals the one that went
+    through the symmetrized sparse copy, `tril` and COO, entry for entry:
+    each band entry is the sum of at most two stored values, halved. The
+    solves agree, with A_c in the products against its symmetric part.
+    An antisymmetric perturbation of 1e-12 relative to A_c reaches the
+    products but not the band, which reads the symmetric part only."""
+    system = _oracle_system(case.partition("-")[0])
+    if case.endswith("antisymmetric"):
+        noise = system.A_c.copy()
+        noise.data = np.random.default_rng(41).standard_normal(noise.nnz)
+        noise = noise - noise.T
+        scale = 1e-12 * abs(system.A_c).max() / abs(noise).max()
+        system = dataclasses.replace(system, A_c=system.A_c + scale * noise)
+    bands = []
+    cholesky = coarse.band_cholesky
+
+    def record(band):
+        bands.append(band.copy())
+        return cholesky(band)
+    monkeypatch.setattr(coarse, "band_cholesky", record)
+    ms = solve_multiscale(system)
+    U, P, sigma, band = _symmetrized_coo_solve(system)
+    assert np.array_equal(bands[0], band)
+    assert np.linalg.norm(ms.coeff_v - U) <= 1e-10 * np.linalg.norm(U)
+    assert np.linalg.norm(ms.coeff_p - P) <= 1e-10 * np.linalg.norm(P)
+    assert abs(ms.schur_sigma - sigma) <= 1e-8 * sigma
+
+
+def test_band_positions_widen_past_the_index_type():
+    """A band of more than 2^31 - 1 entries is addressed in int64, since
+    the blocks' int32 ids would wrap there."""
+    minor, major = np.array([1, 2], dtype=np.int32), np.array([3, 0], dtype=np.int32)
+    small = coarse._positions(minor.copy(), major.copy(), 10, 4)
+    assert small.dtype == np.int32 and small.tolist() == [31, 2]
+    wide = coarse._positions(minor, major, 2 ** 30, 4)
+    assert wide.dtype == np.int64 and wide.tolist() == [3 * 2 ** 30 + 1, 2]
+
+
+def test_solve_allocates_the_two_bands_and_little_more():
+    """tracemalloc's peak over the coarse solve of 768 functions stays
+    under the two band factors, 8 n (kd + 1) + 8 n (3 kb + 1) bytes, plus
+    12 bytes per stored entry of A_c, one more copy of its values and
+    column ids. A symmetrized sparse copy of A_c alone holds more."""
+    fine, grid, perm, weight, aux, f = _setup(32, 16, nbasis=3, seed=40)
+    system = assemble_coarse_system(build_basis_set(aux, perm, layers=1), perm, f)
+    n = system.A_c.shape[0]
+    kd, kb = coarse._half_width(system.A_c), coarse._half_width(system.B_c)
+    bound = 8 * n * (kd + 1) + 8 * n * (3 * kb + 1) + 12 * system.A_c.nnz
+    solve_multiscale(system)
+    tracemalloc.start()
+    try:
+        solve_multiscale(system)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound
 
 
 @pytest.mark.parametrize("flavor", ["type1", "type2", "global"])
