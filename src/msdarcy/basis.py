@@ -11,8 +11,11 @@ oversampled functions converge to.
 
 Both flavors are instances of the saddle template of `fem` with a
 coupling block C = S R_loc (weighted mass times local eigenvector
-matrix): `type2` closes it with an identity block (y = C^T q), `type1`
-with a zero block, which turns y into the negated constraint multiplier.
+matrix), closed by a diagonal Y: ones for `type2` (y = C^T q), zeros for
+`type1`, which turns y into the negated constraint multiplier. Every
+element has k_max column slots, its kept columns and padding; a padding
+slot has C = 0 and Y = 1, so its y is zero. The flavor and the column
+counts are values only, not the pattern.
 
 The systems are solved by static condensation. C is element-local, so
 the unknowns strictly inside a coarse element (its interior edges, its
@@ -30,10 +33,10 @@ it is the region of (its centres) and recovers every element's interior
 by back-substitution. The skeleton runs row by row in space, so its
 matrix is a band about two rows of the region's edges wide, factored by
 LAPACK's banded Cholesky (`fem.band_cholesky`). Regions of one shape
-and column counts share their index maps (a `_RegionTemplate`), and are
-solved together (`_Regions`): their ids, values, right-hand sides,
-back-substitutions and residuals are stacked, and only the skeleton
-factors and solves run region by region.
+share their index maps (a `_RegionTemplate`), and are solved together
+(`_Regions`): their ids, values, right-hand sides, back-substitutions
+and residuals are stacked, and only the skeleton factors and solves run
+region by region.
 `CondensedElements.functions` is the one entry point and the one pass
 that groups regions: it takes each element's region of any layer count,
 or the whole domain for `layers=None` (the `global` flavor, from the
@@ -43,12 +46,12 @@ template in parts of about `REGION_BYTES`. It finds every region's
 bounds, covered elements and template in one vectorized step. Each
 function's full region saddle residual is checked at `rtol`.
 
-The templates depend on the grids alone: on the flavor, the region's
-shape and its elements' column counts, not on the permeability or the
-eigenvectors. So they are memoized per grid (`_template`, read-only) and
-serve every later solve on the same grids. The condensed elements, the
-whole-domain operator, the region values, factors and solutions, and the
-stacks are made per call.
+The templates depend on the grids alone: on the region's shape and
+k_max, not on the flavor, the column counts, the permeability or the
+eigenvectors. So they are memoized per grid (`_template`, read-only),
+one per region shape and k_max, and serve every later solve on the same
+grids. The condensed elements, the whole-domain operator, the region
+values, factors and solutions, and the stacks are made per call.
 
 Each function also carries what the coarse blocks need, so that they
 are assembled with no fine-grid product: its divergence coefficients
@@ -188,20 +191,22 @@ class CondensedElements:
     """Every coarse element's saddle block condensed onto its boundary edges.
 
     Element e's interior unknowns are its `n_interior_edges` inner edges,
-    its cells and its columns, in that order (padded to the largest column
-    count). With K_II their block, `W[e]` = K_II^-1 K_IG, `S[e]` = K_GG -
-    K_GI W[e] is the Schur complement on the element's 4r `boundary[e]`
-    edges, and `Z[e]` = K_II^-1 `rhs[e]`, where `rhs[e]` holds the interior
-    right-hand sides of element e's basis functions, one column per kept
-    eigenvector. `keys[e]` numbers the interior unknowns as rows of
-    `operator`, the whole-domain saddle matrix (-1 on padding).
+    its cells and its k_max column slots, in that order: its kept columns,
+    then padding. With K_II their block, `W[e]` = K_II^-1 K_IG, `S[e]` =
+    K_GG - K_GI W[e] is the Schur complement on the element's 4r
+    `boundary[e]` edges, and `Z[e]` = K_II^-1 `rhs[e]`, where `rhs[e]`
+    holds the interior right-hand sides of element e's basis functions, one
+    column per kept eigenvector (zero on padding). `operator` is the
+    whole-domain saddle matrix over all edges, cells and slots, slot j of
+    element e at e k_max + j; a padding slot has C = 0 and diagonal 1.
 
     `factor` factors K_II for some elements, as stacks: it inverts every
     line block of the interior edges (`auxspace.ElementLines`) and the
-    dense block left on the cells and columns, -B A^-1 B^T bordered by -C
-    and closed by the identity (`type2`) or zero (`type1`), with an
-    identity on padding. The factors are dropped once W and Z are made;
-    a region's rare refinement sweep (`_Regions._refine`) makes its own.
+    dense block left on the cells and slots, -B A^-1 B^T bordered by -C
+    and closed by the diagonal `Y`: ones for `type2`, zeros on kept
+    `type1` columns, ones on padding. The factors are dropped once W and
+    Z are made; a region's rare refinement sweep (`_Regions._refine`)
+    makes its own.
 
     `flavor` is `type1` or `type2`; the `global` flavor uses `type2`.
     Up to `workers` threads condense contiguous slices of the elements
@@ -222,39 +227,37 @@ class CondensedElements:
         self.lines = element_lines(coarse)
         n_c, n_b = self.cells.shape[1], self.boundary.shape[1]
         n_ie = self.n_interior_edges = interior_edges.shape[1]
-        columns = aux.columns
-        kept = columns >= 0
-        k_max = columns.shape[1]
-        self.keys = np.concatenate([
-            interior_edges, grid.n_edges + self.cells,
-            np.where(kept, grid.n_edges + grid.n_cells + columns, -1)], axis=1)
+        kept = aux.columns >= 0
+        k_max = kept.shape[1]
+        width = n_ie + n_c + k_max
         # C on each element's cells and columns, zero on padding
         P = aux.pressures
         self.C = aux.s_diag[self.cells][:, :, None] * P
         self.Y = np.where(kept & (flavor == "type1"), 0.0, 1.0)
         # right-hand sides, with the template's sign flips: -rhs_p for
         # type2, -rhs_c for type1
-        self.rhs = np.zeros((n_el, self.keys.shape[1], k_max))
+        self.rhs = np.zeros((n_el, width, k_max))
         if flavor == "type1":
             self.rhs[:, n_ie + n_c:] = -(P.transpose(0, 2, 1) @ self.C)
         else:
             self.rhs[:, n_ie:n_ie + n_c] = -self.C
-        # the whole-domain saddle matrix over (all edges, cells, columns):
-        # a region's rows and columns of it are that region's saddle matrix.
-        # C keeps an entry for every element cell and column, zero or not,
-        # so every region of one shape has the same pattern in it
-        on = np.broadcast_to(kept[:, None, :], P.shape)
+        # the whole-domain saddle matrix over (all edges, cells, column
+        # slots), element e's column j at slot e k_max + j, padding
+        # included: a region's rows and columns of it are that region's
+        # saddle matrix. C keeps an entry for every element cell and slot,
+        # and Y one for every slot, zero or not, so the pattern depends on
+        # the grids and k_max alone
+        slots = np.arange(n_el * k_max).reshape(n_el, 1, k_max)
         C = sp.csr_matrix(
-            (self.C[on], (np.broadcast_to(self.cells[:, :, None], P.shape)[on],
-                          np.broadcast_to(columns[:, None, :], P.shape)[on])),
-            shape=(grid.n_cells, aux.n_columns))
+            (self.C.ravel(), (np.broadcast_to(self.cells[:, :, None], P.shape).ravel(),
+                              np.broadcast_to(slots, P.shape).ravel())),
+            shape=(grid.n_cells, slots.size))
         self.operator = saddle_matrix(
-            mass_matrix(grid, perm), divergence_matrix(grid), C,
-            identity_block=(flavor == "type2")).tocsr()
+            mass_matrix(grid, perm), divergence_matrix(grid), C, self.Y.ravel()).tocsr()
         self.operator.sort_indices()
-        self.W = np.empty((n_el, self.keys.shape[1], n_b))
+        self.W = np.empty((n_el, width, n_b))
         self.S = np.empty((n_el, n_b, n_b))
-        self.Z = np.empty((n_el, self.keys.shape[1], k_max))
+        self.Z = np.empty((n_el, width, k_max))
         # the working set: the right-hand sides, the solution and two
         # temporaries of their size
         _stacked(workers, self._condense, n_el, 4 * 8 * self.W.shape[1] * (n_b + k_max))
@@ -363,34 +366,31 @@ class CondensedElements:
         bounds, centre = bounds[at[distinct]], elements[at[distinct]]
         region = np.argsort(distinct)[region.ravel()]
         shapes = bounds[:, [1, 3]] - bounds[:, [0, 2]]
-        # each region's template, by its shape and its covered elements'
-        # column counts
-        template = np.empty(len(bounds), dtype=np.int64)
-        keys = []
-        for shape in np.unique(shapes, axis=0):
-            same = np.flatnonzero((shapes == shape).all(axis=1))
-            kept = aux.counts[_covered(coarse, bounds[same])].astype(np.int64)
-            rows, which = np.unique(kept, axis=0, return_inverse=True)
-            template[same] = len(keys) + which.ravel()
-            keys += [(tuple(int(x) for x in shape), row.tobytes()) for row in rows]
+        # each region's template, by its shape, in the order of their first regions
+        distinct_shapes, template = np.unique(shapes, axis=0, return_inverse=True)
+        template = template.ravel()
         _, first_region = np.unique(template, return_index=True)
-        templates = [_template(coarse, self.flavor, *key, k_max) for key in keys]
+        templates = [_template(coarse, tuple(int(x) for x in shape), k_max)
+                     for shape in distinct_shapes]
+        # the regions of each template, in parts of about REGION_BYTES; a
+        # part's items are its regions' centres, region by region. Each
+        # region's columns are its covered elements' kept ones
+        parts = []
+        n_columns = np.empty(len(bounds), dtype=np.int64)
+        for g in np.argsort(first_region):
+            tpl, group = templates[g], np.flatnonzero(template == g)
+            n_columns[group] = aux.counts[_covered(coarse, bounds[group])].sum(axis=1)
+            count = min(group.size, -(-group.size * tpl.bytes // REGION_BYTES))
+            parts += [(tpl, group[group.size * i // count:group.size * (i + 1) // count])
+                      for i in range(count)]
         # each centre's column sizes in the stacks: its region's edges,
         # columns and region-boundary edges inside the domain
-        tpl_sizes = np.array([(tpl.edges.size, tpl.column_owner.size) for tpl in templates])
         r = coarse.r
         sides_x = (bounds[:, 0] > 0).astype(np.int64) + (bounds[:, 1] < coarse.Nx)
         sides_y = (bounds[:, 2] > 0).astype(np.int64) + (bounds[:, 3] < coarse.Ny)
         traces = r * (shapes[:, 1] * sides_x + shapes[:, 0] * sides_y)
-        sizes = np.column_stack([tpl_sizes[template], traces])[region]
-        # the regions of each template, in parts of about REGION_BYTES; a
-        # part's items are its regions' centres, region by region
-        parts = []
-        for g in np.argsort(first_region):
-            tpl, group = templates[g], np.flatnonzero(template == g)
-            count = min(group.size, -(-group.size * tpl.bytes // REGION_BYTES))
-            parts += [(tpl, group[group.size * i // count:group.size * (i + 1) // count])
-                      for i in range(count)]
+        edges = np.array([tpl.edges.size for tpl in templates])[template]
+        sizes = np.column_stack([edges, n_columns, traces])[region]
         sizes = np.repeat(sizes, counts, axis=0)
         stacks = [_stack(size, rows) for size, rows in
                   zip(sizes.T, (grid.n_edges, aux.n_columns, grid.n_edges))]
@@ -407,8 +407,7 @@ class CondensedElements:
             ts = np.argsort(place, kind="stable")[:np.count_nonzero(place < group.size)]
             items = np.column_stack([place[ts], elements[ts], first[ts]])
             # a region's centres are solved side by side, in parts of about REGION_BYTES
-            size = group.size * max(1, REGION_BYTES // (
-                5 * 8 * (tpl.n + 1) * k_max * group.size))
+            size = group.size * max(1, REGION_BYTES // (5 * 8 * tpl.n * k_max * group.size))
             for start in range(0, len(items), size):
                 system.solve(items[start:start + size], rtol, stacks, energies)
 
@@ -466,28 +465,29 @@ class _Rows:
 
 
 class _RegionTemplate:
-    """Index maps shared by every region of one shape and column counts.
+    """Index maps shared by every region of one shape.
 
     Regions of one shape differ by a translation, which shifts each kind
-    of global id (vertical edges, horizontal edges and cells) by a
-    constant and keeps every sorted order. So the positions of the
-    elements' interior unknowns among the region's unknowns (`pos`), the
+    of global id (vertical edges, horizontal edges, cells and column
+    slots) by a constant and keeps every sorted order. So the positions
+    of the elements' interior unknowns among the region's unknowns
+    (`pos`; every one is a region unknown, padding slots included), the
     skeleton in its row-by-row order and its slots, the lower band of the
     skeleton matrix (half-width `kd`) with the scatter from the elements'
     stacked complements into it, and the pattern of the region's rows
     inside the whole-domain operator (`K`: the region's saddle matrix in
     its unknowns' columns, then its coupling to the region-boundary edges)
-    hold for all of them. Column ids are not translated: they follow the
-    column counts, and each region reads them from the offsets.
+    hold for all of them. The column slots run element by element, as
+    `aux.columns` does (-1 on padding).
 
-    The template depends on the grids alone, not on the permeability or
-    the eigenvectors: it is built for the region of `shape` (elements
-    wide, high) at the domain's lower-left corner, whose covered elements,
-    row by row, keep `counts` columns of at most `k_max`, and memoized per
-    grid (`_template`). Its arrays are read-only.
+    The template depends on the grids alone, not on the flavor, the
+    column counts, the permeability or the eigenvectors: it is built for
+    the region of `shape` (elements wide, high) at the domain's lower-left
+    corner, whose covered elements have `k_max` slots each, and memoized
+    per grid (`_template`). Its arrays are read-only.
     """
 
-    def __init__(self, coarse, flavor, shape, counts, k_max):
+    def __init__(self, coarse, shape, k_max):
         grid, r = coarse.fine, coarse.r
         self.width, height = shape
         region = Region(grid, 0, self.width * r, 0, height * r)
@@ -496,24 +496,15 @@ class _RegionTemplate:
         boundary = region.boundary_edges()
         self.vertical = edges < grid.n_vedges
         self.boundary_vertical = boundary < grid.n_vedges
-        self.column_owner = np.repeat(np.arange(elements.size), counts)
-        self.column_j = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts,
-                                                            counts)
-        # columns numbered from 0 in the region: each region's own keep
-        # their order, and only the order enters the maps
-        first = grid.n_edges + grid.n_cells + np.cumsum(counts) - counts
-        unknowns = np.concatenate([edges, grid.n_edges + cells, first[self.column_owner]
-                                   + self.column_j])
-        n = self.n = unknowns.size
+        # the elements' interior unknowns as rows of the whole-domain
+        # operator: interior edges, cells and column slots (`ys`)
         interior_edges, element_cells, element_boundary = (
             a[elements] for a in element_layout(coarse))
-        # the elements' interior unknowns as `CondensedElements.keys` numbers
-        # them, -1 on padding
-        pad = np.arange(k_max)
-        keys = np.concatenate([interior_edges, grid.n_edges + element_cells,
-                               np.where(pad < counts[:, None], first[:, None] + pad, -1)],
-                              axis=1)
-        self.pos = np.where(keys >= 0, np.searchsorted(unknowns, keys), n).astype(np.int32)
+        ys = grid.n_edges + grid.n_cells + elements[:, None] * k_max + np.arange(k_max)
+        keys = np.concatenate([interior_edges, grid.n_edges + element_cells, ys], axis=1)
+        unknowns = np.concatenate([edges, grid.n_edges + cells, ys.ravel()])
+        n = self.n = unknowns.size
+        self.pos = np.searchsorted(unknowns, keys).astype(np.int32)
         at = np.minimum(np.searchsorted(edges, element_boundary), edges.size - 1)
         inside = edges[at] == element_boundary
         # the skeleton row by row in space, by the doubled coordinates of
@@ -553,9 +544,9 @@ class _RegionTemplate:
         # pattern is written out by kind, each row ascending as the operator
         # stores it: an interior edge couples to itself and the opposite
         # edge of each of its two cells (the flux mass) and to those cells
-        # (B); a cell to its four edges (B) and its element's columns (C,
-        # an entry for each, zero or not); a column to its element's cells
-        # and, for `type2`, itself
+        # (B); a cell to its four edges (B) and its element's column slots
+        # (C, an entry for each, zero or not); a slot to its element's cells
+        # and itself (Y, zero or not)
         nx, (cells_x, cells_y) = grid.nx, region.shape
         j, i = np.mgrid[0:cells_y, 1:cells_x]
         v, cell = grid.vedge_id(i, j), grid.n_edges + j * nx + i
@@ -565,14 +556,12 @@ class _RegionTemplate:
         horizontal = np.stack([h - nx, h, h + nx, cell - nx, cell], axis=-1).reshape(-1, 5)
         ix, iy = grid.cell_ix_iy(cells)
         cell_rows = np.concatenate([np.stack(grid.cell_edge_ids(cells), axis=1),
-                                    keys[(iy // r) * self.width + ix // r, -k_max:]], axis=1)
-        columns = unknowns[edges.size + cells.size:, None]
-        identity = [columns] if flavor == "type2" else []
-        column_rows = np.concatenate([grid.n_edges + element_cells[self.column_owner]]
-                                     + identity, axis=1)
+                                    ys[(iy // r) * self.width + ix // r]], axis=1)
+        column_rows = np.concatenate([grid.n_edges + np.repeat(element_cells, k_max, axis=0),
+                                      ys.reshape(-1, 1)], axis=1)
         rows = (vertical, horizontal, cell_rows, column_rows)
-        self.K = _Rows(np.concatenate([np.count_nonzero(a >= 0, axis=1) for a in rows]),
-                       np.concatenate([a[a >= 0] for a in rows]),
+        self.K = _Rows(np.concatenate([np.full(len(a), a.shape[1]) for a in rows]),
+                       np.concatenate([a.ravel() for a in rows]),
                        np.concatenate([unknowns, boundary]))
         self.edges, self.cells = edges.astype(np.int32), cells.astype(np.int32)
         self.boundary = boundary.astype(np.int32)
@@ -582,7 +571,7 @@ class _RegionTemplate:
         # right-hand-side size
         self.bytes = 8 * (4 * int(self.K.indptr[-1])
                           + self.S_src.size + n_s * (self.kd + 1)
-                          + 5 * (n + 1) * k_max)
+                          + 5 * n * k_max)
         # the region's elements row by row: consecutive ids, consecutive
         # positions in `elements`
         self.row_starts = range(0, elements.size, self.width)
@@ -591,12 +580,10 @@ class _RegionTemplate:
 
 
 @cache
-def _template(coarse, flavor, shape, counts, k_max):
+def _template(coarse, shape, k_max):
     """The `_RegionTemplate` of regions of `shape` (elements wide, high)
-    for `flavor`, whose covered elements keep `counts` columns (int64
-    bytes, row by row) of at most `k_max`; memoized per grid."""
-    return _RegionTemplate(coarse, flavor, shape, np.frombuffer(counts, dtype=np.int64),
-                           k_max)
+    whose elements have `k_max` column slots each; memoized per grid."""
+    return _RegionTemplate(coarse, shape, k_max)
 
 
 # About how many bytes the regions or centres solved together may take;
@@ -614,13 +601,14 @@ class _Regions:
     whose functions are the `global` flavor's.
 
     Arrays carry a leading region axis. A region's unknowns are ordered as
-    in `fem`: region-interior edges, region cells, region columns, each
-    ascending; index n is a discarded slot for the padding of elements'
-    interior unknowns. `K` holds every region's rows of the template's `K`,
-    gathered once, as one block-diagonal matrix: region g's n rows, and
-    its n unknowns' columns followed by its region-boundary edges'. Each
-    region's skeleton factor is made once, on its first solve, and kept
-    for its other parts and refinement sweeps.
+    in `fem`: region-interior edges, region cells, its elements' column
+    slots, each ascending; padding slots are unknowns like the others,
+    whose values are zero. `columns` holds the slots' auxiliary columns,
+    -1 on padding: only the kept ones reach B_c. `K` holds every region's
+    rows of the template's `K`, gathered once, as one block-diagonal
+    matrix: region g's n rows, and its n unknowns' columns followed by its
+    region-boundary edges'. Each region's skeleton factor is made once, on
+    its first solve, and kept for its other parts and refinement sweeps.
     """
 
     def __init__(self, cond, template, origins, centres, elements, layers):
@@ -640,9 +628,11 @@ class _Regions:
         self.edges = shifted(tpl.edges, tpl.vertical)
         self.boundary = shifted(tpl.boundary, tpl.boundary_vertical)
         self.cells = tpl.cells + dj * grid.nx + di
-        self.columns = cond.aux.offsets[self.elements[:, tpl.column_owner]] + tpl.column_j
+        k_max = cond.Z.shape[2]
+        self.columns = cond.aux.columns[elements].reshape(len(centres), -1)
+        ys = (elements[:, :, None] * k_max + np.arange(k_max)).reshape(len(centres), -1)
         unknowns = np.concatenate([self.edges, grid.n_edges + self.cells,
-                                   grid.n_edges + grid.n_cells + self.columns], axis=1)
+                                   grid.n_edges + grid.n_cells + ys], axis=1)
         # every region's rows of `_RegionTemplate`, from the whole-domain
         # operator, as one block-diagonal matrix
         self.K = tpl.K.gather(cond.operator, unknowns)
@@ -697,7 +687,7 @@ class _Regions:
         """Every unknown of the regions `sel` from their skeleton values:
         -W u on each element's interior, u on the skeleton."""
         cond, tpl = self.cond, self.template
-        x = np.zeros((len(sel), tpl.n + 1, u.shape[2]))
+        x = np.zeros((len(sel), tpl.n, u.shape[2]))
         for i in tpl.row_starts:
             # one row of elements at a time bounds the gathered W
             inc = slice(i, i + tpl.width)
@@ -708,19 +698,17 @@ class _Regions:
     def _refine(self, sel, res):
         """One sweep of the solve of the regions `sel` against residuals res."""
         cond, tpl = self.cond, self.template
-        padded = np.zeros((len(sel), tpl.n + 1, res.shape[2]))
-        padded[:, :tpl.n] = res
-        F = padded[:, tpl.pos]
+        F = res[:, tpl.pos]
         _, solve = cond.factor(self.elements[sel].ravel())
         z = solve(F.reshape((-1,) + F.shape[2:])).reshape(F.shape)
-        g = padded[:, tpl.skeleton]
-        g = np.concatenate([g, np.zeros((len(sel), 1, g.shape[2]))], axis=1)
+        g = np.concatenate([res[:, tpl.skeleton], np.zeros((len(sel), 1, res.shape[2]))],
+                           axis=1)
         W = cond.W[self.elements[sel]]
         np.add.at(g, (np.arange(len(sel))[:, None, None], tpl.slots[None]),
                   -(W.transpose(0, 1, 3, 2) @ F))
         x = self._back(sel, self._skeleton(sel, g))
         x[:, tpl.pos] += z
-        return x[:, :tpl.n]
+        return x
 
     def solve(self, items, rtol, stacks, energies):
         """The basis functions of the (region index, centre element, first
@@ -739,13 +727,12 @@ class _Regions:
         at, slots = tpl.pos[index], tpl.slots[index]
         rows = region[:, None, None]
         # the right-hand sides live on each centre's interior unknowns
-        rhs = np.zeros((len(sel), n + 1, c))
+        rhs = np.zeros((len(sel), n, c))
         rhs[rows, at[:, :, None], cols] = cond.rhs[centre]
         g = np.zeros((len(sel), n_s + 1, c))
         g[rows, slots[:, :, None], cols] = -(cond.W[centre].transpose(0, 2, 1) @ cond.rhs[centre])
         x = self._back(sel, self._skeleton(sel, g))
         x[rows, at[:, :, None], cols] += cond.Z[centre]
-        x, rhs = x[:, :n], rhs[:, :n]
         scale = _norms(rhs)
         tol = np.where(scale > 0, rtol * scale, rtol)
         res = self._times(x) - rhs
@@ -786,8 +773,9 @@ class _Regions:
             # the item's functions: columns first, first + 1, ... of the
             # stacks, and columns cs of the part's solution
             cs = slice(order[t] * k, order[t] * k + cond.aux.counts[e])
+            kept = self.columns[i] >= 0
             _put(Psi, first, self.edges[i], x[i, :n_e, cs].T)
-            _put(B_c, first, self.columns[i], div[i, :, cs].T)
+            _put(B_c, first, self.columns[i, kept], div[i, kept, cs].T)
             _put(G, first, self.boundary[i][self.inner[i]], trace[i, self.inner[i], cs].T)
             energies[first:first + cs.stop - cs.start] = energy[i, cs]
 
@@ -797,8 +785,9 @@ def _norms(a):
     return np.sqrt(np.einsum("gnc,gnc->gc", a, a))
 
 
-def _check_layers(layers):
-    if layers is None or layers < 1:
+def _check_layers(layers, flavor="type2"):
+    """Refuse a layer count below one for a localized flavor."""
+    if flavor != "global" and (layers is None or layers < 1):
         raise ConfigError("localized basis functions need at least one layer")
 
 
@@ -807,8 +796,7 @@ def build_basis_set(aux, perm, layers=None, flavor="type2", rtol=1e-10, workers=
     element-major to match the auxiliary-space columns: the elements
     condensed once, then `CondensedElements.functions`."""
     glob = flavor == "global"
-    if not glob:
-        _check_layers(layers)
+    _check_layers(layers, flavor)
     cond = CondensedElements(aux, perm, "type2" if glob else flavor, workers)
     return cond.functions(range(aux.coarse.n_elements), None if glob else layers, rtol)
 

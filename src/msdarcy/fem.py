@@ -14,12 +14,13 @@ same per-cell triplets (`mass_triplets`) line by line.
 The basis functions' region systems are instances of one symmetric
 indefinite template over unknowns (u, p[, y]):
 
-    A u - B^T p                       = rhs_v
-    B u + C y                         = rhs_p
-    C^T p - [y if identity_block]     = rhs_c
+    A u - B^T p       = rhs_v
+    B u + C y         = rhs_p
+    C^T p - Y y       = rhs_c
 
-where A is the weighted flux mass matrix, B the signed divergence and C
-the coupling block of the energy-minimization constraint. Rows are
+where A is the weighted flux mass matrix, B the signed divergence, C the
+coupling block of the energy-minimization constraint and Y a diagonal
+(`basis.CondensedElements`: ones for `type2`, zeros for `type1`). Rows are
 sign-flipped on assembly (`saddle_matrix`) so the full matrix is
 symmetric; a region's system is its rows and columns of the
 whole-domain template matrix with C (`basis.CondensedElements`).
@@ -114,15 +115,15 @@ def divergence_matrix(grid):
                          shape=(grid.n_cells, grid.n_edges)).tocsr()
 
 
-def saddle_matrix(A, B, C=None, identity_block=True):
-    """The symmetric template matrix of the module docs over (u, p[, y])."""
+def saddle_matrix(A, B, C=None, Y=None):
+    """The symmetric template matrix of the module docs over (u, p[, y]);
+    with C, the y block's diagonal Y is stored entry by entry, zero or not."""
     rows = [[A, -B.T], [-B, None]]
     if C is not None:
-        k = C.shape[1]
-        yy = sp.identity(k) if identity_block else sp.csr_matrix((k, k))
+        k = np.arange(C.shape[1])
         rows[0].append(None)
         rows[1].append(-C)
-        rows.append([None, -C.T, yy])
+        rows.append([None, -C.T, sp.csr_matrix((Y, (k, k)), shape=(k.size, k.size))])
     return sp.bmat(rows, format="csc")
 
 

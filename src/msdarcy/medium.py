@@ -293,27 +293,30 @@ def sample_spec(n, n_horizontal=0, n_vertical=0, n_inclusions=0,
                       coarse_n=coarse_n, max_channels_per_element=max_channels_per_element)
 
 
+def _two_floats(text):
+    a, b = text.split()
+    return float(a), float(b)
+
+
 def spec_from_mapping(mapping, n):
     """Build a sampled layout from a string-valued mapping (a parsed config
     section); `n` is the fine grid size the cell-unit keys refer to."""
-    kw = {}
     ints = ("n_horizontal", "n_vertical", "n_inclusions", "seed",
             "thickness_cells", "inclusion_cells", "min_gap_cells",
             "coarse_n", "max_channels_per_element")
     floats = ("contrast_lo", "contrast_hi", "background")
-    for key in ints:
-        if key in mapping:
-            kw[key] = int(mapping[key])
-    for key in floats:
-        if key in mapping:
-            kw[key] = float(mapping[key])
-    for key in ("h_band", "v_band"):
-        if key in mapping:
-            parts = mapping[key].split()
-            if len(parts) != 2:
-                raise ConfigError(f"{key} wants two floats, got {mapping[key]!r}")
-            kw[key] = (float(parts[0]), float(parts[1]))
-    known = set(ints) | set(floats) | {"h_band", "v_band"}
+    bands = ("h_band", "v_band")
+    kinds = ((ints, int, "an integer"), (floats, float, "a float"),
+             (bands, _two_floats, "two floats"))
+    kw = {}
+    for keys, cast, wants in kinds:
+        for key in keys:
+            if key in mapping:
+                try:
+                    kw[key] = cast(mapping[key])
+                except ValueError:
+                    raise ConfigError(f"{key} wants {wants}, got {mapping[key]!r}") from None
+    known = set(ints) | set(floats) | set(bands)
     unknown = set(mapping) - known
     if unknown:
         raise ConfigError(f"unknown medium keys: {sorted(unknown)}")

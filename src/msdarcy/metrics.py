@@ -12,7 +12,7 @@ from time import perf_counter
 import numpy as np
 
 from .auxspace import build_aux_space, solve_all_spectra
-from .basis import CondensedElements, build_basis_set
+from .basis import CondensedElements, _check_layers, build_basis_set
 from .coarse import assemble_coarse_system, mass_residuals, solve_multiscale
 from .errors import ConfigError
 from .fem import check_source, solve_fine_reference
@@ -195,10 +195,12 @@ def convergence_study(perm, f, cases, flavor="type2", rtol=1e-10, workers=1):
 
     `cases` holds (nbasis, Nx, layers) triples, solved in order on the
     shared fine grid/medium; rates compare consecutive rows. Every coarse
-    size is checked before the first solve, and the spectra of each are
-    computed once.
+    size and layer count is checked before the first solve, and the
+    spectra of each coarse size are computed once.
     """
     coarse = {Nx: build_grids(perm.grid.nx, Nx)[1] for _, Nx, _ in cases}
+    for _, _, layers in cases:
+        _check_layers(layers, flavor)
     fine = solve_fine_reference(perm, f, rtol=rtol)
     stages = {}
     rows = []
@@ -228,8 +230,9 @@ def convergence_study(perm, f, cases, flavor="type2", rtol=1e-10, workers=1):
 def solve_case(perm, f, Nx, nbasis=None, threshold=None, layers=3,
                flavor="type2", rtol=1e-10, workers=1):
     """One multiscale solve, returning (solution, aux, basis, mass report).
-    The source is checked before the first stage."""
+    The source and the layer count are checked before the first stage."""
     f = check_source(f, perm.grid)
+    _check_layers(layers, flavor)
     _, coarse = build_grids(perm.grid.nx, Nx)
     weight, spectra = spectra_stage(perm, coarse, workers)
     ms, aux, basis_set = _multiscale(perm, f, coarse, weight, spectra, nbasis,

@@ -14,7 +14,7 @@ from msdarcy import (ConfigError, PermField, SolveError, bilinear_pou,
 from msdarcy.basis import BasisSet, CondensedElements, _Regions, _template
 from msdarcy.fem import (band_cholesky, divergence_matrix, mass_matrix, mass_triplets,
                          saddle_matrix, velocity_dofmap)
-from msdarcy.mesh import full_domain, oversample_region, region_elements
+from msdarcy.mesh import element_layout, full_domain, oversample_region, region_elements
 from test_auxspace import restriction
 from test_fem import assemble_a, assemble_b, refined_lu
 
@@ -39,7 +39,7 @@ def _region_lu_reference(aux, perm, region, flavor, rtol=1e-10):
     n, m = dofmap.n_dofs, cells.size
     K = saddle_matrix(assemble_a(region, perm, dofmap), assemble_b(region, dofmap),
                       (sp.diags(s_region) @ R_loc).tocsr(),
-                      identity_block=(flavor != "type1"))
+                      np.full(cols.size, 0.0 if flavor == "type1" else 1.0))
     lu = refined_lu(K, rtol)
 
     def solve(e, j):
@@ -503,13 +503,11 @@ def test_solve_errors_name_flavor_and_element(small_case, monkeypatch):
 
 
 def _region_system(cond, region, layers):
-    """The `_Regions` of one region, on the memoized template of its shape
-    and column counts."""
+    """The `_Regions` of one region, on the memoized template of its shape."""
     coarse = cond.aux.coarse
     elements = region_elements(coarse, region)
     shape = (region.shape[0] // coarse.r, region.shape[1] // coarse.r)
-    template = _template(coarse, cond.flavor, shape,
-                         cond.aux.counts[elements].astype(np.int64).tobytes(), cond.Z.shape[2])
+    template = _template(coarse, shape, cond.Z.shape[2])
     return _Regions(cond, template, np.array([[region.i0, region.j0]]),
                     np.array([region.center]), elements[None], layers)
 
@@ -557,6 +555,17 @@ def test_banded_skeleton_solve_matches_superlu(flavor, contrast):
         assert np.linalg.norm(got[0, :-1] - want) <= 1e-10 * np.linalg.norm(want)
 
 
+def _element_keys(cond, e):
+    """Element e's interior unknowns without padding, as rows of the
+    whole-domain operator: its interior edges, its cells and the slots
+    e k_max + j of its kept columns j."""
+    coarse = cond.aux.coarse
+    grid = coarse.fine
+    return np.concatenate([element_layout(coarse)[0][e], grid.n_edges + cond.cells[e],
+                           grid.n_edges + grid.n_cells + e * cond.Z.shape[2]
+                           + np.arange(cond.aux.counts[e])])
+
+
 def _condensation_oracle(cond, e):
     """Oracle: element e's interior block sliced from the whole-domain
     operator and factored by sparse LU, refined once, one element at a time
@@ -564,7 +573,7 @@ def _condensation_oracle(cond, e):
     padding."""
     aux = cond.aux
     grid = aux.coarse.fine
-    keys = cond.keys[e][cond.keys[e] >= 0]
+    keys = _element_keys(cond, e)
     rows = cond.operator[keys]
     K_II = rows[:, keys].tocsc()
     K_IG = rows[:, cond.boundary[e]].toarray()
@@ -636,12 +645,16 @@ def test_condensation_workers_agree():
 def test_region_templates_reproduce_operator_slices(small_case, flavor):
     """Regions that share a template get their own ids and the values of
     their own rows of the whole-domain operator, entry for entry: in their
-    unknowns' columns, then in their region-boundary edges' columns."""
+    unknowns' columns, then in their region-boundary edges' columns. Every
+    element has k_max column slots, padding included; only the kept ones
+    map to auxiliary columns."""
     fine, coarse, perm, weight, _ = small_case
     spectra = solve_all_spectra(coarse, perm, weight)
     aux = build_aux_space(coarse, weight, spectra, threshold=1.0)
+    assert np.unique(aux.counts).size > 1
     cond = CondensedElements(aux, perm, "type2" if flavor == "global" else flavor)
     grid = coarse.fine
+    k_max = cond.Z.shape[2]
     if flavor == "global":
         cases = [(full_domain(fine), None)]
     else:
@@ -653,10 +666,14 @@ def test_region_templates_reproduce_operator_slices(small_case, flavor):
         assert np.array_equal(system.edges[0], region.interior_edges())
         assert np.array_equal(system.cells[0], region.cells())
         assert np.array_equal(system.boundary[0], region.boundary_edges())
+        elements = region_elements(coarse, region)
+        kept = np.arange(k_max) < aux.counts[elements][:, None]
+        assert np.array_equal(system.columns[0] >= 0, kept.ravel())
         cols, _ = restriction(aux, region)
-        assert np.array_equal(system.columns[0], cols)
+        assert np.array_equal(system.columns[0][kept.ravel()], cols)
+        slots = (elements[:, None] * k_max + np.arange(k_max)).ravel()
         unknowns = np.concatenate([system.edges[0], grid.n_edges + system.cells[0],
-                                   grid.n_edges + grid.n_cells + system.columns[0]])
+                                   grid.n_edges + grid.n_cells + slots])
         rows = cond.operator[unknowns]
         n = unknowns.size
         for got, want in ((system.K[:, :n], rows[:, unknowns]),
@@ -665,14 +682,37 @@ def test_region_templates_reproduce_operator_slices(small_case, flavor):
             assert (got != want).nnz == 0
     if flavor == "global":
         return
-    # at 4x4 elements, one and two layers give 16 region shapes but for
-    # equal column counts; the counts differ here, so there are more
+    # one template per region shape, whatever the column counts
     templates = _template.cache_info().currsize
-    assert templates < 2 * coarse.n_elements
+    assert templates == len({region.shape for region, _ in cases})
     # `functions` shares templates the same way, and builds no other
     for layers in (1, 2):
         cond.functions(range(coarse.n_elements), layers)
     assert _template.cache_info().currsize == templates
+
+
+def test_region_templates_are_shared_by_flavors_and_column_counts(small_case):
+    """Both flavors, one and two layers, two threshold selections with
+    different column counts and an `nbasis` selection: the memo holds one
+    template per region shape and k_max, and type1 builds none that type2
+    did not."""
+    fine, coarse, perm, weight, _ = small_case
+    spectra = solve_all_spectra(coarse, perm, weight)
+    auxes = [build_aux_space(coarse, weight, spectra, threshold=t) for t in (1.0, 4.0)]
+    auxes.append(build_aux_space(coarse, weight, spectra, nbasis=2))
+    assert not np.array_equal(auxes[0].counts, auxes[1].counts)
+    assert np.unique(auxes[0].counts).size > 1
+    shapes = {(oversample_region(coarse, e, layers).shape, int(aux.counts.max()))
+              for layers in (1, 2) for e in range(coarse.n_elements) for aux in auxes}
+    _template.cache_clear()
+    for flavor in ("type2", "type1"):
+        for aux in auxes:
+            cond = CondensedElements(aux, perm, flavor)
+            for layers in (1, 2):
+                cond.functions(range(coarse.n_elements), layers)
+        if flavor == "type2":
+            built = _template.cache_info().currsize
+    assert _template.cache_info().currsize == built == len(shapes)
 
 
 def test_saturated_regions_are_factored_once(small_case, monkeypatch):
@@ -715,7 +755,7 @@ def test_stacked_condensation_is_exact_at_high_contrast(flavor):
                           threshold=1.0)
     cond = CondensedElements(aux, perm, flavor)
     for e in range(coarse.n_elements):
-        keys = cond.keys[e][cond.keys[e] >= 0]
+        keys = _element_keys(cond, e)
         rows = cond.operator[keys]
         n, k = keys.size, int(aux.counts[e])
         K_inv = mpmath.inverse(mpmath.matrix(rows[:, keys].toarray().tolist()))

@@ -59,6 +59,24 @@ def test_gen_medium_writes_deterministic_raster(tmp_path, capsys):
     assert raw1 != (out3 / "medium.txt").read_bytes()
 
 
+@pytest.mark.parametrize("command", ["gen-medium", "solve"])
+@pytest.mark.parametrize("key,value", [("n_horizontal", "two"), ("seed", "1.5"),
+                                       ("contrast_lo", "high"), ("h_band", "0.25 top")])
+def test_malformed_medium_values_give_json_config_error(tmp_path, capsys, command,
+                                                        key, value):
+    """A generated medium's values that do not parse end every command that
+    reads the medium with the JSON record naming the key and the value."""
+    # [medium] is the last section: the key's line moves to its end
+    lines = [line for line in GEN_MEDIUM.splitlines() if not line.strip().startswith(key)]
+    cfg = write_cfg(tmp_path / "c.ini", "\n".join(lines + [f"    {key} = {value}"]))
+    assert run(command, "--config", cfg, "--out", str(tmp_path / "out")) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["error"] == "ConfigError"
+    assert key in record["message"] and repr(value) in record["message"]
+
+
 def test_gen_medium_preset_rejects_seed_override(tmp_path, capsys):
     cfg = write_cfg(tmp_path / "c.ini", """\
         [grid]

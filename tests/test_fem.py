@@ -503,7 +503,7 @@ def test_saddle_template_solves_block_equations():
     rhs_v = rng.standard_normal(n)
     rhs_p = rng.standard_normal(m)
     rhs_c = rng.standard_normal(k)
-    K = saddle_matrix(A, B, C, identity_block=True)
+    K = saddle_matrix(A, B, C, np.ones(k))
     assert abs(K - K.T).max() < 1e-14
     # packed with the template's sign flips: rhs_v, -rhs_p, -rhs_c
     x = refined_lu(K, rtol=1e-12)(np.concatenate([rhs_v, -rhs_p, -rhs_c]))
@@ -514,6 +514,8 @@ def test_saddle_template_solves_block_equations():
 
 
 def test_saddle_identity_block_toggle():
+    """The y block's diagonal Y toggles between identity and zero; a zero
+    diagonal is stored entry by entry, so the pattern does not depend on Y."""
     rng = np.random.default_rng(9)
     n, m, k = 6, 4, 2
     A = rng.standard_normal((n, n))
@@ -523,10 +525,11 @@ def test_saddle_identity_block_toggle():
     rhs_v = rng.standard_normal(n)
     rhs_p = rng.standard_normal(m)
     rhs_c = rng.standard_normal(k)
-    x = refined_lu(saddle_matrix(A, B, C, identity_block=False), rtol=1e-12)(
-        np.concatenate([rhs_v, -rhs_p, -rhs_c]))
+    K = saddle_matrix(A, B, C, np.zeros(k))
+    assert K.nnz == saddle_matrix(A, B, C, np.ones(k)).nnz
+    x = refined_lu(K, rtol=1e-12)(np.concatenate([rhs_v, -rhs_p, -rhs_c]))
     p, y = x[n:n + m], x[n + m:]
-    # without the identity block the third row reads C^T p = rhs_c
+    # with a zero diagonal the third row reads C^T p = rhs_c
     assert np.allclose(C.T @ p, rhs_c, atol=1e-9)
     assert np.allclose(B @ x[:n] + C @ y, rhs_p, atol=1e-9)
 

@@ -94,11 +94,10 @@ def _arrays(value, seen=None):
 
 def test_memoized_arrays_are_read_only():
     fine, coarse = build_grids(16, 4)
-    counts = np.full(4, 2, dtype=np.int64).tobytes()
     values = {"element_layout": element_layout(coarse),
               "element_lines": element_lines(coarse),
               "_macro_layout": _macro_layout(fine), "_macro_tables": _macro_tables(fine),
-              "_template": _template(coarse, "type2", (2, 2), counts, 2)}
+              "_template": _template(coarse, (2, 2), 2)}
     for name, value in values.items():
         arrays = _arrays(value)
         assert arrays, name

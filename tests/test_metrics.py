@@ -185,3 +185,23 @@ def test_solve_case_outputs(case32):
     assert (aux_t.counts >= 1).all()
     with pytest.raises(ConfigError):
         solve_case(perm, f, 5, nbasis=1)
+
+def test_layer_counts_are_checked_before_any_solve(case32, monkeypatch):
+    """A localized flavor's layer count below one is refused before the
+    spectra or the fine reference are solved; the global flavor takes none."""
+    fine, coarse, perm, weight = case32
+    f = np.random.default_rng(48).standard_normal(fine.n_cells)
+    f -= f.mean()
+
+    def fail(*args, **kwargs):
+        raise AssertionError("solved before the layer counts were checked")
+    monkeypatch.setattr("msdarcy.metrics.solve_all_spectra", fail)
+    monkeypatch.setattr("msdarcy.metrics.solve_fine_reference", fail)
+    for flavor in ("type1", "type2"):
+        for layers in (0, None):
+            with pytest.raises(ConfigError, match="at least one layer"):
+                solve_case(perm, f, 8, nbasis=1, layers=layers, flavor=flavor)
+        with pytest.raises(ConfigError, match="at least one layer"):
+            convergence_study(perm, f, [(1, 4, 2), (1, 8, 0)], flavor=flavor)
+    with pytest.raises(AssertionError, match="solved before"):
+        solve_case(perm, f, 8, nbasis=1, layers=0, flavor="global")
