@@ -265,6 +265,12 @@ class AuxSpace:
         return self.matrix @ self.coefficients(q)
 
 
+def _check_nbasis(nbasis, n):
+    """Refuse an eigenvector count outside 1..n, n the eigenvalues per element."""
+    if nbasis < 1 or nbasis > n:
+        raise ConfigError(f"nbasis={nbasis} out of range for elements with {n} eigenvalues")
+
+
 def build_aux_space(coarse, weight, spectra, nbasis=None, threshold=None):
     """Select eigenvectors per element, by fixed count or by eigenvalue
     threshold (all eigenvalues strictly below it, at least one kept)."""
@@ -273,9 +279,7 @@ def build_aux_space(coarse, weight, spectra, nbasis=None, threshold=None):
     lam = spectra.lambdas
     n_el, n = lam.shape
     if nbasis is not None:
-        if nbasis < 1 or nbasis > n:
-            raise ConfigError(f"nbasis={nbasis} out of range for elements "
-                              f"with {n} eigenvalues")
+        _check_nbasis(nbasis, n)
         counts = np.full(n_el, nbasis, dtype=int)
     else:
         counts = np.maximum(1, np.sum(lam < threshold, axis=1))

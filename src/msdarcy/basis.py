@@ -46,22 +46,22 @@ template in parts of about `REGION_BYTES`. It finds every region's
 bounds, covered elements and template in one vectorized step. Each
 function's full region saddle residual is checked at `rtol`.
 
-The templates depend on the grids alone: on the region's shape and
-k_max, not on the flavor, the column counts, the permeability or the
-eigenvectors. So they are memoized per grid (`_template`, read-only),
-one per region shape and k_max, and serve every later solve on the same
-grids. The condensed elements, the whole-domain operator, the region
-values, factors and solutions, and the stacks are made per call.
+A template holds a region's saddle pattern and where each of its values
+comes from: a cell's flux mass, the divergence's +-h, C or Y. It depends
+on the grids alone, on the region's shape and k_max, so the templates
+are memoized per grid (`_template`, read-only) and serve every later
+solve on the same grids. The values, the condensed elements, the
+factors, the solutions and the stacks are made per call; no whole-domain
+matrix is built.
 
-Each function also carries what the coarse blocks need, so that they
-are assembled with no fine-grid product: its divergence coefficients
+Each function also carries what the coarse blocks need, so that they are
+assembled with no fine-grid product: its divergence coefficients
 R^T B psi, its trace M psi - B^T q on the region-boundary edges and its
-energy psi^T M psi. All of them, and the residual check, come from one
-matrix per region: its rows of the whole-domain operator, in its
-unknowns' columns and then its region-boundary edges' columns. The
-region solve's pressure q is read there and dropped. The rest is held
-only as the column stacks of a `BasisSet` (Psi, B_c and G): the
-grouping pass fixes every column's place before any solve, each part
+energy psi^T M psi. They, and the residual check, come from the region's
+rows, in its unknowns' columns and then its region-boundary edges'
+columns; the region solve's pressure q is read there and dropped. The
+rest is held only as the column stacks of a `BasisSet` (Psi, B_c and G):
+the grouping pass fixes every column's place before any solve, each part
 writes its columns there, and the per-function records are views.
 """
 
@@ -75,7 +75,7 @@ import scipy.sparse as sp
 from .auxspace import _run, _stacked, element_lines
 from .errors import ConfigError, SolveError
 from .fem import (FineSolution, _solve_whole_domain, band_cholesky, band_solve,
-                  check_source, divergence_matrix, mass_matrix, saddle_matrix)
+                  check_source, mass_triplets)
 from .mesh import (Region, element_layout, full_domain, oversample_region, read_only,
                    region_elements)
 
@@ -196,9 +196,9 @@ class CondensedElements:
     K_GG - K_GI W[e] is the Schur complement on the element's 4r
     `boundary[e]` edges, and `Z[e]` = K_II^-1 `rhs[e]`, where `rhs[e]`
     holds the interior right-hand sides of element e's basis functions, one
-    column per kept eigenvector (zero on padding). `operator` is the
-    whole-domain saddle matrix over all edges, cells and slots, slot j of
-    element e at e k_max + j; a padding slot has C = 0 and diagonal 1.
+    column per kept eigenvector (zero on padding). `C`, `Y` and the
+    cells' flux mass entries `c1`, `c2` are the values of every region's
+    saddle matrix, which `_Regions` places by its template.
 
     `factor` factors K_II for some elements, as stacks: it inverts every
     line block of the interior edges (`auxspace.ElementLines`) and the
@@ -214,14 +214,13 @@ class CondensedElements:
     """
 
     def __init__(self, aux, perm, flavor="type2", workers=1):
-        if flavor not in ("type1", "type2"):
+        if flavor not in FLAVORS[:2]:
             raise ConfigError(f"unknown localized flavor {flavor!r}")
         self.aux = aux
         self.perm = perm
         self.flavor = flavor
         self.workers = workers
         coarse = aux.coarse
-        grid = coarse.fine
         n_el = coarse.n_elements
         interior_edges, self.cells, self.boundary = element_layout(coarse)
         self.lines = element_lines(coarse)
@@ -241,20 +240,9 @@ class CondensedElements:
             self.rhs[:, n_ie + n_c:] = -(P.transpose(0, 2, 1) @ self.C)
         else:
             self.rhs[:, n_ie:n_ie + n_c] = -self.C
-        # the whole-domain saddle matrix over (all edges, cells, column
-        # slots), element e's column j at slot e k_max + j, padding
-        # included: a region's rows and columns of it are that region's
-        # saddle matrix. C keeps an entry for every element cell and slot,
-        # and Y one for every slot, zero or not, so the pattern depends on
-        # the grids and k_max alone
-        slots = np.arange(n_el * k_max).reshape(n_el, 1, k_max)
-        C = sp.csr_matrix(
-            (self.C.ravel(), (np.broadcast_to(self.cells[:, :, None], P.shape).ravel(),
-                              np.broadcast_to(slots, P.shape).ravel())),
-            shape=(grid.n_cells, slots.size))
-        self.operator = saddle_matrix(
-            mass_matrix(grid, perm), divergence_matrix(grid), C, self.Y.ravel()).tocsr()
-        self.operator.sort_indices()
+        # every cell's flux mass entries: c1 on its edges' diagonal, c2 in a pair
+        self.c1, _, self.c2 = mass_triplets(
+            perm.grid, np.arange(perm.grid.n_cells), perm.values)[2].reshape(8, -1)[:3]
         self.W = np.empty((n_el, width, n_b))
         self.S = np.empty((n_el, n_b, n_b))
         self.Z = np.empty((n_el, width, k_max))
@@ -344,11 +332,9 @@ class CondensedElements:
         part writing its functions' columns of the stacks in place.
         """
         aux, coarse, grid = self.aux, self.aux.coarse, self.aux.coarse.fine
-        if layers is None:
-            if self.flavor != "type2":
-                raise ConfigError("the global flavor is built from type2 elements")
-        else:
-            _check_layers(layers)
+        if layers is None and self.flavor != "type2":
+            raise ConfigError("the global flavor is built from type2 elements")
+        _check_method("global" if layers is None else self.flavor, layers)
         elements = np.array(elements, dtype=np.int64)
         counts = aux.counts[elements]
         first = np.cumsum(counts) - counts
@@ -428,38 +414,31 @@ def _covered(coarse, bounds):
 
 
 class _Rows:
-    """The pattern of some rows of the whole-domain operator, from the
-    number of entries per row (`counts`) and their column ids (`ids`, row
-    by row, each row's ascending), every one of which is among `columns`
-    (distinct ids): kept as `counts`, each entry's position within its row
-    and its column's position in `columns`. The same for every region of
-    one template (`_RegionTemplate`)."""
+    """The pattern of a region's rows, from the number of entries per row
+    (`counts`) and their column ids (`ids`, row by row), each among
+    `columns` (distinct ids): kept as row offsets and each entry's
+    column's position in `columns`. The same for every region of one
+    template (`_RegionTemplate`)."""
 
     def __init__(self, counts, ids, columns):
         n = columns.size
         lookup = np.full(columns.max() + 1, -1, dtype=np.int32)
         lookup[columns] = np.arange(n)
-        self.counts = counts.astype(np.int32)
-        self.indptr = np.append(0, np.cumsum(self.counts)).astype(np.int32)
-        self.offset = (np.arange(ids.size) - np.repeat(self.indptr[:-1], self.counts)).astype(
-            np.min_scalar_type(self.counts.max(initial=0)))
+        self.indptr = np.append(0, np.cumsum(counts)).astype(np.int32)
         self.indices = lookup[ids].astype(np.min_scalar_type(n))
         self.shape = (counts.size, n)
 
-    def gather(self, operator, rows):
-        """One block-diagonal matrix of these entries for several regions,
-        region g's block at rows of the operator `rows[g]`."""
-        g = rows.shape[0]
+    def matrix(self, data):
+        """One block-diagonal matrix of these rows for several regions,
+        region g's entries `data[g]`, row by row."""
+        g, nnz = data.shape
         m, n = self.shape
-        nnz = int(self.indptr[-1])
-        at = np.repeat(operator.indptr[rows], self.counts, axis=1)
-        at += self.offset
         # ids of the index type the sparse constructor keeps: it then neither
         # scans nor copies them
         index = np.int32 if g * max(n, nnz) < 2 ** 31 else np.int64
         base = np.arange(g, dtype=index)[:, None]
         return sp.csr_matrix(
-            (operator.data[at].ravel(), (self.indices + base * index(n)).ravel(),
+            (data.ravel(), (self.indices + base * index(n)).ravel(),
              np.append((self.indptr[:-1] + base * index(nnz)).ravel(), index(g * nnz))),
             shape=(g * m, g * n))
 
@@ -474,10 +453,10 @@ class _RegionTemplate:
     (`pos`; every one is a region unknown, padding slots included), the
     skeleton in its row-by-row order and its slots, the lower band of the
     skeleton matrix (half-width `kd`) with the scatter from the elements'
-    stacked complements into it, and the pattern of the region's rows
-    inside the whole-domain operator (`K`: the region's saddle matrix in
-    its unknowns' columns, then its coupling to the region-boundary edges)
-    hold for all of them. The column slots run element by element, as
+    stacked complements into it, the pattern of the region's rows (`K`:
+    the region's saddle matrix in its unknowns' columns, then its coupling
+    to the region-boundary edges) and where their values come from hold
+    for all of them. The column slots run element by element, as
     `aux.columns` does (-1 on padding).
 
     The template depends on the grids alone, not on the flavor, the
@@ -496,8 +475,8 @@ class _RegionTemplate:
         boundary = region.boundary_edges()
         self.vertical = edges < grid.n_vedges
         self.boundary_vertical = boundary < grid.n_vedges
-        # the elements' interior unknowns as rows of the whole-domain
-        # operator: interior edges, cells and column slots (`ys`)
+        # the elements' interior unknowns by global id: interior edges,
+        # cells and column slots (`ys`, e k_max + j for slot j of element e)
         interior_edges, element_cells, element_boundary = (
             a[elements] for a in element_layout(coarse))
         ys = grid.n_edges + grid.n_cells + elements[:, None] * k_max + np.arange(k_max)
@@ -534,19 +513,18 @@ class _RegionTemplate:
         owner, entry = np.nonzero(mask.reshape(elements.size, -1))
         self.S_src = (elements[owner] * mask[0].size + entry).astype(
             np.min_scalar_type(coarse.n_elements * mask[0].size))
-        # the region's rows of the operator, in its unknowns' columns (its
-        # saddle matrix) followed by its region-boundary edges' columns. By
-        # symmetry the latter, transposed, are the region-boundary rows in
-        # the unknowns' columns, which give the traces M psi - B^T q: a
-        # region-boundary row of the operator has fewer entries where the
-        # domain ends, a region row the same in every region. A region row
-        # couples only the region's unknowns and boundary edges, so its
-        # pattern is written out by kind, each row ascending as the operator
-        # stores it: an interior edge couples to itself and the opposite
-        # edge of each of its two cells (the flux mass) and to those cells
-        # (B); a cell to its four edges (B) and its element's column slots
-        # (C, an entry for each, zero or not); a slot to its element's cells
-        # and itself (Y, zero or not)
+        # the region's rows, in its unknowns' columns (its saddle matrix)
+        # followed by its region-boundary edges' columns, which transposed
+        # give the traces M psi - B^T q. The pattern is written out by row
+        # kind, each row ascending, and `_Regions` writes the values in the
+        # same order: an interior edge couples to itself and the opposite
+        # edge of each of its two cells a and b (`edge_cells`; c2(a),
+        # c1(a) + c1(b), c2(b)) and to those cells (-h, h); a cell to its
+        # four edges (h, -h, h, -h) and its element's column slots (-C, an
+        # entry for each, zero or not; `cell_element` is the element's place
+        # in the region, `cell_local` the cell's in the element, whose cells
+        # `element_layout` orders row by row); a slot to its element's cells
+        # (-C) and itself (Y, zero or not)
         nx, (cells_x, cells_y) = grid.nx, region.shape
         j, i = np.mgrid[0:cells_y, 1:cells_x]
         v, cell = grid.vedge_id(i, j), grid.n_edges + j * nx + i
@@ -554,9 +532,14 @@ class _RegionTemplate:
         j, i = np.mgrid[1:cells_y, 0:cells_x]
         h, cell = grid.hedge_id(i, j), grid.n_edges + j * nx + i
         horizontal = np.stack([h - nx, h, h + nx, cell - nx, cell], axis=-1).reshape(-1, 5)
+        self.edge_cells = (np.concatenate([vertical[:, 3:], horizontal[:, 3:]])
+                           - grid.n_edges).astype(np.int32)
         ix, iy = grid.cell_ix_iy(cells)
+        self.cell_element = ((iy // r) * self.width + ix // r).astype(
+            np.min_scalar_type(elements.size))
+        self.cell_local = ((iy % r) * r + ix % r).astype(np.min_scalar_type(r * r))
         cell_rows = np.concatenate([np.stack(grid.cell_edge_ids(cells), axis=1),
-                                    ys[(iy // r) * self.width + ix // r]], axis=1)
+                                    ys[self.cell_element]], axis=1)
         column_rows = np.concatenate([grid.n_edges + np.repeat(element_cells, k_max, axis=0),
                                       ys.reshape(-1, 1)], axis=1)
         rows = (vertical, horizontal, cell_rows, column_rows)
@@ -565,10 +548,9 @@ class _RegionTemplate:
                        np.concatenate([unknowns, boundary]))
         self.edges, self.cells = edges.astype(np.int32), cells.astype(np.int32)
         self.boundary = boundary.astype(np.int32)
-        # about what a region takes while solved with others: its ids and
-        # values, its gathered rows, its gathered complements, its skeleton
-        # band (which its factor overwrites) and five arrays of
-        # right-hand-side size
+        # about what a region takes while solved with others: its rows'
+        # values and ids, its gathered complements, its skeleton band (which
+        # its factor overwrites) and five arrays of right-hand-side size
         self.bytes = 8 * (4 * int(self.K.indptr[-1])
                           + self.S_src.size + n_s * (self.kd + 1)
                           + 5 * n * k_max)
@@ -605,10 +587,11 @@ class _Regions:
     slots, each ascending; padding slots are unknowns like the others,
     whose values are zero. `columns` holds the slots' auxiliary columns,
     -1 on padding: only the kept ones reach B_c. `K` holds every region's
-    rows of the template's `K`, gathered once, as one block-diagonal
-    matrix: region g's n rows, and its n unknowns' columns followed by its
-    region-boundary edges'. Each region's skeleton factor is made once, on
-    its first solve, and kept for its other parts and refinement sweeps.
+    rows of the template's `K`, their values written once by row kind, as
+    one block-diagonal matrix: region g's n rows, and its n unknowns'
+    columns followed by its region-boundary edges'. Each region's skeleton
+    factor is made once, on its first solve, and kept for its other parts
+    and refinement sweeps.
     """
 
     def __init__(self, cond, template, origins, centres, elements, layers):
@@ -619,28 +602,34 @@ class _Regions:
         self.layers = layers
         self.flavor = "global" if layers is None else cond.flavor
         grid = cond.aux.coarse.fine
-        # the template's region sits at the domain's lower-left corner
-        di, dj = origins[:, :1], origins[:, 1:]
-
-        def shifted(edges, vertical):
-            return edges + np.where(vertical, dj * (grid.nx + 1) + di, dj * grid.nx + di)
-
-        self.edges = shifted(tpl.edges, tpl.vertical)
-        self.boundary = shifted(tpl.boundary, tpl.boundary_vertical)
-        self.cells = tpl.cells + dj * grid.nx + di
-        k_max = cond.Z.shape[2]
-        self.columns = cond.aux.columns[elements].reshape(len(centres), -1)
-        ys = (elements[:, :, None] * k_max + np.arange(k_max)).reshape(len(centres), -1)
-        unknowns = np.concatenate([self.edges, grid.n_edges + self.cells,
-                                   grid.n_edges + grid.n_cells + ys], axis=1)
-        # every region's rows of `_RegionTemplate`, from the whole-domain
-        # operator, as one block-diagonal matrix
-        self.K = tpl.K.gather(cond.operator, unknowns)
+        # the template's region sits at the domain's lower-left corner; a
+        # vertical edge's id moves by one more per row than a cell's
+        dj = origins[:, 1:]
+        shift = dj * grid.nx + origins[:, :1]
+        self.edges = tpl.edges + np.where(tpl.vertical, shift + dj, shift)
+        self.boundary = tpl.boundary + np.where(tpl.boundary_vertical, shift + dj, shift)
+        self.cells = tpl.cells + shift
+        g = len(centres)
+        self.columns = cond.aux.columns[elements].reshape(g, -1)
+        # every region's rows of `_RegionTemplate` as one block-diagonal
+        # matrix, their values written by row kind in the template's order
+        n_e, n_c, k = len(tpl.edge_cells), len(tpl.cell_local), cond.C.shape[2]
+        data = np.empty((g, int(tpl.K.indptr[-1])))
+        edge = data[:, :5 * n_e].reshape(g, n_e, 5)
+        cell = data[:, 5 * n_e:5 * n_e + (4 + k) * n_c].reshape(g, n_c, 4 + k)
+        column = data[:, 5 * n_e + (4 + k) * n_c:].reshape(g, elements.shape[1], k, -1)
+        a, b = np.moveaxis(tpl.edge_cells + shift[:, :, None], 2, 0)
+        edge[..., 0], edge[..., 2], edge[..., 3:] = cond.c2[a], cond.c2[b], (-grid.h, grid.h)
+        np.add(cond.c1[a], cond.c1[b], out=edge[..., 1])
+        cell[..., :4] = grid.h * np.array([1.0, -1.0, 1.0, -1.0])
+        np.negative(cond.C[elements[:, tpl.cell_element], tpl.cell_local], out=cell[..., 4:])
+        np.negative(cond.C[elements].transpose(0, 1, 3, 2), out=column[..., :-1])
+        column[..., -1] = cond.Y[elements]
+        self.K = tpl.K.matrix(data)
         self.s = cond.aux.s_diag[self.cells]
         # the region-boundary edges inside the domain: every function
         # vanishes on the domain boundary
         self.inner = ~grid.boundary_edge_mask()[self.boundary]
-        g = len(centres)
         size = tpl.n_s * (tpl.kd + 1)
         self.bands = np.bincount(
             (tpl.S_dst + np.arange(g)[:, None] * size).ravel(),
@@ -785,8 +774,15 @@ def _norms(a):
     return np.sqrt(np.einsum("gnc,gnc->gc", a, a))
 
 
-def _check_layers(layers, flavor="type2"):
-    """Refuse a layer count below one for a localized flavor."""
+# the localized flavors, then the whole-domain one
+FLAVORS = ("type1", "type2", "global")
+
+
+def _check_method(flavor, layers=1):
+    """Refuse an unknown flavor, and a layer count below one for a
+    localized flavor (one unless given)."""
+    if flavor not in FLAVORS:
+        raise ConfigError(f"unknown flavor {flavor!r}")
     if flavor != "global" and (layers is None or layers < 1):
         raise ConfigError("localized basis functions need at least one layer")
 
@@ -796,7 +792,7 @@ def build_basis_set(aux, perm, layers=None, flavor="type2", rtol=1e-10, workers=
     element-major to match the auxiliary-space columns: the elements
     condensed once, then `CondensedElements.functions`."""
     glob = flavor == "global"
-    _check_layers(layers, flavor)
+    _check_method(flavor, layers)
     cond = CondensedElements(aux, perm, "type2" if glob else flavor, workers)
     return cond.functions(range(aux.coarse.n_elements), None if glob else layers, rtol)
 

@@ -35,6 +35,7 @@ import numpy as np
 
 from . import __version__
 from .auxspace import build_aux_space, gap_split, write_eigen_report
+from .basis import _check_method
 from .errors import ConfigError, SolveError
 from .fem import check_source, manufactured_cospi
 from .medium import (generate_medium, load_raster, save_raster,
@@ -196,8 +197,7 @@ def _resolve_flavor(cfg, grid, solver):
     """[method] flavor, checked before any solve: `global` functions span
     the whole domain, so it is refused above [solver] max_global_nx."""
     flavor = _get(cfg, "method", "flavor", default="type2")
-    if flavor not in ("type1", "type2", "global"):
-        raise ConfigError(f"unknown flavor {flavor!r}")
+    _check_method(flavor)
     if flavor == "global" and grid.nx > solver["max_global_nx"]:
         raise ConfigError(
             f"global flavor refused for nx={grid.nx} > "

@@ -5,11 +5,9 @@ pressures are constant per cell. On a region, velocity unknowns live on
 the region-interior edges only, which imposes the no-flux condition on
 the region (and domain) boundary.
 
-Every fine-scale block comes from one assembly. The flux mass matrix and
-the divergence matrix are assembled once, over all edges and cells in
-global numbering; a region's A and B are their rows and columns on its
-interior edges and cells. The element kernels of `auxspace` read the
-same per-cell triplets (`mass_triplets`) line by line.
+Every fine-scale flux mass reads one set of per-cell entries
+(`mass_triplets`): the whole-domain matrix, `auxspace`'s element
+kernels, the whole-domain solves' residuals and `basis`'s regions.
 
 The basis functions' region systems are instances of one symmetric
 indefinite template over unknowns (u, p[, y]):
@@ -21,9 +19,9 @@ indefinite template over unknowns (u, p[, y]):
 where A is the weighted flux mass matrix, B the signed divergence, C the
 coupling block of the energy-minimization constraint and Y a diagonal
 (`basis.CondensedElements`: ones for `type2`, zeros for `type1`). Rows are
-sign-flipped on assembly (`saddle_matrix`) so the full matrix is
-symmetric; a region's system is its rows and columns of the
-whole-domain template matrix with C (`basis.CondensedElements`).
+sign-flipped (`saddle_matrix`) so the full matrix is symmetric; a
+region's system is written with those signs, value by value, from its
+template (`basis._RegionTemplate`).
 
 The fine reference and the snapshot have no C block, and they are
 solved by hybridization (`_solve_whole_domain`): each cell's fluxes are
@@ -93,9 +91,8 @@ def mass_triplets(grid, cells, kappa):
 
 
 def mass_matrix(grid, perm):
-    """Flux mass matrix over all edges (global numbering). Used for energy
-    norms, Galerkin projection and, sliced, every fine-scale system;
-    boundary edges are included."""
+    """Flux mass matrix over all edges (global numbering), boundary edges
+    included. The solvers read its entries from `mass_triplets` instead."""
     rows, cols, vals = mass_triplets(grid, np.arange(grid.n_cells), perm.values)
     n = grid.n_edges
     return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()

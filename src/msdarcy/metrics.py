@@ -11,8 +11,8 @@ from time import perf_counter
 
 import numpy as np
 
-from .auxspace import build_aux_space, solve_all_spectra
-from .basis import CondensedElements, _check_layers, build_basis_set
+from .auxspace import _check_nbasis, build_aux_space, solve_all_spectra
+from .basis import CondensedElements, _check_method, build_basis_set
 from .coarse import assemble_coarse_system, mass_residuals, solve_multiscale
 from .errors import ConfigError
 from .fem import check_source, solve_fine_reference
@@ -117,21 +117,22 @@ def decay_study(aux, perm, e, j, layers_list, rtol=1e-10):
 
     The fitted per-layer ratio `rho` uses only non-saturated layer counts
     (regions still smaller than the domain); saturated entries are kept in
-    the profile but flagged. The elements are condensed once, for the
-    global function and every layer count. The profile keeps the global
-    and localized functions and, per layer count, the speed field of the
-    difference.
+    the profile but flagged. Every layer count is checked, then the
+    elements are condensed once, for the global function and all of them.
+    The profile keeps the global and localized functions and, per layer
+    count, the speed field of the difference.
     """
     coarse = aux.coarse
     grid = coarse.fine
     weight = aux.weight
     aux.column(e, j)
+    layers_arr = np.asarray(list(layers_list), dtype=int)
+    _check_method("type2", int(layers_arr.min(initial=1)))
     cond = CondensedElements(aux, perm, "type2")
     glo = cond.functions([e], None, rtol)[j]
     glo_v = glo.v_global(grid.n_edges)
     norm_glo = velocity_norms(grid, perm, weight, glo_v).V
 
-    layers_arr = np.asarray(list(layers_list), dtype=int)
     diff_V = np.zeros(layers_arr.size)
     diff_a = np.zeros(layers_arr.size)
     saturated = np.zeros(layers_arr.size, dtype=bool)
@@ -194,13 +195,14 @@ def convergence_study(perm, f, cases, flavor="type2", rtol=1e-10, workers=1):
     """Errors of the multiscale solve against the fine reference.
 
     `cases` holds (nbasis, Nx, layers) triples, solved in order on the
-    shared fine grid/medium; rates compare consecutive rows. Every coarse
-    size and layer count is checked before the first solve, and the
-    spectra of each coarse size are computed once.
+    shared fine grid/medium; rates compare consecutive rows. Every case
+    is checked in full before the first solve, and the spectra of each
+    coarse size are computed once.
     """
     coarse = {Nx: build_grids(perm.grid.nx, Nx)[1] for _, Nx, _ in cases}
-    for _, _, layers in cases:
-        _check_layers(layers, flavor)
+    for nbasis, Nx, layers in cases:
+        _check_nbasis(nbasis, coarse[Nx].r ** 2)
+        _check_method(flavor, layers)
     fine = solve_fine_reference(perm, f, rtol=rtol)
     stages = {}
     rows = []
@@ -230,9 +232,9 @@ def convergence_study(perm, f, cases, flavor="type2", rtol=1e-10, workers=1):
 def solve_case(perm, f, Nx, nbasis=None, threshold=None, layers=3,
                flavor="type2", rtol=1e-10, workers=1):
     """One multiscale solve, returning (solution, aux, basis, mass report).
-    The source and the layer count are checked before the first stage."""
+    The source, flavor and layer count are checked before the first stage."""
     f = check_source(f, perm.grid)
-    _check_layers(layers, flavor)
+    _check_method(flavor, layers)
     _, coarse = build_grids(perm.grid.nx, Nx)
     weight, spectra = spectra_stage(perm, coarse, workers)
     ms, aux, basis_set = _multiscale(perm, f, coarse, weight, spectra, nbasis,

@@ -555,6 +555,25 @@ def test_banded_skeleton_solve_matches_superlu(flavor, contrast):
         assert np.linalg.norm(got[0, :-1] - want) <= 1e-10 * np.linalg.norm(want)
 
 
+def _operator(cond):
+    """Oracle: the whole-domain saddle matrix over all edges, cells and
+    column slots, slot j of element e at e k_max + j, padding included,
+    assembled by `fem.saddle_matrix` from the flux mass, the divergence and
+    the condensed elements' C and Y, in CSR with sorted indices: a
+    region's rows and columns of it are that region's saddle matrix."""
+    grid = cond.aux.coarse.fine
+    n_el, _, k_max = cond.C.shape
+    slots = np.arange(n_el * k_max).reshape(n_el, 1, k_max)
+    C = sp.csr_matrix(
+        (cond.C.ravel(), (np.broadcast_to(cond.cells[:, :, None], cond.C.shape).ravel(),
+                          np.broadcast_to(slots, cond.C.shape).ravel())),
+        shape=(grid.n_cells, slots.size))
+    operator = saddle_matrix(mass_matrix(grid, cond.perm), divergence_matrix(grid), C,
+                             cond.Y.ravel()).tocsr()
+    operator.sort_indices()
+    return operator
+
+
 def _element_keys(cond, e):
     """Element e's interior unknowns without padding, as rows of the
     whole-domain operator: its interior edges, its cells and the slots
@@ -566,15 +585,15 @@ def _element_keys(cond, e):
                            + np.arange(cond.aux.counts[e])])
 
 
-def _condensation_oracle(cond, e):
+def _condensation_oracle(cond, operator, e):
     """Oracle: element e's interior block sliced from the whole-domain
-    operator and factored by sparse LU, refined once, one element at a time
-    (the path the stacked kernels replaced). Returns (W, S, Z) without
+    `operator` and factored by sparse LU, refined once, one element at a
+    time (the path the stacked kernels replaced). Returns (W, S, Z) without
     padding."""
     aux = cond.aux
     grid = aux.coarse.fine
     keys = _element_keys(cond, e)
-    rows = cond.operator[keys]
+    rows = operator[keys]
     K_II = rows[:, keys].tocsc()
     K_IG = rows[:, cond.boundary[e]].toarray()
     cells = cond.cells[e]
@@ -616,8 +635,9 @@ def test_stacked_condensation_matches_per_element_oracle(small_case, flavor, con
     # unequal column counts exercise the padding
     aux = build_aux_space(coarse, weight, spectra, threshold=1.0)
     cond = CondensedElements(aux, perm, flavor)
+    operator = _operator(cond)
     for e in range(coarse.n_elements):
-        W, S, Z = _condensation_oracle(cond, e)
+        W, S, Z = _condensation_oracle(cond, operator, e)
         n, k = W.shape[0], Z.shape[1]
         for got, want in ((cond.W[e, :n], W), (cond.S[e], S), (cond.Z[e, :n, :k], Z)):
             assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
@@ -647,39 +667,46 @@ def test_region_templates_reproduce_operator_slices(small_case, flavor):
     their own rows of the whole-domain operator, entry for entry: in their
     unknowns' columns, then in their region-boundary edges' columns. Every
     element has k_max column slots, padding included; only the kept ones
-    map to auxiliary columns."""
-    fine, coarse, perm, weight, _ = small_case
-    spectra = solve_all_spectra(coarse, perm, weight)
-    aux = build_aux_space(coarse, weight, spectra, threshold=1.0)
-    assert np.unique(aux.counts).size > 1
-    cond = CondensedElements(aux, perm, "type2" if flavor == "global" else flavor)
+    map to auxiliary columns. Two media: a log-uniform one over 12 decades,
+    where the flux mass diagonals c1(a) + c1(b) span the whole range, and
+    the fixture's."""
+    fine, coarse, perm, _, _ = small_case
+    wide = PermField.from_raw(fine, np.exp(np.random.default_rng(24).uniform(
+        0, np.log(1e12), fine.n_cells)))
     grid = coarse.fine
-    k_max = cond.Z.shape[2]
     if flavor == "global":
         cases = [(full_domain(fine), None)]
     else:
         cases = [(oversample_region(coarse, e, layers), layers)
                  for layers in (1, 2) for e in range(coarse.n_elements)]
-    _template.cache_clear()
-    for region, layers in cases:
-        system = _region_system(cond, region, layers)
-        assert np.array_equal(system.edges[0], region.interior_edges())
-        assert np.array_equal(system.cells[0], region.cells())
-        assert np.array_equal(system.boundary[0], region.boundary_edges())
-        elements = region_elements(coarse, region)
-        kept = np.arange(k_max) < aux.counts[elements][:, None]
-        assert np.array_equal(system.columns[0] >= 0, kept.ravel())
-        cols, _ = restriction(aux, region)
-        assert np.array_equal(system.columns[0][kept.ravel()], cols)
-        slots = (elements[:, None] * k_max + np.arange(k_max)).ravel()
-        unknowns = np.concatenate([system.edges[0], grid.n_edges + system.cells[0],
-                                   grid.n_edges + grid.n_cells + slots])
-        rows = cond.operator[unknowns]
-        n = unknowns.size
-        for got, want in ((system.K[:, :n], rows[:, unknowns]),
-                          (system.K[:, n:], rows[:, region.boundary_edges()])):
-            assert got.shape == want.shape and got.nnz == want.nnz
-            assert (got != want).nnz == 0
+    for kappa in (wide, perm):
+        weight = compute_weight(kappa, bilinear_pou(coarse))
+        aux = build_aux_space(coarse, weight, solve_all_spectra(coarse, kappa, weight),
+                              threshold=1.0)
+        assert np.unique(aux.counts).size > 1
+        cond = CondensedElements(aux, kappa, "type2" if flavor == "global" else flavor)
+        operator = _operator(cond)
+        k_max = cond.Z.shape[2]
+        _template.cache_clear()
+        for region, layers in cases:
+            system = _region_system(cond, region, layers)
+            assert np.array_equal(system.edges[0], region.interior_edges())
+            assert np.array_equal(system.cells[0], region.cells())
+            assert np.array_equal(system.boundary[0], region.boundary_edges())
+            elements = region_elements(coarse, region)
+            kept = np.arange(k_max) < aux.counts[elements][:, None]
+            assert np.array_equal(system.columns[0] >= 0, kept.ravel())
+            cols, _ = restriction(aux, region)
+            assert np.array_equal(system.columns[0][kept.ravel()], cols)
+            slots = (elements[:, None] * k_max + np.arange(k_max)).ravel()
+            unknowns = np.concatenate([system.edges[0], grid.n_edges + system.cells[0],
+                                       grid.n_edges + grid.n_cells + slots])
+            rows = operator[unknowns]
+            n = unknowns.size
+            for got, want in ((system.K[:, :n], rows[:, unknowns]),
+                              (system.K[:, n:], rows[:, region.boundary_edges()])):
+                assert got.shape == want.shape and got.nnz == want.nnz
+                assert (got != want).nnz == 0
     if flavor == "global":
         return
     # one template per region shape, whatever the column counts
@@ -754,9 +781,10 @@ def test_stacked_condensation_is_exact_at_high_contrast(flavor):
     aux = build_aux_space(coarse, weight, solve_all_spectra(coarse, perm, weight),
                           threshold=1.0)
     cond = CondensedElements(aux, perm, flavor)
+    operator = _operator(cond)
     for e in range(coarse.n_elements):
         keys = _element_keys(cond, e)
-        rows = cond.operator[keys]
+        rows = operator[keys]
         n, k = keys.size, int(aux.counts[e])
         K_inv = mpmath.inverse(mpmath.matrix(rows[:, keys].toarray().tolist()))
         for got, rhs in ((cond.W[e, :n], rows[:, cond.boundary[e]].toarray()),

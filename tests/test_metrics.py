@@ -205,3 +205,30 @@ def test_layer_counts_are_checked_before_any_solve(case32, monkeypatch):
             convergence_study(perm, f, [(1, 4, 2), (1, 8, 0)], flavor=flavor)
     with pytest.raises(AssertionError, match="solved before"):
         solve_case(perm, f, 8, nbasis=1, layers=0, flavor="global")
+
+
+def test_flavors_and_counts_are_checked_before_any_solve(case32, monkeypatch):
+    """An unknown flavor is refused before the spectra, an eigenvector
+    count outside 1..r^2 in any convergence case before the fine
+    reference, and a layer count below one in a decay study before its
+    elements are condensed for the global function."""
+    fine, coarse, perm, weight = case32
+    f = np.random.default_rng(49).standard_normal(fine.n_cells)
+    f -= f.mean()
+    aux = build_aux_space(coarse, weight, solve_all_spectra(coarse, perm, weight), nbasis=1)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("solved before the arguments were checked")
+    monkeypatch.setattr("msdarcy.metrics.solve_all_spectra", fail)
+    monkeypatch.setattr("msdarcy.metrics.solve_fine_reference", fail)
+    monkeypatch.setattr("msdarcy.metrics.CondensedElements", fail)
+    with pytest.raises(ConfigError, match="unknown flavor 'type3'"):
+        solve_case(perm, f, 8, nbasis=1, layers=1, flavor="type3")
+    with pytest.raises(ConfigError, match="unknown flavor 'type3'"):
+        convergence_study(perm, f, [(1, 8, 1)], flavor="type3")
+    # 8 x 8 elements of 4 x 4 cells: 16 eigenvalues each
+    for nbasis in (0, 17):
+        with pytest.raises(ConfigError, match=f"nbasis={nbasis} out of range"):
+            convergence_study(perm, f, [(3, 8, 3), (nbasis, 8, 3)])
+    with pytest.raises(ConfigError, match="at least one layer"):
+        decay_study(aux, perm, int(coarse.element_id(3, 3)), 0, [1, 2, 0])
