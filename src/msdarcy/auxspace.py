@@ -22,6 +22,7 @@ memoized per grid (`element_lines`, read-only); the line masses, the
 eliminations and the spectra are computed per call.
 """
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -157,12 +158,42 @@ def _fix_signs(P):
 
 
 def _run(workers, fn, items):
-    """fn over items, on `workers` threads when more than one and there
-    are at least two items."""
-    if workers and workers > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
+    """[fn(item) for item in items], on `workers` threads when more than
+    one and there are at least two items: the calling thread and
+    workers - 1 pool threads claim the items in order, one at a time, and
+    the caller claims the first. The caller's share matters for memory as
+    well as time: glibc keeps what a pool thread frees in that thread's
+    arena, where the calling thread's later work cannot reuse it.
+
+    Results come back in item order. Once an item fails no further item
+    is claimed; those already claimed run to their end, and the exception
+    of the earliest failing item is raised."""
+    if not (workers and workers > 1 and len(items) > 1):
+        return [fn(item) for item in items]
+    results, errors = [None] * len(items), {}
+    order, lock = iter(range(len(items))), threading.Lock()
+
+    def claim():
+        with lock:
+            return None if errors else next(order, None)
+
+    def work(i):
+        while i is not None:
+            try:
+                results[i] = fn(items[i])
+            except BaseException as exc:
+                with lock:
+                    errors[i] = exc
+            i = claim()
+
+    first = claim()
+    with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+        for _ in range(min(workers, len(items)) - 1):
+            pool.submit(work, claim())
+        work(first)
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 # The working set of one slice of a stacked kernel. Smaller slices bound

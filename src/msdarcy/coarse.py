@@ -50,9 +50,14 @@ itself, A_c rather than its symmetric part. A product on a band layout
 would need a second copy of the band and gains little or loses: at 3072
 functions on one thread, BLAS `dsbmv` took 0.42-0.51 ms against 0.54 ms
 for the CSR product with A_c, and `dgbmv` 0.36 ms against 0.16 ms for
-the CSC product with B_c. The Cholesky band lives until the rank test,
-the LU band until the sigma iteration; the two coexist from the LU to
-the end of that iteration, which sets the solve's memory peak.
+the CSC product with B_c. The two bands never coexist: the Cholesky
+band lives until the rank test's largest eigenvalue, which runs right
+after the Cholesky check, and is freed before the LU band is made; the
+LU band lives until the sigma iteration ends. So the solve's memory peak
+is the larger band, not their sum. An error of that early eigenvalue run
+(no convergence, or ARPACK's own error on a degenerate block) is held
+back and raised after the LU and sigma checks, so the checks still fail
+in their order: Cholesky, LU pivot, sigma, rank test, residual.
 """
 
 from dataclasses import dataclass
@@ -60,7 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dgbtrf, dgbtrs
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import SolveError
 from .fem import band_cholesky, band_solve, check_memory, check_source, divergence_matrix
@@ -267,11 +272,17 @@ def solve_multiscale(system, rtol=1e-10):
     sparse copy of either block. The matrix-vector products read A_c and
     B_c themselves, plus c s (s . x) for the shift of a saturated set: A
     is A_c (+ c s s^T) in the products, with A_c^T z in the null-vector
-    correction, and its symmetric part only in the factor. The checks run
-    in a fixed order: positive definiteness (Cholesky), a zero pivot (LU),
-    the sigma iteration, the rank test. The LU band is freed after the
-    sigma iteration, its last use, and the Cholesky band after the rank
-    test, its last use."""
+    correction, and its symmetric part only in the factor.
+
+    One band is alive at a time. The rank test's largest eigenvalue, the
+    Cholesky factor's last use, runs right after the Cholesky check, and
+    the Cholesky band is freed before the LU band is made; the LU band is
+    freed after the sigma iteration, its last use. Any error of that early
+    eigenvalue run (a SolveError when it does not converge, or scipy's
+    ArpackError, such as -9 on a zero divergence block) is held back and
+    raised unchanged after the LU pivot check and the sigma iteration. So
+    the checks fail in a fixed order: positive definiteness (Cholesky), a
+    zero pivot (LU), the sigma iteration, the rank test, the residual."""
     A_c, B_c, w, rhs_q = system.A_c, system.B_c, system.mean_w, system.rhs_q
     n = w.size
     if A_c.shape != (n, n) or B_c.shape != (n, n):
@@ -302,6 +313,21 @@ def solve_multiscale(system, rtol=1e-10):
         chol = band_cholesky(chol)
     except np.linalg.LinAlgError as exc:
         raise SolveError(f"projected velocity block is not positive definite: {exc}")
+
+    def zero_mean(q):
+        return q - (w @ q) / (w @ w) * w
+
+    # the rank test's largest eigenvalue, the Cholesky factor's last use, so
+    # that its band is freed before the LU band is made; an error of this
+    # run is held back until the LU and sigma checks have run
+    lam_max, held = None, None
+    if n > 1:
+        try:
+            lam_max = _top_eigenvalue(
+                lambda q: zero_mean(B_c @ band_solve(chol, B_c.T @ zero_mean(q))), n, tol=1e-3)
+        except (SolveError, ArpackError) as exc:
+            held = exc
+    del chol
     k = int(np.argmax(np.abs(s)))
     lu, kb = _pinned_band(B_c, k)
     lu, piv, info = dgbtrf(lu, kb, kb, overwrite_ab=1)
@@ -332,26 +358,21 @@ def solve_multiscale(system, rtol=1e-10):
         dU, dP, dgamma = solve(B_c.T @ P - A_c @ U, rhs_q - B_c @ U - gamma * w, -(w @ P))
         U, P, gamma = U + dU, P + dP, gamma + dgamma
 
-    def zero_mean(q):
-        return q - (w @ q) / (w @ w) * w
-
     # the pressure of the solve with data (0, Pi r, 0) is (Pi S Pi)^+ r for
     # the Schur complement S = B_c A^-1 B_c^T and the zero-mean projector
     # Pi, so the top eigenvalue of that map is 1 / sigma
     sigma = np.inf if n == 1 else 1.0 / _top_eigenvalue(
         lambda q: solve(np.zeros(n), zero_mean(q), 0.0)[1], n)
     del lu
-    if n > 1:
-        # numerical rank test: sigma scales like 1/contrast, so compare it
-        # with the roundoff level of the largest eigenvalue, which needs
-        # only a few digits
-        lam_max = _top_eigenvalue(
-            lambda q: zero_mean(B_c @ band_solve(chol, B_c.T @ zero_mean(q))), n, tol=1e-3)
-        if not sigma > (n - 1) * np.finfo(float).eps * lam_max:
-            raise SolveError(
-                f"coarse system is singular: restricted Schur eigenvalue {sigma:.3e}, "
-                f"largest {lam_max:.3e}")
-    del chol
+    if held is not None:
+        raise held
+    # numerical rank test: sigma scales like 1/contrast, so compare it with
+    # the roundoff level of the largest eigenvalue, which needs only a few
+    # digits
+    if n > 1 and not sigma > (n - 1) * np.finfo(float).eps * lam_max:
+        raise SolveError(
+            f"coarse system is singular: restricted Schur eigenvalue {sigma:.3e}, "
+            f"largest {lam_max:.3e}")
     BU = B_c @ U
     gamma = float(w @ (rhs_q - BU)) / (w @ w)
     res = np.sqrt(np.linalg.norm(A_c @ U - B_c.T @ P) ** 2

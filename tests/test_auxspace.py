@@ -1,6 +1,8 @@
 """Local spectral problems and the auxiliary projection."""
 
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from msdarcy import (AuxSpace, ConfigError, PermField, Spectra, bilinear_pou,
                      build_aux_space, build_grids, compute_weight,
                      generate_medium, solve_all_spectra, solve_case,
                      three_channel_spec)
-from msdarcy.auxspace import element_lines, gap_split, write_eigen_report
+from msdarcy.auxspace import _run, element_lines, gap_split, write_eigen_report
 from msdarcy.fem import (divergence_matrix, mass_matrix,
                          mass_triplets, velocity_dofmap)
 from msdarcy.mesh import element_layout, element_region, oversample_region, region_elements
@@ -181,6 +183,39 @@ def test_solve_all_spectra_workers_agree():
     assert serial.lambdas.shape == (coarse.n_elements, 256)
     for name in ("cells", "lambdas", "pressures"):
         assert np.array_equal(getattr(serial, name), getattr(parallel, name))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_run_keeps_item_order_and_works_on_the_calling_thread(workers):
+    """Items that finish out of order come back in item order, the calling
+    thread runs at least one of them, and no more than `workers` threads
+    run them."""
+    threads = {}
+
+    def fn(item):
+        time.sleep(0.002 * (item % 3))
+        threads[item] = threading.get_ident()
+        return item * item
+
+    items = list(range(12))
+    assert _run(workers, fn, items) == [item * item for item in items]
+    assert threading.get_ident() in threads.values()
+    assert len(set(threads.values())) <= workers
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_run_raises_the_earliest_failing_items_error(workers):
+    """With items 2 and 5 failing, item 2's exception is raised, also when
+    item 5, the faster one, fails first."""
+    def fn(item):
+        if item == 2:
+            time.sleep(0.05)
+        if item in (2, 5):
+            raise ValueError(f"item {item}")
+        return item
+
+    with pytest.raises(ValueError, match="item 2"):
+        _run(workers, fn, list(range(8)))
 
 
 def _fake_spectra():

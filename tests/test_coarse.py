@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackNoConvergence, splu
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh, splu
 
 from msdarcy import (ConfigError, PermField, SolveError, bilinear_pou,
                      build_aux_space, build_basis_set, build_grids,
@@ -342,16 +342,18 @@ def test_band_positions_widen_past_the_index_type():
     assert wide.dtype == np.int64 and wide.tolist() == [3 * 2 ** 30 + 1, 2]
 
 
-def test_solve_allocates_the_two_bands_and_little_more():
+def test_solve_allocates_one_band_and_little_more():
     """tracemalloc's peak over the coarse solve of 768 functions stays
-    under the two band factors, 8 n (kd + 1) + 8 n (3 kb + 1) bytes, plus
-    12 bytes per stored entry of A_c, one more copy of its values and
-    column ids. A symmetrized sparse copy of A_c alone holds more."""
+    under the larger of the two band factors, 8 n max(kd + 1, 3 kb + 1)
+    bytes, plus 12 bytes per stored entry of A_c, one more copy of its
+    values and column ids: the Cholesky band is freed before the LU band
+    is made. Holding both bands, or a symmetrized sparse copy of A_c
+    beside one, takes more."""
     fine, grid, perm, weight, aux, f = _setup(32, 16, nbasis=3, seed=40)
     system = assemble_coarse_system(build_basis_set(aux, perm, layers=1), perm, f)
     n = system.A_c.shape[0]
     kd, kb = coarse._half_width(system.A_c), coarse._half_width(system.B_c)
-    bound = 8 * n * (kd + 1) + 8 * n * (3 * kb + 1) + 12 * system.A_c.nnz
+    bound = 8 * n * max(kd + 1, 3 * kb + 1) + 12 * system.A_c.nnz
     solve_multiscale(system)
     tracemalloc.start()
     try:
@@ -561,6 +563,23 @@ def test_lanczos_failure_raises_solve_error(monkeypatch):
     monkeypatch.setattr(coarse, "eigsh", no_convergence)
     with pytest.raises(SolveError, match="did not converge"):
         solve_multiscale(_oracle_system("type2"))
+
+
+def test_held_back_lanczos_failure_raises_after_the_lu_and_sigma(monkeypatch):
+    """The rank test's largest eigenvalue runs before the LU, to a few
+    digits (tol=1e-3); when only that run fails, its SolveError is held
+    back and still raised, after the LU and the sigma iteration ran."""
+    calls = []
+
+    def fail_the_rank_run(*args, **kwargs):
+        calls.append(kwargs["tol"])
+        if kwargs["tol"] == 1e-3:
+            raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
+        return eigsh(*args, **kwargs)
+    monkeypatch.setattr(coarse, "eigsh", fail_the_rank_run)
+    with pytest.raises(SolveError, match="did not converge"):
+        solve_multiscale(_oracle_system("type2"))
+    assert calls == [1e-3, 0.0]
 
 
 def test_memory_guard_refuses_oversized_coarse_system(monkeypatch):

@@ -32,7 +32,9 @@ set's arrays hold (`basis_mb`), plus the worker counts, the core count,
 the BLAS thread count and the numpy and scipy versions. A stage's raise counts
 only its growth above every earlier stage's peak. BLAS is pinned to one
 thread, so `workers` is the number of busy threads. With `--baseline` the
-baseline's results go to `BENCH_<name of DIR>.json` beside them.
+baseline's results go to `BENCH_<name of DIR>.json` beside them. Each
+case's summary line gives its stage seconds and the MiB its coarse
+solve raised the high-water mark by (`coarse_solve_mb`).
 """
 
 import os
@@ -302,7 +304,8 @@ def main(argv=None):
                 stages = " ".join(f"{s}={case['seconds'][s]:.2f}" for s in STAGES)
                 print(f"{label} workers={run['workers']} "
                       f"{case['nx']}/{case['Nx']}/L{case['layers']}: "
-                      f"{stages} total={case['total_s']:.2f}")
+                      f"{stages} total={case['total_s']:.2f} "
+                      f"coarse_solve_mb={case['peak_mb']['coarse_solve']:.1f}")
         print(path)
 
 
