@@ -19,8 +19,7 @@ from .medium import (Block, MediumSpec, PermField, Strip, WeightField,
                      compute_weight, generate_medium, load_raster,
                      sample_spec, save_raster, spec_from_mapping,
                      three_channel_spec)
-from .fem import (FineSolution, manufactured_cospi, saddle_matrix,
-                  solve_fine_reference)
+from .fem import FineSolution, manufactured_cospi, solve_fine_reference
 from .auxspace import AuxSpace, Spectra, build_aux_space, solve_all_spectra
 from .basis import (BasisSet, CondensedElements, VelocityBasisFunction,
                     build_basis_set, build_snapshot)

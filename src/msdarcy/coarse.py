@@ -405,12 +405,14 @@ def div_compat_residual(v_edges, aux):
 
 def mass_residuals(solution, f, aux):
     """Conservation check of a fine-grid velocity field against the source,
-    with the projection-compatibility residual of the velocity divergence."""
+    with the projection-compatibility residual of the velocity divergence.
+    The source passes `check_source`, as in `assemble_coarse_system`."""
     coarse = solution.coarse
     grid = coarse.fine
+    f = check_source(f, grid)
     h2 = grid.h ** 2
     flux_int = divergence_matrix(grid) @ solution.v
-    diff = flux_int - h2 * np.asarray(f, dtype=np.float64)
+    diff = flux_int - h2 * f
     per_element = np.zeros(coarse.n_elements)
     np.add.at(per_element, coarse.element_of_cell(np.arange(grid.n_cells)), diff)
     per_element = np.abs(per_element)

@@ -6,8 +6,8 @@ the region-interior edges only, which imposes the no-flux condition on
 the region (and domain) boundary.
 
 Every fine-scale flux mass reads one set of per-cell entries
-(`mass_triplets`): the whole-domain matrix, `auxspace`'s element
-kernels, the whole-domain solves' residuals and `basis`'s regions.
+(`mass_triplets`): `auxspace`'s element kernels, the whole-domain
+solves' residuals and `basis`'s regions.
 
 The basis functions' region systems are instances of one symmetric
 indefinite template over unknowns (u, p[, y]):
@@ -18,10 +18,16 @@ indefinite template over unknowns (u, p[, y]):
 
 where A is the weighted flux mass matrix, B the signed divergence, C the
 coupling block of the energy-minimization constraint and Y a diagonal
-(`basis.CondensedElements`: ones for `type2`, zeros for `type1`). Rows are
-sign-flipped (`saddle_matrix`) so the full matrix is symmetric; a
-region's system is written with those signs, value by value, from its
-template (`basis._RegionTemplate`).
+(`basis.CondensedElements`: ones for `type2`, zeros for `type1`). The
+second and third block rows are negated, so the matrix
+
+    [ A   -B^T   0  ]
+    [-B    0    -C  ]
+    [ 0   -C^T   Y  ]
+
+is symmetric, with right-hand side (rhs_v, -rhs_p, -rhs_c). A region's
+system is written with those signs, value by value, from its template
+(`basis._RegionTemplate`).
 
 The fine reference and the snapshot have no C block, and they are
 solved by hybridization (`_solve_whole_domain`): each cell's fluxes are
@@ -64,7 +70,8 @@ from .mesh import read_only
 
 @dataclass(frozen=True)
 class VelocityDofMap:
-    """Sorted region-interior edges carrying the velocity unknowns."""
+    """Sorted region-interior edges carrying the velocity unknowns. Only
+    `perfbench/run.py` reads it; the package reads `Region.interior_edges`."""
 
     edges: np.ndarray
 
@@ -90,14 +97,6 @@ def mass_triplets(grid, cells, kappa):
     return rows, cols, vals
 
 
-def mass_matrix(grid, perm):
-    """Flux mass matrix over all edges (global numbering), boundary edges
-    included. The solvers read its entries from `mass_triplets` instead."""
-    rows, cols, vals = mass_triplets(grid, np.arange(grid.n_cells), perm.values)
-    n = grid.n_edges
-    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-
-
 def divergence_matrix(grid):
     """Signed cell-boundary flux sums: row c has +h on right/top edges and
     -h on left/bottom edges, so (Bv)_c equals the integral of div v over c."""
@@ -110,18 +109,6 @@ def divergence_matrix(grid):
                            np.full(cells.size, h), np.full(cells.size, -h)])
     return sp.coo_matrix((vals, (rows, cols)),
                          shape=(grid.n_cells, grid.n_edges)).tocsr()
-
-
-def saddle_matrix(A, B, C=None, Y=None):
-    """The symmetric template matrix of the module docs over (u, p[, y]);
-    with C, the y block's diagonal Y is stored entry by entry, zero or not."""
-    rows = [[A, -B.T], [-B, None]]
-    if C is not None:
-        k = np.arange(C.shape[1])
-        rows[0].append(None)
-        rows[1].append(-C)
-        rows.append([None, -C.T, sp.csr_matrix((Y, (k, k)), shape=(k.size, k.size))])
-    return sp.bmat(rows, format="csc")
 
 
 def band_cholesky(band):

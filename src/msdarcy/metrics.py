@@ -83,8 +83,9 @@ def rate(e_prev, h_prev, e_cur, h_cur):
 
 
 def auto_layers(H, l0=3, H0=0.125):
-    """Layer count growing logarithmically in 1/H, calibrated at (l0, H0)."""
-    if not (0 < H < 1 and 0 < H0 < 1) or l0 < 1:
+    """Layer count growing logarithmically in 1/H, calibrated at (l0, H0);
+    one layer for a single coarse element (H = 1)."""
+    if not (0 < H <= 1 and 0 < H0 < 1) or l0 < 1:
         raise ConfigError(f"bad layer calibration l0={l0}, H0={H0}, H={H}")
     try:
         with np.errstate(over="raise"):

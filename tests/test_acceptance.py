@@ -21,22 +21,11 @@ from msdarcy import (PermField, bilinear_pou, build_aux_space,
                      solve_fine_reference, three_channel_spec,
                      assemble_coarse_system, div_compat_residual,
                      solve_multiscale, velocity_norms)
-from msdarcy.fem import mass_matrix, velocity_dofmap
 from msdarcy.mesh import FineGrid, element_region
 from msdarcy.metrics import decay_study
-from test_fem import assemble_a, assemble_b
-from test_mesh import node_sum
+from oracles import assemble_a, assemble_b, corner_source, mass_matrix, node_sum
 
 WORKERS = min(4, os.cpu_count() or 1)
-
-
-def corner_source(grid, g=8, amp=1.0):
-    """Plus block in the top-left corner element, minus in the bottom-right."""
-    b = grid.nx // g
-    f = np.zeros((grid.ny, grid.nx))
-    f[(g - 1) * b:, :b] = amp
-    f[:b, (g - 1) * b:] = -amp
-    return f.ravel()
 
 
 @pytest.fixture(scope="session")
@@ -142,9 +131,8 @@ def test_criterion_2_spectral_oracle():
     worst_zero = 0.0
     for e, (lam, P) in enumerate(zip(spectra.lambdas, spectra.pressures)):
         region = element_region(coarse, e)
-        dofmap = velocity_dofmap(region)
-        A = assemble_a(region, perm, dofmap).toarray()
-        B = assemble_b(region, dofmap).toarray()
+        A = assemble_a(region, perm).toarray()
+        B = assemble_b(region).toarray()
         s = weight.values[region.cells()] * fine.h ** 2
         n, m = A.shape[0], B.shape[0]
         # full saddle pencil: finite eigenvalues match the reduced problem

@@ -8,17 +8,15 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
-from msdarcy import (AuxSpace, ConfigError, PermField, Spectra, bilinear_pou,
+from msdarcy import (ConfigError, PermField, Spectra, bilinear_pou,
                      build_aux_space, build_grids, compute_weight,
                      generate_medium, solve_all_spectra, solve_case,
                      three_channel_spec)
 from msdarcy.auxspace import _run, element_lines, gap_split, write_eigen_report
-from msdarcy.fem import (divergence_matrix, mass_matrix,
-                         mass_triplets, velocity_dofmap)
-from msdarcy.mesh import element_layout, element_region, oversample_region, region_elements
-from test_fem import assemble_a, assemble_b
+from msdarcy.fem import mass_triplets
+from msdarcy.mesh import element_layout, element_region, oversample_region
+from oracles import _spectra_oracle, assemble_a, assemble_b, restriction
 
 
 def _case(nx=16, Nx=4, seed=42, span=np.log(1e3)):
@@ -31,32 +29,11 @@ def _case(nx=16, Nx=4, seed=42, span=np.log(1e3)):
 
 def _dense_pencil(coarse, e, perm, weight):
     region = element_region(coarse, e)
-    dofmap = velocity_dofmap(region)
-    A = assemble_a(region, perm, dofmap).toarray()
-    B = assemble_b(region, dofmap).toarray()
+    A = assemble_a(region, perm).toarray()
+    B = assemble_b(region).toarray()
     M = B @ np.linalg.solve(A, B.T)
     S = np.diag(weight.values[region.cells()] * coarse.fine.h ** 2)
     return M, S
-
-
-def _spectra_oracle(coarse, perm, weight):
-    """Oracle: each element's blocks sliced from the whole-domain matrices,
-    its interior flux block factored by sparse LU and its pencil solved by
-    the generalized symmetric eigensolver, one element at a time (the path
-    the stacked line kernel replaced). Returns each element's eigenvalues."""
-    grid = coarse.fine
-    interior, cells, _ = element_layout(coarse)
-    mass, div = mass_matrix(grid, perm), divergence_matrix(grid)
-    lams = []
-    for i, c in zip(interior, cells):
-        A, B = mass[i][:, i], div[c][:, i]
-        M = np.zeros((c.size, c.size))
-        if A.shape[0] > 0:
-            M = B @ splu(A.tocsc()).solve(B.T.toarray())
-            M = 0.5 * (M + M.T)
-        lams.append(scipy.linalg.eigh(M, np.diag(weight.values[c] * grid.h ** 2),
-                                      eigvals_only=True))
-    return lams
 
 
 def _check_against_oracle(coarse, perm, weight):
@@ -327,27 +304,6 @@ def test_projection_reproduces_kept_eigenvectors_only():
     dropped = np.zeros(fine.n_cells)
     dropped[cells] = P[:, 5]
     assert np.abs(aux.project(dropped)).max() < 1e-10 * np.abs(dropped).max()
-
-
-def restriction(aux, region):
-    """Reference: the auxiliary columns supported inside a region, as
-    (column ids, R_loc) with R_loc mapping column coefficients to values
-    on the region's cells (sorted global order), built element by
-    element."""
-    region_cells = region.cells()
-    rows, cols, vals = [], [], []
-    col_ids = []
-    for e in region_elements(aux.coarse, region):
-        local_rows = np.searchsorted(region_cells, aux.cells[e])
-        for j in range(aux.counts[e]):
-            rows.append(local_rows)
-            cols.append(np.full(local_rows.size, len(col_ids)))
-            vals.append(aux.pressures[e][:, j])
-            col_ids.append(aux.offsets[e] + j)
-    R = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(region_cells.size, len(col_ids))).tocsr()
-    return np.asarray(col_ids), R
 
 
 def test_restriction_matches_global_matrix():

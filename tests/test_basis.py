@@ -4,60 +4,17 @@ import sys
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from msdarcy import (ConfigError, PermField, SolveError, bilinear_pou,
                      build_aux_space, build_basis_set, build_grids, build_snapshot, compute_weight, generate_medium,
                      sample_spec, solve_all_spectra, solve_fine_reference,
                      three_channel_spec)
-from msdarcy.basis import BasisSet, CondensedElements, _Regions, _template
-from msdarcy.fem import (band_cholesky, divergence_matrix, mass_matrix, mass_triplets,
-                         saddle_matrix, velocity_dofmap)
-from msdarcy.mesh import element_layout, full_domain, oversample_region, region_elements
-from test_auxspace import restriction
-from test_fem import assemble_a, assemble_b, refined_lu
-
-
-def _region_lu_reference(aux, perm, region, flavor, rtol=1e-10):
-    """Oracle: the region's constrained saddle system assembled whole and
-    factored by sparse LU, the path static condensation replaced. Returns
-    solve(e, j) -> (v, q, div, trace) for the basis function of eigenvector
-    j of element e: its fluxes v on the region-interior edges, the pressure
-    q of the region solve on the region's cells, its divergence
-    coefficients div (B v = S R_loc div) and its trace M v - B^T q on the
-    region-boundary edges inside the domain."""
-    dofmap = velocity_dofmap(region)
-    cols, R_loc = restriction(aux, region)
-    cells = region.cells()
-    s_region = aux.s_diag[cells]
-    grid = region.fine
-    trace_edges = region.boundary_edges()
-    trace_edges = trace_edges[~grid.boundary_edge_mask()[trace_edges]]
-    M_trace = mass_matrix(grid, perm)[trace_edges][:, dofmap.edges]
-    B_trace = divergence_matrix(grid)[cells][:, trace_edges].T
-    n, m = dofmap.n_dofs, cells.size
-    K = saddle_matrix(assemble_a(region, perm, dofmap), assemble_b(region, dofmap),
-                      (sp.diags(s_region) @ R_loc).tocsr(),
-                      np.full(cols.size, 0.0 if flavor == "type1" else 1.0))
-    lu = refined_lu(K, rtol)
-
-    def solve(e, j):
-        p_loc = R_loc[:, int(np.searchsorted(cols, aux.column(e, j)))].toarray().ravel()
-        # packed with the template's sign flips (rhs_v, -rhs_p, -rhs_c)
-        rhs_p, rhs_c = np.zeros(m), np.zeros(cols.size)
-        if flavor == "type1":
-            rhs_c = R_loc.T @ (s_region * p_loc)
-        else:
-            rhs_p = s_region * p_loc
-        x = lu(np.concatenate([np.zeros(n), -rhs_p, -rhs_c]))
-        # B v + C y = rhs_p, which is C e_j for type2 and zero for type1
-        div = -x[n + m:]
-        if flavor != "type1":
-            div[np.searchsorted(cols, aux.column(e, j))] += 1.0
-        v, q = x[:n], x[n:n + m]
-        return v, q, div, M_trace @ v - B_trace @ q
-    return solve
+from msdarcy.basis import CondensedElements, _Regions, _template
+from msdarcy.fem import band_cholesky, divergence_matrix
+from msdarcy.mesh import full_domain, oversample_region, region_elements
+from oracles import (_condensation_oracle, _element_keys, _from_records, _operator,
+                     _region_lu_reference, _skeleton_superlu_oracle, assemble_b, mass_matrix,
+                     restriction)
 
 
 def _worst_deviation(functions, solve):
@@ -71,30 +28,6 @@ def _worst_deviation(functions, solve):
             if want.size:
                 worst = max(worst, np.linalg.norm(got - want) / np.linalg.norm(want))
     return worst
-
-
-def _columns(rows, values, n_rows):
-    """The CSC matrix whose column k holds values[k] on the ascending row
-    ids rows[k]."""
-    indptr = np.concatenate([[0], np.cumsum([r.size for r in rows])])
-    return sp.csc_matrix((np.concatenate(values), np.concatenate(rows), indptr),
-                         shape=(n_rows, len(rows)))
-
-
-def _from_records(aux, records):
-    """Oracle: the set of `records`, its stacks rebuilt column by column
-    from them, the path the stacks written in place replaced."""
-    grid = aux.coarse.fine
-
-    def stack(rows, values, n_rows):
-        return _columns([getattr(fn, rows) for fn in records],
-                        [getattr(fn, values) for fn in records], n_rows)
-    return BasisSet(
-        aux, records[0].flavor, records[0].layers, stack("edges", "v", grid.n_edges),
-        stack("div_columns", "div", aux.n_columns),
-        stack("trace_edges", "trace", grid.n_edges), np.array([fn.energy for fn in records]),
-        np.array([aux.offsets[fn.element] + fn.j for fn in records]),
-        np.array([fn.element for fn in records]))
 
 
 @pytest.fixture(scope="module")
@@ -115,7 +48,7 @@ def test_batch_shapes_and_support(small_case):
     batch = CondensedElements(aux, perm, "type2").functions([e], 1)
     assert len(batch) == aux.counts[e]
     region = oversample_region(coarse, e, 1)
-    dof_edges = velocity_dofmap(region).edges
+    dof_edges = region.interior_edges()
     for j, fn in enumerate(batch):
         assert (fn.element, fn.j, fn.layers, fn.flavor) == (e, j, 1, "type2")
         assert np.array_equal(fn.edges, dof_edges)
@@ -512,22 +445,6 @@ def _region_system(cond, region, layers):
                     np.array([region.center]), elements[None], layers)
 
 
-def _skeleton_superlu_oracle(cond, region):
-    """Oracle: a region's skeleton matrix, its elements' complements summed
-    on the element boundary edges strictly inside it in ascending edge
-    order, factored by SuperLU in symmetric mode (the path banded Cholesky
-    replaced). Returns the skeleton edges and the factor."""
-    elements = region_elements(cond.aux.coarse, region)
-    skeleton = np.intersect1d(cond.boundary[elements], region.interior_edges())
-    S = np.zeros((skeleton.size, skeleton.size))
-    for e in elements:
-        inside = np.isin(cond.boundary[e], skeleton)
-        at = np.searchsorted(skeleton, cond.boundary[e][inside])
-        S[np.ix_(at, at)] += cond.S[e][np.ix_(inside, inside)]
-    return skeleton, splu(sp.csc_matrix(S), permc_spec="MMD_AT_PLUS_A",
-                          diag_pivot_thresh=0.1, options={"SymmetricMode": True})
-
-
 @pytest.mark.parametrize("flavor", ["type1", "type2", "global"])
 @pytest.mark.parametrize("contrast", [1e3, 1e8])
 def test_banded_skeleton_solve_matches_superlu(flavor, contrast):
@@ -553,68 +470,6 @@ def test_banded_skeleton_solve_matches_superlu(flavor, contrast):
         want = lu.solve(g)[order]
         got = system._skeleton([0], np.concatenate([g[order], np.zeros((1, 3))])[None])
         assert np.linalg.norm(got[0, :-1] - want) <= 1e-10 * np.linalg.norm(want)
-
-
-def _operator(cond):
-    """Oracle: the whole-domain saddle matrix over all edges, cells and
-    column slots, slot j of element e at e k_max + j, padding included,
-    assembled by `fem.saddle_matrix` from the flux mass, the divergence and
-    the condensed elements' C and Y, in CSR with sorted indices: a
-    region's rows and columns of it are that region's saddle matrix."""
-    grid = cond.aux.coarse.fine
-    n_el, _, k_max = cond.C.shape
-    slots = np.arange(n_el * k_max).reshape(n_el, 1, k_max)
-    C = sp.csr_matrix(
-        (cond.C.ravel(), (np.broadcast_to(cond.cells[:, :, None], cond.C.shape).ravel(),
-                          np.broadcast_to(slots, cond.C.shape).ravel())),
-        shape=(grid.n_cells, slots.size))
-    operator = saddle_matrix(mass_matrix(grid, cond.perm), divergence_matrix(grid), C,
-                             cond.Y.ravel()).tocsr()
-    operator.sort_indices()
-    return operator
-
-
-def _element_keys(cond, e):
-    """Element e's interior unknowns without padding, as rows of the
-    whole-domain operator: its interior edges, its cells and the slots
-    e k_max + j of its kept columns j."""
-    coarse = cond.aux.coarse
-    grid = coarse.fine
-    return np.concatenate([element_layout(coarse)[0][e], grid.n_edges + cond.cells[e],
-                           grid.n_edges + grid.n_cells + e * cond.Z.shape[2]
-                           + np.arange(cond.aux.counts[e])])
-
-
-def _condensation_oracle(cond, operator, e):
-    """Oracle: element e's interior block sliced from the whole-domain
-    `operator` and factored by sparse LU, refined once, one element at a
-    time (the path the stacked kernels replaced). Returns (W, S, Z) without
-    padding."""
-    aux = cond.aux
-    grid = aux.coarse.fine
-    keys = _element_keys(cond, e)
-    rows = operator[keys]
-    K_II = rows[:, keys].tocsc()
-    K_IG = rows[:, cond.boundary[e]].toarray()
-    cells = cond.cells[e]
-    r, c, v = mass_triplets(grid, cells, cond.perm.values[cells])
-    mass = sp.coo_matrix((v, (r, c)), shape=(grid.n_edges, grid.n_edges)).tocsr()
-    K_GG = mass[cond.boundary[e]][:, cond.boundary[e]].toarray()
-    P = aux.pressures[e][:, :aux.counts[e]]
-    weighted = aux.s_diag[cells][:, None] * P
-    rhs = np.zeros((keys.size, P.shape[1]))
-    n_ie = cond.n_interior_edges
-    if cond.flavor == "type1":
-        rhs[n_ie + cells.size:] = -(P.T @ weighted)
-    else:
-        rhs[n_ie:n_ie + cells.size] = -weighted
-    lu = splu(K_II)
-
-    def solve(b):
-        z = lu.solve(b)
-        return z + lu.solve(b - K_II @ z)
-    W = solve(K_IG)
-    return W, K_GG - K_IG.T @ W, solve(rhs)
 
 
 def _channels(nx, Nx, contrast):

@@ -207,6 +207,21 @@ def test_solve_auto_layers_and_manufactured_source(tmp_path):
     assert manifest["resolved"]["medium"]["kind"] == "generate"
 
 
+def test_solve_single_coarse_element_with_auto_layers(tmp_path):
+    """One coarse element (H = 1): `layers = auto` resolves to one layer
+    and writes the artifacts that `layers = 1` writes."""
+    outs = []
+    for layers in ("auto", "1"):
+        cfg = write_cfg(tmp_path / f"{layers}.ini", SOLVE.replace("coarse = 4", "coarse = 1")
+                        .replace("layers = 1", f"layers = {layers}"))
+        outs.append(tmp_path / layers)
+        assert run("solve", "--config", cfg, "--out", str(outs[-1])) == 0
+        manifest = json.loads((outs[-1] / "manifest.json").read_text())
+        assert manifest["resolved"]["layers"] == "1"
+    for name in ("velocity.csv", "pressure.csv", "summary.csv", "mass_residuals.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
 def test_solve_raster_medium_roundtrip(tmp_path):
     gen = write_cfg(tmp_path / "gen.ini", """\
         [grid]

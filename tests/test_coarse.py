@@ -6,9 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.linalg
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh, splu
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from msdarcy import (ConfigError, PermField, SolveError, bilinear_pou,
                      build_aux_space, build_basis_set, build_grids,
@@ -17,7 +16,9 @@ from msdarcy import (ConfigError, PermField, SolveError, bilinear_pou,
                      solve_case, solve_fine_reference, assemble_coarse_system,
                      div_compat_residual, mass_residuals, solve_multiscale)
 from msdarcy import coarse
-from msdarcy.fem import divergence_matrix, mass_matrix
+from msdarcy.fem import divergence_matrix
+from oracles import (_bordered_superlu_solve, _dense_reference, _superlu_velocity_verdict,
+                     _symmetrized_coo_solve, mass_matrix)
 
 
 def _setup(nx, Nx, nbasis, seed=31, span=np.log(1e3)):
@@ -80,6 +81,21 @@ def test_elementwise_conservation_and_divergence_compatibility():
     assert report.div_compat < 1e-10
 
 
+def test_mass_residuals_refuse_a_source_the_solve_would_refuse():
+    """A scalar, a source with nonzero mean and a source one cell short
+    raise the ConfigError of `assemble_coarse_system`, not a residual
+    against the wrong source or numpy's broadcast error."""
+    fine, coarse, perm, weight, aux, f = _setup(16, 4, nbasis=3, seed=32)
+    bset = build_basis_set(aux, perm, layers=1)
+    ms = solve_multiscale(assemble_coarse_system(bset, perm, f))
+    for bad, match in ((0.0, "source has shape"), (f + 1.0, "zero mean"),
+                       (f[:-1], "source has shape")):
+        with pytest.raises(ConfigError, match=match):
+            assemble_coarse_system(bset, perm, bad)
+        with pytest.raises(ConfigError, match=match):
+            mass_residuals(ms, bad, aux)
+
+
 def test_div_compat_flags_incompatible_fields():
     fine, coarse, perm, weight, aux, f = _setup(16, 4, nbasis=1, seed=33)
     rng = np.random.default_rng(34)
@@ -98,43 +114,6 @@ def test_global_galerkin_matches_snapshot():
     M = mass_matrix(fine, perm)
     rel = np.sqrt(d @ M @ d) / np.sqrt(snap.v @ M @ snap.v)
     assert rel < 1e-9
-
-
-def _dense_reference(system):
-    """Oracle: the restricted Schur eigenvalue from an explicit
-    Householder frame, and the coefficients from the dense bordered KKT
-    system, deflated by a multiplier row when the set is saturated."""
-    A_c, B_c, w = system.A_c.toarray(), system.B_c.toarray(), system.mean_w
-    n = A_c.shape[0]
-    deflate = system.basis.saturated
-    A_sym = 0.5 * (A_c + A_c.T)
-    if deflate:
-        u0 = system.basis.aux.coefficients(np.ones(system.basis.aux.coarse.fine.n_cells))
-        A_sym = A_sym + np.trace(A_sym) / n * np.outer(u0, u0) / (u0 @ u0)
-    schur = B_c @ scipy.linalg.cho_solve(scipy.linalg.cho_factor(A_sym), B_c.T)
-    if n == 1:
-        sigma = np.inf
-    else:
-        v = w / np.linalg.norm(w)
-        e = np.zeros(n)
-        e[0] = 1.0
-        u = v - e if v[0] > 0 else v + e
-        Z = (np.eye(n) - 2.0 * np.outer(u, u) / (u @ u))[:, 1:]
-        sigma = np.linalg.eigvalsh(Z.T @ (0.5 * (schur + schur.T)) @ Z)[0]
-    size = 2 * n + 1 + (1 if deflate else 0)
-    K = np.zeros((size, size))
-    K[:n, :n] = A_c
-    K[:n, n:2 * n] = -B_c.T
-    K[n:2 * n, :n] = -B_c
-    K[n:2 * n, 2 * n] = -w
-    K[2 * n, n:2 * n] = -w
-    if deflate:
-        K[:n, -1] = u0
-        K[-1, :n] = u0
-    rhs = np.zeros(size)
-    rhs[n:2 * n] = -system.rhs_q
-    x = scipy.linalg.solve(K, rhs, assume_a="sym")
-    return x[:n], x[n:2 * n], float(x[2 * n]), float(sigma)
 
 
 def _single_element_system(nbasis=1):
@@ -193,44 +172,6 @@ def test_schur_solve_matches_dense_kkt(case):
     assert abs(ms.gamma - gamma) <= 1e-10 * scale
 
 
-def _bordered_superlu_solve(system):
-    """Oracle: the coarse solve by the path that the pinned band LU
-    replaced. One SuperLU factor of the divergence block bordered by the
-    mean weights, M = [[B_c, w], [w^T, 0]], gives the null vector z of B_c
-    (M [z; t] = [0; 1]), a particular velocity and, by a transposed solve,
-    the pressure; then one refinement sweep, and sigma from a Lanczos
-    iteration on M solves. Returns (U, P, sigma)."""
-    A_c, B_c, w, rhs_q = system.A_c, system.B_c, system.mean_w, system.rhs_q
-    n = w.size
-    A = 0.5 * (A_c + A_c.T)
-    if system.basis.saturated:
-        u0 = sp.csr_matrix(system.basis.aux.coefficients(1.0)[:, None])
-        A = A + (A.diagonal().sum() / n / (u0.T @ u0)[0, 0]) * (u0 @ u0.T)
-    w_col = sp.csr_matrix(w[:, None])
-    lu = splu(sp.bmat([[B_c, w_col], [w_col.T, None]], format="csc"),
-              permc_spec="MMD_AT_PLUS_A")
-    z = lu.solve(np.append(np.zeros(n), 1.0))[:n]
-    Az = A @ z
-
-    def solve(f_u, f_q, f_w):
-        y = lu.solve(np.append(f_q, 0.0))
-        U = y[:n] + ((z @ f_u - Az @ y[:n]) / (z @ Az)) * z
-        P = lu.solve(np.append(A @ U - f_u, f_w), trans="T")[:n]
-        return U, P, y[n]
-
-    U, P, gamma = np.zeros(n), np.zeros(n), 0.0
-    for _ in range(2):
-        dU, dP, dgamma = solve(B_c.T @ P - A_c @ U, rhs_q - B_c @ U - gamma * w, -(w @ P))
-        U, P, gamma = U + dU, P + dP, gamma + dgamma
-    if n == 1:
-        return U, P, np.inf
-
-    def zero_mean(q):
-        return q - (w @ q) / (w @ w) * w
-    return U, P, 1.0 / coarse._top_eigenvalue(
-        lambda q: solve(np.zeros(n), zero_mean(q), 0.0)[1], n)
-
-
 @pytest.mark.parametrize("case", ["type2", "type1", "global", "single", "pair",
                                   "type2-1e8", "global-1e8", "type2-32-8-L2"])
 def test_pinned_band_solve_matches_bordered_superlu(case):
@@ -249,57 +190,6 @@ def test_pinned_band_solve_matches_bordered_superlu(case):
         assert ms.schur_sigma == np.inf
     else:
         assert abs(ms.schur_sigma - sigma) <= 1e-8 * sigma
-
-
-def _symmetrized_coo_solve(system):
-    """Oracle: the coarse solve by the route that building both bands from
-    the blocks' compressed arrays replaced. The symmetric part
-    (A_c + A_c^T) / 2, shifted by c s s^T for a saturated set, is a sparse
-    matrix whose `tril` goes through COO into the Cholesky band, B_c goes
-    through COO into the pinned LU band, and every product with the
-    velocity block reads that symmetric matrix. Returns (U, P, sigma, the
-    Cholesky band before factoring)."""
-    A_c, B_c, w, rhs_q = system.A_c, system.B_c, system.mean_w, system.rhs_q
-    n = w.size
-    s = system.basis.aux.coefficients(1.0)
-    A = 0.5 * (A_c + A_c.T)
-    if system.basis.saturated:
-        u0 = sp.csr_matrix(s[:, None])
-        A = A + (A.diagonal().sum() / n / (s @ s)) * (u0 @ u0.T)
-    lower = sp.tril(A).tocoo()
-    band = np.zeros((coarse._half_width(A) + 1, n), order="F")
-    band[lower.row - lower.col, lower.col] = lower.data
-    entries = B_c.tocoo()
-    k, kb = int(np.argmax(np.abs(s))), coarse._half_width(B_c)
-    keep = entries.row != k
-    pinned = np.zeros((3 * kb + 1, n), order="F")
-    pinned[2 * kb + entries.row[keep] - entries.col[keep], entries.col[keep]] = entries.data[keep]
-    pinned[2 * kb, k] = 1.0
-    lu, piv, info = scipy.linalg.lapack.dgbtrf(pinned, kb, kb)
-    assert info == 0
-    z = scipy.linalg.lapack.dgbtrs(lu, kb, kb, np.eye(1, n, k)[0], piv)[0]
-    Az = A @ z
-
-    def solve(f_u, f_q, f_w):
-        gamma = (s @ f_q) / (s @ w)
-        r = f_q - gamma * w
-        r[k] = 0.0
-        U = scipy.linalg.lapack.dgbtrs(lu, kb, kb, r, piv)[0]
-        U += ((z @ f_u - Az @ U) / (z @ Az)) * z
-        P = scipy.linalg.lapack.dgbtrs(lu, kb, kb, A @ U - f_u, piv, trans=1)[0]
-        return U, P + ((f_w - w @ P) / (s @ w)) * s, gamma
-
-    U, P, gamma = np.zeros(n), np.zeros(n), 0.0
-    for _ in range(2):
-        dU, dP, dgamma = solve(B_c.T @ P - A_c @ U, rhs_q - B_c @ U - gamma * w, -(w @ P))
-        U, P, gamma = U + dU, P + dP, gamma + dgamma
-    if n == 1:
-        return U, P, np.inf, band
-
-    def zero_mean(q):
-        return q - (w @ q) / (w @ w) * w
-    sigma = 1.0 / coarse._top_eigenvalue(lambda q: solve(np.zeros(n), zero_mean(q), 0.0)[1], n)
-    return U, P, sigma, band
 
 
 @pytest.mark.parametrize("case", ["type2", "type1", "global", "type2-antisymmetric"])
@@ -410,35 +300,6 @@ def test_schur_health_positive_and_degenerate_cases():
     negated = dataclasses.replace(system, A_c=-system.A_c)
     with pytest.raises(SolveError, match="not positive definite"):
         solve_multiscale(negated)
-
-
-def _superlu_velocity_verdict(system):
-    """Oracle: the velocity block's check by the path banded Cholesky
-    replaced. A SuperLU factor in symmetric mode with diagonal pivots finds
-    it positive definite iff every pivot is positive (Sylvester's law of
-    inertia), and a Lanczos iteration on its solves gives the rank test's
-    lambda_max. Returns (positive definite, lambda_max or None)."""
-    A_c, B_c, w = system.A_c, system.B_c, system.mean_w
-    n = w.size
-    A = 0.5 * (A_c + A_c.T)
-    if system.basis.saturated:
-        u0 = sp.csr_matrix(system.basis.aux.coefficients(
-            np.ones(system.basis.aux.coarse.fine.n_cells))[:, None])
-        A = A + (A.diagonal().sum() / n / (u0.T @ u0)[0, 0]) * (u0 @ u0.T)
-    try:
-        lu = splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
-                  options={"SymmetricMode": True})
-    except RuntimeError:
-        return False, None
-    if not (np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal() > 0)):
-        return False, None
-    if n == 1:
-        return True, None
-
-    def zero_mean(q):
-        return q - (w @ q) / (w @ w) * w
-    return True, coarse._top_eigenvalue(
-        lambda q: zero_mean(B_c @ lu.solve(B_c.T @ zero_mean(q))), n, tol=1e-3)
 
 
 def _banded_velocity_verdict(system, monkeypatch):

@@ -12,198 +12,11 @@ from msdarcy import (ConfigError, PermField, SolveError, bilinear_pou,
                      build_aux_space, build_grids, build_snapshot, compute_weight,
                      generate_medium, manufactured_cospi, solve_all_spectra,
                      solve_fine_reference, three_channel_spec)
-from msdarcy.fem import (band_cholesky, band_solve, check_source, divergence_matrix,
-                         mass_matrix, mass_triplets, saddle_matrix, velocity_dofmap)
+from msdarcy.fem import band_solve, check_source, divergence_matrix, mass_triplets
 from msdarcy.mesh import FineGrid, element_layout, element_region, full_domain
-
-
-def local_index(dofmap, edge_ids):
-    """Reference: global edge ids to the region's dof indices, -1 where not
-    a dof."""
-    edge_ids = np.asarray(edge_ids)
-    pos = np.searchsorted(dofmap.edges, edge_ids)
-    pos_c = np.minimum(pos, max(dofmap.edges.size - 1, 0))
-    if dofmap.edges.size == 0:
-        return np.full(edge_ids.shape, -1, dtype=np.int64)
-    valid = dofmap.edges[pos_c] == edge_ids
-    return np.where(valid, pos_c, -1)
-
-
-def assemble_a(region, perm, dofmap=None):
-    """Reference: the flux mass matrix on the region's interior-edge dofs,
-    assembled in region-local numbering (the path that slices of the
-    whole-domain mass matrix replaced)."""
-    if dofmap is None:
-        dofmap = velocity_dofmap(region)
-    grid = region.fine
-    cells = region.cells()
-    rows, cols, vals = mass_triplets(grid, cells, perm.values[cells])
-    lr = local_index(dofmap, rows)
-    lc = local_index(dofmap, cols)
-    keep = (lr >= 0) & (lc >= 0)
-    n = dofmap.n_dofs
-    return sp.coo_matrix((vals[keep], (lr[keep], lc[keep])), shape=(n, n)).tocsr()
-
-
-def assemble_b(region, dofmap=None):
-    """Reference: the divergence block on (region cells) x (region dofs),
-    assembled in region-local numbering."""
-    if dofmap is None:
-        dofmap = velocity_dofmap(region)
-    grid = region.fine
-    cells = region.cells()
-    L, R, B, T = grid.cell_edge_ids(cells)
-    h = grid.h
-    ncr = cells.size
-    local_cells = np.arange(ncr)
-    rows = np.tile(local_cells, 4)
-    cols = local_index(dofmap, np.concatenate([R, L, T, B]))
-    vals = np.concatenate([np.full(ncr, h), np.full(ncr, -h),
-                           np.full(ncr, h), np.full(ncr, -h)])
-    keep = cols >= 0
-    return sp.coo_matrix((vals[keep], (rows[keep], cols[keep])),
-                         shape=(ncr, dofmap.n_dofs)).tocsr()
-
-
-def refined_lu(K, rtol=1e-10):
-    """Reference: sparse LU of K, asserting the relative residual; returns
-    solve(rhs) -> x. The residuals are summed in long double, and the
-    refinement sweeps (at least one, at most six) run while each at least
-    halves the correction, so x reaches the solution rounded to double
-    rather than the roundoff of a double K @ x."""
-    K = sp.csc_matrix(K)
-    lu = splu(K)
-    K_long = K.astype(np.longdouble)
-
-    def residual(x, rhs):
-        return (K_long @ x.astype(np.longdouble) - rhs).astype(np.float64)
-
-    def solve(rhs):
-        x = lu.solve(rhs)
-        prev = np.inf
-        for _ in range(6):
-            dx = lu.solve(residual(x, rhs))
-            x = x - dx
-            if np.linalg.norm(dx) > prev / 2:
-                break
-            prev = np.linalg.norm(dx)
-        assert np.linalg.norm(residual(x, rhs)) <= rtol * (np.linalg.norm(rhs) or 1.0)
-        return x
-    return solve
-
-
-def bordered_reference(perm, f):
-    """Reference: the fine reference with its zero-mean pressure fixed by
-    a bordering row (w = h^2 per cell, multiplier gamma), the path the
-    pinned pressure replaced. Returns (v per edge, p)."""
-    grid = perm.grid
-    region = full_domain(grid)
-    dofmap = velocity_dofmap(region)
-    A, B = assemble_a(region, perm, dofmap), assemble_b(region, dofmap)
-    h2 = grid.h ** 2
-    w = sp.csr_matrix(np.full((1, grid.n_cells), h2))
-    K = sp.bmat([[A, -B.T, None], [-B, None, -w.T], [None, -w, None]])
-    n = dofmap.n_dofs
-    x = refined_lu(K)(np.concatenate([np.zeros(n), -h2 * f, [0.0]]))
-    v = np.zeros(grid.n_edges)
-    v[dofmap.edges] = x[:n]
-    return v, x[n:n + grid.n_cells]
-
-
-def pinned_reference(perm, rhs_p):
-    """Reference: the whole-domain solve with cell right-hand side
-    `rhs_p` by sparse LU of the saddle matrix with cell 0's divergence row
-    dropped (the path the hybridized solve replaced), its pressure shifted
-    to zero mean. Returns (v per edge, p)."""
-    grid = perm.grid
-    region = full_domain(grid)
-    dofmap = velocity_dofmap(region)
-    A, B = assemble_a(region, perm, dofmap), assemble_b(region, dofmap)
-    n = dofmap.n_dofs
-    rhs_p = rhs_p - np.mean(rhs_p)
-    x = refined_lu(saddle_matrix(A, B[1:]))(np.concatenate([np.zeros(n), -rhs_p[1:]]))
-    p = np.concatenate([[0.0], x[n:]])
-    v = np.zeros(grid.n_edges)
-    v[dofmap.edges] = x[:n]
-    return v, p - np.mean(p)
-
-
-def _cell_hybrid_reference(perm, rhs_p, rtol=1e-10):
-    """Reference: the whole-domain solve with cell right-hand side `rhs_p`
-    by hybridization onto every interior-edge multiplier, one band
-    Cholesky over all of them (the path the macro-cell condensation
-    replaced). Each cell's 5x5 block is inverted as a stack; the band is
-    ordered by the doubled-midpoint key and pinned at its largest
-    diagonal; refinement sweeps run while each halves the residual.
-    Returns (v per edge, p) with a zero-mean p."""
-    grid = perm.grid
-    n_cells = grid.n_cells
-    cells = np.arange(n_cells)
-    edges = np.stack(grid.cell_edge_ids(cells), axis=1)
-    on_boundary = grid.boundary_edge_mask()
-    inner = ~on_boundary[edges]
-    both = inner[:, :, None] & inner[:, None, :]
-    sign = np.array([-1.0, 1.0, -1.0, 1.0]) * inner
-    block = np.zeros((n_cells, 5, 5))
-    mass = mass_triplets(grid, cells, perm.values)[2]
-    block[:, [0, 1, 0, 1, 2, 3, 2, 3], [0, 1, 1, 0, 2, 3, 3, 2]] = mass.reshape(8, n_cells).T
-    block[:, :4, :4] = np.where(both, block[:, :4, :4], np.eye(4))
-    block[:, :4, 4] = block[:, 4, :4] = -grid.h * sign
-    X = np.linalg.inv(block)
-
-    interior = np.flatnonzero(~on_boundary)
-    n = interior.size
-    rank = np.zeros(grid.n_edges, dtype=np.int64)
-    rank[interior[np.argsort(grid.edge_midpoint_key(interior))]] = np.arange(n)
-    slot = rank[edges]
-    lower = both & (slot[:, :, None] >= slot[:, None, :])
-    a = np.broadcast_to(slot[:, :, None], lower.shape)[lower]
-    b = np.broadcast_to(slot[:, None, :], lower.shape)[lower]
-    kd = int((a - b).max(initial=0))
-    H = sign[:, :, None] * X[:, :4, :4] * sign[:, None, :]
-    band = np.bincount(b * (kd + 1) + a - b, H[lower],
-                       minlength=n * (kd + 1)).reshape(n, kd + 1)
-    pin = int(np.argmax(band[:, 0]))
-    d = np.arange(1, min(kd, pin) + 1)
-    band[pin, 1:] = 0.0
-    band[pin - d, d] = 0.0
-    band[pin, 0] = 1.0
-    factor = band_cholesky(band.T)
-
-    def solve(F):
-        Y = np.einsum("kij,kj->ki", X, F)
-        g = np.bincount(slot[inner], (sign * Y[:, :4])[inner], minlength=n)
-        g[pin] = 0.0
-        lam = band_solve(factor, g)
-        z = Y - np.einsum("kij,kj->ki", X[:, :, :4], sign * lam[slot])
-        v = np.zeros(grid.n_edges)
-        v[edges[:, 1]] = z[:, 1]
-        v[edges[:, 3]] = z[:, 3]
-        return v, z[:, 4]
-
-    M, D = mass_matrix(grid, perm), divergence_matrix(grid)
-    rhs_p = rhs_p - np.mean(rhs_p)
-
-    def residual(v, p):
-        r_v = np.where(on_boundary, 0.0, M @ v - D.T @ p)
-        r_p = rhs_p - D @ v
-        F = np.zeros((n_cells, 5))
-        F[:, 1], F[:, 3], F[:, 4] = r_v[edges[:, 1]], r_v[edges[:, 3]], r_p
-        return F, np.sqrt(r_v @ r_v + r_p @ r_p)
-
-    F = np.zeros((n_cells, 5))
-    F[:, 4] = -rhs_p
-    v, p = solve(F)
-    F, res = residual(v, p)
-    for _ in range(6):
-        dv, dp = solve(F)
-        v, p = v - dv, p - dp
-        prev = res
-        F, res = residual(v, p)
-        if res > prev / 2:
-            break
-    assert res <= rtol * np.linalg.norm(rhs_p)
-    return v, p - np.mean(p)
+from oracles import (_cell_hybrid_reference, assemble_a, assemble_b, bordered_reference,
+                     corner_source, infsup_smallest_sigma, local_index, mass_matrix,
+                     pinned_reference, refined_lu, saddle_matrix)
 
 
 def _random_perm(grid, seed=0, span=3.0):
@@ -265,17 +78,17 @@ def test_region_assembly_matches_global_blocks():
     fine, coarse = build_grids(12, 3)
     perm = _random_perm(fine, seed=5)
     reg = element_region(coarse, 4)
-    dofmap = velocity_dofmap(reg)
+    edges = reg.interior_edges()
     A = assemble_a(reg, perm)
     rng = np.random.default_rng(6)
-    u_loc = rng.standard_normal(dofmap.n_dofs)
+    u_loc = rng.standard_normal(edges.size)
     u_full = np.zeros(fine.n_edges)
-    u_full[dofmap.edges] = u_loc
+    u_full[edges] = u_loc
     ref = _energy_by_quadrature(fine, perm.values, u_full, reg.cells())
     assert u_loc @ A @ u_loc == pytest.approx(ref, rel=1e-13)
     # divergence block agrees with the global operator on scattered fluxes
     Bg = divergence_matrix(fine)
-    Br = assemble_b(reg, dofmap)
+    Br = assemble_b(reg)
     assert np.allclose(Br @ u_loc, (Bg @ u_full)[reg.cells()], atol=1e-14)
 
 
@@ -304,7 +117,7 @@ def test_sliced_blocks_and_solves_match_region_assembly():
         P *= np.sign(np.sum(spectra.pressures[e] * S[:, None] * P, axis=0))[None, :]
         assert np.abs(spectra.pressures[e] - P).max() <= 1e-10 * np.abs(P).max()
 
-    edges = velocity_dofmap(full_domain(fine)).edges
+    edges = full_domain(fine).interior_edges()
     A, B = assemble_a(full_domain(fine), perm), assemble_b(full_domain(fine))
     assert np.array_equal(M[edges][:, edges].toarray(), A.toarray())
     assert np.array_equal(D[:, edges].toarray(), B.toarray())
@@ -331,10 +144,7 @@ def _oracle_case(case):
     else:
         fine, coarse = build_grids(64, 8)
         perm = generate_medium(three_channel_spec(contrast=case), fine)
-        f = np.zeros((64, 64))
-        f[56:, :8] = 1.0
-        f[:8, 56:] = -1.0
-        return perm, coarse, f.ravel()
+        return perm, coarse, corner_source(fine)
     f = np.random.default_rng(fine.nx).standard_normal(fine.n_cells)
     return perm, coarse, f - f.mean()
 
@@ -380,10 +190,7 @@ def test_macro_condensation_matches_cell_hybrid_reference(case):
     if case == "channels128":
         fine, _ = build_grids(128, 8)
         perm = generate_medium(three_channel_spec(contrast=1e4), fine)
-        f = np.zeros((128, 128))
-        f[112:, :16] = 1.0
-        f[:16, 112:] = -1.0
-        f = f.ravel()
+        f = corner_source(fine)
     else:
         perm, _, f = _oracle_case(case)
     grid = perm.grid
@@ -481,15 +288,15 @@ def test_small_source_mean_is_removed():
 def test_dofmap_indexing():
     fine = FineGrid(4, 4)
     reg = full_domain(fine)
-    dofmap = velocity_dofmap(reg)
-    assert dofmap.n_dofs == fine.n_edges - fine.boundary_edge_mask().sum()
-    loc = local_index(dofmap, dofmap.edges)
-    assert np.array_equal(loc, np.arange(dofmap.n_dofs))
+    edges = reg.interior_edges()
+    assert edges.size == fine.n_edges - fine.boundary_edge_mask().sum()
+    loc = local_index(edges, edges)
+    assert np.array_equal(loc, np.arange(edges.size))
     boundary = np.flatnonzero(fine.boundary_edge_mask())
-    assert (local_index(dofmap, boundary) == -1).all()
+    assert (local_index(edges, boundary) == -1).all()
     full = np.zeros(fine.n_edges)
-    full[dofmap.edges] = 1.0
-    assert full.sum() == dofmap.n_dofs
+    full[edges] = 1.0
+    assert full.sum() == edges.size
     assert (full[boundary] == 0).all()
 
 
@@ -586,7 +393,7 @@ def test_fine_reference_matches_dense_kkt():
     sol = solve_fine_reference(perm, f)
     # independent dense solve of the same constrained problem
     reg = full_domain(grid)
-    dofmap = velocity_dofmap(reg)
+    edges = reg.interior_edges()
     A = assemble_a(reg, perm).toarray()
     B = assemble_b(reg).toarray()
     n, m = A.shape[0], B.shape[0]
@@ -600,7 +407,7 @@ def test_fine_reference_matches_dense_kkt():
     rhs = np.concatenate([np.zeros(n), -h2 * f, [0.0]])
     x = np.linalg.solve(K, rhs)
     v = np.zeros(grid.n_edges)
-    v[dofmap.edges] = x[:n]
+    v[edges] = x[:n]
     assert np.allclose(v, sol.v, atol=1e-10)
     assert np.allclose(x[n:n + m], sol.p, atol=1e-10)
 
@@ -645,20 +452,6 @@ def test_manufactured_solution_converges():
         assert np.linalg.norm(sol.v - v_exact) < 1e-12 * np.linalg.norm(v_exact)
         errs.append(np.linalg.norm(sol.p - p_exact) / np.linalg.norm(p_exact))
     assert errs[1] < 0.3 * errs[0]
-
-
-def infsup_smallest_sigma(grid, perm):
-    """Oracle: smallest eigenvalue of the pressure Schur complement on
-    zero-mean pressures. Dense; intended for small grids."""
-    if grid.n_cells > 4096:
-        raise ConfigError("inf-sup diagnostic is dense, use a grid of <= 64x64 cells")
-    region = full_domain(grid)
-    dofmap = velocity_dofmap(region)
-    A = assemble_a(region, perm, dofmap).toarray()
-    B = assemble_b(region, dofmap).toarray()
-    schur = B @ np.linalg.solve(A, B.T)
-    evals = np.linalg.eigvalsh(schur)
-    return float(evals[1])
 
 
 def test_infsup_positive_and_scales_with_kappa():

@@ -15,6 +15,7 @@ from msdarcy.basis import _template
 from msdarcy.errors import ConfigError
 from msdarcy.fem import _macro_layout, _macro_tables
 from msdarcy.mesh import element_layout
+from oracles import corner_source
 
 MEMOS = (element_layout, element_lines, _macro_layout, _macro_tables, _template)
 
@@ -22,14 +23,6 @@ MEMOS = (element_layout, element_lines, _macro_layout, _macro_tables, _template)
 def _clear():
     for memo in MEMOS:
         memo.cache_clear()
-
-
-def _corner_source(fine):
-    b = fine.nx // 8
-    f = np.zeros((fine.nx, fine.nx))
-    f[-b:, :b] = 1.0
-    f[:b, -b:] = -1.0
-    return f.ravel()
 
 
 def _outputs(perm, f, Nx, flavor):
@@ -59,7 +52,7 @@ def test_solves_are_bit_identical_with_warm_and_empty_memos():
     kappa_1 = generate_medium(three_channel_spec(contrast=1e4), fine)
     rng = np.random.default_rng(5)
     kappa_2 = PermField.from_raw(fine, np.exp(rng.uniform(0, np.log(1e6), fine.n_cells)))
-    f = _corner_source(fine)
+    f = corner_source(fine)
     cases = [(kappa_1, f, 4, "type2"), (kappa_2, f, 4, "type2"), (kappa_2, f, 4, "type1")]
     _clear()
     warm, sizes = [], []

@@ -1,111 +1,12 @@
 """Grid indexing, regions, partition of unity, cutoff fields."""
 
-from dataclasses import dataclass
-
 import numpy as np
 import pytest
 
 from msdarcy import ConfigError, build_grids
-from msdarcy.mesh import (CoarseGrid, FineGrid, bilinear_pou, element_layout,
-                          element_region, full_domain, oversample_region)
-
-
-def interp_coarse_nodal(coarse, nodal):
-    """Oracle: coarse nodal values interpolated bilinearly to all fine nodes.
-
-    `nodal` has shape (Ny+1, Nx+1); the result has shape (ny+1, nx+1).
-    """
-    fine = coarse.fine
-    r = coarse.r
-    p = np.arange(fine.nx + 1)
-    q = np.arange(fine.ny + 1)
-    I = np.minimum(p // r, coarse.Nx - 1)
-    J = np.minimum(q // r, coarse.Ny - 1)
-    xi = (p - I * r) / r
-    eta = (q - J * r) / r
-    c00 = nodal[np.ix_(J, I)]
-    c10 = nodal[np.ix_(J, I + 1)]
-    c01 = nodal[np.ix_(J + 1, I)]
-    c11 = nodal[np.ix_(J + 1, I + 1)]
-    wx0 = (1.0 - xi)[None, :]
-    wx1 = xi[None, :]
-    wy0 = (1.0 - eta)[:, None]
-    wy1 = eta[:, None]
-    return wy0 * (wx0 * c00 + wx1 * c10) + wy1 * (wx0 * c01 + wx1 * c11)
-
-
-def hat_values(coarse, node):
-    """Oracle: samples of the hat of coarse node `node` at all fine nodes, flat."""
-    nodal = np.zeros((coarse.Ny + 1, coarse.Nx + 1))
-    nodal[node // (coarse.Nx + 1), node % (coarse.Nx + 1)] = 1.0
-    return interp_coarse_nodal(coarse, nodal).ravel()
-
-
-def node_sum(coarse):
-    """Oracle: sum of all hats at every fine node (identically one)."""
-    ones = np.ones((coarse.Ny + 1, coarse.Nx + 1))
-    return interp_coarse_nodal(coarse, ones).ravel()
-
-
-def gradsq_at(coarse, x, y):
-    """Oracle: pointwise sum of squared hat gradients at (x, y), cell
-    interiors."""
-    H = coarse.H
-    I = min(int(x / H), coarse.Nx - 1)
-    J = min(int(y / H), coarse.Ny - 1)
-    xi = x / H - I
-    eta = y / H - J
-    return (2.0 / (H * H)) * ((1 - xi) ** 2 + xi ** 2 + (1 - eta) ** 2 + eta ** 2)
-
-
-@dataclass(frozen=True)
-class CutoffField:
-    """Oracle: piecewise-bilinear cutoff around one coarse element.
-
-    Equal to 1 on the m-ring neighborhood of the element, 0 outside the
-    M-ring neighborhood, interpolated linearly in the ring distance in
-    between, then expanded to fine nodes. Cutoffs are a device of the
-    method's proofs, not part of the algorithm.
-    """
-
-    coarse: CoarseGrid
-    element: int
-    outer: int
-    inner: int
-    coarse_values: np.ndarray
-    fine_values: np.ndarray
-
-    def max_gradient(self):
-        """Largest gradient magnitude over the domain.
-
-        The field is bilinear per fine cell, so each gradient component is
-        linear in the transverse coordinate and the maximum magnitude over
-        a cell is attained at its corners.
-        """
-        fine = self.coarse.fine
-        V = self.fine_values.reshape(fine.ny + 1, fine.nx + 1)
-        h = fine.h
-        dx = np.diff(V, axis=1) / h
-        dy = np.diff(V, axis=0) / h
-        dx2 = np.maximum(dx[:-1, :] ** 2, dx[1:, :] ** 2)
-        dy2 = np.maximum(dy[:, :-1] ** 2, dy[:, 1:] ** 2)
-        return float(np.sqrt((dx2 + dy2).max()))
-
-
-def cutoff_field(coarse, e, outer, inner):
-    """Oracle: cutoff for element e, 1 within `inner` rings, 0 beyond
-    `outer` rings."""
-    if not (outer > inner >= 0):
-        raise ConfigError(f"need outer > inner >= 0, got outer={outer} inner={inner}")
-    I, J = coarse.element_IJ(e)
-    a = np.arange(coarse.Nx + 1)
-    b = np.arange(coarse.Ny + 1)
-    dist_x = np.maximum.reduce([int(I) - a, a - (int(I) + 1), np.zeros_like(a)])
-    dist_y = np.maximum.reduce([int(J) - b, b - (int(J) + 1), np.zeros_like(b)])
-    t = np.maximum(dist_x[None, :], dist_y[:, None])
-    vals = np.clip((outer - t) / (outer - inner), 0.0, 1.0)
-    fine_vals = interp_coarse_nodal(coarse, vals).ravel()
-    return CutoffField(coarse, int(e), outer, inner, vals, fine_vals)
+from msdarcy.mesh import (FineGrid, bilinear_pou, element_layout, element_region,
+                          full_domain, oversample_region)
+from oracles import cutoff_field, gradsq_at, hat_values, interp_coarse_nodal, node_sum
 
 
 def test_grid_counts():

@@ -7,10 +7,11 @@ from msdarcy import (ConfigError, PermField, bilinear_pou, build_aux_space,
                      build_grids, compute_weight, convergence_study,
                      pressure_norms, relative_errors, solve_all_spectra,
                      solve_case, solve_fine_reference, velocity_norms)
-from msdarcy.fem import divergence_matrix, mass_matrix
+from msdarcy.fem import divergence_matrix
 from msdarcy.medium import WeightField
 from msdarcy.mesh import element_region, FineGrid
 from msdarcy.metrics import auto_layers, decay_study, rate, speed_field
+from oracles import mass_matrix
 
 
 @pytest.fixture(scope="module")
@@ -117,8 +118,11 @@ def test_auto_layers_schedule():
     assert auto_layers(1 / 64) == 6
     assert auto_layers(1 / 4) == 2
     assert auto_layers(1 / 16, l0=2, H0=1 / 16) == 2
+    assert auto_layers(1.0) == 1  # a single coarse element
     with pytest.raises(ConfigError):
         auto_layers(2.0)
+    with pytest.raises(ConfigError):
+        auto_layers(1 / 8, H0=1.0)
     with pytest.raises(ConfigError):
         auto_layers(1 / 8, l0=0)
     for l0 in (10 ** 308, 10 ** 400):  # infinite layers, l0 past float range
