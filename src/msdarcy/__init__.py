@@ -19,13 +19,13 @@ from .medium import (Block, MediumSpec, PermField, Strip, WeightField,
                      compute_weight, generate_medium, load_raster,
                      sample_spec, save_raster, spec_from_mapping,
                      three_channel_spec)
-from .fem import FineSolution, manufactured_cospi, solve_fine_reference
+from .fem import FineSolution, corner_source, manufactured_cospi, solve_fine_reference
 from .auxspace import AuxSpace, Spectra, build_aux_space, solve_all_spectra
 from .basis import (BasisSet, CondensedElements, VelocityBasisFunction,
                     build_basis_set, build_snapshot)
 from .coarse import (CoarseSystem, MsSolution, assemble_coarse_system,
                      div_compat_residual, mass_residuals, solve_multiscale)
 from .metrics import (ConvergenceRow, DecayProfile, ErrorReport, NormReport,
-                      auto_layers, convergence_study, decay_study,
+                      StageTimes, auto_layers, convergence_study, decay_study,
                       pressure_norms, relative_errors, solve_case,
                       velocity_norms)

@@ -296,21 +296,22 @@ class AuxSpace:
         return self.matrix @ self.coefficients(q)
 
 
-def _check_nbasis(nbasis, n):
-    """Refuse an eigenvector count outside 1..n, n the eigenvalues per element."""
-    if nbasis < 1 or nbasis > n:
+def _check_selection(nbasis, threshold, n):
+    """Refuse a selection that sets neither or both of nbasis / threshold,
+    or an eigenvector count outside 1..n, n the eigenvalues per element."""
+    if (nbasis is None) == (threshold is None):
+        raise ConfigError("choose exactly one of nbasis / threshold")
+    if nbasis is not None and (nbasis < 1 or nbasis > n):
         raise ConfigError(f"nbasis={nbasis} out of range for elements with {n} eigenvalues")
 
 
 def build_aux_space(coarse, weight, spectra, nbasis=None, threshold=None):
     """Select eigenvectors per element, by fixed count or by eigenvalue
     threshold (all eigenvalues strictly below it, at least one kept)."""
-    if (nbasis is None) == (threshold is None):
-        raise ConfigError("choose exactly one of nbasis / threshold")
     lam = spectra.lambdas
     n_el, n = lam.shape
+    _check_selection(nbasis, threshold, n)
     if nbasis is not None:
-        _check_nbasis(nbasis, n)
         counts = np.full(n_el, nbasis, dtype=int)
     else:
         counts = np.maximum(1, np.sum(lam < threshold, axis=1))

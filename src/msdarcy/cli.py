@@ -34,14 +34,14 @@ import sys
 import numpy as np
 
 from . import __version__
-from .auxspace import build_aux_space, gap_split, write_eigen_report
+from .auxspace import gap_split, write_eigen_report
 from .basis import _check_method
 from .errors import ConfigError, SolveError
-from .fem import check_source, manufactured_cospi
+from .fem import _source_block, check_source, corner_source, manufactured_cospi
 from .medium import (generate_medium, load_raster, save_raster,
                      spec_from_mapping, three_channel_spec)
 from .mesh import FineGrid, build_grids
-from .metrics import (auto_layers, convergence_study, decay_study,
+from .metrics import (_aux_stage, auto_layers, convergence_study, decay_study,
                       pressure_norms, solve_case, spectra_stage,
                       velocity_norms)
 
@@ -123,18 +123,11 @@ def _resolve_source(cfg, grid):
     kind = _get(cfg, "source", "kind", default="corners")
     if kind in ("corners", "cells"):
         g = _get(cfg, "source", "grid", default=8, cast=int)
-        if g < 1:
-            raise ConfigError(f"source grid must be >= 1, got {g}")
-        if grid.nx % g != 0:
-            raise ConfigError(f"source grid {g} does not divide nx={grid.nx}")
-        b = grid.nx // g
-        f = np.zeros((grid.ny, grid.nx))
     if kind == "corners":
-        amp = _get(cfg, "source", "amplitude", default=1.0, cast=float)
-        f[(g - 1) * b:, :b] = amp
-        f[:b, (g - 1) * b:] = -amp
-        f = f.ravel()
+        f = corner_source(grid, g, _get(cfg, "source", "amplitude", default=1.0, cast=float))
     elif kind == "cells":
+        b = _source_block(grid, g)
+        f = np.zeros((grid.ny, grid.nx))
         spec = _get(cfg, "source", "cells")
         for item in spec.split(";"):
             item = item.strip()
@@ -295,7 +288,7 @@ def cmd_solve(args):
     method["flavor"] = _resolve_flavor(cfg, fine, solver)
     out = _out_dir(cfg, args)
 
-    ms, aux, basis_set, report = solve_case(
+    ms, aux, basis_set, report, _ = solve_case(
         perm, f, coarse.Nx, nbasis=method["nbasis"],
         threshold=method["threshold"], layers=method["layers"],
         flavor=method["flavor"], rtol=solver["rtol"],
@@ -378,12 +371,10 @@ def cmd_decay(args):
         e = int(coarse.element_id(I, J))
     else:
         e = _get(cfg, "decay", "element", cast=int)
-    if not 0 <= e < coarse.n_elements:
-        raise ConfigError(f"element {e} outside coarse grid")
     layer_list = _get(cfg, "decay", "layers", default=[1, 2, 3, 4], cast=_ints)
 
-    weight, spectra = spectra_stage(perm, coarse, solver["workers"])
-    aux = build_aux_space(coarse, weight, spectra, nbasis=nbasis)
+    weight, spectra, times = spectra_stage(perm, coarse, solver["workers"])
+    aux = _aux_stage(times, coarse, weight, spectra, nbasis, None)
     profile = decay_study(aux, perm, e, j, layer_list, rtol=solver["rtol"])
 
     out = _out_dir(cfg, args)
@@ -432,7 +423,7 @@ def cmd_eigs(args):
               f"(eigenvalues per element)", file=sys.stderr)
         count = max_count
 
-    _, spectra = spectra_stage(perm, coarse, solver["workers"])
+    _, spectra, _ = spectra_stage(perm, coarse, solver["workers"])
     out = _out_dir(cfg, args)
     write_eigen_report(os.path.join(out, "eigenvalues.csv"), spectra, count)
     with open(os.path.join(out, "gap_report.csv"), "w") as fh:

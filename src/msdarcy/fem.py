@@ -472,3 +472,22 @@ def manufactured_cospi(grid):
     v[grid.hedge_id(i[None, :], j[:, None]).ravel()] = \
         (dsx[None, :] * sy[:, None]).ravel() / h
     return f, v, p
+
+
+def _source_block(grid, g):
+    """The cells per side of one block of a g x g partition of `grid`."""
+    if g < 1:
+        raise ConfigError(f"source grid must be >= 1, got {g}")
+    if grid.nx % g != 0:
+        raise ConfigError(f"source grid {g} does not divide nx={grid.nx}")
+    return grid.nx // g
+
+
+def corner_source(grid, g=8, amplitude=1.0):
+    """Per-cell source `amplitude` in the top-left block of a g x g
+    partition of `grid` and sink `-amplitude` in the bottom-right one."""
+    b = _source_block(grid, g)
+    f = np.zeros((grid.ny, grid.nx))
+    f[(g - 1) * b:, :b] = amplitude
+    f[:b, (g - 1) * b:] = -amplitude
+    return f.ravel()

@@ -1,4 +1,7 @@
-"""Norms, relative errors, localization decay, and convergence sweeps.
+"""Pipeline driver, norms, relative errors, localization decay and convergence sweeps.
+
+`solve_case` chains the pipeline's seven stages, each timed into a
+`StageTimes`; `convergence_study` shares the first two per coarse size.
 
 The velocity norm pairs the permeability-weighted flux energy with a
 weighted divergence term; pressures use plain and weighted L2 norms,
@@ -6,18 +9,39 @@ both over the whole domain. The decay study builds its global and
 localized functions through `basis.CondensedElements.functions`.
 """
 
-from dataclasses import dataclass
+import resource
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 from time import perf_counter
 
 import numpy as np
 
-from .auxspace import _check_nbasis, build_aux_space, solve_all_spectra
+from .auxspace import _check_selection, build_aux_space, solve_all_spectra
 from .basis import CondensedElements, _check_method, build_basis_set
 from .coarse import assemble_coarse_system, mass_residuals, solve_multiscale
 from .errors import ConfigError
 from .fem import check_source, solve_fine_reference
 from .medium import compute_weight
 from .mesh import bilinear_pou, build_grids, oversample_region
+
+
+@dataclass(frozen=True)
+class StageTimes:
+    """Seconds per stage, and how much each stage raised the process's
+    resident high-water mark (`ru_maxrss`) above every earlier stage's
+    peak, in MiB. A stage timed twice holds the sum of both."""
+
+    seconds: dict = field(default_factory=dict)
+    peak_mb: dict = field(default_factory=dict)
+
+    @contextmanager
+    def stage(self, name):
+        kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
+        t0 = perf_counter()
+        yield
+        self.seconds[name] = self.seconds.get(name, 0.0) + (perf_counter() - t0)
+        kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - kib
+        self.peak_mb[name] = self.peak_mb.get(name, 0.0) + kib / 1024.0
 
 
 @dataclass(frozen=True)
@@ -118,14 +142,17 @@ def decay_study(aux, perm, e, j, layers_list, rtol=1e-10):
 
     The fitted per-layer ratio `rho` uses only non-saturated layer counts
     (regions still smaller than the domain); saturated entries are kept in
-    the profile but flagged. Every layer count is checked, then the
-    elements are condensed once, for the global function and all of them.
-    The profile keeps the global and localized functions and, per layer
-    count, the speed field of the difference.
+    the profile but flagged. The element, the eigenvector index and every
+    layer count are checked, then the elements are condensed once, for the
+    global function and all of them. The profile keeps the global and
+    localized functions and, per layer count, the speed field of the
+    difference.
     """
     coarse = aux.coarse
     grid = coarse.fine
     weight = aux.weight
+    if not 0 <= e < coarse.n_elements:
+        raise ConfigError(f"element {e} outside coarse grid")
     aux.column(e, j)
     layers_arr = np.asarray(list(layers_list), dtype=int)
     _check_method("type2", int(layers_arr.min(initial=1)))
@@ -173,23 +200,34 @@ class ConvergenceRow:
 
 
 def spectra_stage(perm, coarse, workers=1):
-    """The weight and every element's spectrum on `coarse`: the first stage
-    of each multiscale solve, of the decay study and of the eigenvalue
-    report."""
-    weight = compute_weight(perm, bilinear_pou(coarse))
-    return weight, solve_all_spectra(coarse, perm, weight, workers=workers)
+    """The weight and every element's spectrum on `coarse`, the first two
+    stages of each multiscale solve, the decay study and the eigenvalue
+    report: (weight, spectra, times), `times` their `StageTimes`."""
+    times = StageTimes()
+    with times.stage("weight"):
+        weight = compute_weight(perm, bilinear_pou(coarse))
+    with times.stage("spectra"):
+        spectra = solve_all_spectra(coarse, perm, weight, workers=workers)
+    return weight, spectra, times
 
 
-def _multiscale(perm, f, coarse, weight, spectra, nbasis, threshold, layers,
-                flavor, rtol, workers):
-    """The stages after the spectra: auxiliary space, basis functions,
-    coarse solve. Returns (solution, aux, basis)."""
-    aux = build_aux_space(coarse, weight, spectra, nbasis=nbasis,
-                          threshold=threshold)
-    basis_set = build_basis_set(aux, perm, layers=layers, flavor=flavor,
-                                rtol=rtol, workers=workers)
-    system = assemble_coarse_system(basis_set, perm, f)
-    return solve_multiscale(system, rtol=rtol), aux, basis_set
+def _aux_stage(times, coarse, weight, spectra, nbasis, threshold):
+    """The auxiliary space, timed into `times` as `aux`."""
+    with times.stage("aux"):
+        return build_aux_space(coarse, weight, spectra, nbasis=nbasis, threshold=threshold)
+
+
+def _multiscale(times, perm, f, aux, layers, flavor, rtol, workers):
+    """The stages after the auxiliary space, timed into `times`: basis
+    functions, coarse assembly and coarse solve. Returns (solution, basis)."""
+    with times.stage("basis"):
+        basis_set = build_basis_set(aux, perm, layers=layers, flavor=flavor,
+                                    rtol=rtol, workers=workers)
+    with times.stage("assembly"):
+        system = assemble_coarse_system(basis_set, perm, f)
+    with times.stage("coarse_solve"):
+        ms = solve_multiscale(system, rtol=rtol)
+    return ms, basis_set
 
 
 def convergence_study(perm, f, cases, flavor="type2", rtol=1e-10, workers=1):
@@ -202,7 +240,7 @@ def convergence_study(perm, f, cases, flavor="type2", rtol=1e-10, workers=1):
     """
     coarse = {Nx: build_grids(perm.grid.nx, Nx)[1] for _, Nx, _ in cases}
     for nbasis, Nx, layers in cases:
-        _check_nbasis(nbasis, coarse[Nx].r ** 2)
+        _check_selection(nbasis, None, coarse[Nx].r ** 2)
         _check_method(flavor, layers)
     fine = solve_fine_reference(perm, f, rtol=rtol)
     stages = {}
@@ -211,18 +249,15 @@ def convergence_study(perm, f, cases, flavor="type2", rtol=1e-10, workers=1):
         t0 = perf_counter()
         if Nx not in stages:
             stages[Nx] = spectra_stage(perm, coarse[Nx], workers)
-        weight, spectra = stages[Nx]
-        ms, _, _ = _multiscale(perm, f, coarse[Nx], weight, spectra, nbasis, None,
-                               layers, flavor, rtol, workers)
+        weight, spectra, times = stages[Nx]
+        aux = _aux_stage(times, coarse[Nx], weight, spectra, nbasis, None)
+        ms, _ = _multiscale(times, perm, f, aux, layers, flavor, rtol, workers)
         err = relative_errors(fine, ms, perm, weight)
         seconds = perf_counter() - t0
-        if rows:
+        if rows and rows[-1].H != 1.0 / Nx:
             prev = rows[-1]
-            if prev.H != 1.0 / Nx:
-                rate_p = rate(prev.e_p, prev.H, err.e_p, 1.0 / Nx)
-                rate_v = rate(prev.e_v, prev.H, err.e_v, 1.0 / Nx)
-            else:
-                rate_p = rate_v = float("nan")
+            rate_p = rate(prev.e_p, prev.H, err.e_p, 1.0 / Nx)
+            rate_v = rate(prev.e_v, prev.H, err.e_v, 1.0 / Nx)
         else:
             rate_p = rate_v = float("nan")
         rows.append(ConvergenceRow(nbasis, 1.0 / Nx, layers, err.e_p, err.e_v,
@@ -232,12 +267,17 @@ def convergence_study(perm, f, cases, flavor="type2", rtol=1e-10, workers=1):
 
 def solve_case(perm, f, Nx, nbasis=None, threshold=None, layers=3,
                flavor="type2", rtol=1e-10, workers=1):
-    """One multiscale solve, returning (solution, aux, basis, mass report).
-    The source, flavor and layer count are checked before the first stage."""
+    """One multiscale solve: (solution, aux, basis, mass report, times),
+    `times` the `StageTimes` of the seven stages, the last (`post`) the
+    mass residuals. The source, eigenvector selection, flavor and layer
+    count are checked before the first stage."""
     f = check_source(f, perm.grid)
     _check_method(flavor, layers)
     _, coarse = build_grids(perm.grid.nx, Nx)
-    weight, spectra = spectra_stage(perm, coarse, workers)
-    ms, aux, basis_set = _multiscale(perm, f, coarse, weight, spectra, nbasis,
-                                     threshold, layers, flavor, rtol, workers)
-    return ms, aux, basis_set, mass_residuals(ms, f, aux)
+    _check_selection(nbasis, threshold, coarse.r ** 2)
+    weight, spectra, times = spectra_stage(perm, coarse, workers)
+    aux = _aux_stage(times, coarse, weight, spectra, nbasis, threshold)
+    ms, basis_set = _multiscale(times, perm, f, aux, layers, flavor, rtol, workers)
+    with times.stage("post"):
+        report = mass_residuals(ms, f, aux)
+    return ms, aux, basis_set, report, times

@@ -24,15 +24,6 @@ from msdarcy.fem import band_cholesky, band_solve, divergence_matrix, mass_tripl
 from msdarcy.mesh import CoarseGrid, element_layout, full_domain, region_elements
 
 
-def corner_source(grid, g=8, amp=1.0):
-    """Plus block in the top-left corner element, minus in the bottom-right."""
-    b = grid.nx // g
-    f = np.zeros((grid.ny, grid.nx))
-    f[(g - 1) * b:, :b] = amp
-    f[:b, (g - 1) * b:] = -amp
-    return f.ravel()
-
-
 def interp_coarse_nodal(coarse, nodal):
     """Oracle: coarse nodal values interpolated bilinearly to all fine nodes.
 

@@ -16,14 +16,14 @@ from conftest import record_criterion
 
 from msdarcy import (PermField, bilinear_pou, build_aux_space,
                      build_basis_set, build_grids, build_snapshot,
-                     compute_weight, generate_medium, manufactured_cospi,
-                     relative_errors, solve_all_spectra, solve_case,
+                     compute_weight, corner_source, generate_medium,
+                     manufactured_cospi, relative_errors, solve_all_spectra, solve_case,
                      solve_fine_reference, three_channel_spec,
                      assemble_coarse_system, div_compat_residual,
                      solve_multiscale, velocity_norms)
 from msdarcy.mesh import FineGrid, element_region
 from msdarcy.metrics import decay_study
-from oracles import assemble_a, assemble_b, corner_source, mass_matrix, node_sum
+from oracles import assemble_a, assemble_b, mass_matrix, node_sum
 
 WORKERS = min(4, os.cpu_count() or 1)
 
@@ -57,8 +57,8 @@ def trend_solves(preset128):
     cases = {}
 
     def run(key, perm, ref, Nx, layers, nbasis):
-        ms, aux, bset, report = solve_case(perm, f, Nx, nbasis=nbasis,
-                                           layers=layers, workers=WORKERS)
+        ms, aux, bset, report, _ = solve_case(perm, f, Nx, nbasis=nbasis,
+                                              layers=layers, workers=WORKERS)
         err = relative_errors(ref, ms, perm, aux.weight)
         compat = max(div_compat_residual(fn.v_global(fine.n_edges), aux)
                      for fn in bset)

@@ -362,5 +362,5 @@ def test_one_cell_elements():
     assert (spectra.lambdas == 0.0).all()
     f = np.zeros(fine.n_cells)
     f[0], f[-1] = 1.0, -1.0
-    _, _, _, report = solve_case(perm, f, 8, nbasis=1, layers=1)
+    _, _, _, report, _ = solve_case(perm, f, 8, nbasis=1, layers=1)
     assert report.max_residual <= 1e-10

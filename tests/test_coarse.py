@@ -479,7 +479,7 @@ def test_contrast_sweep_conserves_mass_with_stable_errors():
                            contrast_lo=10.0 ** k, contrast_hi=10.0 ** k, seed=0,
                            coarse_n=4, max_channels_per_element=2)
         perm = generate_medium(spec, fine)
-        ms, aux, bset, report = solve_case(perm, f, 4, nbasis=3, layers=2)
+        ms, aux, bset, report, _ = solve_case(perm, f, 4, nbasis=3, layers=2)
         assert report.max_residual <= 1e-10
         assert report.div_compat <= 1e-10
         sigmas.append(ms.schur_sigma)

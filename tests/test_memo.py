@@ -7,15 +7,14 @@ import os
 import numpy as np
 import pytest
 
-from msdarcy import (PermField, build_grids, generate_medium, solve_case,
-                     solve_fine_reference, three_channel_spec)
+from msdarcy import (PermField, build_grids, corner_source, generate_medium,
+                     solve_case, solve_fine_reference, three_channel_spec)
 from msdarcy import auxspace, basis, cli, coarse, fem, medium, mesh, metrics
 from msdarcy.auxspace import element_lines
 from msdarcy.basis import _template
 from msdarcy.errors import ConfigError
 from msdarcy.fem import _macro_layout, _macro_tables
 from msdarcy.mesh import element_layout
-from oracles import corner_source
 
 MEMOS = (element_layout, element_lines, _macro_layout, _macro_tables, _template)
 
@@ -30,7 +29,7 @@ def _outputs(perm, f, Nx, flavor):
     return: the reference's v and p, the auxiliary eigenvectors, the basis
     stacks and energies, and the coarse and expanded solutions."""
     ref = solve_fine_reference(perm, f)
-    ms, aux, bset, report = solve_case(perm, f, Nx, nbasis=2, layers=1, flavor=flavor)
+    ms, aux, bset, report, _ = solve_case(perm, f, Nx, nbasis=2, layers=1, flavor=flavor)
     arrays = [ref.v, ref.p, aux.pressures, bset.energies, ms.coeff_v, ms.coeff_p, ms.v, ms.p,
               report.element_residuals]
     for stack in (bset.matrix, bset.divergence, bset.traces):

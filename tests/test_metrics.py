@@ -1,5 +1,8 @@
 """Norms, error reports, layer schedules, decay and convergence studies."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -166,7 +169,7 @@ def test_convergence_study_rows(case32):
     assert all(r.seconds >= 0 for r in rows)
     assert rows[2].e_v < rows[1].e_v  # more basis functions help
     ref = solve_fine_reference(perm, f)
-    ms, aux, bset, report = solve_case(perm, f, 8, nbasis=1, layers=3)
+    ms, aux, bset, report, _ = solve_case(perm, f, 8, nbasis=1, layers=3)
     direct = relative_errors(ref, ms, perm, weight)
     assert rows[1].e_p == pytest.approx(direct.e_p, rel=1e-9)
     assert rows[1].e_v == pytest.approx(direct.e_v, rel=1e-9)
@@ -179,16 +182,38 @@ def test_solve_case_outputs(case32):
     rng = np.random.default_rng(47)
     f = rng.standard_normal(fine.n_cells)
     f -= f.mean()
-    ms, aux, bset, report = solve_case(perm, f, 4, nbasis=2, layers=2)
+    ms, aux, bset, report, _ = solve_case(perm, f, 4, nbasis=2, layers=2)
     assert ms.v.size == fine.n_edges and ms.p.size == fine.n_cells
     assert aux.n_columns == 16 * 2 and len(bset) == aux.n_columns
     assert report.div_compat < 1e-9
     assert report.max_residual < 1e-10
-    thr, aux_t, _, _ = solve_case(perm, f, 4, threshold=aux.spectral_gap,
-                                  layers=2)
+    thr, aux_t, _, _, _ = solve_case(perm, f, 4, threshold=aux.spectral_gap,
+                                     layers=2)
     assert (aux_t.counts >= 1).all()
     with pytest.raises(ConfigError):
         solve_case(perm, f, 5, nbasis=1)
+
+
+def _tool_stages():
+    """The STAGES tuple of tools/stage_times.py, read without running the tool."""
+    tool = Path(__file__).resolve().parent.parent / "tools" / "stage_times.py"
+    (value,) = [node.value for node in ast.parse(tool.read_text()).body
+                if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "STAGES"]
+    return ast.literal_eval(value)
+
+
+def test_solve_case_times_the_tools_seven_stages(case32):
+    """`solve_case`'s record holds the seconds and the high-water raise of
+    exactly the seven stages `tools/stage_times.py` reports, in order."""
+    fine, coarse, perm, weight = case32
+    f = np.random.default_rng(50).standard_normal(fine.n_cells)
+    f -= f.mean()
+    *_, times = solve_case(perm, f, 4, nbasis=2, layers=2)
+    stages = _tool_stages()
+    assert len(stages) == 7
+    assert tuple(times.seconds) == stages == tuple(times.peak_mb)
+    assert all(times.seconds[s] >= 0 and times.peak_mb[s] >= 0 for s in stages)
+
 
 def test_layer_counts_are_checked_before_any_solve(case32, monkeypatch):
     """A localized flavor's layer count below one is refused before the
@@ -212,10 +237,12 @@ def test_layer_counts_are_checked_before_any_solve(case32, monkeypatch):
 
 
 def test_flavors_and_counts_are_checked_before_any_solve(case32, monkeypatch):
-    """An unknown flavor is refused before the spectra, an eigenvector
-    count outside 1..r^2 in any convergence case before the fine
-    reference, and a layer count below one in a decay study before its
-    elements are condensed for the global function."""
+    """An unknown flavor is refused before the spectra, and so is a
+    `solve_case` selection that sets neither or both of nbasis /
+    threshold or an nbasis outside 1..r^2. Such a count in any
+    convergence case is refused before the fine reference, and a layer
+    count below one in a decay study before its elements are condensed
+    for the global function."""
     fine, coarse, perm, weight = case32
     f = np.random.default_rng(49).standard_normal(fine.n_cells)
     f -= f.mean()
@@ -234,5 +261,25 @@ def test_flavors_and_counts_are_checked_before_any_solve(case32, monkeypatch):
     for nbasis in (0, 17):
         with pytest.raises(ConfigError, match=f"nbasis={nbasis} out of range"):
             convergence_study(perm, f, [(3, 8, 3), (nbasis, 8, 3)])
+    for selection in ({}, {"nbasis": 1, "threshold": 1.0}):
+        with pytest.raises(ConfigError, match="exactly one of nbasis / threshold"):
+            solve_case(perm, f, 8, **selection)
+    for nbasis in (0, 99):
+        with pytest.raises(ConfigError, match=f"nbasis={nbasis} out of range"):
+            solve_case(perm, f, 8, nbasis=nbasis)
     with pytest.raises(ConfigError, match="at least one layer"):
         decay_study(aux, perm, int(coarse.element_id(3, 3)), 0, [1, 2, 0])
+
+
+def test_decay_study_refuses_an_element_outside_the_grid(case32, monkeypatch):
+    """An element id outside 0..n_elements-1, negative ones included, is
+    refused before any element is condensed."""
+    fine, coarse, perm, weight = case32
+    aux = build_aux_space(coarse, weight, solve_all_spectra(coarse, perm, weight), nbasis=1)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("condensed before the element was checked")
+    monkeypatch.setattr("msdarcy.metrics.CondensedElements", fail)
+    for e in (-1, coarse.n_elements, -coarse.n_elements - 1):
+        with pytest.raises(ConfigError, match=f"element {e} outside coarse grid"):
+            decay_study(aux, perm, e, 0, [1, 2])

@@ -1,8 +1,10 @@
 """The library API `tools/stage_times.py` uses: one small case through its
-`run_case`, so a change that breaks the tool fails here; one small
-interleaved run of two source trees through its command line; and the
-medians, quartiles and per-repeat samples its BENCH records hold."""
+`_case`, so a change that breaks the tool fails here; that the tool runs
+no stage of the pipeline itself; one small interleaved run of two source
+trees through its command line; and the medians, quartiles and
+per-repeat samples its BENCH records hold."""
 
+import ast
 import importlib.util
 import json
 import shutil
@@ -30,20 +32,32 @@ def _load_tool(monkeypatch):
     return module
 
 
-def test_run_case_times_every_stage(monkeypatch):
+def test_case_times_every_stage(monkeypatch):
     tool = _load_tool(monkeypatch)
-    fine, _ = tool.build_grids(16, 1)
-    perm = tool.generate_medium(tool.three_channel_spec(contrast=tool.CONTRAST), fine)
-    f = tool.corner_source(fine)
-    ref = tool.solve_fine_reference(perm, f)
-    clock, result = tool.run_case(perm, f, ref, Nx=4, layers=1, workers=1)
+    _, _, ref = tool._reference(16)
+    seconds, peak_mb, result = tool._case((16, 4, 1), 1, ref)
     assert len(tool.STAGES) == 7
-    assert set(clock.seconds) == set(tool.STAGES) == set(clock.peak_mb)
-    assert all(clock.seconds[s] >= 0 for s in tool.STAGES)
+    assert set(seconds) == set(tool.STAGES) == set(peak_mb)
+    assert all(seconds[s] >= 0 for s in tool.STAGES)
     assert result["functions"] == 16 * tool.NBASIS
     assert 0 < result["basis_mb"] < 1
     assert result["max_mass_residual"] <= 1e-10
     assert 0 < result["e_v"] < 1 and 0 < result["e_p"] < 1
+
+
+def test_tool_runs_no_stage_of_its_own():
+    """The tool times the chain `solve_case` runs and writes none of its
+    own: it calls none of the stages' functions, and defines no
+    `run_case` and no clock class."""
+    tree = ast.parse(TOOL.read_text())
+    called = {node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+              for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    stages = {"build_aux_space", "build_basis_set", "assemble_coarse_system",
+              "solve_multiscale", "compute_weight", "solve_all_spectra", "mass_residuals"}
+    assert "solve_case" in called
+    assert not called & stages
+    assert "run_case" not in {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert not any(isinstance(node, ast.ClassDef) for node in tree.body)
 
 
 def test_baseline_interleaves_two_trees(monkeypatch, tmp_path):

@@ -8,19 +8,20 @@ Usage (from the repository root):
 Solves the five North-star cases (fine/coarse/layers 64/8/3, 64/32/2,
 128/8/3, 128/16/4, 128/32/5) on the preset three-channel medium at
 contrast 1e4 with the corner source and three eigenvectors per element,
-once per repeat and worker count. Each stage is timed on its own: weight,
-spectra, aux space, basis, coarse assembly, coarse solve and
-post-processing (mass residuals and errors against the fine reference).
-The fine reference is solved once per fine grid and repeat, and timed
-apart from the cases. Every solve of a case, and every reference solve,
-runs in a fresh process, so what one leaves allocated does not hide
-another's memory.
+once per repeat and worker count. Each case is one `msdarcy.solve_case`,
+whose record times its seven stages: weight, spectra, aux space, basis,
+coarse assembly, coarse solve and post-processing (mass residuals, and
+here the errors against the fine reference). The fine reference is
+solved once per fine grid and repeat, timed apart by the same clock.
+Every solve of a case, and every reference solve, runs in a fresh
+process, so what one leaves allocated does not hide another's memory.
 
 With `--baseline DIR` (another checkout, such as the parent commit) every
 fresh-process solve runs twice per repeat, once importing the package
 from `DIR/src` and once from this tree, and the tree that goes first
 alternates from one solve to the next. So both trees meet the machine's
-slow and fast spells alike, and their files can be compared.
+slow and fast spells alike, and their files can be compared. The
+baseline tree's `solve_case` must return that record as its fifth value.
 
 Writes `BENCH_<label>.json` (into `--out`, default the repository root):
 the median over repeats of every stage's seconds, of the total and of
@@ -48,14 +49,11 @@ import argparse
 import dataclasses
 import json
 import platform
-import resource
 import statistics
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from multiprocessing import get_context
 from pathlib import Path
-from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
 # the source tree to import the package from: this checkout's, unless a
@@ -67,10 +65,8 @@ import numpy as np
 import scipy
 import scipy.sparse
 
-from msdarcy import (assemble_coarse_system, bilinear_pou, build_aux_space,
-                     build_basis_set, build_grids, compute_weight,
-                     generate_medium, mass_residuals, relative_errors,
-                     solve_all_spectra, solve_fine_reference, solve_multiscale,
+from msdarcy import (StageTimes, build_grids, corner_source, generate_medium,
+                     relative_errors, solve_case, solve_fine_reference,
                      three_channel_spec)
 
 CASES = ((64, 8, 3), (64, 32, 2), (128, 8, 3), (128, 16, 4), (128, 32, 5))
@@ -78,37 +74,6 @@ CONTRAST = 1e4
 NBASIS = 3
 SOURCE_GRID = 8
 STAGES = ("weight", "spectra", "aux", "basis", "assembly", "coarse_solve", "post")
-
-
-def _maxrss_mb():
-    """The process's resident high-water mark (Linux reports KiB)."""
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-
-
-class StageClock:
-    """Seconds per stage, and how much each stage raised the process's
-    resident high-water mark, in MiB."""
-
-    def __init__(self):
-        self.seconds, self.peak_mb = {}, {}
-
-    @contextmanager
-    def stage(self, name):
-        start = _maxrss_mb()
-        t0 = perf_counter()
-        yield
-        self.seconds[name] = perf_counter() - t0
-        self.peak_mb[name] = _maxrss_mb() - start
-
-
-def corner_source(fine):
-    """Unit source in the top-left block of a SOURCE_GRID partition, unit
-    sink in the bottom-right one (the CLI's `corners` source)."""
-    b = fine.nx // SOURCE_GRID
-    f = np.zeros((fine.nx, fine.nx))
-    f[(SOURCE_GRID - 1) * b:, :b] = 1.0
-    f[:b, (SOURCE_GRID - 1) * b:] = -1.0
-    return f.ravel()
 
 
 def basis_mb(basis):
@@ -123,30 +88,6 @@ def basis_mb(basis):
         elif isinstance(value, np.ndarray):
             arrays.append(value)
     return sum(a.nbytes for a in arrays) / 2 ** 20
-
-
-def run_case(perm, f, ref, Nx, layers, workers):
-    """One multiscale solve, stage by stage."""
-    _, coarse = build_grids(perm.grid.nx, Nx)
-    clock = StageClock()
-    with clock.stage("weight"):
-        weight = compute_weight(perm, bilinear_pou(coarse))
-    with clock.stage("spectra"):
-        spectra = solve_all_spectra(coarse, perm, weight, workers=workers)
-    with clock.stage("aux"):
-        aux = build_aux_space(coarse, weight, spectra, nbasis=NBASIS)
-    with clock.stage("basis"):
-        basis = build_basis_set(aux, perm, layers=layers, workers=workers)
-    with clock.stage("assembly"):
-        system = assemble_coarse_system(basis, perm, f)
-    with clock.stage("coarse_solve"):
-        ms = solve_multiscale(system)
-    with clock.stage("post"):
-        report = mass_residuals(ms, f, aux)
-        err = relative_errors(ref, ms, perm, weight)
-    return clock, {"functions": len(basis), "basis_mb": basis_mb(basis),
-                   "e_v": err.e_v, "e_p": err.e_p,
-                   "max_mass_residual": float(report.max_residual)}
 
 
 def median(values):
@@ -179,24 +120,31 @@ def _fresh(src, fn, *args):
 
 def _inputs(nx):
     fine, _ = build_grids(nx, 1)
-    return generate_medium(three_channel_spec(contrast=CONTRAST), fine), corner_source(fine)
+    return (generate_medium(three_channel_spec(contrast=CONTRAST), fine),
+            corner_source(fine, SOURCE_GRID))
 
 
 def _reference(nx):
     """The fine reference of grid nx: (seconds, peaks, solution)."""
     perm, f = _inputs(nx)
-    clock = StageClock()
-    with clock.stage("reference"):
+    times = StageTimes()
+    with times.stage("reference"):
         ref = solve_fine_reference(perm, f)
-    return clock.seconds, clock.peak_mb, ref
+    return times.seconds, times.peak_mb, ref
 
 
 def _case(case, workers, ref):
-    """One `run_case` of case (nx, Nx, layers): (seconds, peaks, result)."""
+    """One `solve_case` of case (nx, Nx, layers), its errors against the
+    fine reference `ref` timed into `post`: (seconds, peaks, result)."""
     nx, Nx, layers = case
     perm, f = _inputs(nx)
-    clock, result = run_case(perm, f, ref, Nx, layers, workers)
-    return clock.seconds, clock.peak_mb, result
+    ms, aux, basis, report, times = solve_case(perm, f, Nx, nbasis=NBASIS, layers=layers,
+                                               workers=workers)
+    with times.stage("post"):
+        err = relative_errors(ref, ms, perm, aux.weight)
+    return times.seconds, times.peak_mb, {
+        "functions": len(basis), "basis_mb": basis_mb(basis), "e_v": err.e_v,
+        "e_p": err.e_p, "max_mass_residual": float(report.max_residual)}
 
 
 def measure(workers, repeats, sources):
