@@ -31,8 +31,8 @@ it; the no-flux condition drops the edges on the region boundary),
 factors that matrix once, solves for all right-hand sides of the elements
 it is the region of (its centres) and recovers every element's interior
 by back-substitution. The skeleton runs row by row in space, so its
-matrix is a band about two rows of the region's edges wide, factored by
-LAPACK's banded Cholesky (`fem.band_cholesky`). Regions of one shape
+matrix is a band about two rows of the region's edges wide, written by
+`fem.band_matrix` and factored by `fem.band_cholesky`. Regions of one shape
 share their index maps (a `_RegionTemplate`), and are solved together
 (`_Regions`): their ids, values, right-hand sides, back-substitutions
 and residuals are stacked, and only the skeleton factors and solves run
@@ -71,11 +71,12 @@ from functools import cache, cached_property
 
 import numpy as np
 import scipy.sparse as sp
+from numpy.lib.stride_tricks import as_strided
 
 from .auxspace import _run, _stacked, element_lines
 from .errors import ConfigError, SolveError
-from .fem import (FineSolution, _solve_whole_domain, band_cholesky, band_solve,
-                  check_source, mass_triplets)
+from .fem import (FineSolution, _solve_whole_domain, band_cholesky, band_matrix, band_solve,
+                  check_source, lower_band_positions, mass_triplets)
 from .mesh import (Region, element_layout, full_domain, oversample_region, read_only,
                    region_elements)
 
@@ -172,7 +173,7 @@ class BasisSet(Sequence):
 
 def _stack(sizes, n_rows):
     """A CSC matrix with `sizes[k]` entries in column k, whose row ids and
-    values (the constructor reads neither) the parts write in place (`_put`)."""
+    values (the constructor reads neither) the parts `_scatter` in place."""
     nnz = int(sizes.sum())
     index = np.int32 if max(nnz, n_rows) < 2 ** 31 else np.int64
     indptr = np.append(0, np.cumsum(sizes)).astype(index)
@@ -180,11 +181,20 @@ def _stack(sizes, n_rows):
                          shape=(n_rows, sizes.size))
 
 
-def _put(stack, k, ids, values):
-    """Write `values`, one row per column, into columns k, k + 1, ... on rows `ids`."""
-    at = slice(stack.indptr[k], stack.indptr[k + len(values)])
-    stack.indices[at].reshape(len(values), ids.size)[:] = ids
-    stack.data[at].reshape(values.shape)[:] = values
+def _scatter(stack, columns, ids, values, keep=None):
+    """Write row r of `ids` and of `values` into column columns[r] of the
+    stack: whole, as one copy into the window of the row's width that
+    starts at the column (the columns' windows do not overlap, and a copy
+    per row beats an index per entry), or the entries `keep` marks."""
+    start = stack.indptr[columns]
+    if keep is None:
+        n = ids.shape[1]
+        for a, v in ((stack.indices, ids), (stack.data, values)):
+            as_strided(a, (a.size - n + 1, n), 2 * a.strides)[start] = v
+    else:
+        at = (start[:, None] + np.cumsum(keep, axis=1) - 1)[keep]
+        stack.indices[at] = ids[keep]
+        stack.data[at] = values[keep]
 
 
 class CondensedElements:
@@ -495,21 +505,19 @@ class _RegionTemplate:
         rank = np.zeros(edges.size, dtype=np.int64)
         rank[self.skeleton] = np.arange(n_s)
         self.slots = np.where(inside, rank[at], n_s).astype(np.int32)
-        # the skeleton matrix's lower band, transposed: entry (slot a, slot
-        # b), a >= b, of every element's complement, summed at row b and
-        # column a - b of an (n_s, kd + 1) array, whose transpose is LAPACK's
-        # band storage. `S_src` holds each such entry's place in the flat
-        # stack of element complements for the template's own elements; a
-        # region's elements are theirs shifted by the region's first
-        # element id. The maps are narrow integers: that keeps the
-        # templates small
+        # the skeleton matrix's lower band: entry (slot a, slot b), a >= b,
+        # of every element's complement, summed at its flat position in the
+        # (kd + 1) x n_s band (`S_dst`). `S_src` holds each such entry's
+        # place in the flat stack of element complements for the template's
+        # own elements; a region's elements are theirs shifted by the
+        # region's first element id. The maps are narrow integers: that
+        # keeps the templates small
         mask = (inside[:, :, None] & inside[:, None, :]
                 & (self.slots[:, :, None] >= self.slots[:, None, :]))
-        a = np.broadcast_to(self.slots[:, :, None], mask.shape)[mask]
-        b = np.broadcast_to(self.slots[:, None, :], mask.shape)[mask]
-        self.kd = int((a - b).max(initial=0))
-        self.S_dst = (b * (self.kd + 1) + a - b).astype(
-            np.min_scalar_type(n_s * (self.kd + 1)))
+        S_dst, self.kd = lower_band_positions(
+            np.broadcast_to(self.slots[:, :, None], mask.shape)[mask],
+            np.broadcast_to(self.slots[:, None, :], mask.shape)[mask], n_s)
+        self.S_dst = S_dst.astype(np.min_scalar_type(n_s * (self.kd + 1)))
         owner, entry = np.nonzero(mask.reshape(elements.size, -1))
         self.S_src = (elements[owner] * mask[0].size + entry).astype(
             np.min_scalar_type(coarse.n_elements * mask[0].size))
@@ -630,11 +638,11 @@ class _Regions:
         # the region-boundary edges inside the domain: every function
         # vanishes on the domain boundary
         self.inner = ~grid.boundary_edge_mask()[self.boundary]
-        size = tpl.n_s * (tpl.kd + 1)
-        self.bands = np.bincount(
-            (tpl.S_dst + np.arange(g)[:, None] * size).ravel(),
+        # the regions' skeleton bands side by side, region g's from column g n_s
+        self.bands = band_matrix(
+            (tpl.S_dst + np.arange(g)[:, None] * (tpl.n_s * (tpl.kd + 1))).ravel(),
             cond.S.ravel()[tpl.S_src + self.elements[:, :1] * cond.S[0].size].ravel(),
-            minlength=g * size).reshape(g, tpl.n_s, tpl.kd + 1)
+            tpl.kd + 1, g * tpl.n_s)
 
     def _label(self, i):
         if self.layers is None:
@@ -646,9 +654,9 @@ class _Regions:
     def factors(self):
         """Every region's skeleton factor; each overwrites its band."""
         factors = []
-        for i, band in enumerate(self.bands):
+        for i, band in enumerate(np.hsplit(self.bands, len(self.centres))):
             try:
-                factors.append(band_cholesky(band.T))
+                factors.append(band_cholesky(band))
             except np.linalg.LinAlgError as exc:
                 raise SolveError(f"factorization failed for {self._label(i)}: {exc}")
         return factors
@@ -707,7 +715,7 @@ class _Regions:
         cond, tpl = self.cond, self.template
         n, n_s, k = tpl.n, tpl.n_s, cond.Z.shape[2]
         sel = np.arange(len(self.centres))
-        region, centre, _ = items.T
+        region, centre, first = items.T
         # a region's items sit side by side, k columns each, in item order
         order = np.arange(len(items)) - np.searchsorted(region, region)
         c = k * (order.max() + 1)
@@ -757,16 +765,17 @@ class _Regions:
         energy = np.einsum("gec,gec->gc", psi, Kpsi[:, :n_e])
         column_rows = (np.arange(len(sel))[:, None] * n + np.arange(n_e + n_c, n)).ravel()
         div = self._times(Kpsi[:, n_e:n_e + n_c] / self.s[:, :, None], n_e, self.K[column_rows])
+        # function j of item t: column first[t] + j of the stacks (`to`) and
+        # order[t] k + j of the part's solution (`of`), j below its count
+        fn = np.arange(k) < cond.aux.counts[centre][:, None]
+        fn_region = np.broadcast_to(region[:, None], fn.shape)[fn]
+        of, to = (order[:, None] * k + np.arange(k))[fn], (first[:, None] + np.arange(k))[fn]
         Psi, B_c, G = stacks
-        for t, (i, e, first) in enumerate(items):
-            # the item's functions: columns first, first + 1, ... of the
-            # stacks, and columns cs of the part's solution
-            cs = slice(order[t] * k, order[t] * k + cond.aux.counts[e])
-            kept = self.columns[i] >= 0
-            _put(Psi, first, self.edges[i], x[i, :n_e, cs].T)
-            _put(B_c, first, self.columns[i, kept], div[i, kept, cs].T)
-            _put(G, first, self.boundary[i][self.inner[i]], trace[i, self.inner[i], cs].T)
-            energies[first:first + cs.stop - cs.start] = energy[i, cs]
+        columns = self.columns[fn_region]
+        _scatter(Psi, to, self.edges[fn_region], psi[fn_region, :, of])
+        _scatter(B_c, to, columns, div[fn_region, :, of], columns >= 0)
+        _scatter(G, to, self.boundary[fn_region], trace[fn_region, :, of], self.inner[fn_region])
+        energies[to] = energy[fn_region, of]
 
 
 def _norms(a):

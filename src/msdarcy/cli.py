@@ -368,6 +368,9 @@ def cmd_decay(args):
     j = _get(cfg, "decay", "j", default=0, cast=int)
     if cfg.has_section("decay") and "element_ij" in cfg["decay"]:
         I, J = _get(cfg, "decay", "element_ij", cast=lambda raw: _ints(raw, 2))
+        if not (0 <= I < coarse.Nx and 0 <= J < coarse.Ny):
+            raise ConfigError(f"[decay] element_ij {I} {J} outside the "
+                              f"{coarse.Nx}x{coarse.Ny} coarse grid")
         e = int(coarse.element_id(I, J))
     else:
         e = _get(cfg, "decay", "element", cast=int)

@@ -36,15 +36,15 @@ both blocks are bands. The velocity block's banded Cholesky factor
 (`fem.band_cholesky`) checks that it is positive definite and serves the
 rank test. There is one function per auxiliary column, so the divergence
 block is square; its left null vector s = R^T S 1 makes one of its rows
-redundant, and LAPACK's banded LU of the block with that row replaced by
-a pin solves the saddle system. A Lanczos iteration on that LU gives the
-inf-sup constant of the pressure Schur complement on zero-mean
-coefficients.
+redundant, and the banded LU (`fem.band_lu`) of the block with that row
+replaced by a pin solves the saddle system. A Lanczos iteration on that
+LU gives the inf-sup constant of the pressure Schur complement on
+zero-mean coefficients.
 
-Both factors are written straight from the blocks' compressed arrays:
-the Cholesky band of the symmetric part (A_c + A_c^T) / 2 from A_c's
-rows, the LU band from B_c's columns. No symmetrized, triangular or
-coordinate copy of either block is made. Each band is overwritten by
+Both bands take their entries straight from the blocks' compressed
+arrays, (A_c + A_c^T) / 2 from A_c's rows and the pinned block from
+B_c's columns, with no symmetrized, triangular or coordinate copy; `fem`
+places, writes, factors and solves them. Each band is overwritten by
 its factor, so every product with a block reads the CSR/CSC block
 itself, A_c rather than its symmetric part. A product on a band layout
 would need a second copy of the band and gains little or loses: at 3072
@@ -64,11 +64,12 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import SolveError
-from .fem import band_cholesky, band_solve, check_memory, check_source, divergence_matrix
+from .fem import (band_cholesky, band_half_width, band_lu, band_lu_solve, band_matrix,
+                  band_solve, check_memory, check_source, divergence_matrix,
+                  general_band_positions, lower_band_positions)
 
 
 @dataclass(frozen=True)
@@ -138,7 +139,7 @@ def assemble_coarse_system(basis_set, perm, f):
     A_c = _velocity_block(B_c, (E if basis_set.flavor == "type1" else E - B_c).tocsr(),
                           basis_set.matrix, basis_set.traces.tocsr())
     A_c.setdiag(basis_set.energies)
-    need = 8 * n * (_half_width(A_c) + 1) + 8 * n * (3 * _half_width(B_c) + 1)
+    need = 8 * n * (band_half_width(A_c) + 1) + 8 * n * (3 * band_half_width(B_c) + 1)
     check_memory(need, f"coarse system of {n} basis functions")
     rhs_q = h2 * (R.T @ f)
     mean_w = np.asarray(R.T @ np.full(grid.n_cells, h2))
@@ -174,68 +175,33 @@ def _velocity_block(B_c, Pi, Psi, G):
     return parts[0] if len(parts) == 1 else sp.vstack(parts, format="csr")
 
 
-def _half_width(matrix):
-    """The largest |i - j| over the stored entries (i, j) of a CSR or CSC
-    `matrix`, read off its index arrays without a copy of its values."""
-    major = np.repeat(np.arange(matrix.indptr.size - 1, dtype=matrix.indices.dtype),
-                      np.diff(matrix.indptr))
-    return int(np.abs(matrix.indices - major).max(initial=0))
-
-
-def _band_from_entries(positions, values, ld, n):
-    """The Fortran-ordered ld x n array whose flat (column-major) position
-    p holds the sum of the `values` at `positions` p; repeated positions
-    add up."""
-    flat = np.zeros(ld * n)
-    np.add.at(flat, positions, values)
-    return flat.reshape(ld, n, order="F")
-
-
-def _positions(minor, major, ld, n):
-    """minor + ld * major in place in `minor`, as int64 where ld * n does
-    not fit the index type. `major` is overwritten."""
-    if ld * n > np.iinfo(minor.dtype).max:
-        minor, major = minor.astype(np.int64), major.astype(np.int64)
-    major *= ld
-    minor += major
-    return minor
-
-
 def _symmetric_band(A_c, kd):
-    """The lower band of (A_c + A_c^T) / 2 in LAPACK's symmetric band
-    storage, band[i - j, j] for 0 <= i - j, at half-width kd or A_c's own
+    """The lower band of (A_c + A_c^T) / 2 at half-width kd, or A_c's own
     if that is larger, straight from A_c's compressed rows: each stored
     entry (i, j) adds itself at (max(i, j), min(i, j)), the sums are
     halved, and the diagonal is A_c's own."""
     A = A_c.tocsr()
     n = A.shape[0]
-    offset = np.repeat(np.arange(n, dtype=A.indices.dtype), np.diff(A.indptr))
-    low = np.minimum(offset, A.indices)
-    offset -= A.indices
-    np.abs(offset, out=offset)
-    kd = max(kd, int(offset.max(initial=0)))
-    band = _band_from_entries(_positions(offset, low, kd + 1, n), A.data, kd + 1, n)
+    positions, kd = lower_band_positions(
+        np.repeat(np.arange(n, dtype=A.indices.dtype), np.diff(A.indptr)), A.indices, n, kd)
+    band = band_matrix(positions, A.data, kd + 1, n)
     band *= 0.5
     band[0] = A.diagonal()
     return band
 
 
 def _pinned_band(B_c, k):
-    """B~, which is B_c with row k replaced by e_k^T, in LAPACK's general
-    band storage with kb rows on top for the fill of the row pivots,
-    band[2 kb + i - j, j] = B~[i, j], straight from B_c's compressed
-    columns. Returns the band and B_c's half-width kb."""
+    """The general band of B~, which is B_c with row k replaced by e_k^T,
+    straight from B_c's compressed columns."""
     B = B_c.tocsc()
     n = B.shape[1]
-    column = np.repeat(np.arange(n, dtype=B.indices.dtype), np.diff(B.indptr))
-    offset = B.indices - column
-    kb = int(max(offset.max(initial=0), -offset.min(initial=0)))
-    offset += 2 * kb
-    band = _band_from_entries(_positions(offset, column, 3 * kb + 1, n), B.data, 3 * kb + 1, n)
+    positions, kb = general_band_positions(
+        B.indices, np.repeat(np.arange(n, dtype=B.indices.dtype), np.diff(B.indptr)), n)
+    band = band_matrix(positions, B.data, 3 * kb + 1, n)
     row_k = np.arange(max(k - kb, 0), min(k + kb + 1, n))
     band[2 * kb + k - row_k, row_k] = 0.0
     band[2 * kb, k] = 1.0
-    return band, kb
+    return band
 
 
 def _top_eigenvalue(apply, n, tol=0.0):
@@ -267,12 +233,10 @@ def solve_multiscale(system, rtol=1e-10):
     z^T h = 0, B~^T P = h solves B_c^T P = h with P_k = z^T B~^T P = 0, and
     the multiple of s that meets w^T P = f_w completes the pressure.
 
-    The Cholesky band of A's symmetric part comes from A_c's compressed
-    rows and the LU band of B~ from B_c's compressed columns, with no
-    sparse copy of either block. The matrix-vector products read A_c and
-    B_c themselves, plus c s (s . x) for the shift of a saturated set: A
-    is A_c (+ c s s^T) in the products, with A_c^T z in the null-vector
-    correction, and its symmetric part only in the factor.
+    The matrix-vector products read A_c and B_c themselves, plus
+    c s (s . x) for the shift of a saturated set: A is A_c (+ c s s^T) in
+    the products, with A_c^T z in the null-vector correction, and its
+    symmetric part only in the factor.
 
     One band is alive at a time. The rank test's largest eigenvalue, the
     Cholesky factor's last use, runs right after the Cholesky check, and
@@ -329,11 +293,11 @@ def solve_multiscale(system, rtol=1e-10):
             held = exc
     del chol
     k = int(np.argmax(np.abs(s)))
-    lu, kb = _pinned_band(B_c, k)
-    lu, piv, info = dgbtrf(lu, kb, kb, overwrite_ab=1)
-    if info:
-        raise SolveError(f"coarse system is singular: pivot {info} of {n} is zero")
-    z = dgbtrs(lu, kb, kb, np.eye(1, n, k)[0], piv)[0]
+    try:
+        lu = band_lu(_pinned_band(B_c, k))
+    except np.linalg.LinAlgError as exc:
+        raise SolveError(f"coarse system is singular: {exc}")
+    z = band_lu_solve(lu, np.eye(1, n, k)[0])
     Az = apply_a(z, A_c.T)
     zAz = z @ Az
 
@@ -344,9 +308,9 @@ def solve_multiscale(system, rtol=1e-10):
         gamma = (s @ f_q) / (s @ w)
         r = f_q - gamma * w
         r[k] = 0.0
-        U = dgbtrs(lu, kb, kb, r, piv)[0]
+        U = band_lu_solve(lu, r)
         U += ((z @ f_u - Az @ U) / zAz) * z
-        P = dgbtrs(lu, kb, kb, apply_a(U) - f_u, piv, trans=1)[0]
+        P = band_lu_solve(lu, apply_a(U) - f_u, trans=1)
         return U, P + ((f_w - w @ P) / (s @ w)) * s, gamma
 
     # one solve and one refinement sweep on the unshifted equations: the

@@ -40,12 +40,14 @@ boundaries, half of them, reach the band. The pressure is fixed only up
 to a constant, which one pinned multiplier fixes; it is then shifted to
 zero mean.
 
-`band_cholesky` and `band_solve` factor and solve every symmetric
-positive definite band in the package: the macro-boundary multipliers,
-the region skeletons and the coarse velocity block, each ordered row by
-row in space (`mesh.FineGrid.edge_midpoint_key` for the fine edges).
-`check_memory` refuses, before they are made, the factors that would
-not fit in physical memory.
+Every band in the package is written, factored and solved here alone:
+`band_matrix` writes it at the positions `lower_band_positions` or
+`general_band_positions` give; `band_cholesky` and `band_solve` factor
+and solve the symmetric positive definite ones (the macro-boundary
+multipliers, the region skeletons and the coarse velocity block, each
+ordered row by row in space), `band_lu` and `band_lu_solve` the pinned
+coarse divergence block. `check_memory` refuses, before they are made,
+the factors that would not fit in physical memory.
 
 The macro-cell tables of the whole-domain solve depend on the grid
 alone, so they are memoized per grid and read-only: the layout and band
@@ -62,7 +64,7 @@ from functools import cache
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.lapack import dpbtrf, dpbtrs
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dpbtrf, dpbtrs
 
 from .errors import ConfigError, SolveError
 from .mesh import read_only
@@ -126,6 +128,67 @@ def band_cholesky(band):
 def band_solve(factor, b):
     """A^-1 b from the factor `band_cholesky` returned."""
     return dpbtrs(factor, b, lower=1)[0]
+
+
+def band_lu(band):
+    """The LU factor, with row pivots, of the square matrix whose general
+    band (`general_band_positions`) `band` holds; a Fortran-ordered `band`
+    is overwritten. Raises LinAlgError if a pivot is zero."""
+    kl = (band.shape[0] - 1) // 3
+    lu, piv, info = dgbtrf(band, kl, kl, overwrite_ab=1)
+    if info:
+        raise np.linalg.LinAlgError(f"pivot {info} of {band.shape[1]} is zero")
+    return lu, piv, kl
+
+
+def band_lu_solve(factor, b, trans=0):
+    """A^-1 b, or A^-T b for `trans` 1, from the factor `band_lu` returned."""
+    lu, piv, kl = factor
+    return dgbtrs(lu, kl, kl, b, piv, trans=trans)[0]
+
+
+def band_half_width(matrix):
+    """The largest |i - j| over the stored entries (i, j) of a CSR or CSC
+    `matrix`, read off its index arrays without a copy of its values."""
+    major = np.repeat(np.arange(matrix.indptr.size - 1, dtype=matrix.indices.dtype),
+                      np.diff(matrix.indptr))
+    return int(np.abs(matrix.indices - major).max(initial=0))
+
+
+def _band_positions(minor, major, ld, n):
+    """minor + ld * major in place in `minor`, as int64 where ld * n does
+    not fit the index type. `major` is overwritten."""
+    if ld * n > np.iinfo(minor.dtype).max:
+        minor, major = minor.astype(np.int64), major.astype(np.int64)
+    major *= ld
+    minor += major
+    return minor
+
+
+def lower_band_positions(i, j, n, kd=0):
+    """The flat positions of the entries (i, j) of a symmetric matrix in
+    its (kd + 1) x n lower band, row |i - j| of column min(i, j), and kd,
+    raised to the largest |i - j|."""
+    offset = np.abs(i - j)
+    kd = max(kd, int(offset.max(initial=0)))
+    return _band_positions(offset, np.minimum(i, j), kd + 1, n), kd
+
+
+def general_band_positions(i, j, n):
+    """The flat positions of the entries (i, j) of a matrix in its general
+    band of half-width kl, the largest |i - j|: row 2 kl + i - j of column
+    j in 3 kl + 1 rows, the top kl for the row pivots' fill; and kl."""
+    offset = i - j
+    kl = int(max(offset.max(initial=0), -offset.min(initial=0)))
+    offset += 2 * kl
+    return _band_positions(offset, j.copy(), 3 * kl + 1, n), kl
+
+
+def band_matrix(positions, values, ld, n):
+    """The Fortran-ordered ld x n band whose flat (column-major) position p
+    holds the sum of the `values` at `positions` p, in their order;
+    positions from ld * n on are dropped."""
+    return np.bincount(positions, values, minlength=ld * n)[:ld * n].reshape(ld, n, order="F")
 
 
 @dataclass(frozen=True)
@@ -246,20 +309,22 @@ def _macro_tables(grid):
     """The index tables of the whole-domain solve that `_macro_layout`
     fixes, memoized per grid, read-only: each cell edge's slot in the flat
     (macro, slot) numbering (`cslot`, cells x 4); each lower pair of outer
-    slots' place in the (n, kd + 1) band, or past its end where either
-    slot is no multiplier (`flat`, macros x 36); which cell edges are
-    interior (`inner`), as the code of the cell's set of interior edges
-    (`unit`, bit e for edge e) and as the edges' signs in the cell's
-    divergence (`sign`); and each cell's 4 x 4 place in its macro's
-    12 x 12 block (`scatter`, cells x 16)."""
+    slots' flat position in the (kd + 1) x n band
+    (`lower_band_positions`), or past its end where either slot is no
+    multiplier (`flat`, macros x 36); which cell edges are interior
+    (`inner`), as the code of the cell's set of interior edges (`unit`,
+    bit e for edge e) and as the edges' signs in the cell's divergence
+    (`sign`); and each cell's 4 x 4 place in its macro's 12 x 12 block
+    (`scatter`, cells x 16)."""
     nx = grid.nx
     _, valid, _, rank, n, kd = _macro_layout(grid)
     ix, iy = grid.cell_ix_iy(np.arange(grid.n_cells))
     macro = (iy // 2) * -(-nx // 2) + ix // 2
     cslot = 12 * macro[:, None] + _QUADRANT[2 * (iy % 2) + ix % 2]
-    row, col = _LOWER
-    flat = np.where((rank[:, row] < n) & (rank[:, col] < n),
-                    rank[:, col] * (kd + 1) + rank[:, row] - rank[:, col], n * (kd + 1))
+    i, j = rank[:, _LOWER[0]], rank[:, _LOWER[1]]
+    both = (i < n) & (j < n)
+    flat = np.full(i.shape, n * (kd + 1))
+    flat[both] = lower_band_positions(i[both], j[both], n, kd)[0]
     inner = valid.ravel()[cslot]
     unit = inner @ (1, 2, 4, 8)
     scatter = (12 * cslot[:, :, None] + cslot[:, None, :] % 12).reshape(grid.n_cells, -1)
@@ -354,11 +419,10 @@ def _solve_whole_domain(perm, rhs_p, rtol, label):
     # the blocks are freed before the band is made, which keeps the
     # solve's memory at the band's size plus the cells' and macros' rows
     del H
-    band = np.bincount(flat.ravel(), schur.ravel(), minlength=n * (kd + 1) + 1)
-    band = band[:-1].reshape(n, kd + 1)
+    band = band_matrix(flat.ravel(), schur.ravel(), kd + 1, n)
     del schur
     try:
-        factor = band_cholesky(band.T)
+        factor = band_cholesky(band)
     except np.linalg.LinAlgError as exc:
         raise SolveError(f"factorization failed for {label}: {exc}")
 

@@ -20,7 +20,8 @@ from scipy.sparse.linalg import splu
 
 from msdarcy import BasisSet, ConfigError
 from msdarcy import coarse  # the coarse oracles read its private kernels
-from msdarcy.fem import band_cholesky, band_solve, divergence_matrix, mass_triplets
+from msdarcy.fem import (band_cholesky, band_half_width, band_solve, divergence_matrix,
+                         mass_triplets)
 from msdarcy.mesh import CoarseGrid, element_layout, full_domain, region_elements
 
 
@@ -609,7 +610,7 @@ def _symmetrized_coo_solve(system):
     matrix whose `tril` goes through COO into the Cholesky band, B_c goes
     through COO into the pinned LU band, and every product with the
     velocity block reads that symmetric matrix. Returns (U, P, sigma, the
-    Cholesky band before factoring)."""
+    Cholesky band and the pinned LU band, both before factoring)."""
     A_c, B_c, w, rhs_q = system.A_c, system.B_c, system.mean_w, system.rhs_q
     n = w.size
     s = system.basis.aux.coefficients(1.0)
@@ -618,10 +619,10 @@ def _symmetrized_coo_solve(system):
         u0 = sp.csr_matrix(s[:, None])
         A = A + (A.diagonal().sum() / n / (s @ s)) * (u0 @ u0.T)
     lower = sp.tril(A).tocoo()
-    band = np.zeros((coarse._half_width(A) + 1, n), order="F")
+    band = np.zeros((band_half_width(A) + 1, n), order="F")
     band[lower.row - lower.col, lower.col] = lower.data
     entries = B_c.tocoo()
-    k, kb = int(np.argmax(np.abs(s))), coarse._half_width(B_c)
+    k, kb = int(np.argmax(np.abs(s))), band_half_width(B_c)
     keep = entries.row != k
     pinned = np.zeros((3 * kb + 1, n), order="F")
     pinned[2 * kb + entries.row[keep] - entries.col[keep], entries.col[keep]] = entries.data[keep]
@@ -645,12 +646,12 @@ def _symmetrized_coo_solve(system):
         dU, dP, dgamma = solve(B_c.T @ P - A_c @ U, rhs_q - B_c @ U - gamma * w, -(w @ P))
         U, P, gamma = U + dU, P + dP, gamma + dgamma
     if n == 1:
-        return U, P, np.inf, band
+        return U, P, np.inf, band, pinned
 
     def zero_mean(q):
         return q - (w @ q) / (w @ w) * w
     sigma = 1.0 / coarse._top_eigenvalue(lambda q: solve(np.zeros(n), zero_mean(q), 0.0)[1], n)
-    return U, P, sigma, band
+    return U, P, sigma, band, pinned
 
 
 def _superlu_velocity_verdict(system):

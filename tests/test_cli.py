@@ -489,6 +489,36 @@ def test_decay_artifacts(tmp_path, capsys):
     assert run("decay", "--config", bad, "--out", str(tmp_path / "z")) == 2
 
 
+@pytest.mark.parametrize("element_ij", ["4 0", "0 4", "-1 0"])
+def test_decay_refuses_an_element_ij_outside_the_grid(tmp_path, capsys, monkeypatch,
+                                                      element_ij):
+    """I and J are checked against the 4 x 4 coarse grid, not only the
+    element id J Nx + I they give (4 0 gives element 4, which exists),
+    and before the spectra run: `spectra_stage` is patched to fail."""
+    def fail(*args, **kwargs):
+        raise AssertionError("spectra ran before the element_ij check")
+    monkeypatch.setattr(cli, "spectra_stage", fail)
+    cfg = write_cfg(tmp_path / "c.ini", f"""\
+        [grid]
+        nx = 16
+        coarse = 4
+
+        [medium]
+        kind = generate
+
+        [decay]
+        element_ij = {element_ij}
+    """)
+    out = tmp_path / "out"
+    assert run("decay", "--config", cfg, "--out", str(out)) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["error"] == "ConfigError"
+    assert f"element_ij {element_ij} outside the 4x4 coarse grid" in record["message"]
+    assert not (out / "manifest.json").exists()
+
+
 def test_eigs_reports_and_count_clamp(tmp_path, capsys):
     cfg = write_cfg(tmp_path / "c.ini", """\
         [grid]

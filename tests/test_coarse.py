@@ -16,7 +16,7 @@ from msdarcy import (ConfigError, PermField, SolveError, bilinear_pou,
                      solve_case, solve_fine_reference, assemble_coarse_system,
                      div_compat_residual, mass_residuals, solve_multiscale)
 from msdarcy import coarse
-from msdarcy.fem import divergence_matrix
+from msdarcy.fem import _band_positions, band_half_width, divergence_matrix
 from oracles import (_bordered_superlu_solve, _dense_reference, _superlu_velocity_verdict,
                      _symmetrized_coo_solve, mass_matrix)
 
@@ -196,8 +196,10 @@ def test_pinned_band_solve_matches_bordered_superlu(case):
 def test_bands_from_compressed_arrays_match_symmetrized_coo_route(case, monkeypatch):
     """The Cholesky band built from A_c's rows equals the one that went
     through the symmetrized sparse copy, `tril` and COO, entry for entry:
-    each band entry is the sum of at most two stored values, halved. The
-    solves agree, with A_c in the products against its symmetric part.
+    each band entry is the sum of at most two stored values, halved. So
+    does the pinned LU band built from B_c's columns, against the one
+    written from B_c's COO entries off row k. The solves agree, with A_c
+    in the products against its symmetric part.
     An antisymmetric perturbation of 1e-12 relative to A_c reaches the
     products but not the band, which reads the symmetric part only."""
     system = _oracle_system(case.partition("-")[0])
@@ -208,15 +210,18 @@ def test_bands_from_compressed_arrays_match_symmetrized_coo_route(case, monkeypa
         scale = 1e-12 * abs(system.A_c).max() / abs(noise).max()
         system = dataclasses.replace(system, A_c=system.A_c + scale * noise)
     bands = []
-    cholesky = coarse.band_cholesky
 
-    def record(band):
-        bands.append(band.copy())
-        return cholesky(band)
-    monkeypatch.setattr(coarse, "band_cholesky", record)
+    def record(factor):
+        def copy_then_factor(band):
+            bands.append(band.copy())
+            return factor(band)
+        return copy_then_factor
+    monkeypatch.setattr(coarse, "band_cholesky", record(coarse.band_cholesky))
+    monkeypatch.setattr(coarse, "band_lu", record(coarse.band_lu))
     ms = solve_multiscale(system)
-    U, P, sigma, band = _symmetrized_coo_solve(system)
+    U, P, sigma, band, pinned = _symmetrized_coo_solve(system)
     assert np.array_equal(bands[0], band)
+    assert np.array_equal(bands[1], pinned)
     assert np.linalg.norm(ms.coeff_v - U) <= 1e-10 * np.linalg.norm(U)
     assert np.linalg.norm(ms.coeff_p - P) <= 1e-10 * np.linalg.norm(P)
     assert abs(ms.schur_sigma - sigma) <= 1e-8 * sigma
@@ -226,9 +231,9 @@ def test_band_positions_widen_past_the_index_type():
     """A band of more than 2^31 - 1 entries is addressed in int64, since
     the blocks' int32 ids would wrap there."""
     minor, major = np.array([1, 2], dtype=np.int32), np.array([3, 0], dtype=np.int32)
-    small = coarse._positions(minor.copy(), major.copy(), 10, 4)
+    small = _band_positions(minor.copy(), major.copy(), 10, 4)
     assert small.dtype == np.int32 and small.tolist() == [31, 2]
-    wide = coarse._positions(minor, major, 2 ** 30, 4)
+    wide = _band_positions(minor, major, 2 ** 30, 4)
     assert wide.dtype == np.int64 and wide.tolist() == [3 * 2 ** 30 + 1, 2]
 
 
@@ -242,7 +247,7 @@ def test_solve_allocates_one_band_and_little_more():
     fine, grid, perm, weight, aux, f = _setup(32, 16, nbasis=3, seed=40)
     system = assemble_coarse_system(build_basis_set(aux, perm, layers=1), perm, f)
     n = system.A_c.shape[0]
-    kd, kb = coarse._half_width(system.A_c), coarse._half_width(system.B_c)
+    kd, kb = band_half_width(system.A_c), band_half_width(system.B_c)
     bound = 8 * n * max(kd + 1, 3 * kb + 1) + 12 * system.A_c.nnz
     solve_multiscale(system)
     tracemalloc.start()

@@ -10,7 +10,7 @@ from scipy.sparse.linalg import splu
 
 from msdarcy import (ConfigError, PermField, SolveError, bilinear_pou,
                      build_aux_space, build_grids, build_snapshot, compute_weight,
-                     corner_source, generate_medium, manufactured_cospi,
+                     corner_source, generate_medium, manufactured_cospi, sample_spec,
                      solve_all_spectra, solve_fine_reference, three_channel_spec)
 from msdarcy.fem import band_solve, check_source, divergence_matrix, mass_triplets
 from msdarcy.mesh import FineGrid, element_layout, element_region, full_domain
@@ -200,6 +200,37 @@ def test_macro_condensation_matches_cell_hybrid_reference(case):
     dv = sol.v - v_ref
     assert np.sqrt(dv @ M @ dv) <= 1e-10 * np.sqrt(v_ref @ M @ v_ref)
     assert np.linalg.norm(sol.p - p_ref) <= 1e-10 * np.linalg.norm(p_ref)
+
+
+@pytest.mark.xfail(strict=True, raises=SolveError, reason="ROADMAP item 1")
+@pytest.mark.parametrize("nx,seed,n_horizontal,n_vertical,n_inclusions", [
+    (32, 0, 1, 1, 4), (32, 5, 1, 1, 4), (32, 7, 2, 2, 6), (32, 19, 3, 1, 8),
+    (64, 0, 1, 1, 4), (64, 9, 1, 1, 4)])
+def test_random_layouts_at_contrast_1e12_match_bordered_oracle(nx, seed, n_horizontal,
+                                                               n_vertical, n_inclusions):
+    """Random channel layouts at contrast 1e12, with a unit source in the
+    first b x b cells and a unit sink in the last, b = nx / 8, against the
+    bordered solve with the bounds of the oracle cases. The refinement
+    sweeps stop above the tolerance on all six, at residuals of 5.6 to 464
+    times it at 32x32 and 4.0e4 to 1.6e8 times it at 64x64 (ROADMAP item
+    1): each raises SolveError until a solve that converges replaces them."""
+    grid = FineGrid(nx, nx)
+    perm = generate_medium(sample_spec(nx, n_horizontal, n_vertical, n_inclusions,
+                                       contrast_lo=1e12, contrast_hi=1e12, seed=seed,
+                                       coarse_n=4, max_channels_per_element=2), grid)
+    b = nx // 8
+    f = np.zeros((nx, nx))
+    f[:b, :b], f[-b:, -b:] = 1.0, -1.0
+    f = f.ravel()
+    sol = solve_fine_reference(perm, f)
+    v_ref, p_ref = bordered_reference(perm, f)
+    M = mass_matrix(grid, perm)
+    dv = sol.v - v_ref
+    assert np.sqrt(dv @ M @ dv) <= 1e-10 * np.sqrt(v_ref @ M @ v_ref)
+    assert np.linalg.norm(sol.p - p_ref) <= 1e-10 * np.linalg.norm(p_ref)
+    h2 = grid.h ** 2
+    defect = np.abs(divergence_matrix(grid) @ sol.v - h2 * f)
+    assert defect.max() <= 1e-10 * h2 * np.abs(f).sum()
 
 
 @pytest.mark.parametrize("nx", [2, 3, 5, 7, 9])

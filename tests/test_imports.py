@@ -21,3 +21,13 @@ def test_no_test_module_imports_another():
     found = sorted((path.stem, name) for path in modules for name in _imported_modules(path)
                    if any(part.startswith("test_") for part in name.split(".")))
     assert found == []
+
+
+def test_only_fem_imports_scipy_linalg():
+    """LAPACK's band storage, factors and solves live in `fem` alone: no
+    other module of the package imports `scipy.linalg`."""
+    package = Path(__file__).parent.parent / "src" / "msdarcy"
+    found = sorted({path.name for path in package.glob("*.py")
+                    for name in _imported_modules(path)
+                    if name == "scipy.linalg" or name.startswith("scipy.linalg.")})
+    assert found == ["fem.py"]
