@@ -66,7 +66,7 @@ writes its columns there, and the per-function records are views.
 """
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache, cached_property
 
 import numpy as np
@@ -75,8 +75,8 @@ from numpy.lib.stride_tricks import as_strided
 
 from .auxspace import _run, _stacked, element_lines
 from .errors import ConfigError, SolveError
-from .fem import (FineSolution, _solve_whole_domain, band_cholesky, band_matrix, band_solve,
-                  check_source, lower_band_positions, mass_triplets)
+from .fem import (_solve_whole_domain, band_cholesky, band_matrix, band_solve, check_source,
+                  lower_band_positions, mass_triplets)
 from .mesh import (Region, element_layout, full_domain, oversample_region, read_only,
                    region_elements)
 
@@ -814,4 +814,4 @@ def build_snapshot(aux, perm, f, rtol=1e-10):
     pw = aux.project(f / aux.weight.values)
     sol = _solve_whole_domain(perm, aux.s_diag * pw, rtol, "snapshot")
     # the template solves with -b(v, p); this problem is posed with +b(v, p)
-    return FineSolution(sol.grid, sol.v, -sol.p)
+    return replace(sol, p=-sol.p)

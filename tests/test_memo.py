@@ -110,7 +110,7 @@ def test_memory_guard_refuses_a_memoized_grid(monkeypatch, memo_first):
     perm = PermField.from_raw(grid, np.exp(np.random.default_rng(40).uniform(0, 3, 64)))
     f = np.random.default_rng(41).standard_normal(grid.n_cells)
     f -= f.mean()
-    need = 8 * 48 * 16
+    need = 8 * 48 * 16 + 8 * 41 * 208
     pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": need}
     monkeypatch.setattr(os, "sysconf", pages.__getitem__)
     _clear()
