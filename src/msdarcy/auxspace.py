@@ -17,8 +17,8 @@ same number of cells, so the spectra are one record of stacks
 J_i eigenvectors per element, as one stack zero-padded to the largest
 J_i; the projection onto it is S-orthogonal and acts elementwise.
 
-The element lines hold only indices and the divergence signs, so they are
-memoized per grid (`element_lines`, read-only); the line masses, the
+The element lines hold only indices and the divergence pattern, so they
+are memoized per grid (`element_lines`, read-only); the line masses, the
 eliminations and the spectra are computed per call.
 """
 
@@ -31,7 +31,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigError
-from .fem import divergence_matrix, mass_triplets
+from .fem import flux_mass
 from .mesh import element_layout, read_only
 
 
@@ -54,23 +54,23 @@ class ElementLines:
     An element of r x r cells has 2r lines of r + 1 edges: its r rows of
     vertical edges, then its r columns of horizontal edges, each in
     ascending order, so positions 0 and r lie on the element boundary and
-    1..r-1 inside it. The flux mass matrix on rectangles couples only
-    edges of one line (`fem.mass_triplets`: left with right, bottom with
-    top), and an edge's divergence lives on the cells of its line. So an
-    element's own flux mass is a direct sum of 2r tridiagonal
-    (r+1) x (r+1) line blocks, its interior block A one of 2r
-    (r-1) x (r-1) blocks, and B A^-1 B^T a sum of one r x r block per line.
+    1..r-1 inside it. Cell m of a line lies between its edges m and m + 1.
+    The flux mass matrix on rectangles couples only edges of one line (a
+    cell's left with its right edge, its bottom with its top), and an
+    edge's divergence lives on the cells of its line. So an element's own
+    flux mass is a direct sum of 2r tridiagonal (r+1) x (r+1) line blocks
+    (`mass`), its interior block A one of 2r (r-1) x (r-1) blocks, and
+    B A^-1 B^T a sum of one r x r block per line.
 
-    `edges` holds element 0's global edge ids per line (every element is
-    element 0 shifted). `cells`, `interior` and `boundary` index each
-    line's cells, its positions 1..r-1 and its positions (0, r) into the
-    element's ascending cells, interior edges and boundary edges of
-    `element_layout`. `div` is the divergence of each line's edges on its
-    cells, the same in every element.
+    `cells`, `interior` and `boundary` index each line's cells, its
+    positions 1..r-1 and its positions (0, r) into the element's ascending
+    cells, interior edges and boundary edges of `element_layout`. `div` is
+    the divergence of each line's edges on its cells, h (D - I) for the
+    r x (r + 1) shift D (`D[m, m + 1] = 1`), the same for every line and
+    element.
     """
 
     coarse: object
-    edges: np.ndarray
     cells: np.ndarray
     interior: np.ndarray
     boundary: np.ndarray
@@ -78,23 +78,18 @@ class ElementLines:
 
     def mass(self, perm, elements):
         """Each listed element's own flux mass (its cells' share) per line,
-        shape (elements, 2r, r+1, r+1), from the triplets of its cells."""
-        grid = self.coarse.fine
+        shape (elements, 2r, r+1, r+1): cell m of a line adds its c1
+        (`fem.flux_mass`) to the diagonal of the line's edges m and m + 1
+        and couples them by 0.5 c1."""
         r = self.coarse.r
-        n = len(elements)
         _, cells, _ = element_layout(self.coarse)
-        # element 0's edge ids carry every element's values: the blocks
-        # depend on where an edge sits in its element, not on the element
-        rows, cols, vals = mass_triplets(grid, np.tile(cells[0], n),
-                                         perm.values[cells[elements]].ravel())
-        at = np.full(grid.n_edges, -1)
-        at[self.edges.ravel()] = np.arange(self.edges.size)
-        line, pos_r, pos_c = at[rows] // (r + 1), at[rows] % (r + 1), at[cols] % (r + 1)
-        owner = np.tile(np.repeat(np.arange(n), r * r), 8)
-        size = 2 * r * (r + 1) ** 2
-        flat = owner * size + (line * (r + 1) + pos_r) * (r + 1) + pos_c
-        return np.bincount(flat, weights=vals, minlength=n * size).reshape(
-            n, 2 * r, r + 1, r + 1)
+        c1 = flux_mass(perm)[cells[elements][:, self.cells]]
+        m = np.arange(r)
+        mass = np.zeros(c1.shape[:2] + (r + 1, r + 1))
+        mass[:, :, m, m] = c1
+        mass[:, :, m + 1, m + 1] += c1
+        mass[:, :, m, m + 1] = mass[:, :, m + 1, m] = 0.5 * c1
+        return mass
 
     def eliminate(self, mass):
         """The interior edges of every element eliminated, from line masses.
@@ -133,18 +128,15 @@ def element_lines(coarse):
     """The `ElementLines` of a coarse grid, memoized per grid."""
     grid = coarse.fine
     r = coarse.r
-    interior, cells, boundary = (a[0] for a in element_layout(coarse))
+    interior, _, boundary = (a[0] for a in element_layout(coarse))
     k = np.arange(r + 1)
     a = np.arange(r)[:, None]
     edges = np.concatenate([grid.vedge_id(k[None, :], a), grid.hedge_id(a, k[None, :])])
     local = np.arange(r * r).reshape(r, r)
-    line_cells = np.concatenate([local, local.T])
-    rows = np.broadcast_to(cells[line_cells][:, :, None], (2 * r, r, r + 1))
-    cols = np.broadcast_to(edges[:, None, :], rows.shape)
-    div = np.asarray(divergence_matrix(grid)[rows.ravel(), cols.ravel()]).reshape(rows.shape)
+    div = grid.h * (np.eye(r, r + 1, 1) - np.eye(r, r + 1))
     return ElementLines(coarse, *read_only(
-        edges, line_cells, np.searchsorted(interior, edges[:, 1:-1]),
-        np.searchsorted(boundary, edges[:, [0, -1]]), div))
+        np.concatenate([local, local.T]), np.searchsorted(interior, edges[:, 1:-1]),
+        np.searchsorted(boundary, edges[:, [0, -1]]), np.tile(div, (2 * r, 1, 1))))
 
 
 def _fix_signs(P):

@@ -76,7 +76,7 @@ from numpy.lib.stride_tricks import as_strided
 from .auxspace import _run, _stacked, element_lines
 from .errors import ConfigError, SolveError
 from .fem import (_solve_whole_domain, band_cholesky, band_matrix, band_solve, check_source,
-                  lower_band_positions, mass_triplets)
+                  flux_mass, lower_band_positions)
 from .mesh import (Region, element_layout, full_domain, oversample_region, read_only,
                    region_elements)
 
@@ -251,8 +251,8 @@ class CondensedElements:
         else:
             self.rhs[:, n_ie:n_ie + n_c] = -self.C
         # every cell's flux mass entries: c1 on its edges' diagonal, c2 in a pair
-        self.c1, _, self.c2 = mass_triplets(
-            perm.grid, np.arange(perm.grid.n_cells), perm.values)[2].reshape(8, -1)[:3]
+        self.c1 = flux_mass(perm)
+        self.c2 = 0.5 * self.c1
         self.W = np.empty((n_el, width, n_b))
         self.S = np.empty((n_el, n_b, n_b))
         self.Z = np.empty((n_el, width, k_max))

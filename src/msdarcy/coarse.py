@@ -343,7 +343,7 @@ def solve_multiscale(system, rtol=1e-10):
                   + np.linalg.norm(BU + gamma * w - rhs_q) ** 2
                   + (w @ P) ** 2)
     scale = np.linalg.norm(rhs_q)
-    if res > rtol * max(scale, 1e-300):
+    if not res <= rtol * max(scale, 1e-300):
         raise SolveError(f"coarse solve residual {res:.3e} above {rtol:.1e} * {scale:.3e}",
                          residual=res)
     basis = system.basis

@@ -5,9 +5,10 @@ pressures are constant per cell. On a region, velocity unknowns live on
 the region-interior edges only, which imposes the no-flux condition on
 the region (and domain) boundary.
 
-Every fine-scale flux mass reads one set of per-cell entries
-(`mass_triplets`): `auxspace`'s element kernels, the whole-domain
-solves' residuals and `basis`'s regions.
+Every fine-scale flux mass reads one per-cell entry (`flux_mass`): a
+cell's c1 on the diagonal of each of its edges and 0.5 c1 between the
+two edges of each opposite pair. `auxspace`'s element line blocks, the
+whole-domain solves' residuals and `basis`'s regions are written from it.
 
 The basis functions' region systems are instances of one symmetric
 indefinite template over unknowns (u, p[, y]):
@@ -88,17 +89,15 @@ def velocity_dofmap(region):
     return VelocityDofMap(region.interior_edges())
 
 
-def mass_triplets(grid, cells, kappa):
-    """COO triplets of the kappa^-1-weighted flux mass matrix over `cells`,
-    in global edge numbering."""
-    L, R, B, T = grid.cell_edge_ids(cells)
-    h2 = grid.h * grid.h
-    c1 = h2 / (3.0 * kappa)
-    c2 = h2 / (6.0 * kappa)
-    rows = np.concatenate([L, R, L, R, B, T, B, T])
-    cols = np.concatenate([L, R, R, L, B, T, T, B])
-    vals = np.concatenate([c1, c1, c2, c2, c1, c1, c2, c2])
-    return rows, cols, vals
+def flux_mass(perm):
+    """Every cell's kappa^-1-weighted flux mass, c1 = h^2 / (3 kappa): the
+    diagonal entry of each of its four edges. Its (left, right) and
+    (bottom, top) pairs couple by c2 = h^2 / (6 kappa), which is 0.5 * c1
+    exactly: scaling by 2 is exact in binary floating point (away from
+    overflow and the subnormals), so 6 kappa rounds to twice 3 kappa, and
+    the quotient by it to half c1."""
+    h = perm.grid.h
+    return h * h / (3.0 * perm.values)
 
 
 def divergence_matrix(grid):
@@ -219,11 +218,14 @@ def check_memory(need, what):
 
 def check_source(f, grid):
     """`f` as per-cell source averages on `grid`, refused unless it holds
-    one value per cell and integrates to zero (to 1e-12 of its scale)."""
+    one finite value per cell and integrates to zero (to 1e-12 of its
+    scale)."""
     f = np.asarray(f, dtype=np.float64)
     if f.shape != (grid.n_cells,):
         raise ConfigError(f"source has shape {f.shape}, the {grid.nx}x{grid.ny} grid "
                           f"has {grid.n_cells} cells")
+    if not np.isfinite(f).all():
+        raise ConfigError("source values must be finite")
     total, scale = float(np.sum(f)) * grid.h ** 2, float(np.sum(np.abs(f))) * grid.h ** 2
     if abs(total) > 1e-12 * max(scale, 1.0):
         raise ConfigError(f"source must have zero mean, integral is {total:.3e}")
@@ -529,8 +531,8 @@ def _solve_whole_domain(perm, rhs_p, rtol, label):
         return x
 
     rhs_p = rhs_p - np.mean(rhs_p)
-    # copied out, so that the other six value arrays are freed
-    c1, c2 = mass_triplets(grid, np.arange(grid.n_cells), perm.values)[2].reshape(8, ny, nx)[[0, 2]]
+    c1 = flux_mass(perm).reshape(ny, nx)
+    c2 = 0.5 * c1
 
     def residual(x, rhs_p):
         """The template's rows of every interior edge and cell at the flux

@@ -234,10 +234,11 @@ def convergence_study(perm, f, cases, flavor="type2", rtol=1e-10, workers=1):
     """Errors of the multiscale solve against the fine reference.
 
     `cases` holds (nbasis, Nx, layers) triples, solved in order on the
-    shared fine grid/medium; rates compare consecutive rows. Every case
-    is checked in full before the first solve, and the spectra of each
-    coarse size are computed once.
+    shared fine grid/medium; rates compare consecutive rows. The source
+    and every case are checked in full before the first solve, and the
+    spectra of each coarse size are computed once.
     """
+    f = check_source(f, perm.grid)
     coarse = {Nx: build_grids(perm.grid.nx, Nx)[1] for _, Nx, _ in cases}
     for nbasis, Nx, layers in cases:
         _check_selection(nbasis, None, coarse[Nx].r ** 2)

@@ -20,8 +20,7 @@ from scipy.sparse.linalg import splu
 
 from msdarcy import BasisSet, ConfigError
 from msdarcy import coarse  # the coarse oracles read its private kernels
-from msdarcy.fem import (band_cholesky, band_half_width, band_solve, divergence_matrix,
-                         mass_triplets)
+from msdarcy.fem import band_cholesky, band_half_width, band_solve, divergence_matrix
 from msdarcy.mesh import CoarseGrid, element_layout, full_domain, region_elements
 
 
@@ -123,9 +122,22 @@ def cutoff_field(coarse, e, outer, inner):
     return CutoffField(coarse, int(e), outer, inner, vals, fine_vals)
 
 
+def mass_triplets(grid, cells, kappa):
+    """COO triplets of the kappa^-1-weighted flux mass matrix over `cells`,
+    in global edge numbering."""
+    L, R, B, T = grid.cell_edge_ids(cells)
+    h2 = grid.h * grid.h
+    c1 = h2 / (3.0 * kappa)
+    c2 = h2 / (6.0 * kappa)
+    rows = np.concatenate([L, R, L, R, B, T, B, T])
+    cols = np.concatenate([L, R, R, L, B, T, T, B])
+    vals = np.concatenate([c1, c1, c2, c2, c1, c1, c2, c2])
+    return rows, cols, vals
+
+
 def mass_matrix(grid, perm):
     """Flux mass matrix over all edges (global numbering), boundary edges
-    included. The solvers read its entries from `mass_triplets` instead."""
+    included. The solvers read its entries from `fem.flux_mass` instead."""
     rows, cols, vals = mass_triplets(grid, np.arange(grid.n_cells), perm.values)
     n = grid.n_edges
     return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
@@ -329,6 +341,23 @@ def _cell_hybrid_reference(perm, rhs_p, rtol=1e-10):
             break
     assert res <= rtol * np.linalg.norm(rhs_p)
     return v, p - np.mean(p)
+
+
+def div_compat_residuals(bset):
+    """`div_compat_residual` of every function of `bset`, in one pass over
+    the columns of Psi: g = B Psi / (h^2 kappa~), the residual g - R R^T S g
+    of its projection onto the auxiliary space, and the ratio of their
+    S-weighted column norms."""
+    aux = bset.aux
+    grid = aux.coarse.fine
+    s, R = aux.s_diag, aux.matrix
+    g = sp.diags(1.0 / (grid.h ** 2 * aux.weight.values)) @ (divergence_matrix(grid) @ bset.matrix)
+    r = g - R @ (R.T @ (sp.diags(s) @ g))
+
+    def norms(m):
+        return np.sqrt(m.multiply(m).T @ s)
+
+    return norms(r) / np.maximum(norms(g), 1e-300)
 
 
 def infsup_smallest_sigma(grid, perm):

@@ -14,9 +14,9 @@ from msdarcy import (ConfigError, PermField, Spectra, bilinear_pou,
                      generate_medium, solve_all_spectra, solve_case,
                      three_channel_spec)
 from msdarcy.auxspace import _run, element_lines, gap_split, write_eigen_report
-from msdarcy.fem import mass_triplets
+from msdarcy.fem import divergence_matrix, flux_mass
 from msdarcy.mesh import element_layout, element_region, oversample_region
-from oracles import _spectra_oracle, assemble_a, assemble_b, restriction
+from oracles import _spectra_oracle, assemble_a, assemble_b, mass_triplets, restriction
 
 
 def _case(nx=16, Nx=4, seed=42, span=np.log(1e3)):
@@ -25,6 +25,17 @@ def _case(nx=16, Nx=4, seed=42, span=np.log(1e3)):
     perm = PermField.from_raw(fine, np.exp(rng.uniform(0, span, fine.n_cells)))
     weight = compute_weight(perm, bilinear_pou(coarse))
     return fine, coarse, perm, weight
+
+
+def _line_edges(coarse, e):
+    """Element e's global edge ids per grid line, in `ElementLines` order:
+    its rows of vertical edges, then its columns of horizontal edges."""
+    fine, r = coarse.fine, coarse.r
+    I, J = coarse.element_IJ(e)
+    k = np.arange(r + 1)
+    a = np.arange(r)[:, None]
+    return np.concatenate([fine.vedge_id(I * r + k, J * r + a),
+                           fine.hedge_id(I * r + a, J * r + k)])
 
 
 def _dense_pencil(coarse, e, perm, weight):
@@ -63,14 +74,11 @@ def test_line_blocks_hold_every_element_flux_coupling():
     """The flux mass of an element's cells, summed over its line blocks, is
     the element's whole flux mass: no coupling crosses two lines."""
     fine, coarse, perm, weight = _case(nx=12, Nx=2)
-    r = coarse.r
     lines = element_lines(coarse)
     _, cells, _ = element_layout(coarse)
     mass = lines.mass(perm, np.arange(coarse.n_elements))
     for e in range(coarse.n_elements):
-        I, J = coarse.element_IJ(e)
-        edges = lines.edges + np.where(lines.edges < fine.n_vedges,
-                                       J * r * (fine.nx + 1) + I * r, J * r * fine.nx + I * r)
+        edges = _line_edges(coarse, e)
         want = np.zeros((fine.n_edges, fine.n_edges))
         rows, cols, vals = mass_triplets(fine, cells[e], perm.values[cells[e]])
         np.add.at(want, (rows, cols), vals)
@@ -78,6 +86,35 @@ def test_line_blocks_hold_every_element_flux_coupling():
         for line, block in zip(edges, mass[e]):
             got[np.ix_(line, line)] += block
         assert np.allclose(got, want, rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("nx, Nx", [(8, 8), (12, 12), (8, 4), (12, 6),
+                                    (16, 4), (12, 3), (16, 2), (24, 3)])
+def test_line_blocks_and_divergence_equal_the_triplet_oracle_bit_for_bit(nx, Nx):
+    """The line blocks written from `fem.flux_mass`, the constant line
+    divergence and `flux_mass` itself equal, bit for bit, what the
+    whole-grid triplets and divergence matrix hold, on elements of 1, 2, 4
+    and 8 cells a side over permeabilities spanning twelve decades: the
+    pair entry 0.5 c1 is exactly c2, and no entry sums more than two
+    terms, so the order of addition cannot matter."""
+    fine, coarse = build_grids(nx, Nx)
+    rng = np.random.default_rng(nx * Nx)
+    perm = PermField.from_raw(fine, 10.0 ** rng.uniform(0, 12, fine.n_cells))
+    c1, _, c2 = mass_triplets(fine, np.arange(fine.n_cells), perm.values)[2].reshape(8, -1)[:3]
+    assert np.array_equal(flux_mass(perm), c1)
+    assert np.array_equal(0.5 * flux_mass(perm), c2)
+    lines = element_lines(coarse)
+    _, cells, _ = element_layout(coarse)
+    mass = lines.mass(perm, np.arange(coarse.n_elements))
+    B = divergence_matrix(fine)
+    shape = (fine.n_edges, fine.n_edges)
+    for e in range(coarse.n_elements):
+        rows, cols, vals = mass_triplets(fine, cells[e], perm.values[cells[e]])
+        want = sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
+        for line, line_cells, block, div in zip(_line_edges(coarse, e), lines.cells,
+                                                mass[e], lines.div):
+            assert np.array_equal(block, want[np.ix_(line, line)].toarray())
+            assert np.array_equal(div, B[np.ix_(cells[e][line_cells], line)].toarray())
 
 
 def test_spectrum_against_qz_pencil():
@@ -356,7 +393,7 @@ def test_one_cell_elements():
     perm = generate_medium(three_channel_spec(contrast=1e4), fine)
     weight = compute_weight(perm, bilinear_pou(coarse))
     lines = element_lines(coarse)
-    assert lines.interior.shape == (2, 0) and lines.edges.shape == (2, 2)
+    assert lines.interior.shape == (2, 0) and lines.boundary.shape == (2, 2)
     spectra = _check_against_oracle(coarse, perm, weight)
     assert spectra.lambdas.shape == (coarse.n_elements, 1)
     assert (spectra.lambdas == 0.0).all()

@@ -10,7 +10,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from msdarcy import (ConfigError, PermField, SolveError, bilinear_pou,
-                     build_aux_space, build_basis_set, build_grids,
+                     build_aux_space, build_basis_set, build_grids, convergence_study,
                      build_snapshot, compute_weight, generate_medium,
                      relative_errors, sample_spec, solve_all_spectra,
                      solve_case, solve_fine_reference, assemble_coarse_system,
@@ -18,7 +18,7 @@ from msdarcy import (ConfigError, PermField, SolveError, bilinear_pou,
 from msdarcy import coarse
 from msdarcy.fem import _band_positions, band_half_width, divergence_matrix
 from oracles import (_bordered_superlu_solve, _dense_reference, _superlu_velocity_verdict,
-                     _symmetrized_coo_solve, mass_matrix)
+                     _symmetrized_coo_solve, div_compat_residuals, mass_matrix)
 
 
 def _setup(nx, Nx, nbasis, seed=31, span=np.log(1e3)):
@@ -94,6 +94,56 @@ def test_mass_residuals_refuse_a_source_the_solve_would_refuse():
             assemble_coarse_system(bset, perm, bad)
         with pytest.raises(ConfigError, match=match):
             mass_residuals(ms, bad, aux)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_source_is_refused_before_any_stage(bad, monkeypatch):
+    """One NaN or infinite cell in the corner of a source is refused with
+    one ConfigError by every solve that takes a source, before any of its
+    stages runs: the spectra and the fine reference of `solve_case` and
+    `convergence_study`, the fine reference's own solve, the snapshot's,
+    the coarse blocks and the mass residuals."""
+    fine, coarse, perm, weight, aux, f = _setup(16, 4, nbasis=2, seed=38)
+    bset = build_basis_set(aux, perm, layers=1)
+    ms = solve_multiscale(assemble_coarse_system(bset, perm, f))
+    f = f.copy()
+    f[0] = bad
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a stage ran before the source was checked")
+    for stage in ("metrics.solve_all_spectra", "metrics.solve_fine_reference",
+                  "fem._solve_whole_domain", "basis._solve_whole_domain",
+                  "coarse._velocity_block", "coarse.divergence_matrix"):
+        monkeypatch.setattr(f"msdarcy.{stage}", fail)
+    for solve in (lambda: solve_case(perm, f, 4, nbasis=2, layers=1),
+                  lambda: convergence_study(perm, f, [(2, 4, 1)]),
+                  lambda: solve_fine_reference(perm, f),
+                  lambda: build_snapshot(aux, perm, f),
+                  lambda: assemble_coarse_system(bset, perm, f),
+                  lambda: mass_residuals(ms, f, aux)):
+        with pytest.raises(ConfigError, match="source values must be finite"):
+            solve()
+
+
+def test_a_nan_coarse_residual_raises_solve_error():
+    """A NaN right-hand side leaves a NaN residual, which the check refuses:
+    NaN compares false, so the check asks whether the residual is within
+    the tolerance, not whether it is above it."""
+    fine, coarse, perm, weight, aux, f = _setup(16, 4, nbasis=2, seed=39)
+    system = assemble_coarse_system(build_basis_set(aux, perm, layers=1), perm, f)
+    system = dataclasses.replace(system, rhs_q=np.full_like(system.rhs_q, np.nan))
+    with pytest.raises(SolveError, match="coarse solve residual nan"):
+        solve_multiscale(system)
+
+
+def test_batched_div_compat_equals_the_per_function_residual():
+    """The one pass over Psi's columns that criterion 9 reads gives every
+    function's `div_compat_residual` to 1e-13."""
+    fine, coarse, perm, weight, aux, f = _setup(16, 4, nbasis=3, seed=40)
+    for flavor, layers in (("type2", 1), ("type1", 2), ("global", None)):
+        bset = build_basis_set(aux, perm, layers=layers, flavor=flavor)
+        want = [div_compat_residual(fn.v_global(fine.n_edges), aux) for fn in bset]
+        assert np.abs(div_compat_residuals(bset) - want).max() <= 1e-13
 
 
 def test_div_compat_flags_incompatible_fields():

@@ -12,11 +12,11 @@ from msdarcy import (ConfigError, PermField, SolveError, bilinear_pou,
                      build_aux_space, build_grids, build_snapshot, compute_weight,
                      corner_source, generate_medium, manufactured_cospi, sample_spec,
                      solve_all_spectra, solve_fine_reference, three_channel_spec)
-from msdarcy.fem import band_cholesky, band_solve, check_source, divergence_matrix, mass_triplets
+from msdarcy.fem import band_cholesky, band_solve, check_source, divergence_matrix
 from msdarcy.mesh import FineGrid, element_layout, element_region, full_domain
 from oracles import (_cell_hybrid_reference, assemble_a, assemble_b, bordered_reference,
-                     infsup_smallest_sigma, local_index, mass_matrix, pinned_reference,
-                     refined_lu, saddle_matrix)
+                     infsup_smallest_sigma, local_index, mass_matrix, mass_triplets,
+                     pinned_reference, refined_lu, saddle_matrix)
 
 
 def _random_perm(grid, seed=0, span=3.0):
